@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"tokencoherence/internal/harness"
+	"tokencoherence/internal/engine"
 )
 
 // benchBaseline mirrors the points table of BENCH_kernel.json and
@@ -55,15 +55,15 @@ func TestBenchmarkRegression(t *testing.T) {
 	}
 	base := loadBaseline(t, "BENCH_kernel.json")
 	topoFor := map[string]string{
-		harness.ProtoTokenB:    harness.TopoTorus,
-		harness.ProtoTokenD:    harness.TopoTorus,
-		harness.ProtoTokenM:    harness.TopoTorus,
-		harness.ProtoSnooping:  harness.TopoTree,
-		harness.ProtoDirectory: harness.TopoTorus,
-		harness.ProtoHammer:    harness.TopoTorus,
+		engine.ProtoTokenB:    engine.TopoTorus,
+		engine.ProtoTokenD:    engine.TopoTorus,
+		engine.ProtoTokenM:    engine.TopoTorus,
+		engine.ProtoSnooping:  engine.TopoTree,
+		engine.ProtoDirectory: engine.TopoTorus,
+		engine.ProtoHammer:    engine.TopoTorus,
 
-		harness.ProtoDir2:         harness.TopoTorus,
-		harness.ProtoRegionFilter: harness.TopoTorus,
+		engine.ProtoDir2:         engine.TopoTorus,
+		engine.ProtoRegionFilter: engine.TopoTorus,
 	}
 	for proto, limits := range base.Points {
 		proto, limits := proto, limits
@@ -74,7 +74,7 @@ func TestBenchmarkRegression(t *testing.T) {
 			}
 			pt := benchPoint(proto, topo, "oltp", 1)
 			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := harness.Run(pt); err != nil {
+				if _, err := engine.RunPoint(pt); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -92,8 +92,8 @@ func TestBenchmarkRegression(t *testing.T) {
 // BenchmarkSimulatePointIslands configuration) is run at each recorded
 // island count and must stay under its allocation ceiling. Wall-clock
 // speedup is NOT gated — it depends on the host's core count (the
-// baseline was recorded on a single-core host; see the baseline file) —
-// but allocation counts are deterministic, so per-island kernels, stat
+// baseline records its host's CPUs) — but allocation counts are
+// deterministic, so per-island kernels, stat
 // shards, observer journals, and barrier queues cannot silently grow.
 func TestBenchmarkRegressionParallel(t *testing.T) {
 	if testing.Short() {
@@ -121,13 +121,13 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 			t.Fatalf("baseline names unparseable island count %q", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
+			pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 			pt.Procs = 64
 			pt.Ops = 200
 			pt.Warmup = 600
 			pt.Islands = islands
 			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := harness.Run(pt); err != nil {
+				if _, err := engine.RunPoint(pt); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -25,8 +25,8 @@ func benchOpt() harness.Options {
 }
 
 // benchPoint builds a reduced-size point.
-func benchPoint(proto, topo, wl string, seed uint64) harness.Point {
-	return harness.Point{
+func benchPoint(proto, topo, wl string, seed uint64) engine.Point {
+	return engine.Point{
 		Protocol: proto, Topo: topo, Workload: wl,
 		Ops: 800, Warmup: 2500, Seed: seed,
 	}
@@ -164,9 +164,9 @@ func BenchmarkAblationTokenCount(b *testing.B) {
 		tokens := tokens
 		b.Run(fmt.Sprintf("T=%d", tokens), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
+				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.TokensPerBlock = tokens }
-				run, err := harness.Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -195,12 +195,12 @@ func BenchmarkAblationReissuePolicy(b *testing.B) {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "apache", 1)
+				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "apache", 1)
 				pt.Mutate = func(cfg *machine.Config) {
 					cfg.MaxReissues = c.maxReissues
 					cfg.BackoffFactor = c.factor
 				}
-				run, err := harness.Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,9 +221,9 @@ func BenchmarkAblationMigratory(b *testing.B) {
 		enabled := enabled
 		b.Run(fmt.Sprintf("migratory=%v", enabled), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
+				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.Migratory = enabled }
-				run, err := harness.Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -241,9 +241,9 @@ func BenchmarkAblationProcessorMLP(b *testing.B) {
 		loads := loads
 		b.Run(fmt.Sprintf("maxloads=%d", loads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "apache", 1)
+				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "apache", 1)
 				pt.Mutate = func(c *machine.Config) { c.MaxLoads = loads }
-				run, err := harness.Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -256,11 +256,11 @@ func BenchmarkAblationProcessorMLP(b *testing.B) {
 // BenchmarkAblationPerformancePolicy compares the three performance
 // protocols on the same substrate (paper §7).
 func BenchmarkAblationPerformancePolicy(b *testing.B) {
-	for _, proto := range []string{harness.ProtoTokenB, harness.ProtoTokenM, harness.ProtoTokenD} {
+	for _, proto := range []string{engine.ProtoTokenB, engine.ProtoTokenM, engine.ProtoTokenD} {
 		proto := proto
 		b.Run(proto, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(benchPoint(proto, harness.TopoTorus, "specjbb", 1))
+				run, err := engine.RunPoint(benchPoint(proto, engine.TopoTorus, "specjbb", 1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,8 +279,8 @@ func BenchmarkAblationPerformancePolicy(b *testing.B) {
 func BenchmarkEngineParallel(b *testing.B) {
 	plan := engine.Plan{
 		Variants: engine.Grid(
-			[]string{harness.ProtoTokenB, harness.ProtoDirectory, harness.ProtoHammer},
-			[]string{harness.TopoTorus}),
+			[]string{engine.ProtoTokenB, engine.ProtoDirectory, engine.ProtoHammer},
+			[]string{engine.TopoTorus}),
 		Workloads: []string{"oltp"},
 		Seeds:     []uint64{1, 2},
 		Ops:       400,
@@ -319,21 +319,21 @@ func BenchmarkSimulatePoint(b *testing.B) {
 	cases := []struct {
 		proto, topo string
 	}{
-		{harness.ProtoTokenB, harness.TopoTorus},
-		{harness.ProtoTokenD, harness.TopoTorus},
-		{harness.ProtoTokenM, harness.TopoTorus},
-		{harness.ProtoSnooping, harness.TopoTree},
-		{harness.ProtoDirectory, harness.TopoTorus},
-		{harness.ProtoHammer, harness.TopoTorus},
-		{harness.ProtoDir2, harness.TopoTorus},
-		{harness.ProtoRegionFilter, harness.TopoTorus},
+		{engine.ProtoTokenB, engine.TopoTorus},
+		{engine.ProtoTokenD, engine.TopoTorus},
+		{engine.ProtoTokenM, engine.TopoTorus},
+		{engine.ProtoSnooping, engine.TopoTree},
+		{engine.ProtoDirectory, engine.TopoTorus},
+		{engine.ProtoHammer, engine.TopoTorus},
+		{engine.ProtoDir2, engine.TopoTorus},
+		{engine.ProtoRegionFilter, engine.TopoTorus},
 	}
 	for _, c := range cases {
 		c := c
 		b.Run(c.proto, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(benchPoint(c.proto, c.topo, "oltp", 1))
+				run, err := engine.RunPoint(benchPoint(c.proto, c.topo, "oltp", 1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -350,20 +350,19 @@ func BenchmarkSimulatePoint(b *testing.B) {
 // proportional to available cores — and a small, deterministic
 // allocation overhead for per-island kernels, stat shards, and barrier
 // queues, which BENCH_parallel.json gates. On a single-core host the
-// island counts are expected to run slightly slower than serial: the
-// barrier overhead buys nothing without parallel hardware.
+// barrier overhead buys nothing, so expect no speedup there.
 func BenchmarkSimulatePointIslands(b *testing.B) {
 	for _, islands := range []int{1, 2, 4} {
 		islands := islands
 		b.Run(fmt.Sprintf("islands%d", islands), func(b *testing.B) {
 			b.ReportAllocs()
-			pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
+			pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 			pt.Procs = 64
 			pt.Ops = 200
 			pt.Warmup = 600
 			pt.Islands = islands
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -393,12 +392,12 @@ func BenchmarkSimKernel(b *testing.B) {
 // operations per host second for the uniform microbenchmark.
 func BenchmarkUniformTokenB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pt := harness.Point{
-			Protocol: harness.ProtoTokenB, Topo: harness.TopoTorus,
+		pt := engine.Point{
+			Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus,
 			Gen: workload.NewUniform(1024, 0.3, 6*sim.Nanosecond, 16),
 			Ops: 2000, Warmup: 0, Seed: 1,
 		}
-		run, err := harness.Run(pt)
+		run, err := engine.RunPoint(pt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	if *listMet {
-		descs, err := engine.MetricSchema(harness.Point{
+		descs, err := engine.MetricSchema(engine.Point{
 			Protocol: *protocol, Topo: *topo, Workload: *wl, Procs: *procs,
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case w == 0:
 		w = 2 * *ops
 	}
-	point := harness.Point{
+	point := engine.Point{
 		Protocol: *protocol, Topo: *topo, Workload: *wl,
 		Unlimited: *unlimited, PerfectDir: *perfectDir,
 	}

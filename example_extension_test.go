@@ -162,7 +162,7 @@ func Example_probe() {
 		Name: "tail-latency",
 		// New runs once per simulation with that run's MetricSet; metrics
 		// registered here are zeroed automatically at the warmup boundary.
-		New: func(ms *tokencoherence.MetricSet) *tokencoherence.Observer {
+		New: func(ms *tokencoherence.MetricSet) tokencoherence.Observer {
 			tail := ms.Counter(tokencoherence.MetricDesc{
 				Name: "tail_misses", Unit: "count", Fmt: "%.0f",
 				Help: "misses slower than 1us",
@@ -171,10 +171,12 @@ func Example_probe() {
 				Name: "probe_miss_latency", Unit: "ns",
 				Help: "miss latency distribution rebuilt from observer events",
 			})
-			return &tokencoherence.Observer{
-				MissCompleted: func(proc int, block tokencoherence.Block, reissues int, persistent bool, latency tokencoherence.Time) {
-					hist.Observe(latency)
-					if latency > tokencoherence.Microsecond {
+			// Subscribe to miss completions only; Aux carries the latency.
+			return tokencoherence.Observer{
+				Kinds: tokencoherence.MaskOf(tokencoherence.MissCompleted),
+				On: func(ev tokencoherence.Event) {
+					hist.Observe(ev.Aux)
+					if ev.Aux > tokencoherence.Microsecond {
 						tail.Inc()
 					}
 				},

@@ -140,8 +140,8 @@ func (a *Arbiter) startActivation() {
 	a.deactRequested = false
 	a.Activations++
 	a.activations.Inc()
-	if o := a.isle.Obs; o != nil {
-		o.OnPersistentActivated(int(a.id), msg.BlockOf(a.queue[0].addr), a.isle.K.Now())
+	if o := &a.isle.Obs; o.Kinds.Has(stats.PersistentActivated) {
+		o.On(stats.Event{Kind: stats.PersistentActivated, At: a.isle.K.Now(), Node: int32(a.id), Block: msg.BlockOf(a.queue[0].addr)})
 	}
 	a.broadcast(msg.KindPersistentActivate, a.queue[0])
 }
@@ -188,8 +188,8 @@ func (a *Arbiter) collectAck(m *msg.Message, expect arbPhase) {
 		done := a.queue[0]
 		a.queue = a.queue[1:]
 		a.phase = arbIdle
-		if o := a.isle.Obs; o != nil {
-			o.OnPersistentDeactivated(int(a.id), msg.BlockOf(done.addr), a.isle.K.Now())
+		if o := &a.isle.Obs; o.Kinds.Has(stats.PersistentDeactivated) {
+			o.On(stats.Event{Kind: stats.PersistentDeactivated, At: a.isle.K.Now(), Node: int32(a.id), Block: msg.BlockOf(done.addr)})
 		}
 		if len(a.queue) > 0 {
 			a.startActivation()

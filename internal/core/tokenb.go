@@ -141,8 +141,8 @@ func (c *TokenB) onTimeout(m *machine.MSHR) {
 	}
 	m.Reissues++
 	c.reissues.Inc()
-	if o := c.Isle.Obs; o != nil {
-		o.OnReissued(int(c.ID), m.Block, m.Reissues, c.K.Now())
+	if o := &c.Isle.Obs; o.Kinds.Has(stats.Reissued) {
+		o.On(stats.Event{Kind: stats.Reissued, At: c.K.Now(), Node: int32(c.ID), Block: m.Block, N: int32(m.Reissues)})
 	}
 	c.broadcastTransient(m, msg.CatReissue)
 	c.armTimer(m)
@@ -279,8 +279,8 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
 	c.ledger.Received(b, m.Tokens, m.Owner)
 	c.tokenMsgs.Inc()
-	if o := c.Isle.Obs; o != nil {
-		o.OnTokensTransferred(int(c.ID), b, m.Tokens, c.K.Now())
+	if o := &c.Isle.Obs; o.Kinds.Has(stats.TokensTransferred) {
+		o.On(stats.Event{Kind: stats.TokensTransferred, At: c.K.Now(), Node: int32(c.ID), Block: b, N: int32(m.Tokens)})
 	}
 	c.policy.Observe(c, m)
 	if starver, active := c.persist[b]; active && starver != c.CachePort() {

@@ -3,34 +3,44 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"tokencoherence/internal/engine"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
+	"tokencoherence/internal/stats"
 	"tokencoherence/internal/trace"
 )
 
-// islandOutputs runs one point at the given island count with the
-// message pool poisoned and returns every byte stream a run can emit:
-// the engine's JSONL row (identity + full metric map), the Chrome
-// trace-event export of a tracer (hop-level when hops is set), and a
-// flight-recorder dump of the final event ring. The island kernel's
-// contract is that all three are byte-identical at any island count.
-func islandOutputs(t *testing.T, pt engine.Point, islands int, hops bool) (jsonl, traceJSON, dump []byte) {
+// islandOutputs runs one point at the given island count and returns every byte stream a run can emit,
+// by name: the engine's JSONL row (identity + full metric map), the
+// Chrome trace-event export of a tracer (hop-level when hops is set), a
+// flight-recorder dump of the final event ring, and an FNV-64a hash of
+// the raw stats.Event stream a probe receives (hops included when hops
+// is set). The island kernel's contract is that all four are
+// byte-identical at any island count.
+func islandOutputs(t *testing.T, pt engine.Point, islands int, hops bool) map[string][]byte {
 	t.Helper()
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
-
 	pt.Islands = islands
 	tr := trace.NewTracer(trace.TracerConfig{Hops: hops})
+	kinds := stats.ProtocolKinds
+	if hops {
+		kinds = stats.AllKinds
+	}
+	h := fnv.New64a()
+	probe := stats.Observer{Kinds: kinds, On: func(ev stats.Event) {
+		binary.Write(h, binary.LittleEndian, ev) //nolint:errcheck // hash writes cannot fail
+	}}
 	var sys *machine.System
 	var row bytes.Buffer
 	eng := engine.Engine{Workers: 1, Attach: func(engine.Job) func(*machine.System) {
 		return func(s *machine.System) {
 			sys = s
 			s.Observe(tr.Observer())
+			s.Observe(probe)
 		}
 	}}
 	plan := engine.Plan{Variants: []engine.Variant{{Name: "pt", Point: pt}}}
@@ -42,28 +52,38 @@ func islandOutputs(t *testing.T, pt engine.Point, islands int, hops bool) (jsonl
 		t.Fatalf("islands=%d: trace export: %v", islands, err)
 	}
 	sys.Recorder.WriteTo(&db, "island determinism check")
-	return row.Bytes(), tb.Bytes(), db.Bytes()
+	return map[string][]byte{
+		"JSONL":                row.Bytes(),
+		"trace export":         tb.Bytes(),
+		"flight-recorder dump": db.Bytes(),
+		"event-stream hash":    fmt.Appendf(nil, "%016x\n", h.Sum64()),
+	}
 }
 
-// checkIslandIdentity asserts that a point emits byte-identical JSONL,
-// trace, and flight-recorder output at every island count in counts,
-// and across repeated runs at the highest count.
+// poisonPool poisons the message pool until t and its subtests finish.
+// It is set once, before any subtest starts, because parallel subtests
+// and the island goroutines they start all read it.
+func poisonPool(t *testing.T) {
+	msg.PoolPoison = true
+	t.Cleanup(func() { msg.PoolPoison = false })
+}
+
+// checkIslandIdentity asserts that a point emits byte-identical outputs
+// (see islandOutputs) at every island count in counts, and across
+// repeated runs at the highest count.
 func checkIslandIdentity(t *testing.T, pt engine.Point, counts []int, hops bool) {
 	t.Helper()
-	jsonl, traceJSON, dump := islandOutputs(t, pt, counts[0], hops)
-	if len(jsonl) == 0 || len(traceJSON) == 0 || len(dump) == 0 {
-		t.Fatalf("empty reference output (jsonl=%d trace=%d dump=%d bytes)", len(jsonl), len(traceJSON), len(dump))
+	ref := islandOutputs(t, pt, counts[0], hops)
+	for name, out := range ref {
+		if len(out) == 0 {
+			t.Fatalf("empty reference %s", name)
+		}
 	}
 	check := func(label string, islands int) {
-		j, tj, d := islandOutputs(t, pt, islands, hops)
-		if !bytes.Equal(jsonl, j) {
-			t.Errorf("%s: JSONL differs from islands=%d:\n%s", label, counts[0], firstDiff(jsonl, j))
-		}
-		if !bytes.Equal(traceJSON, tj) {
-			t.Errorf("%s: trace export differs from islands=%d:\n%s", label, counts[0], firstDiff(traceJSON, tj))
-		}
-		if !bytes.Equal(dump, d) {
-			t.Errorf("%s: flight-recorder dump differs from islands=%d:\n%s", label, counts[0], firstDiff(dump, d))
+		for name, out := range islandOutputs(t, pt, islands, hops) {
+			if !bytes.Equal(ref[name], out) {
+				t.Errorf("%s: %s differs from islands=%d:\n%s", label, name, counts[0], firstDiff(ref[name], out))
+			}
 		}
 	}
 	for _, islands := range counts[1:] {
@@ -79,10 +99,12 @@ func checkIslandIdentity(t *testing.T, pt engine.Point, counts []int, hops bool)
 // TestIslandKernelByteIdentity64 is the island kernel's determinism
 // gate at CI scale: one 64-processor point per fabric class (TokenB on
 // the 8x8 torus, snooping on the ordered tree) emits byte-identical
-// JSONL rows, hop-level trace exports, and flight-recorder dumps across
-// island counts 1, 2, and 4 and across repeated 4-island runs, with the
-// message pool poisoned throughout.
+// JSONL rows, hop-level trace exports, flight-recorder dumps, and raw
+// event-stream hashes (hops included) across island counts 1, 2, and 4
+// and across repeated 4-island runs, with the message pool poisoned
+// throughout.
 func TestIslandKernelByteIdentity64(t *testing.T) {
+	poisonPool(t)
 	for _, tc := range []struct{ proto, topo string }{
 		{engine.ProtoTokenB, engine.TopoTorus},
 		{engine.ProtoSnooping, engine.TopoTree},
@@ -110,6 +132,7 @@ func TestIslandKernelByteIdentity256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor island determinism skipped in -short mode")
 	}
+	poisonPool(t)
 	checkIslandIdentity(t, engine.Point{
 		Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "apache",
 		Procs: 256, Ops: 12, Warmup: 12, Seed: 5,

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tokencoherence/internal/engine"
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/registry"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
@@ -200,7 +199,7 @@ func TestColumnByNameResolution(t *testing.T) {
 func TestProbeDerivesMetricEndToEnd(t *testing.T) {
 	registry.RegisterProbe(registry.Probe{
 		Name: "engine-test-slow-miss",
-		New: func(ms *stats.MetricSet) *stats.Observer {
+		New: func(ms *stats.MetricSet) stats.Observer {
 			slow := ms.Counter(stats.Desc{
 				Name: "probe_slow_misses", Unit: "count", Fmt: "%.0f",
 				Help: "misses slower than 500ns",
@@ -209,10 +208,11 @@ func TestProbeDerivesMetricEndToEnd(t *testing.T) {
 				Name: "probe_completed_misses", Unit: "count", Fmt: "%.0f",
 				Help: "misses observed to complete",
 			})
-			return &stats.Observer{
-				MissCompleted: func(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
+			return stats.Observer{
+				Kinds: stats.MaskOf(stats.MissCompleted),
+				On: func(ev stats.Event) {
 					total.Inc()
-					if latency > 500*sim.Nanosecond {
+					if ev.Aux > 500*sim.Nanosecond {
 						slow.Inc()
 					}
 				},

@@ -38,7 +38,7 @@ type Table2Row struct {
 // classifies misses as the paper's Table 2 does.
 func Table2(opt Options) ([]Table2Row, error) {
 	plan := opt.plan([]engine.Variant{
-		{Name: "tokenb-torus", Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus}},
+		{Name: "tokenb-torus", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus}},
 	})
 	plan.Workloads = registry.WorkloadNames()
 	agg, err := runAggregate(plan, opt)
@@ -121,9 +121,9 @@ func runtimeBars(variants []engine.Variant, opt Options) ([]RuntimeBar, error) {
 // exactly as the paper's "not applicable" bar.
 func Fig4a(opt Options) ([]RuntimeBar, error) {
 	return runtimeBars([]engine.Variant{
-		{Name: "tokenb-tree", Point: Point{Protocol: ProtoTokenB, Topo: TopoTree}},
-		{Name: "snooping-tree", Point: Point{Protocol: ProtoSnooping, Topo: TopoTree}},
-		{Name: "tokenb-torus", Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus}},
+		{Name: "tokenb-tree", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTree}},
+		{Name: "snooping-tree", Point: engine.Point{Protocol: engine.ProtoSnooping, Topo: engine.TopoTree}},
+		{Name: "tokenb-torus", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus}},
 	}, opt)
 }
 
@@ -131,10 +131,10 @@ func Fig4a(opt Options) ([]RuntimeBar, error) {
 // Figure 5a), including the directory-access-latency effect.
 func Fig5a(opt Options) ([]RuntimeBar, error) {
 	return runtimeBars([]engine.Variant{
-		{Name: "tokenb", Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus}},
-		{Name: "hammer", Point: Point{Protocol: ProtoHammer, Topo: TopoTorus}},
-		{Name: "directory", Point: Point{Protocol: ProtoDirectory, Topo: TopoTorus}},
-		{Name: "directory-perfect", Point: Point{Protocol: ProtoDirectory, Topo: TopoTorus, PerfectDir: true}},
+		{Name: "tokenb", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus}},
+		{Name: "hammer", Point: engine.Point{Protocol: engine.ProtoHammer, Topo: engine.TopoTorus}},
+		{Name: "directory", Point: engine.Point{Protocol: engine.ProtoDirectory, Topo: engine.TopoTorus}},
+		{Name: "directory-perfect", Point: engine.Point{Protocol: engine.ProtoDirectory, Topo: engine.TopoTorus, PerfectDir: true}},
 	}, opt)
 }
 
@@ -199,8 +199,8 @@ func trafficBars(variants []engine.Variant, opt Options) ([]TrafficBar, error) {
 // Figure 4b).
 func Fig4b(opt Options) ([]TrafficBar, error) {
 	return trafficBars([]engine.Variant{
-		{Name: "tokenb", Point: Point{Protocol: ProtoTokenB, Topo: TopoTree}},
-		{Name: "snooping", Point: Point{Protocol: ProtoSnooping, Topo: TopoTree}},
+		{Name: "tokenb", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTree}},
+		{Name: "snooping", Point: engine.Point{Protocol: engine.ProtoSnooping, Topo: engine.TopoTree}},
 	}, opt)
 }
 
@@ -208,9 +208,9 @@ func Fig4b(opt Options) ([]TrafficBar, error) {
 // (paper Figure 5b).
 func Fig5b(opt Options) ([]TrafficBar, error) {
 	return trafficBars([]engine.Variant{
-		{Name: "tokenb", Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus}},
-		{Name: "hammer", Point: Point{Protocol: ProtoHammer, Topo: TopoTorus}},
-		{Name: "directory", Point: Point{Protocol: ProtoDirectory, Topo: TopoTorus}},
+		{Name: "tokenb", Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus}},
+		{Name: "hammer", Point: engine.Point{Protocol: engine.ProtoHammer, Topo: engine.TopoTorus}},
+		{Name: "directory", Point: engine.Point{Protocol: engine.ProtoDirectory, Topo: engine.TopoTorus}},
 	}, opt)
 }
 
@@ -270,12 +270,12 @@ func uniformGen(procs int) machine.Generator {
 // snooping baseline on the multi-level ordered tree (possible beyond 16
 // processors now that the tree is un-capped).
 var scalingConfigs = []struct{ proto, topo string }{
-	{ProtoTokenB, TopoTorus},
-	{ProtoDirectory, TopoTorus},
-	{ProtoHammer, TopoTorus},
-	{ProtoSnooping, TopoTree},
-	{ProtoDir2, TopoTorus},
-	{ProtoRegionFilter, TopoTorus},
+	{engine.ProtoTokenB, engine.TopoTorus},
+	{engine.ProtoDirectory, engine.TopoTorus},
+	{engine.ProtoHammer, engine.TopoTorus},
+	{engine.ProtoSnooping, engine.TopoTree},
+	{engine.ProtoDir2, engine.TopoTorus},
+	{engine.ProtoRegionFilter, engine.TopoTorus},
 }
 
 // Scaling runs the uniform-sharing microbenchmark from 4 to maxProcs
@@ -293,7 +293,7 @@ func Scaling(opt Options, maxProcs int) ([]ScalingRow, error) {
 		for _, cfg := range scalingConfigs {
 			variants = append(variants, engine.Variant{
 				Name: fmt.Sprintf("%s-%dp", cfg.proto, procs),
-				Point: Point{
+				Point: engine.Point{
 					Protocol: cfg.proto, Topo: cfg.topo,
 					NewGen: uniformGen, Procs: procs,
 				},
@@ -311,9 +311,9 @@ func Scaling(opt Options, maxProcs int) ([]ScalingRow, error) {
 		cell := func(proto string) *engine.Aggregate {
 			return agg.Find(fmt.Sprintf("%s-%dp", proto, procs), "", "", false)
 		}
-		tb, dir := cell(ProtoTokenB), cell(ProtoDirectory)
-		ham, snp := cell(ProtoHammer), cell(ProtoSnooping)
-		d2, rf := cell(ProtoDir2), cell(ProtoRegionFilter)
+		tb, dir := cell(engine.ProtoTokenB), cell(engine.ProtoDirectory)
+		ham, snp := cell(engine.ProtoHammer), cell(engine.ProtoSnooping)
+		d2, rf := cell(engine.ProtoDir2), cell(engine.ProtoRegionFilter)
 		row := ScalingRow{
 			Procs:         procs,
 			TokenBPerMiss: tb.MeanBytesPerMiss(),

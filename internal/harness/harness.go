@@ -15,53 +15,14 @@
 // experiment names through an ordered table rather than a switch.
 package harness
 
-import (
-	"tokencoherence/internal/engine"
-	"tokencoherence/internal/stats"
-)
-
-// Protocol names.
-const (
-	ProtoTokenB    = engine.ProtoTokenB
-	ProtoSnooping  = engine.ProtoSnooping
-	ProtoDirectory = engine.ProtoDirectory
-	ProtoHammer    = engine.ProtoHammer
-	ProtoTokenD    = engine.ProtoTokenD
-	ProtoTokenM    = engine.ProtoTokenM
-
-	// Hierarchical protocols (built from topology cluster metadata).
-	ProtoDir2         = engine.ProtoDir2
-	ProtoRegionFilter = engine.ProtoRegionFilter
-)
-
-// Topology names.
-const (
-	TopoTree  = engine.TopoTree
-	TopoTorus = engine.TopoTorus
-)
-
-// Point is one simulation configuration.
-type Point = engine.Point
-
-// NoWarmup requests an explicitly cold start (zero warmup operations)
-// where a zero Warmup would mean "unset, use the default".
-const NoWarmup = engine.NoWarmup
-
-// Run executes one point and returns its statistics. Token Coherence
-// points are additionally audited for token conservation.
-func Run(pt Point) (*stats.Run, error) { return engine.RunPoint(pt) }
-
-// RunMetrics executes one point and additionally returns its metric
-// snapshot — every named metric the machine, interconnect, protocol,
-// and registered probes published.
-func RunMetrics(pt Point) (*stats.Run, *stats.Snapshot, error) { return engine.RunPointMetrics(pt) }
+import "tokencoherence/internal/engine"
 
 // Options tunes experiment size; the zero value gives quick defaults.
 type Options struct {
 	// Ops per processor (default 4000).
 	Ops int
 	// Warmup ops per processor before measurement (default 2x Ops; set
-	// NoWarmup for an explicitly cold-cache measurement — a plain zero
+	// engine.NoWarmup for an explicitly cold-cache measurement — a plain zero
 	// means "unset").
 	Warmup int
 	// Seeds to average over (default {1}).

@@ -17,36 +17,36 @@ func testOpt() Options {
 	return Options{Ops: 1200, Warmup: 3000, Seeds: []uint64{1}}
 }
 
-func testPoint(proto, topo, wl string) Point {
-	return Point{Protocol: proto, Topo: topo, Workload: wl, Ops: 1200, Warmup: 3000, Seed: 1}
+func testPoint(proto, topo, wl string) engine.Point {
+	return engine.Point{Protocol: proto, Topo: topo, Workload: wl, Ops: 1200, Warmup: 3000, Seed: 1}
 }
 
 func TestRunRejectsUnknownProtocol(t *testing.T) {
-	if _, err := Run(Point{Protocol: "nope", Topo: TopoTorus, Workload: "oltp"}); err == nil {
+	if _, err := engine.RunPoint(engine.Point{Protocol: "nope", Topo: engine.TopoTorus, Workload: "oltp"}); err == nil {
 		t.Error("unknown protocol not rejected")
 	}
 }
 
 func TestRunRejectsUnknownTopology(t *testing.T) {
-	if _, err := Run(Point{Protocol: ProtoTokenB, Topo: "ring", Workload: "oltp"}); err == nil {
+	if _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: "ring", Workload: "oltp"}); err == nil {
 		t.Error("unknown topology not rejected")
 	}
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if _, err := Run(Point{Protocol: ProtoTokenB, Topo: TopoTorus, Workload: "nope"}); err == nil {
+	if _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "nope"}); err == nil {
 		t.Error("unknown workload not rejected")
 	}
 }
 
 func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 	protos := []struct{ proto, topo string }{
-		{ProtoTokenB, TopoTorus},
-		{ProtoTokenD, TopoTorus},
-		{ProtoTokenM, TopoTorus},
-		{ProtoSnooping, TopoTree},
-		{ProtoDirectory, TopoTorus},
-		{ProtoHammer, TopoTorus},
+		{engine.ProtoTokenB, engine.TopoTorus},
+		{engine.ProtoTokenD, engine.TopoTorus},
+		{engine.ProtoTokenM, engine.TopoTorus},
+		{engine.ProtoSnooping, engine.TopoTree},
+		{engine.ProtoDirectory, engine.TopoTorus},
+		{engine.ProtoHammer, engine.TopoTorus},
 	}
 	for _, p := range protos {
 		for _, wl := range workload.Names() {
@@ -56,7 +56,7 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 				pt := testPoint(p.proto, p.topo, wl)
 				pt.Ops = 600
 				pt.Warmup = 1500
-				run, err := Run(pt)
+				run, err := engine.RunPoint(pt)
 				if err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
@@ -76,15 +76,15 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 // same tree snooping is at least as fast as TokenB.
 func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 	cpt := func(proto, topo string) float64 {
-		run, err := Run(testPoint(proto, topo, "apache"))
+		run, err := engine.RunPoint(testPoint(proto, topo, "apache"))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", proto, topo, err)
 		}
 		return run.CyclesPerTransaction()
 	}
-	tokenTorus := cpt(ProtoTokenB, TopoTorus)
-	tokenTree := cpt(ProtoTokenB, TopoTree)
-	snoopTree := cpt(ProtoSnooping, TopoTree)
+	tokenTorus := cpt(engine.ProtoTokenB, engine.TopoTorus)
+	tokenTree := cpt(engine.ProtoTokenB, engine.TopoTree)
+	snoopTree := cpt(engine.ProtoSnooping, engine.TopoTree)
 	if tokenTorus >= snoopTree {
 		t.Errorf("TokenB/torus (%.1f) not faster than Snooping/tree (%.1f)", tokenTorus, snoopTree)
 	}
@@ -101,15 +101,15 @@ func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 func TestPaperShapeDirectoryAndHammer(t *testing.T) {
 	type res struct{ cpt, bpm float64 }
 	get := func(proto string) res {
-		run, err := Run(testPoint(proto, TopoTorus, "oltp"))
+		run, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "oltp"))
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
 		return res{run.CyclesPerTransaction(), run.BytesPerMiss()}
 	}
-	token := get(ProtoTokenB)
-	dir := get(ProtoDirectory)
-	ham := get(ProtoHammer)
+	token := get(engine.ProtoTokenB)
+	dir := get(engine.ProtoDirectory)
+	ham := get(engine.ProtoHammer)
 	if token.cpt >= dir.cpt {
 		t.Errorf("TokenB (%.1f cyc/txn) not faster than Directory (%.1f)", token.cpt, dir.cpt)
 	}
@@ -131,22 +131,22 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 	// The TokenB-vs-perfect-directory margin is the finest comparison in
 	// the figure (a few percent); short runs leave it inside seed noise,
 	// so this test measures more operations than the coarser shapes.
-	point := func(proto string) Point {
-		pt := testPoint(proto, TopoTorus, "apache")
+	point := func(proto string) engine.Point {
+		pt := testPoint(proto, engine.TopoTorus, "apache")
 		pt.Ops = 4800
 		return pt
 	}
-	dram, err := Run(point(ProtoDirectory))
+	dram, err := engine.RunPoint(point(engine.ProtoDirectory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	perfect := point(ProtoDirectory)
+	perfect := point(engine.ProtoDirectory)
 	perfect.PerfectDir = true
-	fast, err := Run(perfect)
+	fast, err := engine.RunPoint(perfect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, err := Run(point(ProtoTokenB))
+	token, err := engine.RunPoint(point(engine.ProtoTokenB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +165,20 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 // (it has the most traffic).
 func TestPaperShapeUnlimitedBandwidth(t *testing.T) {
 	speedup := func(proto string) float64 {
-		lim, err := Run(testPoint(proto, TopoTorus, "apache"))
+		lim, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "apache"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt := testPoint(proto, TopoTorus, "apache")
+		pt := testPoint(proto, engine.TopoTorus, "apache")
 		pt.Unlimited = true
-		inf, err := Run(pt)
+		inf, err := engine.RunPoint(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return lim.CyclesPerTransaction() / inf.CyclesPerTransaction()
 	}
-	tb := speedup(ProtoTokenB)
-	hm := speedup(ProtoHammer)
+	tb := speedup(engine.ProtoTokenB)
+	hm := speedup(engine.ProtoHammer)
 	if tb < 1.0 {
 		t.Errorf("unlimited bandwidth slowed TokenB down (speedup %.2f)", tb)
 	}
@@ -296,7 +296,7 @@ func TestScaling256(t *testing.T) {
 }
 
 func TestOptionsWarmupSentinel(t *testing.T) {
-	// Zero means unset (2x Ops), NoWarmup means an explicitly cold
+	// Zero means unset (2x Ops), engine.NoWarmup means an explicitly cold
 	// cache — the conflation that made cold-cache measurement
 	// impossible is locked out here.
 	if got := (Options{Ops: 500}).warmup(); got != 1000 {
@@ -305,13 +305,13 @@ func TestOptionsWarmupSentinel(t *testing.T) {
 	if got := (Options{Ops: 500, Warmup: 250}).warmup(); got != 250 {
 		t.Errorf("explicit warmup = %d, want 250", got)
 	}
-	if got := (Options{Ops: 500, Warmup: NoWarmup}).warmup(); got != 0 {
-		t.Errorf("NoWarmup warmup = %d, want 0", got)
+	if got := (Options{Ops: 500, Warmup: engine.NoWarmup}).warmup(); got != 0 {
+		t.Errorf("engine.NoWarmup warmup = %d, want 0", got)
 	}
 	// The engine plan keeps the distinction: explicit cold reaches the
 	// jobs as zero warmup ops.
-	plan := (Options{Ops: 500, Warmup: NoWarmup}).plan([]engine.Variant{
-		{Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus, Workload: "oltp"}},
+	plan := (Options{Ops: 500, Warmup: engine.NoWarmup}).plan([]engine.Variant{
+		{Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "oltp"}},
 	})
 	jobs, err := plan.Jobs()
 	if err != nil {
@@ -342,11 +342,11 @@ func TestRunExperimentUnknown(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run1, err := Run(testPoint(ProtoTokenB, TopoTorus, "specjbb"))
+	run1, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run2, err := Run(testPoint(ProtoTokenB, TopoTorus, "specjbb"))
+	run2, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,13 +357,13 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestSeedsChangeResults(t *testing.T) {
-	pt := testPoint(ProtoTokenB, TopoTorus, "specjbb")
-	run1, err := Run(pt)
+	pt := testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb")
+	run1, err := engine.RunPoint(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt.Seed = 2
-	run2, err := Run(pt)
+	run2, err := engine.RunPoint(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,8 @@ func TestSeedsChangeResults(t *testing.T) {
 
 func TestCustomGeneratorAndMutate(t *testing.T) {
 	mutated := false
-	pt := Point{
-		Protocol: ProtoTokenB, Topo: TopoTorus,
+	pt := engine.Point{
+		Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus,
 		Gen: workload.NewUniform(256, 0.4, 4*sim.Nanosecond, 8),
 		Ops: 400, Procs: 8, Seed: 1,
 		Mutate: func(c *machine.Config) {
@@ -383,7 +383,7 @@ func TestCustomGeneratorAndMutate(t *testing.T) {
 			c.MSHRs = 4
 		},
 	}
-	if _, err := Run(pt); err != nil {
+	if _, err := engine.RunPoint(pt); err != nil {
 		t.Fatal(err)
 	}
 	if !mutated {

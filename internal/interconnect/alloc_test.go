@@ -115,13 +115,14 @@ func testSteadyStateAllocs(t *testing.T, topo topology.Topology) {
 	// A counting observer must not break the zero-alloc guarantee either:
 	// the per-hop event is a pooled-free callback into probe code.
 	var hops uint64
-	n.SetObserver(&stats.Observer{
-		NetworkHop: func(link int, cat msg.Category, bytes int, at sim.Time) { hops++ },
+	n.SetObserver(stats.Observer{
+		Kinds: stats.MaskOf(stats.NetworkHop),
+		On:    func(stats.Event) { hops++ },
 	})
 	allocs = testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 5*sim.Microsecond)
 	})
-	n.SetObserver(nil)
+	n.SetObserver(stats.Observer{})
 	if hops == 0 {
 		t.Fatal("observer saw no hops")
 	}
@@ -137,7 +138,7 @@ func testSteadyStateAllocs(t *testing.T, topo topology.Topology) {
 	allocs = testing.AllocsPerRun(100, func() {
 		k.RunUntil(k.Now() + 5*sim.Microsecond)
 	})
-	n.SetObserver(nil)
+	n.SetObserver(stats.Observer{})
 	if rec.Total() == 0 {
 		t.Fatal("recorder saw no hops")
 	}

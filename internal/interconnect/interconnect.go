@@ -117,9 +117,9 @@ type Network struct {
 	freeOps *netOp
 	freeMcs *mcast
 
-	// obs receives per-link-traversal events; nil (the default) keeps
-	// the message path free of observer work.
-	obs *stats.Observer
+	// obs receives per-link-traversal events when it subscribes to
+	// NetworkHop; otherwise the message path pays one mask test.
+	obs stats.Observer
 }
 
 // New builds a network. traffic may be nil to skip accounting.
@@ -199,10 +199,10 @@ func (n *Network) viewFor(a int32) *Network {
 // Topology exposes the underlying fabric.
 func (n *Network) Topology() topology.Topology { return n.topo }
 
-// SetObserver attaches (or clears) the observer that receives NetworkHop
-// events. The machine layer calls this when probes attach; with no
-// observer the hot path pays only a nil check per link traversal.
-func (n *Network) SetObserver(o *stats.Observer) { n.obs = o }
+// SetObserver attaches (or, with the zero Observer, clears) the observer
+// that receives NetworkHop events. The machine layer calls this when
+// probes attach.
+func (n *Network) SetObserver(o stats.Observer) { n.obs = o }
 
 // PublishMetrics registers the network's traffic accounting in ms: total
 // and per-category interconnect bytes and link traversals, read from the
@@ -382,8 +382,8 @@ func (n *Network) hop(m *msg.Message, path []topology.LinkID, t, ser sim.Time) {
 		n.sh.nextFree[link] = d + ser
 	}
 	arrival := d + n.cfg.LinkLatency
-	if n.obs != nil {
-		n.obs.OnNetworkHop(int(link), m.Cat, m.Bytes(), d)
+	if n.obs.Kinds.Has(stats.NetworkHop) {
+		n.obs.On(stats.Event{Kind: stats.NetworkHop, At: d, Node: int32(link), N: int32(m.Bytes()), Cat: m.Cat})
 	}
 	if len(path) == 1 {
 		n.deliver(m, arrival+ser) // tail arrives one serialization later
@@ -499,8 +499,8 @@ func (n *Network) walk(mc *mcast, nodes []*mcNode, t sim.Time, ser sim.Time) {
 			n.sh.nextFree[nd.link] = d + ser
 		}
 		arrival := d + n.cfg.LinkLatency
-		if n.obs != nil {
-			n.obs.OnNetworkHop(int(nd.link), m.Cat, m.Bytes(), d)
+		if n.obs.Kinds.Has(stats.NetworkHop) {
+			n.obs.On(stats.Event{Kind: stats.NetworkHop, At: d, Node: int32(nd.link), N: int32(m.Bytes()), Cat: m.Cat})
 		}
 		for _, dst := range nd.dests {
 			cp := n.CloneMessage(m)

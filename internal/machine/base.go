@@ -102,7 +102,7 @@ type CacheBase struct {
 	// Sys is the owning system. Isle is this node's island context; event
 	// sites read Isle.Obs through it so observers attached after protocol
 	// construction are still seen (events journal on the island and replay
-	// into Sys.Obs at the barriers).
+	// to the system's observers at the barriers).
 	Sys  *System
 	Isle *Isle
 
@@ -226,8 +226,8 @@ func (b *CacheBase) Access(op Op, done func()) {
 	m.Waiters = append(m.Waiters, b.waiterFor(op, done))
 	b.Outstanding[blk] = m
 	b.Run.Misses.Issued++
-	if o := b.Isle.Obs; o != nil {
-		o.OnMissIssued(int(b.ID), blk, op.Write, m.Issued)
+	if o := &b.Isle.Obs; o.Kinds.Has(stats.MissIssued) {
+		o.On(stats.Event{Kind: stats.MissIssued, At: m.Issued, Node: int32(b.ID), Block: blk, Flag: op.Write})
 	}
 	if op.Write && b.L2.Lookup(blk) != nil {
 		b.Run.Upgrades++
@@ -305,8 +305,9 @@ func (b *CacheBase) CompleteMiss(m *MSHR) {
 	case m.Reissues > 1:
 		b.Run.Misses.ReissuedMore++
 	}
-	if o := b.Isle.Obs; o != nil {
-		o.OnMissCompleted(int(b.ID), m.Block, m.Reissues, m.Persistent, lat)
+	if o := &b.Isle.Obs; o.Kinds.Has(stats.MissCompleted) {
+		o.On(stats.Event{Kind: stats.MissCompleted, At: b.K.Now(), Node: int32(b.ID), Block: m.Block,
+			N: int32(m.Reissues), Aux: lat, Flag: m.Persistent})
 	}
 	waiters := m.Waiters
 	m.Waiters = nil

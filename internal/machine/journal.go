@@ -1,107 +1,41 @@
 package machine
 
 import (
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
 )
 
-// Observation journaling. In an island run, protocol events fire on
-// island goroutines, but observers (probes, the tracer, the flight
-// recorder) are written for single-threaded, globally-ordered delivery.
-// Each island therefore appends its events to a private journal,
-// tagging every record with the executing event's (time, actor, seq)
-// stamp plus an emission index; at each window barrier the coordinator
-// merges the journals in stamp order and replays them into the real
-// observer. Stamps are partition-invariant (see sim.Cluster), so the
+// Observation journaling. Protocol events fire on island goroutines,
+// but observers (probes, the tracer, the flight recorder) are written
+// for single-threaded, globally-ordered delivery. Each island therefore
+// appends the events some observer subscribes to onto a private
+// journal, tagging each with the executing event's (time, actor, seq)
+// stamp; at each window barrier the coordinator merges the journals in
+// stamp order and hands every event to the observers whose mask holds
+// its Kind. Stamps are partition-invariant (see sim.Cluster), so the
 // replayed stream — and everything derived from it: traces, recorder
-// dumps, probe metrics — is byte-identical at any island count.
+// dumps, probe metrics — is byte-identical at any island count. A
+// single-island run takes the same path.
 
-type jkind uint8
-
-const (
-	jMissIssued jkind = iota
-	jMissCompleted
-	jReissued
-	jPersistentActivated
-	jPersistentDeactivated
-	jTokensTransferred
-	jNetworkHop
-)
-
-// jrec is one journaled observation. idx orders records emitted by the
-// same event (same stamp); records with equal stamps always come from
-// one island, so the order within its journal is authoritative.
+// jrec is one journaled event. Records with equal stamps come from one
+// executing event, hence one island, so their order within its journal
+// is authoritative.
 type jrec struct {
-	at   sim.Time
-	seq  uint64
-	t    sim.Time // event-specific time payload (issue time, latency, departure)
-	blk  msg.Block
-	by   int32
-	a    int32 // proc / home / link
-	b    int32 // reissues / attempt / tokens / bytes
-	cat  msg.Category
-	kind jkind
-	flag bool // write / persistent
+	at  sim.Time
+	seq uint64
+	by  int32
+	ev  stats.Event
 }
 
-// journal buffers one island's observations between barriers.
+// journal buffers one island's events between barriers.
 type journal struct {
 	k    *sim.Kernel
 	recs []jrec
 }
 
-func (j *journal) push(r jrec) {
-	r.at, r.by, r.seq = j.k.CurStamp()
-	j.recs = append(j.recs, r)
-}
-
-// observerFor builds the island-side observer that journals exactly the
-// events target subscribes to, mirroring the sparse-subscription rule
-// of stats.MergeAllObservers so unobserved events keep their
-// single-nil-check fast path. MeasurementStarted is not journaled: the
-// coordinator fires it directly at the warmup barrier.
-func (j *journal) observerFor(target *stats.Observer) *stats.Observer {
-	if target == nil {
-		return nil
-	}
-	o := &stats.Observer{}
-	if target.MissIssued != nil {
-		o.MissIssued = func(proc int, block msg.Block, write bool, at sim.Time) {
-			j.push(jrec{kind: jMissIssued, a: int32(proc), blk: block, flag: write, t: at})
-		}
-	}
-	if target.MissCompleted != nil {
-		o.MissCompleted = func(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
-			j.push(jrec{kind: jMissCompleted, a: int32(proc), blk: block, b: int32(reissues), flag: persistent, t: latency})
-		}
-	}
-	if target.Reissued != nil {
-		o.Reissued = func(proc int, block msg.Block, attempt int, at sim.Time) {
-			j.push(jrec{kind: jReissued, a: int32(proc), blk: block, b: int32(attempt), t: at})
-		}
-	}
-	if target.PersistentActivated != nil {
-		o.PersistentActivated = func(home int, block msg.Block, at sim.Time) {
-			j.push(jrec{kind: jPersistentActivated, a: int32(home), blk: block, t: at})
-		}
-	}
-	if target.PersistentDeactivated != nil {
-		o.PersistentDeactivated = func(home int, block msg.Block, at sim.Time) {
-			j.push(jrec{kind: jPersistentDeactivated, a: int32(home), blk: block, t: at})
-		}
-	}
-	if target.TokensTransferred != nil {
-		o.TokensTransferred = func(proc int, block msg.Block, tokens int, at sim.Time) {
-			j.push(jrec{kind: jTokensTransferred, a: int32(proc), blk: block, b: int32(tokens), t: at})
-		}
-	}
-	if target.NetworkHop != nil {
-		o.NetworkHop = func(link int, cat msg.Category, bytes int, at sim.Time) {
-			j.push(jrec{kind: jNetworkHop, a: int32(link), cat: cat, b: int32(bytes), t: at})
-		}
-	}
-	return o
+func (j *journal) push(ev stats.Event) {
+	at, by, seq := j.k.CurStamp()
+	j.recs = append(j.recs, jrec{at: at, seq: seq, by: by, ev: ev})
 }
 
 // stampLess orders journal records by the stamp of the emitting event.
@@ -116,14 +50,9 @@ func stampLess(a, b *jrec) bool {
 }
 
 // replayJournals merges the islands' journals in stamp order and
-// replays them into s.Obs. Called at every barrier, on the coordinator,
-// while no island runs. The replay clock (simNow) tracks the emitting
-// event's time so observers that read "now" — the flight recorder's
-// starvation deadline — see simulated time, not barrier time.
+// dispatches them to the attached observers. Called at every barrier,
+// on the coordinator, while no island runs.
 func (s *System) replayJournals() {
-	if s.Obs == nil {
-		return
-	}
 	if s.jidx == nil {
 		s.jidx = make([]int, len(s.Isles))
 	}
@@ -131,7 +60,6 @@ func (s *System) replayJournals() {
 	for i := range idx {
 		idx[i] = 0
 	}
-	s.replaying = true
 	for {
 		var r *jrec
 		best := -1
@@ -149,27 +77,19 @@ func (s *System) replayJournals() {
 			break
 		}
 		idx[best]++
-		s.replayNow = r.at
-		o := s.Obs
-		switch r.kind {
-		case jMissIssued:
-			o.OnMissIssued(int(r.a), r.blk, r.flag, r.t)
-		case jMissCompleted:
-			o.OnMissCompleted(int(r.a), r.blk, int(r.b), r.flag, r.t)
-		case jReissued:
-			o.OnReissued(int(r.a), r.blk, int(r.b), r.t)
-		case jPersistentActivated:
-			o.OnPersistentActivated(int(r.a), r.blk, r.t)
-		case jPersistentDeactivated:
-			o.OnPersistentDeactivated(int(r.a), r.blk, r.t)
-		case jTokensTransferred:
-			o.OnTokensTransferred(int(r.a), r.blk, int(r.b), r.t)
-		case jNetworkHop:
-			o.OnNetworkHop(int(r.a), r.cat, int(r.b), r.t)
-		}
+		s.dispatch(r.ev)
 	}
-	s.replaying = false
 	for _, isle := range s.Isles {
 		isle.jr.recs = isle.jr.recs[:0]
+	}
+}
+
+// dispatch hands ev to every attached observer subscribing to its Kind,
+// in attach order.
+func (s *System) dispatch(ev stats.Event) {
+	for i := range s.observers {
+		if o := &s.observers[i]; o.Kinds.Has(ev.Kind) {
+			o.On(ev)
+		}
 	}
 }

@@ -49,28 +49,23 @@ type System struct {
 	// machine, kernel, and interconnect measurements; protocol packages
 	// add theirs at Build; probes add derived metrics when they attach.
 	Metrics *stats.MetricSet
-	// Obs fans simulation events out to the attached observers; nil (the
-	// default) keeps every event site a single pointer check. Attach
-	// observers with Observe, never by writing the field. Events reach it
-	// through the per-island journals (see journal.go), merged and
-	// replayed in deterministic stamp order at every window barrier.
-	Obs *stats.Observer
 	// Recorder is the always-armed flight recorder NewSystem wires from
 	// the Cfg knobs (nil when Cfg.RecorderSize is negative). It dumps the
 	// recent protocol-event history when the run deadlocks, the safety
 	// oracle fails, or a transaction overruns the starvation deadline.
 	Recorder *trace.FlightRecorder
 
-	observers []*stats.Observer
+	// observers receive events in attach order (see Observe); kinds is
+	// the union of their masks.
+	observers []stats.Observer
+	kinds     stats.Mask
 
 	// CutLinks reports how many directed links cross island boundaries
 	// (0 for single-island runs): the hand-off traffic the barrier pays.
 	CutLinks int
 
-	// Journal replay state (see replayJournals).
-	jidx      []int
-	replaying bool
-	replayNow sim.Time
+	// jidx is replayJournals' merge cursor per island.
+	jidx []int
 }
 
 // Isle is one island's execution context: its kernel, its view of the
@@ -81,10 +76,10 @@ type Isle struct {
 	K   *sim.Kernel
 	Net *interconnect.Network
 	Run *stats.Run
-	// Obs journals this island's protocol events for barrier replay; nil
-	// when no observer is attached to the system. Event sites read it at
-	// event time (it is armed when Execute starts).
-	Obs *stats.Observer
+	// Obs journals this island's events for barrier replay; its mask is
+	// the union of the attached observers'. Event sites read it at event
+	// time (it is armed when Execute starts).
+	Obs stats.Observer
 
 	jr journal
 }
@@ -94,28 +89,26 @@ func (s *System) IsleFor(id int) *Isle {
 	return s.Isles[s.Cluster.IslandOf(id)]
 }
 
-// Observe attaches an observer and propagates the merged fan-out to the
-// interconnect. All attached observers are flattened in one pass
-// (stats.MergeAllObservers), so every event dispatches through a single
-// loop no matter how many probes attach. Attach before Execute; events
-// fired earlier are lost. A nil observer is a no-op, so probes that only
-// register derived metrics can return nil.
-func (s *System) Observe(o *stats.Observer) {
-	if o == nil {
+// Observe attaches an observer. Events reach the attached observers in
+// attach order through the island journals (see journal.go). Attach
+// before Execute; events fired earlier are lost. An observer with no
+// Kinds or no On is a no-op, so probes that only register derived
+// metrics can return the zero Observer.
+func (s *System) Observe(o stats.Observer) {
+	if o.Kinds == 0 || o.On == nil {
 		return
 	}
 	s.observers = append(s.observers, o)
-	s.Obs = stats.MergeAllObservers(s.observers...)
+	s.kinds |= o.Kinds
 	s.armIsles()
 }
 
-// armIsles (re)builds each island's journaling observer to mirror the
-// current merged subscription and points the island's network view at
-// it. Events fired on an island land in its journal; replayJournals
-// delivers them to s.Obs at the barriers.
+// armIsles points each island's journaling observer, and its network
+// view, at the current subscription. Events fired on an island land in
+// its journal; replayJournals dispatches them at the barriers.
 func (s *System) armIsles() {
 	for _, isle := range s.Isles {
-		isle.Obs = isle.jr.observerFor(s.Obs)
+		isle.Obs = stats.Observer{Kinds: s.kinds, On: isle.jr.push}
 		isle.Net.SetObserver(isle.Obs)
 	}
 }
@@ -186,21 +179,10 @@ func NewSystem(cfg Config, topo topology.Topology, seed uint64) *System {
 			Size:     cfg.RecorderSize,
 			Deadline: cfg.StarvationDeadline,
 			Out:      cfg.DebugLog,
-			Now:      s.simNow,
 		})
 		s.Observe(s.Recorder.Observer())
 	}
 	return s
-}
-
-// simNow is the observers' clock: the stamp time of the journal record
-// being replayed, or island 0's clock outside replay (construction and
-// post-run queries).
-func (s *System) simNow() sim.Time {
-	if s.replaying {
-		return s.replayNow
-	}
-	return s.K.Now()
 }
 
 // publishMetrics registers the machine layer's measurements — everything
@@ -330,9 +312,7 @@ func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerPr
 			s.Run.Reset()
 			s.Metrics.Reset()
 			warmStart = t
-			s.replaying, s.replayNow = true, t
-			s.Obs.OnMeasurementStarted(t)
-			s.replaying = false
+			s.dispatch(stats.Event{Kind: stats.MeasurementStarted, At: t})
 		}
 		return atomic.LoadInt32(&remaining) == 0
 	})

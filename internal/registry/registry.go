@@ -367,10 +367,10 @@ func WorkloadNames() []string { return workloads.list() }
 // runs. New is called once per simulation point with the run's MetricSet;
 // the probe registers the metrics it derives (counters, gauges,
 // histograms, derived values) and returns an Observer subscribing to the
-// events it needs — or nil, for probes that only re-derive existing
-// measurements. Metrics the probe registers reset automatically at the
-// warmup boundary. With no probes registered — the default — observers
-// stay nil and the simulation hot path is untouched.
+// events it needs — or the zero Observer, for probes that only re-derive
+// existing measurements. Metrics the probe registers reset automatically
+// at the warmup boundary. Events no observer subscribes to cost their
+// fire sites one mask test.
 type Probe struct {
 	// Name identifies the probe in Components listings.
 	Name string
@@ -378,7 +378,7 @@ type Probe struct {
 	// New attaches the probe to one run. It must not retain state across
 	// calls: the engine runs points in parallel, and each call's metrics
 	// and observer belong to one simulation.
-	New func(ms *stats.MetricSet) *stats.Observer
+	New func(ms *stats.MetricSet) stats.Observer
 }
 
 var probes = newTable[Probe]("probe")

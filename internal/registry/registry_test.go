@@ -201,9 +201,9 @@ func TestProbeRegistration(t *testing.T) {
 		n := n
 		RegisterProbe(Probe{
 			Name: n,
-			New: func(ms *stats.MetricSet) *stats.Observer {
+			New: func(ms *stats.MetricSet) stats.Observer {
 				ms.Counter(stats.Desc{Name: "metric_" + n})
-				return nil
+				return stats.Observer{}
 			},
 		})
 	}
@@ -233,7 +233,7 @@ func TestProbeRegistration(t *testing.T) {
 		}
 	}
 	mustPanic(t, `registry: duplicate probe "probe-b-test"`, func() {
-		RegisterProbe(Probe{Name: "probe-b-test", New: func(ms *stats.MetricSet) *stats.Observer { return nil }})
+		RegisterProbe(Probe{Name: "probe-b-test", New: func(ms *stats.MetricSet) stats.Observer { return stats.Observer{} }})
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 )
 
@@ -161,67 +160,5 @@ func TestSnapshotFiniteMapFiltersNonFinite(t *testing.T) {
 	m := ms.Snapshot().FiniteMap()
 	if !reflect.DeepEqual(m, map[string]float64{"ok": 1}) {
 		t.Errorf("FiniteMap = %v", m)
-	}
-}
-
-func TestObserverNilSafety(t *testing.T) {
-	var o *Observer
-	// Every dispatcher must be a no-op on a nil observer and on an
-	// observer with unset fields.
-	o.OnMissIssued(0, 1, true, 0)
-	o.OnMissCompleted(0, 1, 0, false, 0)
-	o.OnReissued(0, 1, 1, 0)
-	o.OnPersistentActivated(0, 1, 0)
-	o.OnTokensTransferred(0, 1, 1, 0)
-	o.OnNetworkHop(0, 0, 8, 0)
-	empty := &Observer{}
-	empty.OnMissIssued(0, 1, true, 0)
-	empty.OnNetworkHop(0, 0, 8, 0)
-}
-
-func TestMergeObservers(t *testing.T) {
-	if MergeObservers(nil, nil) != nil {
-		t.Error("merging two nils should stay nil")
-	}
-	a := &Observer{MissIssued: func(proc int, block msg.Block, write bool, at sim.Time) {}}
-	if MergeObservers(a, nil) != a || MergeObservers(nil, a) != a {
-		t.Error("merging with nil should return the other observer unchanged")
-	}
-
-	var order []string
-	mk := func(name string) *Observer {
-		return &Observer{
-			MissIssued: func(proc int, block msg.Block, write bool, at sim.Time) {
-				order = append(order, name+"-issue")
-			},
-			NetworkHop: func(link int, cat msg.Category, bytes int, at sim.Time) {
-				order = append(order, name+"-hop")
-			},
-		}
-	}
-	merged := MergeObservers(MergeObservers(mk("a"), mk("b")), mk("c"))
-	merged.OnMissIssued(1, 2, true, 3)
-	merged.OnNetworkHop(0, msg.CatData, 72, 4)
-	want := []string{"a-issue", "b-issue", "c-issue", "a-hop", "b-hop", "c-hop"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("fan-out order = %v, want %v", order, want)
-	}
-
-	// A merged chain containing an observer with an unset field must not
-	// fire nor crash for that event.
-	order = nil
-	partial := MergeObservers(mk("a"), &Observer{})
-	partial.OnReissued(0, 1, 1, 0)
-	partial.OnMissIssued(0, 1, false, 0)
-	if !reflect.DeepEqual(order, []string{"a-issue"}) {
-		t.Errorf("partial fan-out = %v", order)
-	}
-	// Events neither operand subscribes to stay unsubscribed in the
-	// merged observer, preserving the event sites' nil fast path.
-	if partial.Reissued != nil || partial.MissCompleted != nil || partial.TokensTransferred != nil || partial.PersistentActivated != nil {
-		t.Error("merge subscribed to events neither operand watches")
-	}
-	if partial.MissIssued == nil || partial.NetworkHop == nil {
-		t.Error("merge dropped subscribed events")
 	}
 }

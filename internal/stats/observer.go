@@ -1,249 +1,123 @@
 package stats
 
 import (
+	"fmt"
+
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 )
 
-// Observer subscribes to simulation events so probes can derive metrics
-// the fixed Run counters do not carry (latency CDFs, per-block heat,
-// inter-reissue intervals, ...). Every field is optional; a nil Observer
-// is valid and free. The simulation fires events through the nil-safe
-// On* methods, so with no observer attached — the default — the hot path
-// pays a single nil check per event site and allocates nothing.
-//
-// Events fire during warmup too; metrics a probe registers in the run's
-// MetricSet are zeroed automatically at the warmup boundary (see
-// MetricSet.Reset), so most probes need no warmup handling of their own.
-// Probes that buffer events instead of registering metrics — the
-// transaction tracer — subscribe to MeasurementStarted and discard their
-// pre-boundary buffer themselves.
-type Observer struct {
-	// MissIssued fires when a processor's access misses and a new
-	// coherence transaction starts.
-	MissIssued func(proc int, block msg.Block, write bool, at sim.Time)
-	// MissCompleted fires when the miss commits, with its reissue count,
-	// whether it escalated to a persistent request, and its latency.
-	MissCompleted func(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time)
-	// Reissued fires when a Token Coherence transient request times out
-	// and is reissued (attempt counts from 1).
-	Reissued func(proc int, block msg.Block, attempt int, at sim.Time)
-	// PersistentActivated fires when a home arbiter activates a
-	// persistent request (the starvation-avoidance mechanism engaging).
-	PersistentActivated func(home int, block msg.Block, at sim.Time)
-	// PersistentDeactivated fires when a home arbiter finishes a
-	// persistent request's deactivation handshake and retires it (the
-	// starvation-avoidance mechanism disengaging).
-	PersistentDeactivated func(home int, block msg.Block, at sim.Time)
-	// TokensTransferred fires when a cache controller receives a
-	// token-carrying message.
-	TokensTransferred func(proc int, block msg.Block, tokens int, at sim.Time)
-	// NetworkHop fires for every interconnect link traversal (unicast
-	// hops and multicast tree edges; local same-node deliveries cross no
-	// link and fire nothing).
-	NetworkHop func(link int, cat msg.Category, bytes int, at sim.Time)
-	// MeasurementStarted fires once, at the warmup boundary, when every
-	// processor has finished its cache-warming operations and the run's
-	// statistics reset: everything after it is the measured interval.
-	// Runs without warmup never fire it.
-	MeasurementStarted func(at sim.Time)
+// Kind identifies one of the simulation events observers subscribe to:
+// the paper's coherence mechanisms (misses, transient-request reissues,
+// persistent-request activation and deactivation, token transfers),
+// interconnect link traversals, and the warmup boundary.
+type Kind uint8
+
+// Event kinds. Adding one means a constant here, its kindNames entry,
+// its row in Event's field table, and its fire site.
+const (
+	// MissIssued: a processor's access missed and a coherence
+	// transaction started.
+	MissIssued Kind = iota
+	// MissCompleted: the miss committed.
+	MissCompleted
+	// Reissued: a Token Coherence transient request timed out and was
+	// reissued.
+	Reissued
+	// PersistentActivated: a home arbiter activated a persistent request
+	// (the starvation-avoidance mechanism engaging).
+	PersistentActivated
+	// PersistentDeactivated: a home arbiter finished a persistent
+	// request's deactivation handshake and retired it.
+	PersistentDeactivated
+	// TokensTransferred: a cache controller received a token-carrying
+	// message.
+	TokensTransferred
+	// NetworkHop: a message crossed one interconnect link (unicast hops
+	// and multicast tree edges; same-node deliveries cross no link and
+	// fire nothing).
+	NetworkHop
+	// MeasurementStarted: every processor finished its cache-warming
+	// operations and the run's statistics reset; everything after it is
+	// the measured interval. Runs without warmup never fire it.
+	MeasurementStarted
+
+	numKinds
+)
+
+var kindNames = [numKinds]string{
+	"MissIssued", "MissCompleted", "Reissued", "PersistentActivated",
+	"PersistentDeactivated", "TokensTransferred", "NetworkHop", "MeasurementStarted",
 }
 
-// OnMissIssued fires MissIssued if subscribed. Safe on a nil receiver.
-func (o *Observer) OnMissIssued(proc int, block msg.Block, write bool, at sim.Time) {
-	if o != nil && o.MissIssued != nil {
-		o.MissIssued(proc, block, write, at)
+func (k Kind) String() string {
+	if k < numKinds {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// OnMissCompleted fires MissCompleted if subscribed. Safe on a nil receiver.
-func (o *Observer) OnMissCompleted(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
-	if o != nil && o.MissCompleted != nil {
-		o.MissCompleted(proc, block, reissues, persistent, latency)
-	}
-}
+// Mask is a set of Kinds: bit k is set when Kind k is in the set.
+type Mask uint16
 
-// OnReissued fires Reissued if subscribed. Safe on a nil receiver.
-func (o *Observer) OnReissued(proc int, block msg.Block, attempt int, at sim.Time) {
-	if o != nil && o.Reissued != nil {
-		o.Reissued(proc, block, attempt, at)
-	}
-}
-
-// OnPersistentActivated fires PersistentActivated if subscribed. Safe on
-// a nil receiver.
-func (o *Observer) OnPersistentActivated(home int, block msg.Block, at sim.Time) {
-	if o != nil && o.PersistentActivated != nil {
-		o.PersistentActivated(home, block, at)
-	}
-}
-
-// OnPersistentDeactivated fires PersistentDeactivated if subscribed.
-// Safe on a nil receiver.
-func (o *Observer) OnPersistentDeactivated(home int, block msg.Block, at sim.Time) {
-	if o != nil && o.PersistentDeactivated != nil {
-		o.PersistentDeactivated(home, block, at)
-	}
-}
-
-// OnTokensTransferred fires TokensTransferred if subscribed. Safe on a
-// nil receiver.
-func (o *Observer) OnTokensTransferred(proc int, block msg.Block, tokens int, at sim.Time) {
-	if o != nil && o.TokensTransferred != nil {
-		o.TokensTransferred(proc, block, tokens, at)
-	}
-}
-
-// OnNetworkHop fires NetworkHop if subscribed. Safe on a nil receiver.
-func (o *Observer) OnNetworkHop(link int, cat msg.Category, bytes int, at sim.Time) {
-	if o != nil && o.NetworkHop != nil {
-		o.NetworkHop(link, cat, bytes, at)
-	}
-}
-
-// OnMeasurementStarted fires MeasurementStarted if subscribed. Safe on a
-// nil receiver.
-func (o *Observer) OnMeasurementStarted(at sim.Time) {
-	if o != nil && o.MeasurementStarted != nil {
-		o.MeasurementStarted(at)
-	}
-}
-
-// MergeObservers fans events out to both observers (either may be nil;
-// merging with nil returns the other unchanged). It is the pairwise
-// special case of MergeAllObservers; attachment sites that collect
-// several observers should call MergeAllObservers once instead of
-// chaining pairwise merges, which builds a wrapper per merge level.
-func MergeObservers(a, b *Observer) *Observer {
-	return MergeAllObservers(a, b)
-}
-
-// MergeAllObservers flattens any number of observers (nils skipped) into
-// one whose every event dispatches through a single fan-out loop — no
-// matter how many operands, subscribers sit one call below the event
-// site, where chained pairwise merges would build a linked chain of
-// wrappers per merge level. The merged observer subscribes to an event
-// only when at least one operand does, so events nobody watches keep
-// their single-nil-check fast path. Zero or all-nil operands merge to
-// nil; a single live operand is returned unchanged.
-func MergeAllObservers(obs ...*Observer) *Observer {
-	live := make([]*Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	m := &Observer{}
-	var missIssued []func(int, msg.Block, bool, sim.Time)
-	var missCompleted []func(int, msg.Block, int, bool, sim.Time)
-	var reissued []func(int, msg.Block, int, sim.Time)
-	var activated, deactivated []func(int, msg.Block, sim.Time)
-	var tokens []func(int, msg.Block, int, sim.Time)
-	var hops []func(int, msg.Category, int, sim.Time)
-	var started []func(sim.Time)
-	for _, o := range live {
-		if o.MissIssued != nil {
-			missIssued = append(missIssued, o.MissIssued)
-		}
-		if o.MissCompleted != nil {
-			missCompleted = append(missCompleted, o.MissCompleted)
-		}
-		if o.Reissued != nil {
-			reissued = append(reissued, o.Reissued)
-		}
-		if o.PersistentActivated != nil {
-			activated = append(activated, o.PersistentActivated)
-		}
-		if o.PersistentDeactivated != nil {
-			deactivated = append(deactivated, o.PersistentDeactivated)
-		}
-		if o.TokensTransferred != nil {
-			tokens = append(tokens, o.TokensTransferred)
-		}
-		if o.NetworkHop != nil {
-			hops = append(hops, o.NetworkHop)
-		}
-		if o.MeasurementStarted != nil {
-			started = append(started, o.MeasurementStarted)
-		}
-	}
-	if len(missIssued) == 1 {
-		m.MissIssued = missIssued[0]
-	} else if len(missIssued) > 1 {
-		m.MissIssued = func(proc int, block msg.Block, write bool, at sim.Time) {
-			for _, f := range missIssued {
-				f(proc, block, write, at)
-			}
-		}
-	}
-	if len(missCompleted) == 1 {
-		m.MissCompleted = missCompleted[0]
-	} else if len(missCompleted) > 1 {
-		m.MissCompleted = func(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
-			for _, f := range missCompleted {
-				f(proc, block, reissues, persistent, latency)
-			}
-		}
-	}
-	if len(reissued) == 1 {
-		m.Reissued = reissued[0]
-	} else if len(reissued) > 1 {
-		m.Reissued = func(proc int, block msg.Block, attempt int, at sim.Time) {
-			for _, f := range reissued {
-				f(proc, block, attempt, at)
-			}
-		}
-	}
-	if len(activated) == 1 {
-		m.PersistentActivated = activated[0]
-	} else if len(activated) > 1 {
-		m.PersistentActivated = func(home int, block msg.Block, at sim.Time) {
-			for _, f := range activated {
-				f(home, block, at)
-			}
-		}
-	}
-	if len(deactivated) == 1 {
-		m.PersistentDeactivated = deactivated[0]
-	} else if len(deactivated) > 1 {
-		m.PersistentDeactivated = func(home int, block msg.Block, at sim.Time) {
-			for _, f := range deactivated {
-				f(home, block, at)
-			}
-		}
-	}
-	if len(tokens) == 1 {
-		m.TokensTransferred = tokens[0]
-	} else if len(tokens) > 1 {
-		m.TokensTransferred = func(proc int, block msg.Block, n int, at sim.Time) {
-			for _, f := range tokens {
-				f(proc, block, n, at)
-			}
-		}
-	}
-	if len(hops) == 1 {
-		m.NetworkHop = hops[0]
-	} else if len(hops) > 1 {
-		m.NetworkHop = func(link int, cat msg.Category, bytes int, at sim.Time) {
-			for _, f := range hops {
-				f(link, cat, bytes, at)
-			}
-		}
-	}
-	if len(started) == 1 {
-		m.MeasurementStarted = started[0]
-	} else if len(started) > 1 {
-		m.MeasurementStarted = func(at sim.Time) {
-			for _, f := range started {
-				f(at)
-			}
-		}
+// MaskOf returns the set holding kinds.
+func MaskOf(kinds ...Kind) Mask {
+	var m Mask
+	for _, k := range kinds {
+		m |= 1 << k
 	}
 	return m
+}
+
+// Has reports whether Kind k is in the set.
+func (m Mask) Has(k Kind) bool { return m&(1<<k) != 0 }
+
+// AllKinds subscribes to every event; ProtocolKinds to every event but
+// the per-link NetworkHop, which outnumbers the rest ~100:1.
+const (
+	AllKinds      Mask = 1<<numKinds - 1
+	ProtocolKinds Mask = AllKinds &^ (1 << NetworkHop)
+)
+
+// Event is one simulation event, passed by value. Its fields mean, per
+// Kind (a field marked - is zero):
+//
+//	Kind                   At                 Node  N           Aux      Block Cat  Flag
+//	MissIssued             issue time         proc  -           -        block -    write
+//	MissCompleted          completion time    proc  reissues    latency  block -    persistent
+//	Reissued               reissue time       proc  attempt(1+) -        block -    -
+//	PersistentActivated    activation time    home  -           -        block -    -
+//	PersistentDeactivated  retirement time    home  -           -        block -    -
+//	TokensTransferred      arrival time       proc  tokens      -        block -    -
+//	NetworkHop             link departure     link  bytes       -        -     cat  -
+//	MeasurementStarted     warmup boundary    -     -           -        -     -    -
+//
+// A NetworkHop's At is when the message starts across the link, after
+// any queueing behind earlier traffic on it.
+type Event struct {
+	At    sim.Time
+	Aux   sim.Time
+	Block msg.Block
+	Node  int32
+	N     int32
+	Kind  Kind
+	Cat   msg.Category
+	Flag  bool
+}
+
+// Observer subscribes On to the events whose Kind is in Kinds, so
+// probes can derive metrics the fixed Run counters do not carry
+// (latency CDFs, per-block heat, inter-reissue intervals, ...). The
+// zero Observer subscribes to nothing and attaching it is a no-op.
+//
+// Events reach On in simulation order on one goroutine, at any island
+// count. They fire during warmup too; metrics a probe registers in the
+// run's MetricSet are zeroed automatically at the warmup boundary (see
+// MetricSet.Reset), so most probes need no warmup handling of their
+// own. Probes that buffer events instead — the transaction tracer —
+// subscribe to MeasurementStarted and discard their pre-boundary buffer
+// themselves.
+type Observer struct {
+	Kinds Mask
+	On    func(Event)
 }

@@ -1,111 +1,39 @@
 package stats
 
-import (
-	"testing"
+import "testing"
 
-	"tokencoherence/internal/msg"
-	"tokencoherence/internal/sim"
-)
-
-// TestMergeAllObserversDegenerate checks the cheap paths: no operands,
-// all-nil operands, and a single live operand returned unchanged.
-func TestMergeAllObserversDegenerate(t *testing.T) {
-	if MergeAllObservers() != nil {
-		t.Error("empty merge should be nil")
-	}
-	if MergeAllObservers(nil, nil, nil) != nil {
-		t.Error("all-nil merge should be nil")
-	}
-	o := &Observer{MissIssued: func(int, msg.Block, bool, sim.Time) {}}
-	if got := MergeAllObservers(nil, o, nil); got != o {
-		t.Error("single live operand should be returned unchanged")
-	}
-	if got := MergeObservers(nil, o); got != o {
-		t.Error("pairwise merge with nil should return the live operand")
-	}
-}
-
-// TestMergeAllObserversFanOut checks every hook fans out to every
-// subscriber, in operand order, exactly once per event.
-func TestMergeAllObserversFanOut(t *testing.T) {
-	var order []string
-	sub := func(name string) *Observer {
-		return &Observer{
-			MissIssued:            func(int, msg.Block, bool, sim.Time) { order = append(order, name+".issued") },
-			MissCompleted:         func(int, msg.Block, int, bool, sim.Time) { order = append(order, name+".completed") },
-			Reissued:              func(int, msg.Block, int, sim.Time) { order = append(order, name+".reissued") },
-			PersistentActivated:   func(int, msg.Block, sim.Time) { order = append(order, name+".activated") },
-			PersistentDeactivated: func(int, msg.Block, sim.Time) { order = append(order, name+".deactivated") },
-			TokensTransferred:     func(int, msg.Block, int, sim.Time) { order = append(order, name+".tokens") },
-			NetworkHop:            func(int, msg.Category, int, sim.Time) { order = append(order, name+".hop") },
-			MeasurementStarted:    func(sim.Time) { order = append(order, name+".started") },
+// TestMaskOf pins the Kind set arithmetic fire sites and the journal
+// filter on: each Kind owns one bit and ProtocolKinds is everything but
+// NetworkHop.
+func TestMaskOf(t *testing.T) {
+	m := MaskOf(MissCompleted, NetworkHop)
+	for k := Kind(0); k < numKinds; k++ {
+		if got, want := m.Has(k), k == MissCompleted || k == NetworkHop; got != want {
+			t.Errorf("MaskOf(MissCompleted, NetworkHop).Has(%v) = %v", k, got)
+		}
+		if !AllKinds.Has(k) {
+			t.Errorf("AllKinds lacks %v", k)
+		}
+		if ProtocolKinds.Has(k) == (k == NetworkHop) {
+			t.Errorf("ProtocolKinds.Has(%v) = %v", k, ProtocolKinds.Has(k))
 		}
 	}
-	m := MergeAllObservers(sub("a"), nil, sub("b"))
-	m.OnMissIssued(0, 0, false, 0)
-	m.OnMissCompleted(0, 0, 0, false, 0)
-	m.OnReissued(0, 0, 1, 0)
-	m.OnPersistentActivated(0, 0, 0)
-	m.OnPersistentDeactivated(0, 0, 0)
-	m.OnTokensTransferred(0, 0, 1, 0)
-	m.OnNetworkHop(0, msg.CatRequest, 8, 0)
-	m.OnMeasurementStarted(0)
-	want := []string{
-		"a.issued", "b.issued",
-		"a.completed", "b.completed",
-		"a.reissued", "b.reissued",
-		"a.activated", "b.activated",
-		"a.deactivated", "b.deactivated",
-		"a.tokens", "b.tokens",
-		"a.hop", "b.hop",
-		"a.started", "b.started",
+	if MissIssued.String() != "MissIssued" || MeasurementStarted.String() != "MeasurementStarted" || numKinds.String() != "Kind(8)" {
+		t.Errorf("Kind names: %v %v %v", MissIssued, MeasurementStarted, numKinds)
 	}
-	if len(order) != len(want) {
-		t.Fatalf("got %d calls %v, want %d", len(order), order, len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("call %d = %s, want %s (full: %v)", i, order[i], want[i], order)
+}
+
+// TestObserverNilSafety checks the zero Observer, the "no observer" of
+// probes and disabled recorders, subscribes to nothing, so fire sites
+// never call its nil On.
+func TestObserverNilSafety(t *testing.T) {
+	var o Observer
+	for k := Kind(0); k < numKinds; k++ {
+		if o.Kinds.Has(k) {
+			t.Errorf("zero Observer subscribes to %v", k)
 		}
 	}
-}
-
-// TestMergeAllObserversSparseSubscription checks the merged observer
-// subscribes only to events some operand watches: unwatched events must
-// keep the nil-field fast path even after merging.
-func TestMergeAllObserversSparseSubscription(t *testing.T) {
-	a := &Observer{MissIssued: func(int, msg.Block, bool, sim.Time) {}}
-	b := &Observer{Reissued: func(int, msg.Block, int, sim.Time) {}}
-	m := MergeAllObservers(a, b)
-	if m.MissIssued == nil || m.Reissued == nil {
-		t.Error("merged observer dropped a watched event")
-	}
-	if m.NetworkHop != nil || m.MissCompleted != nil || m.MeasurementStarted != nil {
-		t.Error("merged observer subscribed to events nobody watches")
-	}
-	// Single-subscriber fields pass the original function through rather
-	// than wrapping it in a one-element loop.
-	called := false
-	c := &Observer{MissIssued: func(int, msg.Block, bool, sim.Time) { called = true }}
-	d := &Observer{Reissued: func(int, msg.Block, int, sim.Time) {}}
-	MergeAllObservers(c, d).OnMissIssued(0, 0, false, 0)
-	if !called {
-		t.Error("single-subscriber field did not dispatch")
-	}
-}
-
-// TestMergeAllObserversFlat checks that merging N observers yields one
-// fan-out level: re-merging the merged observer with another one still
-// dispatches all three (the machine rebuilds the merge from the full
-// observer list on every Observe, so chains never nest in practice).
-func TestMergeAllObserversFlat(t *testing.T) {
-	count := 0
-	sub := func() *Observer {
-		return &Observer{MissIssued: func(int, msg.Block, bool, sim.Time) { count++ }}
-	}
-	all := []*Observer{sub(), sub(), sub(), sub(), sub()}
-	MergeAllObservers(all...).OnMissIssued(0, 0, false, 0)
-	if count != 5 {
-		t.Errorf("fan-out reached %d of 5 subscribers", count)
+	if MaskOf() != 0 {
+		t.Errorf("MaskOf() = %#x, want the empty set", MaskOf())
 	}
 }

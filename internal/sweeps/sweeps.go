@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"tokencoherence/internal/engine"
-	"tokencoherence/internal/harness"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/workload"
@@ -69,8 +68,8 @@ func Bandwidth(wl string, seed uint64) (engine.Plan, []engine.Column) {
 	}
 	plan := engine.Plan{
 		Variants: engine.Grid(
-			[]string{harness.ProtoTokenB, harness.ProtoDirectory, harness.ProtoHammer},
-			[]string{harness.TopoTorus}),
+			[]string{engine.ProtoTokenB, engine.ProtoDirectory, engine.ProtoHammer},
+			[]string{engine.TopoTorus}),
 		Workloads: []string{wl},
 		Mutations: muts,
 		Seeds:     []uint64{seed},
@@ -82,12 +81,12 @@ func Bandwidth(wl string, seed uint64) (engine.Plan, []engine.Column) {
 // Procs extends the question 5 scalability study with runtime.
 func Procs(seed uint64) (engine.Plan, []engine.Column) {
 	var variants []engine.Variant
-	for _, proto := range []string{harness.ProtoTokenB, harness.ProtoDirectory} {
+	for _, proto := range []string{engine.ProtoTokenB, engine.ProtoDirectory} {
 		for procs := 4; procs <= 64; procs *= 2 {
 			variants = append(variants, engine.Variant{
 				Name: fmt.Sprintf("%s-%dp", proto, procs),
-				Point: harness.Point{
-					Protocol: proto, Topo: harness.TopoTorus, Procs: procs,
+				Point: engine.Point{
+					Protocol: proto, Topo: engine.TopoTorus, Procs: procs,
 					NewGen: func(n int) machine.Generator {
 						return workload.NewUniform(2048, 0.3, 5*sim.Nanosecond, n)
 					},
@@ -116,7 +115,7 @@ func Tokens(wl string, seed uint64) (engine.Plan, []engine.Column) {
 		})
 	}
 	plan := engine.Plan{
-		Variants:  engine.Grid([]string{harness.ProtoTokenB}, []string{harness.TopoTorus}),
+		Variants:  engine.Grid([]string{engine.ProtoTokenB}, []string{engine.TopoTorus}),
 		Workloads: []string{wl},
 		Mutations: muts,
 		Seeds:     []uint64{seed},
@@ -145,7 +144,7 @@ func MSHR(wl string, seed uint64) (engine.Plan, []engine.Column) {
 		}
 	}
 	plan := engine.Plan{
-		Variants:  engine.Grid([]string{harness.ProtoTokenB}, []string{harness.TopoTorus}),
+		Variants:  engine.Grid([]string{engine.ProtoTokenB}, []string{engine.TopoTorus}),
 		Workloads: []string{wl},
 		Mutations: muts,
 		Seeds:     []uint64{seed},

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
 )
@@ -48,32 +47,28 @@ type RecorderConfig struct {
 	// MaxDumps bounds how many times the recorder dumps (0 = 1). One
 	// failing run then produces one dump, not one per starved miss.
 	MaxDumps int
-	// Now supplies event timestamps (normally the kernel's clock); with
-	// nil Now records carry time zero.
-	Now func() sim.Time
 }
 
 // FlightRecorder keeps the last Size protocol events in a fixed ring so
 // that when a run fails — safety-oracle violation, deadlock, starvation
 // deadline — the events leading up to the failure can be dumped without
 // having traced the run from the start. It is cheap enough to arm
-// always: recording is two field copies into a preallocated ring record,
+// always: recording is one Event copy into a preallocated ring slot,
 // with zero steady-state allocations (verified by an AllocsPerRun gate),
-// and events nobody recorded stay on the observer's single-nil-check
-// fast path.
+// and events it does not subscribe to stay on the fire sites' one-mask-
+// test fast path.
 //
 // A FlightRecorder belongs to one System and, like the rest of a
 // system's single-threaded simulation, is not safe for concurrent use.
 // The nil *FlightRecorder is valid and inert.
 type FlightRecorder struct {
-	ring     []Record
+	ring     []stats.Event
 	total    uint64
 	deadline sim.Time
 	out      io.Writer
 	label    string
 	hops     bool
 	dumps    int
-	now      func() sim.Time
 }
 
 // NewFlightRecorder builds a recorder; see RecorderConfig for defaults.
@@ -97,13 +92,12 @@ func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
 		dumps = 1
 	}
 	return &FlightRecorder{
-		ring:     make([]Record, size),
+		ring:     make([]stats.Event, size),
 		deadline: deadline,
 		out:      cfg.Out,
 		label:    cfg.Label,
 		hops:     cfg.Hops,
 		dumps:    dumps,
-		now:      cfg.Now,
 	}
 }
 
@@ -116,100 +110,25 @@ func (r *FlightRecorder) SetLabel(label string) {
 	}
 }
 
-// Observer returns the recorder's event subscription for System.Observe.
-func (r *FlightRecorder) Observer() *stats.Observer {
+// Observer returns the recorder's event subscription for System.Observe:
+// every protocol event, plus NetworkHop with RecorderConfig.Hops. The
+// nil recorder subscribes to nothing.
+func (r *FlightRecorder) Observer() stats.Observer {
 	if r == nil {
-		return nil
+		return stats.Observer{}
 	}
-	o := &stats.Observer{
-		MissIssued:            r.missIssued,
-		MissCompleted:         r.missCompleted,
-		Reissued:              r.reissued,
-		PersistentActivated:   r.persistentActivated,
-		PersistentDeactivated: r.persistentDeactivated,
-		TokensTransferred:     r.tokensTransferred,
-		MeasurementStarted:    r.measurementStarted,
-	}
-	if r.hops {
-		o.NetworkHop = r.networkHop
-	}
-	return o
+	return stats.Observer{Kinds: subscription(r.hops), On: r.record}
 }
 
-// push claims the next ring slot, evicting the oldest record on wrap.
-func (r *FlightRecorder) push() *Record {
-	rec := &r.ring[r.total%uint64(len(r.ring))]
+// record copies ev into the next ring slot, evicting the oldest on wrap,
+// and trips a dump when a completed transaction overran the deadline.
+func (r *FlightRecorder) record(ev stats.Event) {
+	r.ring[r.total%uint64(len(r.ring))] = ev
 	r.total++
-	return rec
-}
-
-// clock reads the wired clock, for the one hook (MissCompleted) that
-// does not carry its own timestamp.
-func (r *FlightRecorder) clock() sim.Time {
-	if r.now != nil {
-		return r.now()
-	}
-	return 0
-}
-
-func (r *FlightRecorder) missIssued(proc int, block msg.Block, write bool, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, block, int32(proc), 0
-	rec.Kind, rec.Cat, rec.Flag = KindMissIssued, 0, write
-	rec.At = at
-}
-
-func (r *FlightRecorder) missCompleted(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = latency, block, int32(proc), int32(reissues)
-	rec.Kind, rec.Cat, rec.Flag = KindMissCompleted, 0, persistent
-	rec.At = r.clock()
-	if r.deadline > 0 && latency >= r.deadline {
+	if ev.Kind == stats.MissCompleted && r.deadline > 0 && ev.Aux >= r.deadline {
 		r.Trip(fmt.Sprintf("transaction exceeded starvation deadline: proc %d block %#x took %s (deadline %s, reissues %d, persistent %t)",
-			proc, uint64(block), usString(latency), usString(r.deadline), reissues, persistent))
+			ev.Node, uint64(ev.Block), usString(ev.Aux), usString(r.deadline), ev.N, ev.Flag))
 	}
-}
-
-func (r *FlightRecorder) reissued(proc int, block msg.Block, attempt int, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, block, int32(proc), int32(attempt)
-	rec.Kind, rec.Cat, rec.Flag = KindReissued, 0, false
-	rec.At = at
-}
-
-func (r *FlightRecorder) persistentActivated(home int, block msg.Block, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, block, int32(home), 0
-	rec.Kind, rec.Cat, rec.Flag = KindPersistentActivated, 0, false
-	rec.At = at
-}
-
-func (r *FlightRecorder) persistentDeactivated(home int, block msg.Block, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, block, int32(home), 0
-	rec.Kind, rec.Cat, rec.Flag = KindPersistentDeactivated, 0, false
-	rec.At = at
-}
-
-func (r *FlightRecorder) tokensTransferred(proc int, block msg.Block, tokens int, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, block, int32(proc), int32(tokens)
-	rec.Kind, rec.Cat, rec.Flag = KindTokensTransferred, 0, false
-	rec.At = at
-}
-
-func (r *FlightRecorder) networkHop(link int, cat msg.Category, bytes int, at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, 0, int32(link), int32(bytes)
-	rec.Kind, rec.Cat, rec.Flag = KindNetworkHop, cat, false
-	rec.At = at
-}
-
-func (r *FlightRecorder) measurementStarted(at sim.Time) {
-	rec := r.push()
-	rec.Aux, rec.Block, rec.Node, rec.N = 0, 0, 0, 0
-	rec.Kind, rec.Cat, rec.Flag = KindMeasurementStarted, 0, false
-	rec.At = at
 }
 
 // Len reports how many records the ring currently holds.
@@ -232,18 +151,18 @@ func (r *FlightRecorder) Total() uint64 {
 	return r.total
 }
 
-// Records returns a copy of the retained records, oldest first.
-func (r *FlightRecorder) Records() []Record {
+// Records returns a copy of the retained events, oldest first.
+func (r *FlightRecorder) Records() []stats.Event {
 	n := r.Len()
-	out := make([]Record, n)
+	out := make([]stats.Event, n)
 	for i := 0; i < n; i++ {
 		out[i] = *r.at(i)
 	}
 	return out
 }
 
-// at returns the i-th retained record, oldest first.
-func (r *FlightRecorder) at(i int) *Record {
+// at returns the i-th retained event, oldest first.
+func (r *FlightRecorder) at(i int) *stats.Event {
 	start := uint64(0)
 	if r.total > uint64(len(r.ring)) {
 		start = r.total % uint64(len(r.ring))
@@ -287,7 +206,7 @@ func (r *FlightRecorder) WriteTo(w io.Writer, reason string) {
 	}
 	b = fmt.Appendf(b, "  last %d of %d protocol events, oldest first:\n", r.Len(), r.total)
 	for i := 0; i < r.Len(); i++ {
-		b = r.at(i).appendTo(b)
+		b = appendEvent(b, r.at(i))
 	}
 	w.Write(b) //nolint:errcheck // best-effort failure diagnostics
 }

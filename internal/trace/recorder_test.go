@@ -11,13 +11,13 @@ import (
 )
 
 // feed drives a deterministic little event history through an observer.
-func feed(o *stats.Observer, n int) {
+func feed(o stats.Observer, n int) {
 	for i := 1; i <= n; i++ {
 		at := sim.Time(i) * 10 * sim.Nanosecond
-		o.OnMissIssued(i%4, msg.Block(i%8), i%2 == 0, at)
-		o.OnReissued(i%4, msg.Block(i%8), 1, at+sim.Nanosecond)
-		o.OnTokensTransferred(i%4, msg.Block(i%8), 3, at+2*sim.Nanosecond)
-		o.OnMissCompleted(i%4, msg.Block(i%8), 1, false, 5*sim.Nanosecond)
+		o.On(stats.Event{Kind: stats.MissIssued, Node: int32(i % 4), Block: msg.Block(i % 8), Flag: i%2 == 0, At: at})
+		o.On(stats.Event{Kind: stats.Reissued, Node: int32(i % 4), Block: msg.Block(i % 8), N: 1, At: at + sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.TokensTransferred, Node: int32(i % 4), Block: msg.Block(i % 8), N: 3, At: at + 2*sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.MissCompleted, Node: int32(i % 4), Block: msg.Block(i % 8), N: 1, Aux: 5 * sim.Nanosecond})
 	}
 }
 
@@ -27,7 +27,7 @@ func TestRecorderRingWrap(t *testing.T) {
 	r := NewFlightRecorder(RecorderConfig{Size: 4, Deadline: -1})
 	o := r.Observer()
 	for i := 1; i <= 10; i++ {
-		o.OnReissued(0, msg.Block(1), i, sim.Time(i)*sim.Nanosecond)
+		o.On(stats.Event{Kind: stats.Reissued, Block: msg.Block(1), N: int32(i), At: sim.Time(i) * sim.Nanosecond})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -37,7 +37,7 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 	recs := r.Records()
 	for i, want := range []int32{7, 8, 9, 10} {
-		if recs[i].Kind != KindReissued || recs[i].N != want {
+		if recs[i].Kind != stats.Reissued || recs[i].N != want {
 			t.Errorf("record %d = %+v, want attempt %d", i, recs[i], want)
 		}
 	}
@@ -51,7 +51,7 @@ func TestRecorderPartialFill(t *testing.T) {
 	if r.Len() != 12 || r.Total() != 12 {
 		t.Fatalf("Len/Total = %d/%d, want 12/12", r.Len(), r.Total())
 	}
-	if recs := r.Records(); recs[0].Kind != KindMissIssued {
+	if recs := r.Records(); recs[0].Kind != stats.MissIssued {
 		t.Errorf("first retained record = %v, want MissIssued", recs[0].Kind)
 	}
 }
@@ -62,13 +62,13 @@ func TestRecorderDeadlineTrip(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewFlightRecorder(RecorderConfig{Size: 16, Deadline: 100 * sim.Nanosecond, Out: &buf, Label: "unit/test"})
 	o := r.Observer()
-	o.OnMissIssued(2, 5, true, 10*sim.Nanosecond)
-	o.OnMissCompleted(2, 5, 0, false, 50*sim.Nanosecond) // under deadline
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 2, Block: 5, Flag: true, At: 10 * sim.Nanosecond})
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 2, Block: 5, Aux: 50 * sim.Nanosecond}) // under deadline
 	if buf.Len() != 0 {
 		t.Fatalf("dumped under the deadline:\n%s", buf.String())
 	}
-	o.OnMissIssued(3, 6, false, 60*sim.Nanosecond)
-	o.OnMissCompleted(3, 6, 2, true, 250*sim.Nanosecond) // over deadline
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 3, Block: 6, At: 60 * sim.Nanosecond})
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 3, Block: 6, N: 2, Flag: true, Aux: 250 * sim.Nanosecond}) // over deadline
 	dump := buf.String()
 	if dump == "" {
 		t.Fatal("no dump after exceeding the deadline")
@@ -87,7 +87,7 @@ func TestRecorderDeadlineTrip(t *testing.T) {
 	}
 	// Budget spent: a second overrun must not dump again.
 	buf.Reset()
-	o.OnMissCompleted(3, 6, 3, true, 300*sim.Nanosecond)
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 3, Block: 6, N: 3, Flag: true, Aux: 300 * sim.Nanosecond})
 	if buf.Len() != 0 {
 		t.Errorf("second dump despite exhausted budget:\n%s", buf.String())
 	}
@@ -119,14 +119,14 @@ func TestRecorderZeroAllocs(t *testing.T) {
 	o := r.Observer()
 	feed(o, 8) // warm any lazy paths
 	allocs := testing.AllocsPerRun(100, func() {
-		o.OnMissIssued(1, 2, true, 30*sim.Nanosecond)
-		o.OnReissued(1, 2, 1, 31*sim.Nanosecond)
-		o.OnPersistentActivated(0, 2, 32*sim.Nanosecond)
-		o.OnPersistentDeactivated(0, 2, 33*sim.Nanosecond)
-		o.OnTokensTransferred(1, 2, 4, 34*sim.Nanosecond)
-		o.OnNetworkHop(7, msg.CatData, 72, 35*sim.Nanosecond)
-		o.OnMissCompleted(1, 2, 1, false, 5*sim.Nanosecond)
-		o.OnMeasurementStarted(36 * sim.Nanosecond)
+		o.On(stats.Event{Kind: stats.MissIssued, Node: 1, Block: 2, Flag: true, At: 30 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.Reissued, Node: 1, Block: 2, N: 1, At: 31 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.PersistentActivated, Block: 2, At: 32 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.PersistentDeactivated, Block: 2, At: 33 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.TokensTransferred, Node: 1, Block: 2, N: 4, At: 34 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.NetworkHop, Node: 7, Cat: msg.CatData, N: 72, At: 35 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.MissCompleted, Node: 1, Block: 2, N: 1, Aux: 5 * sim.Nanosecond})
+		o.On(stats.Event{Kind: stats.MeasurementStarted, At: 36 * sim.Nanosecond})
 	})
 	if allocs != 0 {
 		t.Errorf("recording allocates %.1f per event burst, want 0", allocs)
@@ -139,8 +139,8 @@ func TestRecorderNilSafety(t *testing.T) {
 	var r *FlightRecorder
 	r.Trip("nothing should happen")
 	r.SetLabel("ignored")
-	if r.Observer() != nil {
-		t.Error("nil recorder returned a non-nil observer")
+	if r.Observer().Kinds != 0 {
+		t.Error("nil recorder subscribes to events")
 	}
 	if r.Len() != 0 || r.Total() != 0 || len(r.Records()) != 0 {
 		t.Error("nil recorder reports retained records")
@@ -150,11 +150,11 @@ func TestRecorderNilSafety(t *testing.T) {
 // TestRecorderHopsOptIn checks hop recording is off by default (hops
 // would evict the protocol history) and available on request.
 func TestRecorderHopsOptIn(t *testing.T) {
-	if o := NewFlightRecorder(RecorderConfig{}).Observer(); o.NetworkHop != nil {
+	if o := NewFlightRecorder(RecorderConfig{}).Observer(); o.Kinds.Has(stats.NetworkHop) {
 		t.Error("default recorder subscribes to NetworkHop")
 	}
 	o := NewFlightRecorder(RecorderConfig{Hops: true}).Observer()
-	if o.NetworkHop == nil {
+	if !o.Kinds.Has(stats.NetworkHop) {
 		t.Fatal("Hops recorder does not subscribe to NetworkHop")
 	}
 }

@@ -1,5 +1,6 @@
 // Package trace is the simulator's transaction-level observability
-// layer, built entirely on the stats.Observer hooks:
+// layer. Its two types subscribe to the simulation's stats.Events
+// through a stats.Observer and keep what they receive:
 //
 //   - Tracer stitches the per-miss event stream (MissIssued → Reissued*
 //     → TokensTransferred → MissCompleted, with persistent-request
@@ -22,93 +23,43 @@ import (
 	"io"
 	"sync"
 
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
+	"tokencoherence/internal/stats"
 )
 
-// Kind identifies which observer event a Record captured.
-type Kind uint8
-
-// Record kinds, one per stats.Observer hook.
-const (
-	KindMissIssued Kind = iota
-	KindMissCompleted
-	KindReissued
-	KindPersistentActivated
-	KindPersistentDeactivated
-	KindTokensTransferred
-	KindNetworkHop
-	KindMeasurementStarted
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindMissIssued:
-		return "MissIssued"
-	case KindMissCompleted:
-		return "MissCompleted"
-	case KindReissued:
-		return "Reissued"
-	case KindPersistentActivated:
-		return "PersistentActivated"
-	case KindPersistentDeactivated:
-		return "PersistentDeactivated"
-	case KindTokensTransferred:
-		return "TokensTransferred"
-	case KindNetworkHop:
-		return "NetworkHop"
-	case KindMeasurementStarted:
-		return "MeasurementStarted"
+// subscription is the event set the tracer and the recorder keep: every
+// protocol event, plus NetworkHop when hops is set.
+func subscription(hops bool) stats.Mask {
+	if hops {
+		return stats.AllKinds
 	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
+	return stats.ProtocolKinds
 }
 
-// Record is one protocol event in the flight recorder's ring: a fixed-
-// size struct so the ring is a single allocation and recording is a
-// field copy. Field meaning varies by Kind (see appendTo).
-type Record struct {
-	// At is the simulation time the event fired (0 when the recorder has
-	// no clock wired).
-	At sim.Time
-	// Aux is the MissCompleted latency or the NetworkHop queueing start.
-	Aux   sim.Time
-	Block msg.Block
-	// Node is the proc (miss/token events), home (persistent events), or
-	// link (hop events) the event concerns.
-	Node int32
-	// N is the reissue attempt, tokens moved, total reissues, or payload
-	// bytes, by Kind.
-	N    int32
-	Kind Kind
-	Cat  msg.Category
-	// Flag is MissIssued's write bit or MissCompleted's persistent bit.
-	Flag bool
-}
-
-// appendTo renders the record as one human-readable dump line.
-func (r *Record) appendTo(b []byte) []byte {
+// appendEvent renders ev as one human-readable dump line.
+func appendEvent(b []byte, ev *stats.Event) []byte {
 	b = append(b, "    t="...)
-	b = append(b, usString(r.At)...)
+	b = append(b, usString(ev.At)...)
 	b = append(b, ' ')
-	b = append(b, r.Kind.String()...)
-	switch r.Kind {
-	case KindMissIssued:
+	b = append(b, ev.Kind.String()...)
+	switch ev.Kind {
+	case stats.MissIssued:
 		op := "read"
-		if r.Flag {
+		if ev.Flag {
 			op = "write"
 		}
-		b = fmt.Appendf(b, " proc=%d block=%#x %s", r.Node, uint64(r.Block), op)
-	case KindMissCompleted:
+		b = fmt.Appendf(b, " proc=%d block=%#x %s", ev.Node, uint64(ev.Block), op)
+	case stats.MissCompleted:
 		b = fmt.Appendf(b, " proc=%d block=%#x reissues=%d persistent=%t latency=%s",
-			r.Node, uint64(r.Block), r.N, r.Flag, usString(r.Aux))
-	case KindReissued:
-		b = fmt.Appendf(b, " proc=%d block=%#x attempt=%d", r.Node, uint64(r.Block), r.N)
-	case KindPersistentActivated, KindPersistentDeactivated:
-		b = fmt.Appendf(b, " home=%d block=%#x", r.Node, uint64(r.Block))
-	case KindTokensTransferred:
-		b = fmt.Appendf(b, " proc=%d block=%#x tokens=%d", r.Node, uint64(r.Block), r.N)
-	case KindNetworkHop:
-		b = fmt.Appendf(b, " link=%d cat=%s bytes=%d", r.Node, r.Cat.Slug(), r.N)
+			ev.Node, uint64(ev.Block), ev.N, ev.Flag, usString(ev.Aux))
+	case stats.Reissued:
+		b = fmt.Appendf(b, " proc=%d block=%#x attempt=%d", ev.Node, uint64(ev.Block), ev.N)
+	case stats.PersistentActivated, stats.PersistentDeactivated:
+		b = fmt.Appendf(b, " home=%d block=%#x", ev.Node, uint64(ev.Block))
+	case stats.TokensTransferred:
+		b = fmt.Appendf(b, " proc=%d block=%#x tokens=%d", ev.Node, uint64(ev.Block), ev.N)
+	case stats.NetworkHop:
+		b = fmt.Appendf(b, " link=%d cat=%s bytes=%d", ev.Node, ev.Cat.Slug(), ev.N)
 	}
 	return append(b, '\n')
 }

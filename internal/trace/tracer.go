@@ -37,7 +37,7 @@ type TracerConfig struct {
 // single-threaded; under the parallel engine each point gets its own.
 type Tracer struct {
 	hops   bool
-	events []tEvent
+	events []entry
 	// open maps an in-flight transaction to its span's index in events;
 	// openPreReset marks transactions issued before the warmup boundary,
 	// whose spans were discarded and whose completion must not count.
@@ -52,17 +52,13 @@ type spanKey struct {
 	block msg.Block
 }
 
-// tEvent is one buffered trace event; dur < 0 marks a span still open.
-type tEvent struct {
-	at    sim.Time
-	dur   sim.Time
-	block msg.Block
-	node  int32
-	n     int32
-	kind  Kind
-	cat   msg.Category
-	write bool
-	pers  bool
+// entry is one buffered event. A MissIssued entry is its transaction's
+// span: its completion fills in Aux (the latency; -1 while open) and N
+// (the reissue count), and persistent keeps the completion's Flag, since
+// the Event's own Flag is the issue's write bit.
+type entry struct {
+	stats.Event
+	persistent bool
 }
 
 // NewTracer builds an empty tracer.
@@ -70,102 +66,58 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return &Tracer{hops: cfg.Hops, open: make(map[spanKey]int)}
 }
 
-// Observer returns the tracer's event subscription for System.Observe.
-func (t *Tracer) Observer() *stats.Observer {
+// Observer returns the tracer's event subscription for System.Observe:
+// every protocol event, plus NetworkHop with TracerConfig.Hops.
+func (t *Tracer) Observer() stats.Observer {
 	if t == nil {
-		return nil
+		return stats.Observer{}
 	}
-	o := &stats.Observer{
-		MissIssued:            t.missIssued,
-		MissCompleted:         t.missCompleted,
-		Reissued:              t.reissued,
-		PersistentActivated:   t.persistentActivated,
-		PersistentDeactivated: t.persistentDeactivated,
-		TokensTransferred:     t.tokensTransferred,
-		MeasurementStarted:    t.measurementStarted,
-	}
-	if t.hops {
-		o.NetworkHop = t.networkHop
-	}
-	return o
+	return stats.Observer{Kinds: subscription(t.hops), On: t.record}
 }
 
-func (t *Tracer) missIssued(proc int, block msg.Block, write bool, at sim.Time) {
-	t.open[spanKey{int32(proc), block}] = len(t.events)
-	t.events = append(t.events, tEvent{
-		at: at, dur: -1, block: block, node: int32(proc),
-		kind: KindMissIssued, write: write,
-	})
-}
-
-func (t *Tracer) missCompleted(proc int, block msg.Block, reissues int, persistent bool, latency sim.Time) {
-	key := spanKey{int32(proc), block}
-	idx, ok := t.open[key]
-	if !ok {
-		return // issued before the tracer attached
-	}
-	delete(t.open, key)
-	if idx == openPreReset {
-		return // issued before the warmup boundary: not a measured miss
-	}
-	ev := &t.events[idx]
-	ev.dur = latency
-	ev.n = int32(reissues)
-	ev.pers = persistent
-	t.spans++
-}
-
-func (t *Tracer) reissued(proc int, block msg.Block, attempt int, at sim.Time) {
-	if idx, ok := t.open[spanKey{int32(proc), block}]; ok && idx == openPreReset {
+// record buffers ev, opening a span at MissIssued and closing it at the
+// matching MissCompleted.
+func (t *Tracer) record(ev stats.Event) {
+	key := spanKey{ev.Node, ev.Block}
+	switch ev.Kind {
+	case stats.MissIssued:
+		t.open[key] = len(t.events)
+		ev.Aux = -1
+	case stats.MissCompleted:
+		idx, ok := t.open[key]
+		if !ok {
+			return // issued before the tracer attached
+		}
+		delete(t.open, key)
+		if idx == openPreReset {
+			return // issued before the warmup boundary: not a measured miss
+		}
+		span := &t.events[idx]
+		span.Aux, span.N, span.persistent = ev.Aux, ev.N, ev.Flag
+		t.spans++
 		return
+	case stats.Reissued:
+		if idx, ok := t.open[key]; ok && idx == openPreReset {
+			return
+		}
+	case stats.TokensTransferred:
+		// Token arrivals matter on a timeline as the resolution of an
+		// open transaction; arrivals outside any transaction (writeback
+		// acks, background token shuffling) would only add noise.
+		if idx, ok := t.open[key]; !ok || idx == openPreReset {
+			return
+		}
+	case stats.MeasurementStarted:
+		// Warmup traffic is methodology, not measurement: discard it and
+		// remember which transactions straddle the boundary so their
+		// completions do not count as measured spans.
+		t.events = t.events[:0]
+		t.spans = 0
+		for key := range t.open {
+			t.open[key] = openPreReset
+		}
 	}
-	t.events = append(t.events, tEvent{
-		at: at, block: block, node: int32(proc), n: int32(attempt),
-		kind: KindReissued,
-	})
-}
-
-func (t *Tracer) persistentActivated(home int, block msg.Block, at sim.Time) {
-	t.events = append(t.events, tEvent{
-		at: at, block: block, node: int32(home), kind: KindPersistentActivated,
-	})
-}
-
-func (t *Tracer) persistentDeactivated(home int, block msg.Block, at sim.Time) {
-	t.events = append(t.events, tEvent{
-		at: at, block: block, node: int32(home), kind: KindPersistentDeactivated,
-	})
-}
-
-func (t *Tracer) tokensTransferred(proc int, block msg.Block, tokens int, at sim.Time) {
-	// Token arrivals matter on a timeline as the resolution of an open
-	// transaction; arrivals outside any transaction (writeback acks,
-	// background token shuffling) would only add noise.
-	if idx, ok := t.open[spanKey{int32(proc), block}]; !ok || idx == openPreReset {
-		return
-	}
-	t.events = append(t.events, tEvent{
-		at: at, block: block, node: int32(proc), n: int32(tokens),
-		kind: KindTokensTransferred,
-	})
-}
-
-func (t *Tracer) networkHop(link int, cat msg.Category, bytes int, at sim.Time) {
-	t.events = append(t.events, tEvent{
-		at: at, node: int32(link), n: int32(bytes), kind: KindNetworkHop, cat: cat,
-	})
-}
-
-func (t *Tracer) measurementStarted(at sim.Time) {
-	// Warmup traffic is methodology, not measurement: discard it and
-	// remember which transactions straddle the boundary so their
-	// completions do not count as measured spans.
-	t.events = t.events[:0]
-	t.spans = 0
-	for key := range t.open {
-		t.open[key] = openPreReset
-	}
-	t.events = append(t.events, tEvent{at: at, kind: KindMeasurementStarted})
+	t.events = append(t.events, entry{Event: ev})
 }
 
 // Spans reports the number of completed transaction spans buffered, i.e.
@@ -237,61 +189,61 @@ func (t *Tracer) Export(w io.Writer) error {
 	for i := range t.events {
 		ev := &t.events[i]
 		var ce chromeEvent
-		switch ev.kind {
-		case KindMissIssued:
+		switch ev.Kind {
+		case stats.MissIssued:
 			name := "GetS"
-			if ev.write {
+			if ev.Flag {
 				name = "GetM"
 			}
 			ce = chromeEvent{
-				Name: fmt.Sprintf("%s %#x", name, uint64(ev.block)),
-				Cat:  "miss", Ts: tsNumber(ev.at), Pid: pidProcs, Tid: int(ev.node),
-				Args: map[string]any{"block": uint64(ev.block), "write": ev.write},
+				Name: fmt.Sprintf("%s %#x", name, uint64(ev.Block)),
+				Cat:  "miss", Ts: tsNumber(ev.At), Pid: pidProcs, Tid: int(ev.Node),
+				Args: map[string]any{"block": uint64(ev.Block), "write": ev.Flag},
 			}
-			if ev.dur >= 0 {
+			if ev.Aux >= 0 {
 				ce.Ph = "X"
-				ce.Dur = tsNumber(ev.dur)
-				ce.Args["reissues"] = ev.n
-				ce.Args["persistent"] = ev.pers
+				ce.Dur = tsNumber(ev.Aux)
+				ce.Args["reissues"] = ev.N
+				ce.Args["persistent"] = ev.persistent
 			} else {
 				ce.Ph = "B" // still open: unfinished slice
 			}
-		case KindReissued:
+		case stats.Reissued:
 			ce = chromeEvent{
-				Name: fmt.Sprintf("reissue #%d", ev.n),
+				Name: fmt.Sprintf("reissue #%d", ev.N),
 				Cat:  "reissue", Ph: "i", S: "t",
-				Ts: tsNumber(ev.at), Pid: pidProcs, Tid: int(ev.node),
-				Args: map[string]any{"block": uint64(ev.block)},
+				Ts: tsNumber(ev.At), Pid: pidProcs, Tid: int(ev.Node),
+				Args: map[string]any{"block": uint64(ev.Block)},
 			}
-		case KindPersistentActivated, KindPersistentDeactivated:
+		case stats.PersistentActivated, stats.PersistentDeactivated:
 			verb := "activate"
-			if ev.kind == KindPersistentDeactivated {
+			if ev.Kind == stats.PersistentDeactivated {
 				verb = "deactivate"
 			}
 			ce = chromeEvent{
-				Name: fmt.Sprintf("persistent %s %#x", verb, uint64(ev.block)),
+				Name: fmt.Sprintf("persistent %s %#x", verb, uint64(ev.Block)),
 				Cat:  "persistent", Ph: "i", S: "t",
-				Ts: tsNumber(ev.at), Pid: pidArbs, Tid: int(ev.node),
-				Args: map[string]any{"block": uint64(ev.block)},
+				Ts: tsNumber(ev.At), Pid: pidArbs, Tid: int(ev.Node),
+				Args: map[string]any{"block": uint64(ev.Block)},
 			}
-		case KindTokensTransferred:
+		case stats.TokensTransferred:
 			ce = chromeEvent{
-				Name: fmt.Sprintf("tokens +%d", ev.n),
+				Name: fmt.Sprintf("tokens +%d", ev.N),
 				Cat:  "tokens", Ph: "i", S: "t",
-				Ts: tsNumber(ev.at), Pid: pidProcs, Tid: int(ev.node),
-				Args: map[string]any{"block": uint64(ev.block), "tokens": ev.n},
+				Ts: tsNumber(ev.At), Pid: pidProcs, Tid: int(ev.Node),
+				Args: map[string]any{"block": uint64(ev.Block), "tokens": ev.N},
 			}
-		case KindNetworkHop:
+		case stats.NetworkHop:
 			ce = chromeEvent{
-				Name: ev.cat.Slug(),
+				Name: ev.Cat.Slug(),
 				Cat:  "hop", Ph: "i", S: "t",
-				Ts: tsNumber(ev.at), Pid: pidNet, Tid: int(ev.node),
-				Args: map[string]any{"bytes": ev.n},
+				Ts: tsNumber(ev.At), Pid: pidNet, Tid: int(ev.Node),
+				Args: map[string]any{"bytes": ev.N},
 			}
-		case KindMeasurementStarted:
+		case stats.MeasurementStarted:
 			ce = chromeEvent{
 				Name: "measurement start", Cat: "machine", Ph: "i", S: "g",
-				Ts: tsNumber(ev.at), Pid: pidProcs, Tid: 0,
+				Ts: tsNumber(ev.At), Pid: pidProcs, Tid: 0,
 			}
 		default:
 			continue

@@ -7,6 +7,7 @@ import (
 
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
+	"tokencoherence/internal/stats"
 )
 
 // decodeTrace parses an exported trace back into its top-level shape.
@@ -50,11 +51,11 @@ func decodeTrace(t *testing.T, b []byte) struct {
 func TestTracerSpanStitching(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	o := tr.Observer()
-	o.OnMissIssued(3, 42, true, 1_234_567*sim.Picosecond)
-	o.OnReissued(3, 42, 1, 2*sim.Microsecond)
-	o.OnTokensTransferred(3, 42, 5, 3*sim.Microsecond)
-	o.OnTokensTransferred(9, 42, 1, 3*sim.Microsecond) // no open miss: dropped
-	o.OnMissCompleted(3, 42, 1, false, 2*sim.Microsecond)
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 3, Block: 42, Flag: true, At: 1_234_567 * sim.Picosecond})
+	o.On(stats.Event{Kind: stats.Reissued, Node: 3, Block: 42, N: 1, At: 2 * sim.Microsecond})
+	o.On(stats.Event{Kind: stats.TokensTransferred, Node: 3, Block: 42, N: 5, At: 3 * sim.Microsecond})
+	o.On(stats.Event{Kind: stats.TokensTransferred, Node: 9, Block: 42, N: 1, At: 3 * sim.Microsecond}) // no open miss: dropped
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 3, Block: 42, N: 1, Aux: 2 * sim.Microsecond})
 	if tr.Spans() != 1 {
 		t.Fatalf("Spans = %d, want 1", tr.Spans())
 	}
@@ -105,14 +106,14 @@ func TestTracerSpanStitching(t *testing.T) {
 func TestTracerWarmupBoundary(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	o := tr.Observer()
-	o.OnMissIssued(0, 1, false, 1*sim.Microsecond) // warmup miss
-	o.OnMissIssued(1, 2, false, 2*sim.Microsecond) // straddles the boundary
-	o.OnMissCompleted(0, 1, 0, false, sim.Microsecond)
-	o.OnMeasurementStarted(5 * sim.Microsecond)
-	o.OnReissued(1, 2, 1, 6*sim.Microsecond)             // pre-boundary span: dropped
-	o.OnMissCompleted(1, 2, 1, false, 5*sim.Microsecond) // pre-boundary: no span
-	o.OnMissIssued(1, 2, true, 7*sim.Microsecond)        // measured miss, same key
-	o.OnMissCompleted(1, 2, 0, false, 2*sim.Microsecond) // measured span
+	o.On(stats.Event{Kind: stats.MissIssued, Block: 1, At: 1 * sim.Microsecond})          // warmup miss
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 1, Block: 2, At: 2 * sim.Microsecond}) // straddles the boundary
+	o.On(stats.Event{Kind: stats.MissCompleted, Block: 1, Aux: sim.Microsecond})
+	o.On(stats.Event{Kind: stats.MeasurementStarted, At: 5 * sim.Microsecond})
+	o.On(stats.Event{Kind: stats.Reissued, Node: 1, Block: 2, N: 1, At: 6 * sim.Microsecond})         // pre-boundary span: dropped
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 1, Block: 2, N: 1, Aux: 5 * sim.Microsecond})   // pre-boundary: no span
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 1, Block: 2, Flag: true, At: 7 * sim.Microsecond}) // measured miss, same key
+	o.On(stats.Event{Kind: stats.MissCompleted, Node: 1, Block: 2, Aux: 2 * sim.Microsecond})         // measured span
 	if tr.Spans() != 1 {
 		t.Fatalf("Spans = %d, want 1 (only the post-boundary miss)", tr.Spans())
 	}
@@ -148,7 +149,7 @@ func TestTracerWarmupBoundary(t *testing.T) {
 func TestTracerOpenSpan(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	o := tr.Observer()
-	o.OnMissIssued(2, 7, false, sim.Microsecond)
+	o.On(stats.Event{Kind: stats.MissIssued, Node: 2, Block: 7, At: sim.Microsecond})
 	if tr.Spans() != 0 {
 		t.Fatalf("Spans = %d, want 0 while open", tr.Spans())
 	}
@@ -176,12 +177,12 @@ func TestTracerOpenSpan(t *testing.T) {
 func TestTracerArbiterAndHops(t *testing.T) {
 	tr := NewTracer(TracerConfig{Hops: true})
 	o := tr.Observer()
-	if o.NetworkHop == nil {
+	if !o.Kinds.Has(stats.NetworkHop) {
 		t.Fatal("Hops tracer does not subscribe to NetworkHop")
 	}
-	o.OnPersistentActivated(4, 9, sim.Microsecond)
-	o.OnPersistentDeactivated(4, 9, 2*sim.Microsecond)
-	o.OnNetworkHop(12, msg.CatReissue, 8, 3*sim.Microsecond)
+	o.On(stats.Event{Kind: stats.PersistentActivated, Node: 4, Block: 9, At: sim.Microsecond})
+	o.On(stats.Event{Kind: stats.PersistentDeactivated, Node: 4, Block: 9, At: 2 * sim.Microsecond})
+	o.On(stats.Event{Kind: stats.NetworkHop, Node: 12, Cat: msg.CatReissue, N: 8, At: 3 * sim.Microsecond})
 	var buf bytes.Buffer
 	if err := tr.Export(&buf); err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestTracerArbiterAndHops(t *testing.T) {
 	if !sawAct || !sawDeact || !sawHop {
 		t.Errorf("activate/deactivate/hop placement = %v/%v/%v", sawAct, sawDeact, sawHop)
 	}
-	if o2 := NewTracer(TracerConfig{}).Observer(); o2.NetworkHop != nil {
+	if o2 := NewTracer(TracerConfig{}).Observer(); o2.Kinds.Has(stats.NetworkHop) {
 		t.Error("default tracer subscribes to NetworkHop")
 	}
 }
@@ -217,11 +218,11 @@ func TestTracerExportDeterministic(t *testing.T) {
 		o := tr.Observer()
 		for i := 0; i < 50; i++ {
 			blk := msg.Block(i % 16)
-			o.OnMissIssued(i%8, blk, i%3 == 0, sim.Time(i)*sim.Microsecond)
+			o.On(stats.Event{Kind: stats.MissIssued, Node: int32(i % 8), Block: blk, Flag: i%3 == 0, At: sim.Time(i) * sim.Microsecond})
 			if i%5 == 0 {
-				o.OnReissued(i%8, blk, 1, sim.Time(i)*sim.Microsecond+sim.Nanosecond)
+				o.On(stats.Event{Kind: stats.Reissued, Node: int32(i % 8), Block: blk, N: 1, At: sim.Time(i)*sim.Microsecond + sim.Nanosecond})
 			}
-			o.OnMissCompleted(i%8, blk, i%5, i%7 == 0, 3*sim.Microsecond)
+			o.On(stats.Event{Kind: stats.MissCompleted, Node: int32(i % 8), Block: blk, N: int32(i % 5), Flag: i%7 == 0, Aux: 3 * sim.Microsecond})
 		}
 		var buf bytes.Buffer
 		if err := tr.Export(&buf); err != nil {

@@ -124,7 +124,7 @@ func TestCrossProtocolDifferentialInvariant64(t *testing.T) {
 }
 
 // runDifferentialPoint builds and runs one protocol/topology system
-// directly (rather than through harness.Run) so the test can read the
+// directly (rather than through engine.RunPoint) so the test can read the
 // oracle's final memory image.
 func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warmup int, seed uint64, wl string, islands int) map[msg.Block]uint64 {
 	t.Helper()

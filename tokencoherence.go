@@ -110,7 +110,7 @@ func DefaultConfig() Config { return machine.DefaultConfig() }
 // Point describes one simulation configuration. Its Protocol, Topo and
 // Workload name registered components; Validate reports unknown names
 // with the registered alternatives.
-type Point = harness.Point
+type Point = engine.Point
 
 // Options tunes experiment sizes (operations, warmup, seeds, processors).
 type Options = harness.Options
@@ -121,13 +121,13 @@ type Run = stats.Run
 // Simulate executes one simulation point; Token Coherence runs are
 // audited for token conservation and every run is checked by the
 // coherence oracle.
-func Simulate(pt Point) (*Run, error) { return harness.Run(pt) }
+func Simulate(pt Point) (*Run, error) { return engine.RunPoint(pt) }
 
 // SimulateMetrics executes one simulation point and additionally returns
 // its metric snapshot: every named metric the machine, interconnect,
 // protocol, and registered probes published, readable by name (see
 // MetricSchema for discovery).
-func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return harness.RunMetrics(pt) }
+func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return engine.RunPointMetrics(pt) }
 
 // MetricSchema reports the named metrics the point's simulation will
 // expose — without running it. The schema is deterministic for a fixed
@@ -370,16 +370,39 @@ type GaugeMetric = stats.Gauge
 // MetricSet.Histogram registers one whose snapshot value is its mean.
 type LatencyHistogram = stats.Histogram
 
-// Observer subscribes to simulation events (miss issue/complete,
-// reissue, persistent-request activation/deactivation, token transfer,
-// network hop, measurement start). All fields are optional; with no
-// observers attached the simulation hot path is untouched.
-type Observer = stats.Observer
+// Event is one simulation event, passed by value: a miss issued or
+// completed, a transient-request reissue, a persistent request's
+// activation or deactivation, a token transfer, a network hop, or the
+// warmup boundary. Its Kind says which; the field table on the aliased
+// internal/stats Event gives each field's meaning per Kind (Aux is a
+// completed miss's latency, N its reissue count, and so on).
+type Event = stats.Event
 
-// MergeObservers fans events out to any number of observers with one
-// dispatch level; nil operands are skipped and events nobody watches
-// stay on the nil-field fast path.
-func MergeObservers(obs ...*Observer) *Observer { return stats.MergeAllObservers(obs...) }
+// EventKind identifies an Event; EventMask is a set of kinds.
+type (
+	EventKind = stats.Kind
+	EventMask = stats.Mask
+)
+
+// Event kinds.
+const (
+	MissIssued            = stats.MissIssued
+	MissCompleted         = stats.MissCompleted
+	Reissued              = stats.Reissued
+	PersistentActivated   = stats.PersistentActivated
+	PersistentDeactivated = stats.PersistentDeactivated
+	TokensTransferred     = stats.TokensTransferred
+	NetworkHop            = stats.NetworkHop
+	MeasurementStarted    = stats.MeasurementStarted
+)
+
+// MaskOf returns the set holding kinds.
+func MaskOf(kinds ...EventKind) EventMask { return stats.MaskOf(kinds...) }
+
+// Observer subscribes its On function to the Events whose kind is in
+// its Kinds mask. Events arrive in simulation order on one goroutine;
+// events nobody subscribes to cost the simulation one mask test.
+type Observer = stats.Observer
 
 // --- Tracing & debugging -------------------------------------------------
 
