@@ -10,15 +10,14 @@ import (
 	"tokencoherence/internal/engine"
 )
 
-// benchBaseline mirrors the points table of BENCH_kernel.json and
-// BENCH_parallel.json, plus the recording-host metadata the parallel
-// gate cross-checks.
+// benchBaseline mirrors one entry of BENCH.json: a benchmark's
+// recording-host metadata and its points table.
 type benchBaseline struct {
 	Description string `json:"description"`
-	// Cpus is the recording host's CPU count. BENCH_parallel.json's
-	// ns_per_op values only demonstrate parallel speedup when this is
-	// greater than one; TestBenchmarkRegressionParallel enforces that the
-	// description's single-CPU caveat and this field stay consistent.
+	// Cpus is the recording host's CPU count (0 = not recorded). An
+	// entry's ns_per_op values only demonstrate parallel speedup when it
+	// is greater than one; loadBaseline enforces that the description's
+	// single-CPU caveat and this field stay consistent.
 	Cpus   int `json:"cpus"`
 	Points map[string]struct {
 		AllocsPerOp    float64 `json:"allocs_per_op"`
@@ -26,16 +25,32 @@ type benchBaseline struct {
 	} `json:"points"`
 }
 
-// loadBaseline reads one baseline file or fails the test.
-func loadBaseline(t *testing.T, path string) benchBaseline {
+// loadBaseline reads the named BENCH.json entry or fails the test. The
+// single-CPU caveat is machine-checked on every entry: an entry recorded
+// on one CPU must say so in its description, and re-recording on a
+// multi-core host obliges whoever does it to delete the caveat.
+func loadBaseline(t *testing.T, name string) benchBaseline {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile("BENCH.json")
 	if err != nil {
 		t.Fatalf("missing benchmark baseline: %v", err)
 	}
-	var base benchBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("bad %s: %v", path, err)
+	var file struct {
+		Benchmarks map[string]benchBaseline `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatalf("bad BENCH.json: %v", err)
+	}
+	base, ok := file.Benchmarks[name]
+	if !ok {
+		t.Fatalf("BENCH.json has no %q benchmark", name)
+	}
+	const caveat = "single CPU"
+	switch {
+	case base.Cpus == 1 && !strings.Contains(base.Description, caveat):
+		t.Errorf("BENCH.json %s was recorded on 1 CPU but its description lost the %q caveat", name, caveat)
+	case base.Cpus > 1 && strings.Contains(base.Description, caveat):
+		t.Errorf("BENCH.json %s was recorded on %d CPUs; drop the stale %q caveat from its description", name, base.Cpus, caveat)
 	}
 	return base
 }
@@ -44,16 +59,16 @@ func loadBaseline(t *testing.T, path string) benchBaseline {
 // every push: it executes one end-to-end simulation point per protocol
 // (the exact configuration BenchmarkSimulatePoint measures) under
 // testing.AllocsPerRun and fails if the allocation count exceeds the
-// ceiling recorded in BENCH_kernel.json. Allocation counts are
+// ceiling recorded in BENCH.json's "point" entry. Allocation counts are
 // deterministic, unlike ns/op, so this gate holds on any hardware; the
 // ceilings carry ~35% headroom over the recorded baseline for runtime
 // and Go-version drift. If an intentional change raises allocations,
-// regenerate the baseline (see BENCH_kernel.json) in the same PR.
+// regenerate the entry (see its regenerate command) in the same PR.
 func TestBenchmarkRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark regression in -short mode")
 	}
-	base := loadBaseline(t, "BENCH_kernel.json")
+	base := loadBaseline(t, "point")
 	topoFor := map[string]string{
 		engine.ProtoTokenB:    engine.TopoTorus,
 		engine.ProtoTokenD:    engine.TopoTorus,
@@ -80,7 +95,7 @@ func TestBenchmarkRegression(t *testing.T) {
 			})
 			if allocs > limits.MaxAllocsPerOp {
 				t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
-					"if intentional, regenerate BENCH_kernel.json in this PR",
+					"if intentional, regenerate BENCH.json's point entry in this PR",
 					proto, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp)
 			}
 		})
@@ -88,7 +103,7 @@ func TestBenchmarkRegression(t *testing.T) {
 }
 
 // TestBenchmarkRegressionParallel gates the island kernel's overhead
-// against BENCH_parallel.json: one 64-processor TokenB point (the
+// against BENCH.json's "islands" entry: one 64-processor TokenB point (the
 // BenchmarkSimulatePointIslands configuration) is run at each recorded
 // island count and must stay under its allocation ceiling. Wall-clock
 // speedup is NOT gated — it depends on the host's core count (the
@@ -99,20 +114,11 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark regression in -short mode")
 	}
-	base := loadBaseline(t, "BENCH_parallel.json")
-	// The single-CPU caveat is machine-checked: the baseline must record
-	// its host's CPU count, and the description's warning must match it.
-	// Re-recording on a multi-core host (cpus > 1) obliges whoever does
-	// it to delete the caveat — and vice versa, the caveat cannot be
-	// dropped while the numbers still come from one core.
-	const caveat = "single CPU"
-	switch {
-	case base.Cpus < 1:
-		t.Errorf("BENCH_parallel.json records no cpus field; regenerate it with the recording host's CPU count")
-	case base.Cpus == 1 && !strings.Contains(base.Description, caveat):
-		t.Errorf("BENCH_parallel.json was recorded on 1 CPU but its description lost the %q caveat", caveat)
-	case base.Cpus > 1 && strings.Contains(base.Description, caveat):
-		t.Errorf("BENCH_parallel.json was recorded on %d CPUs; drop the stale %q caveat from its description", base.Cpus, caveat)
+	base := loadBaseline(t, "islands")
+	// Island speedup is a parallel claim, so this entry must record its
+	// host's CPU count (loadBaseline checks the caveat against it).
+	if base.Cpus < 1 {
+		t.Errorf("BENCH.json islands records no cpus; regenerate it with the recording host's CPU count")
 	}
 	for name, limits := range base.Points {
 		name, limits := name, limits
@@ -133,7 +139,7 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 			})
 			if allocs > limits.MaxAllocsPerOp {
 				t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
-					"if intentional, regenerate BENCH_parallel.json in this PR",
+					"if intentional, regenerate BENCH.json's islands entry in this PR",
 					name, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp)
 			}
 		})

@@ -313,7 +313,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 // BenchmarkSimulatePoint measures one end-to-end simulation point per
 // protocol: wall time and allocations for a fixed reduced-size run.
 // This is the benchmark the CI regression harness tracks (see
-// BENCH_kernel.json): the hot path through kernel, interconnect,
+// BENCH.json): the hot path through kernel, interconnect,
 // machine, and protocol must stay allocation-lean.
 func BenchmarkSimulatePoint(b *testing.B) {
 	cases := []struct {
@@ -349,7 +349,7 @@ func BenchmarkSimulatePoint(b *testing.B) {
 // internal/engine/island_test.go); what varies is wall time —
 // proportional to available cores — and a small, deterministic
 // allocation overhead for per-island kernels, stat shards, and barrier
-// queues, which BENCH_parallel.json gates. On a single-core host the
+// queues, which BENCH.json gates. On a single-core host the
 // barrier overhead buys nothing, so expect no speedup there.
 func BenchmarkSimulatePointIslands(b *testing.B) {
 	for _, islands := range []int{1, 2, 4} {

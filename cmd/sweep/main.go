@@ -26,21 +26,12 @@
 // -store archives each completed point under its content hash
 // (engine.PointKey) as it finishes, so a killed sweep re-run with
 // -resume recomputes only the missing points and emits byte-identical
-// output. -shard i/N partitions one plan across cooperating processes
-// sharing a store; merge reassembles their JSONL outputs byte-exactly.
-// `sweep store gc -store results/` prunes entries stamped by older
-// simulator versions, which no current binary could ever reuse.
-//
-// Sweeps can also run distributed, with no shared filesystem:
-//
-//	sweep serve -kind procs -addr :8080 -format json > out.jsonl
-//	sweep work -coordinator http://host:8080   # on each machine
-//
-// serve runs the plan's coordinator: it leases points to work daemons
-// over HTTP, renews leases on heartbeat, re-issues the points of
-// workers that die, and emits the collected rows in plan order —
-// byte-identical to running the sweep in one process (see
-// internal/sweepd for the protocol and its failure semantics).
+// output. -shard i/N runs one slice of the plan; the shards may run on
+// separate machines, with or without a shared store, and merge
+// reassembles their JSONL outputs byte-exactly once the files are
+// copied to one place. `sweep store gc -store results/` prunes entries
+// stamped by older simulator versions, which no current binary could
+// ever reuse.
 package main
 
 import (
@@ -82,10 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		switch args[0] {
 		case "merge":
 			return runMerge(args[1:], stdout, stderr)
-		case "serve":
-			return runServe(args[1:], stdout, stderr)
-		case "work":
-			return runWork(args[1:], stderr)
 		case "store":
 			return runStore(args[1:], stdout, stderr)
 		}
@@ -113,6 +100,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand or stray argument %q (subcommands: merge, store)", fs.Arg(0))
 	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume recalls archived results and requires -store")
@@ -251,7 +241,7 @@ func execute(plan engine.Plan, cols []engine.Column, opt options, stdout, stderr
 	var sink engine.Sink
 	switch {
 	case opt.shards >= 1:
-		sink = newShardSink(out)
+		sink = newShardSink(out, opt.shard, opt.shards)
 	case opt.format == "csv":
 		sink = &engine.CSVSink{W: out, Columns: cols}
 	case opt.format == "json":
@@ -442,4 +432,42 @@ func sanitizeFile(s string) string {
 		}
 		return '_'
 	}, s)
+}
+
+// runStore is the `sweep store` subcommand group. Its one verb, gc,
+// prunes archived envelopes whose embedded version stamp no longer
+// matches this binary's engine.CodeVersion — entries a resumed sweep
+// could never reuse — and sweeps crashed Puts' orphaned temp files.
+func runStore(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 || args[0] != "gc" {
+		fmt.Fprintln(stderr, "usage: sweep store gc -store DIR [-dry-run]")
+		return fmt.Errorf("store: unknown verb %q (want gc)", strings.Join(args, " "))
+	}
+	fs := flag.NewFlagSet("sweep store gc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		storeDir = fs.String("store", "", "result store directory to collect (required)")
+		dryRun   = fs.Bool("dry-run", false, "report what would be pruned without removing anything")
+	)
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if *storeDir == "" {
+		return fmt.Errorf("store gc: -store is required")
+	}
+	st, err := resultstore.Open(*storeDir)
+	if err != nil {
+		return err
+	}
+	got, err := st.GC(engine.CodeVersion, *dryRun)
+	if err != nil {
+		return err
+	}
+	verb := "pruned"
+	if *dryRun {
+		verb = "would prune"
+	}
+	fmt.Fprintf(stdout, "store gc: kept %d current objects; %s %d stale objects (%d bytes) and %d orphaned temp files [version %s]\n",
+		got.Kept, verb, got.Pruned, got.PrunedBytes, got.Temps, engine.CodeVersion)
+	return nil
 }

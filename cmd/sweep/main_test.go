@@ -54,6 +54,13 @@ func TestSweepBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out, &errw); err == nil {
 		t.Fatal("unknown flag did not error")
 	}
+	// Words that are not subcommands must not be ignored: a sweep would
+	// otherwise run with default flags.
+	for _, sub := range []string{"serve", "work"} {
+		if err := run([]string{sub}, &out, &errw); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%q: want unknown-subcommand error, got %v", sub, err)
+		}
+	}
 }
 
 func TestSweepListFlag(t *testing.T) {

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tokencoherence/internal/engine"
+	"tokencoherence/internal/resultstore"
+	"tokencoherence/internal/stats"
 )
 
 // sweepArgs are a small, fast plan shared by the store tests.
@@ -90,6 +94,36 @@ func TestSweepMergeRejectsOverlap(t *testing.T) {
 	}
 }
 
+// TestSweepMergeRejectsIncompleteShardSet: merge must refuse a shard
+// set that does not cover every shard 0..N-1 of one N, instead of
+// emitting a plausible-looking output with rows silently missing.
+func TestSweepMergeRejectsIncompleteShardSet(t *testing.T) {
+	dir := t.TempDir()
+	shardFile := func(spec string) string {
+		var out, errw bytes.Buffer
+		if err := run(sweepArgs("-format", "json", "-shard", spec), &out, &errw); err != nil {
+			t.Fatal(err)
+		}
+		f := filepath.Join(dir, strings.ReplaceAll(spec, "/", "of")+".jsonl")
+		if err := os.WriteFile(f, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	s0of2, s1of3 := shardFile("0/2"), shardFile("1/3")
+
+	var merged, errw bytes.Buffer
+	if err := run([]string{"merge", s0of2}, &merged, &errw); err == nil || !strings.Contains(err.Error(), "missing shard(s) 1/2") {
+		t.Errorf("merge of shard 0/2 alone: want missing-shard error, got %v", err)
+	}
+	if err := run([]string{"merge", s0of2, s1of3}, &merged, &errw); err == nil || !strings.Contains(err.Error(), "different -shard splits") {
+		t.Errorf("merge of 0/2 with 1/3: want mixed-N error, got %v", err)
+	}
+	if merged.Len() != 0 {
+		t.Errorf("rejected merges wrote output:\n%s", merged.String())
+	}
+}
+
 // TestSweepStoreFlagValidation pins the flag interactions.
 func TestSweepStoreFlagValidation(t *testing.T) {
 	var out, errw bytes.Buffer
@@ -106,5 +140,76 @@ func TestSweepStoreFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"merge"}, &out, &errw); err == nil || !strings.Contains(err.Error(), "no shard files") {
 		t.Errorf("merge without files: got %v", err)
+	}
+}
+
+// TestShardWarningOnOversizedSpec: splitting a plan more ways than it
+// has points used to silently emit empty shard files; now it warns.
+func TestShardWarningOnOversizedSpec(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	err := run([]string{"-kind", "tokens", "-ops", "40", "-warmup", "0", "-format", "json", "-shard", "0/100"}, &out, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errBuf.String(), "will be empty") {
+		t.Errorf("no empty-shard warning on stderr: %q", errBuf.String())
+	}
+	// A right-sized spec stays quiet.
+	errBuf.Reset()
+	if err := run([]string{"-kind", "tokens", "-ops", "40", "-warmup", "0", "-format", "json", "-shard", "0/2"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(errBuf.String(), "will be empty") {
+		t.Errorf("spurious empty-shard warning: %q", errBuf.String())
+	}
+}
+
+// TestStoreGCVerb: `sweep store gc` prunes entries whose version stamp
+// is not this binary's engine.CodeVersion, keeps current ones, and the
+// dry run reports the same counts without removing anything.
+func TestStoreGCVerb(t *testing.T) {
+	dir := t.TempDir()
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := &stats.Run{Transactions: 1}
+	snap := stats.NewMetricSet().Snapshot()
+	st.SetVersion(engine.CodeVersion)
+	if err := st.Put(strings.Repeat("aa", 32), sample, snap); err != nil {
+		t.Fatal(err)
+	}
+	st.SetVersion("antique-version")
+	if err := st.Put(strings.Repeat("bb", 32), sample, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"store", "gc", "-store", dir, "-dry-run"}, &out, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "kept 1") || !strings.Contains(out.String(), "would prune 1 stale") {
+		t.Errorf("dry-run output: %q", out.String())
+	}
+	if n, _ := st.Len(); n != 2 {
+		t.Fatalf("dry run removed entries: Len=%d, want 2", n)
+	}
+
+	out.Reset()
+	if err := run([]string{"store", "gc", "-store", dir}, &out, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "pruned 1 stale") {
+		t.Errorf("gc output: %q", out.String())
+	}
+	if n, _ := st.Len(); n != 1 {
+		t.Errorf("after gc: Len=%d, want 1", n)
+	}
+
+	if err := run([]string{"store", "frobnicate"}, &out, &bytes.Buffer{}); err == nil {
+		t.Error("want error for unknown store verb")
+	}
+	if err := run([]string{"store", "gc"}, &out, &bytes.Buffer{}); err == nil {
+		t.Error("want error for store gc without -store")
 	}
 }

@@ -151,13 +151,7 @@ func (t *telemetry) update(p engine.Progress) {
 	}
 	computed := p.Done - int(t.cached.Value())
 	if computed > 0 {
-		// Prefer the report's own live capacity — a distributed
-		// coordinator's worker count changes as daemons join and die, and
-		// the ETA must track it; fall back to the static pool size.
-		w := p.Workers
-		if w < 1 {
-			w = t.workers
-		}
+		w := t.workers
 		if w < 1 {
 			w = 1
 		}

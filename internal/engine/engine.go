@@ -43,11 +43,6 @@ type Progress struct {
 	// populated. Completion order is nondeterministic under parallelism;
 	// sink emission, not Progress, is the ordered stream.
 	Last *Result
-	// Workers is the capacity executing the plan when this report was
-	// made: the engine's effective pool size, or a distributed
-	// coordinator's live worker count. ETA models divide by it; zero
-	// means unknown (callers fall back to their own estimate).
-	Workers int
 }
 
 // Store is a content-addressed result archive keyed by PointKey: the
@@ -231,7 +226,7 @@ func (e Engine) Execute(ctx context.Context, plan Plan, sinks ...Sink) ([]Result
 			next++
 		}
 		if e.Progress != nil {
-			e.Progress(Progress{Done: done, Total: len(jobs), Failed: failed, Last: &results[i], Workers: workers})
+			e.Progress(Progress{Done: done, Total: len(jobs), Failed: failed, Last: &results[i]})
 		}
 	}
 

@@ -32,16 +32,13 @@ import (
 	"tokencoherence/internal/stats"
 )
 
-// envelope is one stored entry — and also the sweepd wire format (see
-// Encode/Decode): a worker streams exactly the bytes the coordinator
-// archives, so duplicate deliveries can be compared byte for byte. The
-// key is repeated inside the file so a misplaced or hand-renamed entry
-// is detected at Get instead of silently satisfying the wrong point.
-// Version records the code-version salt the entry was computed under:
-// the key hash already mixes the salt in, but a hash cannot be inverted,
-// so without the explicit field stale archives from before a version
-// bump are indistinguishable from live ones and accumulate forever (see
-// GC).
+// envelope is one stored entry. The key is repeated inside the file so
+// a misplaced or hand-renamed entry is detected at Get instead of
+// silently satisfying the wrong point. Version records the code-version
+// salt the entry was computed under: the key hash already mixes the
+// salt in, but a hash cannot be inverted, so without the explicit field
+// stale archives from before a version bump are indistinguishable from
+// live ones and accumulate forever (see GC).
 type envelope struct {
 	Key     string          `json:"key"`
 	Version string          `json:"version,omitempty"`
@@ -49,33 +46,32 @@ type envelope struct {
 	Metrics *stats.Snapshot `json:"metrics"`
 }
 
-// Encode renders one result as its canonical envelope bytes: the store's
-// on-disk file content and sweepd's wire format. The encoding is
+// encode renders one entry as its canonical file bytes. The encoding is
 // deterministic for equal inputs (struct field order is fixed, the stats
-// codecs are exact), which is what lets the sweepd coordinator demand
-// byte-identical envelopes from duplicate deliveries of one key.
-func Encode(key, version string, run *stats.Run, metrics *stats.Snapshot) ([]byte, error) {
-	if run == nil || metrics == nil {
-		return nil, fmt.Errorf("resultstore: refusing to encode incomplete result for %s", key)
+// codecs are exact), so two writers racing on one key write identical
+// files.
+func encode(env envelope) ([]byte, error) {
+	if env.Run == nil || env.Metrics == nil {
+		return nil, fmt.Errorf("resultstore: refusing to archive incomplete result for %s", env.Key)
 	}
-	raw, err := json.Marshal(envelope{Key: key, Version: version, Run: run, Metrics: metrics})
+	raw, err := json.Marshal(env)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	return append(raw, '\n'), nil
 }
 
-// Decode parses and validates envelope bytes (see Encode), rejecting
+// decode parses and validates entry bytes (see encode), rejecting
 // incomplete or malformed entries loudly.
-func Decode(raw []byte) (key, version string, run *stats.Run, metrics *stats.Snapshot, err error) {
+func decode(raw []byte) (envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", "", nil, nil, fmt.Errorf("resultstore: corrupt envelope: %w", err)
+		return envelope{}, fmt.Errorf("corrupt envelope: %w", err)
 	}
 	if env.Run == nil || env.Metrics == nil {
-		return "", "", nil, nil, fmt.Errorf("resultstore: incomplete envelope for key %q", env.Key)
+		return envelope{}, fmt.Errorf("incomplete envelope for key %q", env.Key)
 	}
-	return env.Key, env.Version, env.Run, env.Metrics, nil
+	return env, nil
 }
 
 // Store is a file-backed content-addressed result archive implementing
@@ -133,15 +129,12 @@ func (s *Store) Get(key string) (*stats.Run, *stats.Snapshot, bool, error) {
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("resultstore: %w", err)
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, nil, false, fmt.Errorf("resultstore: corrupt entry %s: %w", key, err)
+	env, err := decode(raw)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("resultstore: entry %s: %w", key, err)
 	}
 	if env.Key != key {
 		return nil, nil, false, fmt.Errorf("resultstore: entry %s carries key %s (misplaced object file)", key, env.Key)
-	}
-	if env.Run == nil || env.Metrics == nil {
-		return nil, nil, false, fmt.Errorf("resultstore: entry %s is incomplete", key)
 	}
 	s.hits.Add(1)
 	s.bytes.Add(uint64(len(raw)))
@@ -153,19 +146,10 @@ func (s *Store) Get(key string) (*stats.Run, *stats.Snapshot, bool, error) {
 // writers racing on one key write identical content, so last rename
 // winning is correct.
 func (s *Store) Put(key string, run *stats.Run, metrics *stats.Snapshot) error {
-	raw, err := Encode(key, s.version, run, metrics)
+	raw, err := encode(envelope{Key: key, Version: s.version, Run: run, Metrics: metrics})
 	if err != nil {
 		return err
 	}
-	return s.PutRaw(key, raw)
-}
-
-// PutRaw archives pre-encoded envelope bytes (see Encode) under key with
-// the same atomic temp-file+rename discipline as Put. The sweepd
-// coordinator uses it to persist a worker's envelope byte-exactly, so
-// the archived file, the wire bytes, and the duplicate-delivery
-// comparison all name one encoding.
-func (s *Store) PutRaw(key string, raw []byte) error {
 	final := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)

@@ -158,7 +158,7 @@ func TestConcurrentPutGet(t *testing.T) {
 // processes would issue) racing Put on the same key while readers poll:
 // every observed state must be complete-or-absent, never torn, and the
 // file that survives must carry the full expected content. This is the
-// atomic-rename contract sweepd's at-least-once execution leans on.
+// atomic-rename contract shards sharing one store lean on.
 func TestCrossProcessPutRace(t *testing.T) {
 	dir := t.TempDir()
 	stA, err := Open(dir)
@@ -170,7 +170,7 @@ func TestCrossProcessPutRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, snap := sampleResult()
-	want, err := Encode(key, "", run, snap)
+	want, err := encode(envelope{Key: key, Run: run, Metrics: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,10 @@ func TestGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt := strings.Repeat("dd", 32)
-	if err := st.PutRaw(corrupt, []byte("{torn")); err != nil {
+	if err := os.MkdirAll(filepath.Dir(st.path(corrupt)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(corrupt), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tmp := filepath.Join(dir, "objects", "aa", ".tmp-crashed-123")
@@ -296,33 +299,33 @@ func TestGC(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip pins the wire contract sweepd relies on:
-// Decode(Encode(x)) == x, and encoding the decoded value reproduces the
-// original bytes exactly (duplicate-delivery comparison is byte-level).
+// TestEncodeDecodeRoundTrip pins the entry codec: decode(encode(x)) ==
+// x, and encoding the decoded value reproduces the original bytes
+// exactly (racing writers of one key must write identical files).
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	run, snap := sampleResult()
-	raw, err := Encode(key, "v9", run, snap)
+	raw, err := encode(envelope{Key: key, Version: "v9", Run: run, Metrics: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, v, gotRun, gotSnap, err := Decode(raw)
+	env, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != key || v != "v9" {
-		t.Errorf("key/version did not round-trip: %q %q", k, v)
+	if env.Key != key || env.Version != "v9" {
+		t.Errorf("key/version did not round-trip: %q %q", env.Key, env.Version)
 	}
-	if !reflect.DeepEqual(gotRun, run) {
+	if !reflect.DeepEqual(env.Run, run) {
 		t.Errorf("run did not round-trip")
 	}
-	again, err := Encode(k, v, gotRun, gotSnap)
+	again, err := encode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(again) != string(raw) {
 		t.Errorf("re-encoding decoded envelope changed bytes:\n%q\n%q", raw, again)
 	}
-	if _, _, _, _, err := Decode([]byte(`{"key":"x"}`)); err == nil {
+	if _, err := decode([]byte(`{"key":"x"}`)); err == nil {
 		t.Error("want error decoding incomplete envelope")
 	}
 }
