@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,11 +19,47 @@ type benchBaseline struct {
 	// entry's ns_per_op values only demonstrate parallel speedup when it
 	// is greater than one; loadBaseline enforces that the description's
 	// single-CPU caveat and this field stay consistent.
-	Cpus   int `json:"cpus"`
-	Points map[string]struct {
-		AllocsPerOp    float64 `json:"allocs_per_op"`
-		MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
-	} `json:"points"`
+	Cpus   int                    `json:"cpus"`
+	Points map[string]benchLimits `json:"points"`
+}
+
+// benchLimits is one recorded point: its allocation and heap-byte counts
+// and the ceilings CI holds them under (a zero max_bytes_per_op leaves
+// bytes ungated).
+type benchLimits struct {
+	AllocsPerOp    float64 `json:"allocs_per_op"`
+	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
+	BytesPerOp     float64 `json:"bytes_per_op"`
+	MaxBytesPerOp  float64 `json:"max_bytes_per_op"`
+}
+
+// memPerRun runs f once to warm up and once measured, as
+// testing.AllocsPerRun(1, f) does (GOMAXPROCS 1 throughout), and returns
+// the measured run's heap allocation count and bytes allocated.
+func memPerRun(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// checkLimits fails t if a measured point exceeds its BENCH.json
+// ceilings; entry names the BENCH.json entry to regenerate.
+func checkLimits(t *testing.T, entry, name string, limits benchLimits, allocs, bytes float64) {
+	t.Helper()
+	if allocs > limits.MaxAllocsPerOp {
+		t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
+			"if intentional, regenerate BENCH.json's %s entry in this PR",
+			name, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp, entry)
+	}
+	if limits.MaxBytesPerOp > 0 && bytes > limits.MaxBytesPerOp {
+		t.Errorf("%s point allocated %.0f bytes, baseline ceiling is %.0f (recorded %.0f); "+
+			"if intentional, regenerate BENCH.json's %s entry in this PR",
+			name, bytes, limits.MaxBytesPerOp, limits.BytesPerOp, entry)
+	}
 }
 
 // loadBaseline reads the named BENCH.json entry or fails the test. The
@@ -57,12 +94,13 @@ func loadBaseline(t *testing.T, name string) benchBaseline {
 
 // TestBenchmarkRegression is the benchmark-regression harness CI runs on
 // every push: it executes one end-to-end simulation point per protocol
-// (the exact configuration BenchmarkSimulatePoint measures) under
-// testing.AllocsPerRun and fails if the allocation count exceeds the
-// ceiling recorded in BENCH.json's "point" entry. Allocation counts are
-// deterministic, unlike ns/op, so this gate holds on any hardware; the
+// (the exact configuration BenchmarkSimulatePoint measures) and fails if
+// its allocation count or heap bytes exceed the ceilings recorded in
+// BENCH.json's "point" entry. Both are deterministic up to runtime
+// bookkeeping, unlike ns/op, so this gate holds on any hardware; the
 // ceilings carry ~35% headroom over the recorded baseline for runtime
-// and Go-version drift. If an intentional change raises allocations,
+// and Go-version drift. The bytes ceiling is what holds cache storage to
+// the sets a run touches. If an intentional change raises allocations,
 // regenerate the entry (see its regenerate command) in the same PR.
 func TestBenchmarkRegression(t *testing.T) {
 	if testing.Short() {
@@ -87,17 +125,16 @@ func TestBenchmarkRegression(t *testing.T) {
 			if !ok {
 				t.Fatalf("baseline names unknown protocol %q", proto)
 			}
+			if limits.MaxBytesPerOp <= 0 {
+				t.Fatalf("BENCH.json point %s records no max_bytes_per_op", proto)
+			}
 			pt := benchPoint(proto, topo, "oltp", 1)
-			allocs := testing.AllocsPerRun(1, func() {
+			allocs, bytes := memPerRun(func() {
 				if _, err := engine.RunPoint(pt); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > limits.MaxAllocsPerOp {
-				t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
-					"if intentional, regenerate BENCH.json's point entry in this PR",
-					proto, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp)
-			}
+			checkLimits(t, "point", proto, limits, allocs, bytes)
 		})
 	}
 }
@@ -132,16 +169,12 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 			pt.Ops = 200
 			pt.Warmup = 600
 			pt.Islands = islands
-			allocs := testing.AllocsPerRun(1, func() {
+			allocs, bytes := memPerRun(func() {
 				if _, err := engine.RunPoint(pt); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > limits.MaxAllocsPerOp {
-				t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
-					"if intentional, regenerate BENCH.json's islands entry in this PR",
-					name, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp)
-			}
+			checkLimits(t, "islands", name, limits, allocs, bytes)
 		})
 	}
 }

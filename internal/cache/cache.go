@@ -13,6 +13,7 @@ import (
 // Line is one cache line. The coherence protocol owns the interpretation
 // of State; Token Coherence additionally uses Tokens/Owner/Valid.
 type Line struct {
+	// Block is the block the line holds. Only the cache writes it.
 	Block msg.Block
 	// State is a protocol-defined stable-state tag (MOSI etc.).
 	State int
@@ -38,14 +39,24 @@ type Line struct {
 	Epoch uint64
 	// Data is the block payload, modelled as a write version.
 	Data uint64
-
-	lru  uint64
-	used bool
 }
 
-// Reset clears a line for reuse, preserving nothing.
-func (l *Line) Reset() {
-	*l = Line{}
+// pageSets is the number of sets a page holds. Storage is allocated a
+// page at a time, on the first allocation into one of its sets, so a
+// run pays for the sets it touches rather than for configured capacity.
+// Of 16, 32 and 64, 16 allocated the fewest bytes per 256-processor
+// point, at CPU time indistinguishable from the others; larger pages
+// trade bytes for fewer allocations.
+const pageSets = 16
+
+// page holds the ways of pageSets consecutive sets (fewer for the last
+// page of a cache whose set count is not a multiple of pageSets), each
+// array set-major. A probe reads only tags. Pages never move, so *Line
+// pointers stay valid for the life of the cache.
+type page struct {
+	tags   []uint64 // block+1 per way; 0 marks an empty way
+	stamps []uint64 // LRU stamp per way: the tick of its last touch
+	lines  []Line
 }
 
 // Cache is a set-associative cache with LRU replacement. It tracks tags
@@ -53,25 +64,30 @@ func (l *Line) Reset() {
 type Cache struct {
 	sets    int
 	assoc   int
-	lines   []Line // sets*assoc, set-major
+	pages   []*page // sets/pageSets, rounded up; nil until first allocated into
 	tick    uint64
 	entries int
 }
 
 // New builds a cache of the given total size in bytes and associativity,
-// with msg.BlockSize lines. Size must divide evenly into sets.
+// with msg.BlockSize lines. The size must be a whole number of blocks
+// that divides evenly into sets; New panics otherwise.
 func New(sizeBytes, assoc int) *Cache {
 	if sizeBytes <= 0 || assoc <= 0 {
 		panic("cache: size and associativity must be positive")
 	}
+	if sizeBytes%msg.BlockSize != 0 {
+		panic(fmt.Sprintf("cache: %d bytes is not a whole number of %d-byte blocks", sizeBytes, msg.BlockSize))
+	}
 	blocks := sizeBytes / msg.BlockSize
-	if blocks == 0 || blocks%assoc != 0 {
+	if blocks%assoc != 0 {
 		panic(fmt.Sprintf("cache: %d bytes / %d-way does not form whole sets", sizeBytes, assoc))
 	}
+	sets := blocks / assoc
 	return &Cache{
-		sets:  blocks / assoc,
+		sets:  sets,
 		assoc: assoc,
-		lines: make([]Line, blocks),
+		pages: make([]*page, (sets+pageSets-1)/pageSets),
 	}
 }
 
@@ -84,19 +100,34 @@ func (c *Cache) Assoc() int { return c.assoc }
 // Len reports the number of resident lines.
 func (c *Cache) Len() int { return c.entries }
 
-func (c *Cache) set(b msg.Block) []Line {
+// slot returns the index of b's page and of the set's first way within
+// that page.
+func (c *Cache) slot(b msg.Block) (pg, base int) {
 	s := int(uint64(b) % uint64(c.sets))
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+	return s / pageSets, (s % pageSets) * c.assoc
+}
+
+// find returns the index of b's way in the set starting at base, or -1.
+func (p *page) find(base, assoc int, b msg.Block) int {
+	tag := uint64(b) + 1
+	for i, t := range p.tags[base : base+assoc] {
+		if t == tag {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the line holding b, or nil. It does not update LRU
 // state; call Touch on use.
 func (c *Cache) Lookup(b msg.Block) *Line {
-	set := c.set(b)
-	for i := range set {
-		if set[i].used && set[i].Block == b {
-			return &set[i]
-		}
+	pg, base := c.slot(b)
+	p := c.pages[pg]
+	if p == nil {
+		return nil
+	}
+	if i := p.find(base, c.assoc, b); i >= 0 {
+		return &p.lines[i]
 	}
 	return nil
 }
@@ -104,7 +135,17 @@ func (c *Cache) Lookup(b msg.Block) *Line {
 // Touch marks the line most-recently-used.
 func (c *Cache) Touch(l *Line) {
 	c.tick++
-	l.lru = c.tick
+	pg, base := c.slot(l.Block)
+	p := c.pages[pg]
+	if p == nil {
+		return
+	}
+	for i := base; i < base+c.assoc; i++ {
+		if &p.lines[i] == l {
+			p.stamps[i] = c.tick
+			return
+		}
+	}
 }
 
 // Allocate returns a line for b, evicting the LRU line of the set if the
@@ -120,80 +161,96 @@ func (c *Cache) Allocate(b msg.Block) (line *Line, victim Line, evicted bool) {
 // which avoid returns true are evicted only when every line of the set
 // is marked avoid. Coherence controllers use it to keep lines with
 // in-flight transactions resident when possible.
+//
+// The way filled is the set's first empty way; in a full set it is the
+// least recently used way not marked avoid, else the least recently used
+// way overall.
 func (c *Cache) AllocateAvoiding(b msg.Block, avoid func(msg.Block) bool) (line *Line, victim Line, evicted bool) {
-	set := c.set(b)
-	var free *Line
-	var lruPreferred, lruAny *Line
-	for i := range set {
-		l := &set[i]
-		if l.used && l.Block == b {
+	pg, base := c.slot(b)
+	p := c.pages[pg]
+	if p == nil {
+		p = c.newPage(pg)
+	}
+	tag := uint64(b) + 1
+	way := -1
+	for i, t := range p.tags[base : base+c.assoc] {
+		if t == tag {
 			panic(fmt.Sprintf("cache: Allocate of resident block %d", b))
 		}
-		if !l.used {
-			if free == nil {
-				free = l
-			}
-			continue
-		}
-		if lruAny == nil || l.lru < lruAny.lru {
-			lruAny = l
-		}
-		if avoid == nil || !avoid(l.Block) {
-			if lruPreferred == nil || l.lru < lruPreferred.lru {
-				lruPreferred = l
-			}
+		if t == 0 && way < 0 {
+			way = base + i
 		}
 	}
-	if free == nil {
-		lru := lruPreferred
-		if lru == nil {
-			lru = lruAny
-		}
-		victim = *lru
+	if way < 0 {
+		way = p.lruWay(base, c.assoc, avoid)
+		victim = p.lines[way]
 		evicted = true
-		lru.Reset()
-		free = lru
-		c.entries--
+	} else {
+		c.entries++
 	}
-	free.used = true
-	free.Block = b
-	c.entries++
-	c.Touch(free)
-	return free, victim, evicted
+	p.tags[way] = tag
+	p.lines[way] = Line{Block: b}
+	c.tick++
+	p.stamps[way] = c.tick
+	return &p.lines[way], victim, evicted
+}
+
+// lruWay returns the way to evict from the full set starting at base:
+// the lowest stamp among ways not marked avoid, else the lowest overall,
+// the earliest way winning a tie.
+func (p *page) lruWay(base, assoc int, avoid func(msg.Block) bool) int {
+	preferred, any := -1, base
+	for i := base; i < base+assoc; i++ {
+		if p.stamps[i] < p.stamps[any] {
+			any = i
+		}
+		if avoid == nil || !avoid(msg.Block(p.tags[i]-1)) {
+			if preferred < 0 || p.stamps[i] < p.stamps[preferred] {
+				preferred = i
+			}
+		}
+	}
+	if preferred < 0 {
+		return any
+	}
+	return preferred
+}
+
+// newPage allocates page pg.
+func (c *Cache) newPage(pg int) *page {
+	ways := min(pageSets, c.sets-pg*pageSets) * c.assoc
+	meta := make([]uint64, 2*ways)
+	p := &page{tags: meta[:ways:ways], stamps: meta[ways:], lines: make([]Line, ways)}
+	c.pages[pg] = p
+	return p
 }
 
 // Remove evicts b without replacement (e.g., on invalidation). It is a
 // no-op if b is absent.
 func (c *Cache) Remove(b msg.Block) {
-	if l := c.Lookup(b); l != nil {
-		l.Reset()
+	pg, base := c.slot(b)
+	p := c.pages[pg]
+	if p == nil {
+		return
+	}
+	if i := p.find(base, c.assoc, b); i >= 0 {
+		p.tags[i] = 0
+		p.lines[i] = Line{}
 		c.entries--
 	}
 }
 
-// VictimFor returns the line that Allocate(b) would evict, or nil when a
-// free way exists. Callers use it to issue writebacks before allocating.
-func (c *Cache) VictimFor(b msg.Block) *Line {
-	set := c.set(b)
-	var lru *Line
-	for i := range set {
-		l := &set[i]
-		if !l.used {
-			return nil
-		}
-		if lru == nil || l.lru < lru.lru {
-			lru = l
-		}
-	}
-	return lru
-}
-
-// ForEach visits every resident line. The callback must not allocate or
-// remove lines.
+// ForEach visits every resident line in set-major, way order. The
+// callback must not allocate or remove lines.
 func (c *Cache) ForEach(f func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].used {
-			f(&c.lines[i])
+	for _, p := range c.pages {
+		if p == nil {
+			continue
+		}
+		for i, t := range p.tags {
+			if t != 0 {
+				f(&p.lines[i])
+			}
 		}
 	}
 }
