@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tokencoherence/internal/engine"
@@ -32,9 +33,12 @@ var goldenArgs = []string{"-ops", "200", "-warmup", "300"}
 // produced rather than against invariants alone. It builds the sweep and
 // tokensim commands and compares, against testdata/golden:
 //
-//   - whole: every sweep kind as JSONL and CSV, and tokensim -list-metrics;
+//   - whole: every sweep kind as JSONL and CSV, tokensim -list-metrics,
+//     tokensim -experiment all at a small size, and a two-seed tokenb
+//     custom point as its statistics block and as -columns CSV;
 //   - as SHA-256 + byte count: the hop-level Chrome trace of a tokenb
-//     16-processor point;
+//     16-processor point, and the stderr flight-recorder dumps of the
+//     same point under a 500ns starvation deadline;
 //   - as FNV-64a + byte count: the raw stats.Event stream (hops included)
 //     of the 64-processor points TestIslandKernelByteIdentity64 checks.
 //
@@ -51,20 +55,38 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	sweep, tokensim := filepath.Join(bin, "sweep"), filepath.Join(bin, "tokensim")
 
+	// Every subtest runs in parallel: the single-threaded points and the
+	// multi-point sweeps share the CPUs, keeping the test in CI budget.
 	golden := func(name string, produce func(t *testing.T) []byte) {
-		t.Run(name, func(t *testing.T) { checkGolden(t, name, produce(t)) })
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, name, produce(t))
+		})
 	}
 	for _, kind := range []string{"bandwidth", "procs", "tokens", "mshr"} {
-		args := append([]string{"-kind", kind}, goldenArgs...)
 		golden("sweep-"+kind+".jsonl", func(t *testing.T) []byte {
-			return runCLI(t, sweep, append(args, "-format", "json")...)
+			return runCLI(t, sweep, slices.Concat([]string{"-kind", kind, "-format", "json"}, goldenArgs)...)
 		})
-		golden("sweep-"+kind+".csv", func(t *testing.T) []byte { return runCLI(t, sweep, args...) })
+		golden("sweep-"+kind+".csv", func(t *testing.T) []byte {
+			return runCLI(t, sweep, slices.Concat([]string{"-kind", kind}, goldenArgs)...)
+		})
 	}
 	golden("tokensim-list-metrics.txt", func(t *testing.T) []byte { return runCLI(t, tokensim, "-list-metrics") })
+	golden("tokensim-experiment-all.txt", func(t *testing.T) []byte {
+		return runCLI(t, tokensim, "-experiment", "all", "-ops", "100", "-warmup", "100", "-maxprocs", "16")
+	})
+	point := []string{"-protocol", "tokenb", "-seeds", "1,2", "-ops", "200", "-warmup", "300"}
+	golden("tokensim-tokenb-seeds12.txt", func(t *testing.T) []byte { return runCLI(t, tokensim, point...) })
+	golden("tokensim-tokenb-seeds12-columns.csv", func(t *testing.T) []byte {
+		return runCLI(t, tokensim, slices.Concat(point, []string{"-columns", "seed,cycles_per_txn,reissues"})...)
+	})
+	golden("tokensim-tokenb16-deadline500ns-stderr.sha256", func(t *testing.T) []byte {
+		_, dump := runCmd(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-deadline", "500ns"}, goldenArgs)...)
+		return fmt.Appendf(nil, "sha256 %x\nbytes %d\n", sha256.Sum256(dump), len(dump))
+	})
 	golden("tokensim-tokenb16-trace-hops.sha256", func(t *testing.T) []byte {
 		path := filepath.Join(bin, "trace.json")
-		runCLI(t, tokensim, append([]string{"-protocol", "tokenb", "-procs", "16", "-trace", path, "-trace-hops"}, goldenArgs...)...)
+		runCLI(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-trace", path, "-trace-hops"}, goldenArgs)...)
 		trace, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -88,13 +110,21 @@ func TestGoldenOutputs(t *testing.T) {
 // on a non-zero exit.
 func runCLI(t *testing.T, bin string, args ...string) []byte {
 	t.Helper()
-	var stdout, stderr bytes.Buffer
+	stdout, _ := runCmd(t, bin, args...)
+	return stdout
+}
+
+// runCmd runs a built command and returns its stdout and stderr,
+// failing the test on a non-zero exit.
+func runCmd(t *testing.T, bin string, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	var out, errw bytes.Buffer
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	cmd.Stdout, cmd.Stderr = &out, &errw
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, stderr.Bytes())
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, errw.Bytes())
 	}
-	return stdout.Bytes()
+	return out.Bytes(), errw.Bytes()
 }
 
 // eventStreamDigest runs pt serially with a probe observing every event
