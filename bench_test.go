@@ -36,14 +36,13 @@ func benchPoint(proto, topo, wl string, seed uint64) engine.Point {
 // that are reissued or escalate to persistent requests.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table2(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
+		agg := runExperiment(b, "table2", benchOpt())
+		cells := agg.Cells()
 		var once, pers float64
-		for _, r := range rows {
-			once += r.ReissuedOnce / float64(len(rows))
-			pers += r.Persistent / float64(len(rows))
+		for _, c := range cells {
+			m := c.SumMisses()
+			once += m.Frac(m.ReissuedOnce) / float64(len(cells))
+			pers += m.Frac(m.Persistent) / float64(len(cells))
 		}
 		b.ReportMetric(once, "%reissued-once")
 		b.ReportMetric(pers, "%persistent")
@@ -56,12 +55,8 @@ func BenchmarkTable2(b *testing.B) {
 // bandwidth, lower with limited).
 func BenchmarkFig4a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bars, err := harness.Fig4a(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		norm := normalizedMean(bars, "tokenb-torus", "snooping-tree")
-		b.ReportMetric(norm, "tokenb-torus/snooping-tree")
+		agg := runExperiment(b, "fig4a", benchOpt())
+		b.ReportMetric(normalizedMean(agg, "tokenb-torus", "snooping-tree"), "tokenb-torus/snooping-tree")
 	}
 }
 
@@ -69,20 +64,8 @@ func BenchmarkFig4a(b *testing.B) {
 // the tree (the paper: approximately equal).
 func BenchmarkFig4b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bars, err := harness.Fig4b(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var tokenb, snooping float64
-		for _, bar := range bars {
-			switch bar.Config {
-			case "tokenb":
-				tokenb += bar.Total
-			case "snooping":
-				snooping += bar.Total
-			}
-		}
-		b.ReportMetric(tokenb/snooping, "traffic-ratio")
+		totals := trafficTotals(runExperiment(b, "fig4b", benchOpt()))
+		b.ReportMetric(totals["tokenb"]/totals["snooping"], "traffic-ratio")
 	}
 }
 
@@ -91,12 +74,9 @@ func BenchmarkFig4b(b *testing.B) {
 // 8-29% faster than Hammer).
 func BenchmarkFig5a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bars, err := harness.Fig5a(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(normalizedMean(bars, "directory", "tokenb"), "directory/tokenb")
-		b.ReportMetric(normalizedMean(bars, "hammer", "tokenb"), "hammer/tokenb")
+		agg := runExperiment(b, "fig5a", benchOpt())
+		b.ReportMetric(normalizedMean(agg, "directory", "tokenb"), "directory/tokenb")
+		b.ReportMetric(normalizedMean(agg, "hammer", "tokenb"), "hammer/tokenb")
 	}
 }
 
@@ -104,14 +84,7 @@ func BenchmarkFig5a(b *testing.B) {
 // paper: Hammer 1.79-1.90x TokenB; Directory 0.75-0.79x TokenB).
 func BenchmarkFig5b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bars, err := harness.Fig5b(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		totals := map[string]float64{}
-		for _, bar := range bars {
-			totals[bar.Config] += bar.Total
-		}
+		totals := trafficTotals(runExperiment(b, "fig5b", benchOpt()))
 		b.ReportMetric(totals["hammer"]/totals["tokenb"], "hammer/tokenb")
 		b.ReportMetric(totals["directory"]/totals["tokenb"], "directory/tokenb")
 	}
@@ -122,29 +95,34 @@ func BenchmarkFig5b(b *testing.B) {
 // at 64).
 func BenchmarkScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Scaling(harness.Options{Ops: 500, Warmup: 1200}, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.TrafficRatio, fmt.Sprintf("ratio@%dp", r.Procs))
+		agg := runExperiment(b, "scaling", harness.Options{Ops: 500, Warmup: 1200, MaxProcs: 64})
+		for procs := 4; procs <= 64; procs *= 2 {
+			b.ReportMetric(harness.TrafficRatio(agg, procs), fmt.Sprintf("ratio@%dp", procs))
 		}
 	}
 }
 
-// normalizedMean averages cfg's runtime normalized to base per workload.
-func normalizedMean(bars []harness.RuntimeBar, cfg, base string) float64 {
-	baseline := map[string]float64{}
-	for _, bar := range bars {
-		if bar.Config == base {
-			baseline[bar.Workload] = bar.Cycles
-		}
+// runExperiment runs a catalogue experiment into its per-cell
+// aggregates.
+func runExperiment(b *testing.B, name string, opt harness.Options) *engine.AggregateSink {
+	agg, err := harness.Run(name, opt)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return agg
+}
+
+// normalizedMean averages cfg's limited-bandwidth runtime normalized to
+// base per workload.
+func normalizedMean(agg *engine.AggregateSink, cfg, base string) float64 {
 	var sum float64
 	var n int
-	for _, bar := range bars {
-		if bar.Config == cfg && baseline[bar.Workload] > 0 {
-			sum += bar.Cycles / baseline[bar.Workload]
+	for _, c := range agg.Cells() {
+		if c.Variant != cfg || c.Unlimited {
+			continue
+		}
+		if v := agg.Find(base, c.Workload, "", false).MeanCyclesPerTxn(); v > 0 {
+			sum += c.MeanCyclesPerTxn() / v
 			n++
 		}
 	}
@@ -152,6 +130,15 @@ func normalizedMean(bars []harness.RuntimeBar, cfg, base string) float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// trafficTotals sums bytes per miss over workloads, per variant.
+func trafficTotals(agg *engine.AggregateSink) map[string]float64 {
+	totals := map[string]float64{}
+	for _, c := range agg.Cells() {
+		totals[c.Variant] += c.MeanBytesPerMiss()
+	}
+	return totals
 }
 
 // --- Ablations ----------------------------------------------------------

@@ -1,31 +1,56 @@
-// Command tokensim runs the Token Coherence reproduction's experiments
-// and custom simulation points from the command line.
+// Command tokensim runs the Token Coherence reproduction from the
+// command line: the experiment catalogue (the paper's tables and
+// figures, the scaling study and the parameter sweeps) and custom
+// simulation points.
 //
 // Usage:
 //
 //	tokensim -experiment table2|fig4a|fig4b|fig5a|fig5b|scaling|all
+//	tokensim -experiment bandwidth|procs|tokens|mshr -workload apache
 //	tokensim -protocol tokenb -topo torus -workload oltp -ops 4000
 //	tokensim -protocol tokenb -columns seed,cycles_per_txn,reissues
-//	tokensim -list
-//	tokensim -list-config
-//	tokensim -list-metrics
+//	tokensim -list | -list-config | -list-metrics
+//	tokensim merge s0.jsonl s1.jsonl
+//	tokensim store gc -store DIR [-dry-run]
 //
-// Experiments print the corresponding paper table/figure rows; a custom
-// point prints its full statistics, or — with -columns — one CSV row per
-// seed selecting any published metric by name (-list-metrics shows the
-// schema). With -store DIR the custom point reads and fills the same
-// content-addressed result store the sweep command uses: seeds already
-// archived print instantly from the store, byte-identically.
+// A paper experiment prints its table ('all' prints every table), a
+// parameter sweep prints one CSV row per point, and a custom point
+// prints its statistics block per seed. -format csv or -columns selects
+// CSV rows of any run, with any published metric by name (-list-metrics
+// shows the schema); -format json emits one JSON line per point with
+// the full metric map. Every point is an independent deterministic
+// simulation run on a bounded worker pool (-parallel, default one per
+// CPU), so the output is identical at any parallelism.
+//
+// Any run can use a content-addressed result store:
+//
+//	tokensim -experiment procs -store results/           # archive every point
+//	tokensim -experiment procs -store results/ -resume   # recall what's archived
+//	tokensim -experiment procs -store results/ -resume -format json -shard 0/2 > s0.jsonl
+//	tokensim -experiment procs -store results/ -resume -format json -shard 1/2 > s1.jsonl
+//	tokensim merge s0.jsonl s1.jsonl                     # back to plan order
+//
+// -store archives each completed point under its content hash
+// (engine.PointKey) as it finishes, so a killed run re-run with -resume
+// recomputes only the missing points and prints byte-identical output.
+// -shard i/N runs one slice of the plan; the shards may run on separate
+// machines, with or without a shared store, and merge reassembles their
+// JSONL outputs byte-exactly once the files are copied to one place.
+// `tokensim store gc -store results/` prunes entries stamped by older
+// simulator versions, which no current binary could ever reuse.
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +62,6 @@ import (
 	"tokencoherence/internal/registry"
 	"tokencoherence/internal/resultstore"
 	"tokencoherence/internal/sim"
-	"tokencoherence/internal/stats"
 	"tokencoherence/internal/trace"
 )
 
@@ -51,39 +75,55 @@ func main() {
 	}
 }
 
-// run parses args and executes the requested experiment or custom point,
-// writing to stdout. It is the testable body of main.
+// run parses args and executes the requested experiments or custom
+// point, writing results to stdout and diagnostics to stderr. It is the
+// testable body of main.
 func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "merge":
+			return runMerge(args[1:], stdout, stderr)
+		case "store":
+			return runStore(args[1:], stdout, stderr)
+		}
+	}
 	fs := flag.NewFlagSet("tokensim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "", "experiment to reproduce: "+strings.Join(harness.Experiments(), ", ")+", or 'all'")
-		protocol   = fs.String("protocol", "tokenb", "protocol for a custom run: "+strings.Join(registry.ProtocolNames(), ", "))
-		topo       = fs.String("topo", "torus", "interconnect: "+strings.Join(registry.TopologyNames(), ", "))
-		wl         = fs.String("workload", "oltp", "workload: "+strings.Join(registry.WorkloadNames(), ", "))
+		experiment = fs.String("experiment", "", "experiment to run: "+strings.Join(harness.Experiments(), ", ")+", or 'all' for every paper table (default: a custom point)")
+		protocol   = fs.String("protocol", "tokenb", "custom point's protocol: "+strings.Join(registry.ProtocolNames(), ", "))
+		topo       = fs.String("topo", "torus", "custom point's interconnect: "+strings.Join(registry.TopologyNames(), ", "))
+		wl         = fs.String("workload", "oltp", "workload of a custom point or parameter sweep: "+strings.Join(registry.WorkloadNames(), ", "))
 		procs      = fs.Int("procs", 16, "number of processors")
-		maxProcs   = fs.Int("maxprocs", 0, "largest system size the scaling experiment sweeps, up to 256 (default 64)")
-		ops        = fs.Int("ops", 4000, "measured operations per processor")
-		warmup     = fs.Int("warmup", 0, "warmup operations per processor (default 2x ops; negative for a cold-cache run)")
+		maxProcs   = fs.Int("maxprocs", 0, "largest system size the scaling and procs experiments sweep, up to 256 (default 64)")
+		ops        = fs.Int("ops", 0, "measured operations per processor (default 4000, or 2000 for the parameter sweeps)")
+		warmup     = fs.Int("warmup", 0, "warmup operations per processor (default 2x ops, or 5000 for the parameter sweeps; negative for a cold-cache run)")
 		seeds      = fs.String("seeds", "1", "comma-separated seeds")
-		parallel   = fs.Int("parallel", 0, "worker pool size for multi-point runs (0 = one per CPU)")
+		parallel   = fs.Int("parallel", 0, "worker pool size (0 = one per CPU)")
 		islands    = fs.Int("islands", 0, "conservative-parallel islands per point (0 or 1 = serial kernel; results are byte-identical at any count)")
-		unlimited  = fs.Bool("unlimited", false, "unlimited link bandwidth")
-		perfectDir = fs.Bool("perfect-dir", false, "zero-latency directory lookup")
+		unlimited  = fs.Bool("unlimited", false, "custom point: unlimited link bandwidth")
+		perfectDir = fs.Bool("perfect-dir", false, "custom point: zero-latency directory lookup")
+		format     = fs.String("format", "", "emit rows as csv or json (JSON lines with the full metric map) instead of the default text output")
+		columns    = fs.String("columns", "", "emit CSV with these comma-separated columns (identity fields, metric names, sweep tags) instead of the defaults")
 		listConfig = fs.Bool("list-config", false, "print the Table 1 system parameters and exit")
 		list       = fs.Bool("list", false, "list registered protocols, policies, topologies, workloads, probes, and experiments, then exit")
-		columns    = fs.String("columns", "", "emit the custom point as CSV with these comma-separated columns (identity fields and metric names) instead of the statistics block")
-		listMet    = fs.Bool("list-metrics", false, "list the metric schema of the selected protocol/topo/workload, then exit")
-		traceOut   = fs.String("trace", "", "write the custom point's transaction trace to this file as Chrome trace-event JSON (load in chrome://tracing or Perfetto); multiple seeds write one file each with a -seedN suffix")
+		listMet    = fs.Bool("list-metrics", false, "list the metric schema of the selected experiment or custom point, then exit")
+		traceDir   = fs.String("trace", "", "write one Chrome trace-event JSON file per point into this directory (load in chrome://tracing or Perfetto)")
 		traceHops  = fs.Bool("trace-hops", false, "include per-link network hops in -trace output (roughly 100x more events)")
-		recorder   = fs.Int("flight-recorder", 0, "flight-recorder ring size in events for the custom point (0 = default 512, negative disables)")
-		deadline   = fs.Duration("deadline", 0, "starvation deadline for the custom point's flight recorder: a transaction exceeding this simulated latency dumps the recorder (0 = default 50ms, negative disables)")
-		storeDir   = fs.String("store", "", "content-addressed result store for the custom point: archived seeds are recalled instead of re-simulated, computed ones are archived (shared with sweep -store)")
+		recorder   = fs.Int("flight-recorder", 0, "flight-recorder ring size in events (0 = default 512, negative disables)")
+		deadline   = fs.Duration("deadline", 0, "starvation deadline for the flight recorder: a transaction exceeding this simulated latency dumps the recorder to stderr (0 = default 50ms, negative disables)")
+		progress   = fs.Bool("progress", false, "report progress on stderr")
+		httpAddr   = fs.String("http", "", "serve live telemetry on this address while the run executes (expvar at /debug/vars, profiles at /debug/pprof/)")
+		storeDir   = fs.String("store", "", "archive each completed point in this content-addressed result store directory (created if missing)")
+		resume     = fs.Bool("resume", false, "recall archived results from -store instead of recomputing them (resume mode)")
+		shard      = fs.String("shard", "", "run only shard i of N cooperating processes, as i/N (requires -format json; reassemble with 'tokensim merge')")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand or stray argument %q (subcommands: merge, store)", fs.Arg(0))
+	}
 	if *list {
 		printComponents(stdout)
 		return nil
@@ -92,180 +132,435 @@ func run(args []string, stdout, stderr io.Writer) error {
 		printConfig(stdout)
 		return nil
 	}
-	if *listMet {
-		descs, err := engine.MetricSchema(engine.Point{
-			Protocol: *protocol, Topo: *topo, Workload: *wl, Procs: *procs,
-		})
-		if err != nil {
+	if *resume && *storeDir == "" {
+		return fmt.Errorf("-resume recalls archived results and requires -store")
+	}
+	switch *format {
+	case "", "csv":
+	case "json":
+		if *columns != "" {
+			return fmt.Errorf("-columns selects CSV columns and cannot be combined with -format json (JSONL already carries the full metric map)")
+		}
+	default:
+		return fmt.Errorf("unknown format %q (want csv or json)", *format)
+	}
+	var shardIdx, shardCount int
+	if *shard != "" {
+		var err error
+		if shardIdx, shardCount, err = parseShardSpec(*shard); err != nil {
 			return err
 		}
-		return engine.WriteMetricSchema(stdout, descs)
+		if *format != "json" {
+			return fmt.Errorf("-shard emits mergeable JSONL and requires -format json")
+		}
 	}
-
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
 		return err
 	}
+	opt := harness.Options{Ops: *ops, Warmup: *warmup, Procs: *procs, MaxProcs: *maxProcs, Seeds: seedList,
+		Parallel: *parallel, Islands: *islands, Workload: *wl}
 
-	opt := harness.Options{Ops: *ops, Warmup: *warmup, Procs: *procs, MaxProcs: *maxProcs, Seeds: seedList, Parallel: *parallel, Islands: *islands}
+	// The runs: the selected catalogue entries, or a custom point as a
+	// one-variant plan over the seed axis (nameless, with no printer).
+	var entries []harness.Experiment
+	switch *experiment {
+	case "":
+		point := engine.Point{Protocol: *protocol, Topo: *topo, Workload: *wl, Unlimited: *unlimited, PerfectDir: *perfectDir}
+		entries = []harness.Experiment{{Plan: func(o harness.Options) engine.Plan {
+			return o.Plan([]engine.Variant{{Point: point}})
+		}}}
+	case "all":
+		for _, e := range harness.Catalogue() {
+			if e.Print != nil {
+				entries = append(entries, e)
+			}
+		}
+	default:
+		e, err := harness.Lookup(*experiment)
+		if err != nil {
+			return err
+		}
+		entries = []harness.Experiment{e}
+	}
 	if *experiment != "" {
-		if *columns != "" {
-			return fmt.Errorf("-columns applies to custom points and cannot be combined with -experiment (experiments print fixed paper-style tables)")
+		// The custom point's flags would otherwise be silently ignored.
+		var pointFlags []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "protocol", "topo", "unlimited", "perfect-dir":
+				pointFlags = append(pointFlags, "-"+f.Name)
+			}
+		})
+		if len(pointFlags) > 0 {
+			return fmt.Errorf("custom-point flag(s) %s cannot be combined with -experiment", strings.Join(pointFlags, ", "))
 		}
-		if *traceOut != "" || *recorder != 0 || *deadline != 0 {
-			return fmt.Errorf("-trace, -flight-recorder, and -deadline apply to custom points and cannot be combined with -experiment")
-		}
-		if *storeDir != "" {
-			return fmt.Errorf("-store applies to custom points and cannot be combined with -experiment (archive experiment grids with sweep -store)")
-		}
-		names := []string{*experiment}
-		if *experiment == "all" {
-			names = harness.Experiments()
-		}
-		for _, name := range names {
-			if err := harness.RunExperiment(stdout, name, opt); err != nil {
+	}
+	if *listMet {
+		for _, e := range entries {
+			descs, err := engine.PlanMetricSchema(e.Plan(e.Defaults(opt)))
+			if err != nil {
 				return err
 			}
-			fmt.Fprintln(stdout)
+			if err := engine.WriteMetricSchema(stdout, descs); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 
-	// A custom point is a one-variant plan over the seed axis, executed
-	// on the engine's worker pool (results are printed in seed order
-	// regardless of parallelism).
-	w := *warmup
-	switch {
-	case w < 0:
-		w = engine.NoWarmup // explicitly cold: zero warmup operations
-	case w == 0:
-		w = 2 * *ops
-	}
-	point := engine.Point{
-		Protocol: *protocol, Topo: *topo, Workload: *wl,
-		Unlimited: *unlimited, PerfectDir: *perfectDir,
-	}
-	// Flight-recorder dumps from parallel seeds go to stderr through one
-	// mutex-serialized writer, each dump as a single write.
+	// Progress lines, flight-recorder dumps, and telemetry notices all go
+	// to stderr through one mutex-serialized writer, each as a single
+	// Write, so parallel workers never tear each other's lines.
 	errw := trace.NewSyncWriter(stderr)
-	size, dl := *recorder, *deadline
-	point.Mutate = func(c *machine.Config) {
-		c.DebugLog = errw
-		if size != 0 {
-			c.RecorderSize = size
-		}
-		if dl != 0 {
-			c.StarvationDeadline = sim.Time(dl.Nanoseconds()) * sim.Nanosecond
-		}
+	r := &runner{
+		eng:      engine.Engine{Workers: *parallel, Shard: shardIdx, Shards: shardCount},
+		errw:     errw,
+		progress: *progress,
+		storeDir: *storeDir,
+		config: func(c *machine.Config) {
+			c.DebugLog = errw
+			if *recorder != 0 {
+				c.RecorderSize = *recorder
+			}
+			if *deadline != 0 {
+				c.StarvationDeadline = sim.Time(deadline.Nanoseconds()) * sim.Nanosecond
+			}
+		},
 	}
-	plan := engine.Plan{
-		Variants: []engine.Variant{{Point: point}},
-		Seeds:    opt.Seeds,
-		Ops:      *ops,
-		Warmup:   w,
-		Procs:    *procs,
-		Islands:  *islands,
-	}
-	eng := engine.Engine{Workers: *parallel}
+	var store *resultstore.Store
 	if *storeDir != "" {
-		st, serr := resultstore.Open(*storeDir)
-		if serr != nil {
-			return serr
+		if store, err = resultstore.Open(*storeDir); err != nil {
+			return err
 		}
-		// Version-stamp new entries so `sweep store gc` can prune them
-		// once the simulator version moves on.
-		st.SetVersion(engine.CodeVersion)
-		eng.Store = st
-		eng.Reuse = true
+		// Stamp new entries with this binary's simulator version so
+		// `tokensim store gc` can later prune entries no current binary
+		// could ever reuse.
+		store.SetVersion(engine.CodeVersion)
+		r.eng.Store, r.eng.Reuse = store, *resume
 	}
-	var tracers *jobTracers
-	if *traceOut != "" {
-		tracers = &jobTracers{hops: *traceHops, m: make(map[int]*trace.Tracer)}
-		eng.Attach = tracers.attach
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			return err
+		}
+		r.tracers = &pointTracers{dir: *traceDir, hops: *traceHops, m: make(map[int]*trace.Tracer)}
+		r.eng.Attach = r.tracers.attach
+	}
+	if *httpAddr != "" {
+		workers := *parallel
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if r.tel, err = startTelemetry(*httpAddr, workers, store, errw); err != nil {
+			return err
+		}
+		defer r.tel.stop()
 	}
 
-	var results []engine.Result
-	if *columns != "" {
-		// CSV mode: stream the selected identity/metric columns per seed,
-		// rejecting names the point's schema cannot satisfy.
-		names := engine.SplitColumnSpec(*columns)
-		if len(names) == 0 {
-			return fmt.Errorf("-columns %q names no columns", *columns)
-		}
-		descs, merr := engine.MetricSchema(plan.Variants[0].Point)
-		if merr != nil {
-			return merr
-		}
-		if unknown := engine.UnknownColumns(names, descs, nil); len(unknown) > 0 {
-			return fmt.Errorf("unknown column(s) %s (identity fields or metric names from -list-metrics)",
-				strings.Join(unknown, ", "))
-		}
-		sink := &engine.CSVSink{W: stdout, Columns: engine.ColumnsByName(names)}
-		results, err = eng.Execute(context.Background(), plan, sink)
-	} else {
-		results, err = eng.Execute(context.Background(), plan)
-		// Print the completed seeds up to the first failure even when a
-		// later seed errored, as the serial loop used to.
-		for _, r := range results {
-			if r.Err != nil || r.Run == nil {
-				break
+	for _, e := range entries {
+		o := e.Defaults(opt)
+		plan := e.Plan(o)
+		cols := e.Columns
+		if *columns != "" {
+			if cols, err = selectColumns(*columns, plan); err != nil {
+				return err
 			}
-			printRun(stdout, fmt.Sprintf("%s/%s/%s seed=%d", *protocol, *topo, *wl, r.Point.Seed), r.Run)
+		}
+		// More shards than points means some shard indices own nothing:
+		// legal (the merge still reassembles correctly) but almost always
+		// a mis-sized -shard spec, so say so instead of silently emitting
+		// an empty file.
+		if jobs, err := plan.Jobs(); err == nil && shardCount > len(jobs) {
+			fmt.Fprintf(stderr, "sweep: warning: -shard %s splits a %d-point plan %d ways; shards >= %d will be empty\n",
+				*shard, len(jobs), shardCount, len(jobs))
+		}
+
+		// Rows reach stdout in large writes; the flush after execute runs
+		// on every exit path, so an interrupted run still leaves a
+		// complete, parseable partial file.
+		out := bufio.NewWriter(stdout)
+		text := *format == "" && *columns == ""
+		table := text && e.Print != nil
+		var agg engine.AggregateSink
+		var sink engine.Sink = &engine.CSVSink{W: out, Columns: cols}
+		switch {
+		case shardCount > 0:
+			sink = newShardSink(out, shardIdx, shardCount)
+		case *format == "json":
+			sink = &engine.JSONLSink{W: out}
+		case table:
+			sink = &agg
+		case text && *experiment == "":
+			sink = &statsSink{w: out}
+		}
+		err := r.execute(plan, sink)
+		if err == nil && table {
+			e.Print(out, &agg, o)
+			fmt.Fprintln(out)
+		}
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if tracers != nil {
-		if terr := tracers.writeFiles(*traceOut, results); terr != nil && err == nil {
-			err = terr
+	return nil
+}
+
+// runner executes plans with the command's execution flags: worker
+// pool, shard, result store, tracers, telemetry, progress, and the
+// flight-recorder configuration.
+type runner struct {
+	eng      engine.Engine
+	errw     io.Writer
+	progress bool
+	storeDir string
+	tracers  *pointTracers
+	tel      *telemetry
+	// config is applied to every point's machine configuration before
+	// the variant's own Mutate and the plan's mutation axis.
+	config func(*machine.Config)
+}
+
+// execute runs plan on the worker pool, streaming its results into sink
+// in plan order.
+func (r *runner) execute(plan engine.Plan, sink engine.Sink) error {
+	variants := make([]engine.Variant, len(plan.Variants))
+	for i, v := range plan.Variants {
+		prev := v.Point.Mutate
+		v.Point.Mutate = func(c *machine.Config) {
+			r.config(c)
+			if prev != nil {
+				prev(c)
+			}
 		}
+		variants[i] = v
+	}
+	plan.Variants = variants
+
+	eng := r.eng
+	var flushErr error
+	if r.progress || r.tracers != nil || r.tel != nil {
+		eng.Progress = func(p engine.Progress) {
+			if r.tracers != nil {
+				if err := r.tracers.flush(p.Last); err != nil && flushErr == nil {
+					flushErr = err
+				}
+			}
+			if r.tel != nil {
+				r.tel.update(p)
+			}
+			if r.progress {
+				status := "ok"
+				if p.Last.Err != nil {
+					status = "FAILED"
+				}
+				line := fmt.Sprintf("sweep: %d/%d %s seed=%d %s\n", p.Done, p.Total, jobName(p.Last.Job, "/"), p.Last.Point.Seed, status)
+				if p.Done == p.Total {
+					summary := fmt.Sprintf("sweep: %d/%d points", p.Done, p.Total)
+					if p.Failed > 0 {
+						summary += fmt.Sprintf(", %d failed", p.Failed)
+					}
+					line += summary + "\n"
+				}
+				io.WriteString(r.errw, line) //nolint:errcheck // progress is best effort
+			}
+		}
+	}
+
+	// Ctrl-C cancels the plan instead of killing the process mid-write:
+	// the engine stops dispatching and returns, the caller flushes the
+	// completed rows, and with -store every completed point is already
+	// archived for -resume.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	_, err := eng.Execute(ctx, plan, sink)
+	if err == nil {
+		err = flushErr
+	}
+	if errors.Is(err, context.Canceled) {
+		hint := ""
+		if r.storeDir != "" {
+			hint = "; re-run with -store " + r.storeDir + " -resume to continue"
+		}
+		err = fmt.Errorf("interrupted (completed points are flushed%s)", hint)
 	}
 	return err
 }
 
-// jobTracers attaches one transaction tracer per seed and writes the
-// trace files after the run. Attach runs on the engine's worker
-// goroutines, so the map is mutex-protected.
-type jobTracers struct {
+// statsSink prints a custom point's statistics block per seed. A failed
+// seed leaves a gap in the emitted indices and the blocks stop there, so
+// the output is the seeds completed before the first failure.
+type statsSink struct {
+	w    io.Writer
+	next int
+}
+
+func (s *statsSink) Begin(int) error { return nil }
+
+func (s *statsSink) Emit(r engine.Result) error {
+	if r.Index != s.next {
+		return nil
+	}
+	s.next++
+	run, m, w := r.Run, r.Run.Misses, s.w
+	fmt.Fprintf(w, "%s/%s/%s seed=%d\n", r.Point.Protocol, r.Point.Topo, r.Point.Workload, r.Point.Seed)
+	fmt.Fprintf(w, "  elapsed          %v\n", run.Elapsed)
+	fmt.Fprintf(w, "  transactions     %d (%.1f cycles/txn)\n", run.Transactions, run.CyclesPerTransaction())
+	fmt.Fprintf(w, "  accesses         %d (L1 %.1f%%, L2 %.1f%%, miss %.2f%%)\n",
+		run.Accesses,
+		pct(run.L1Hits, run.Accesses), pct(run.L2Hits, run.Accesses), pct(m.Issued, run.Accesses))
+	fmt.Fprintf(w, "  avg miss latency %v\n", run.AvgMissLatency())
+	fmt.Fprintf(w, "  misses           %d: %.2f%% first try, %.2f%% reissued once, %.2f%% more, %.3f%% persistent\n",
+		m.Issued, m.Frac(m.NotReissued()), m.Frac(m.ReissuedOnce), m.Frac(m.ReissuedMore), m.Frac(m.Persistent))
+	_, err := fmt.Fprintf(w, "  traffic          %.1f bytes/miss (requests %.1f, reissue+persistent %.1f, control %.1f, data %.1f)\n",
+		run.BytesPerMiss(),
+		run.CategoryBytesPerMiss(msg.CatRequest), run.CategoryBytesPerMiss(msg.CatReissue),
+		run.CategoryBytesPerMiss(msg.CatControl), run.CategoryBytesPerMiss(msg.CatData))
+	return err
+}
+
+func pct(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
+}
+
+// selectColumns resolves a -columns spec against the plan, rejecting
+// names that match neither an identity field, a metric of the plan's
+// schema (unioned across its protocols), nor one of its mutation tags —
+// a typo would otherwise render silent empty cells.
+func selectColumns(spec string, plan engine.Plan) ([]engine.Column, error) {
+	names := engine.SplitColumnSpec(spec)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("-columns %q names no columns", spec)
+	}
+	descs, err := engine.PlanMetricSchema(plan)
+	if err != nil {
+		return nil, err
+	}
+	var tags []string
+	seen := map[string]bool{}
+	for _, mut := range plan.Mutations {
+		for tag := range mut.Tags {
+			if !seen[tag] {
+				seen[tag] = true
+				tags = append(tags, tag)
+			}
+		}
+	}
+	if unknown := engine.UnknownColumns(names, descs, tags); len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown column(s) %s (identity fields, metric names from -list-metrics, or this experiment's tags %v)",
+			strings.Join(unknown, ", "), tags)
+	}
+	return engine.ColumnsByName(names), nil
+}
+
+// jobName joins a job's plan coordinates — variant, workload, mutation
+// — with sep, for progress lines and trace file names.
+func jobName(job engine.Job, sep string) string {
+	parts := []string{job.Variant}
+	if wl := job.Point.Workload; wl != "" {
+		parts = append(parts, wl)
+	}
+	if job.Mutation != "" {
+		parts = append(parts, job.Mutation)
+	}
+	return strings.Join(parts, sep)
+}
+
+// pointTracers attaches one transaction tracer per job and writes each
+// job's trace file once the job completes. Attach runs on worker
+// goroutines, so the index map is mutex-protected; flush runs on the
+// engine's single collector goroutine, bounding buffered traces to the
+// in-flight jobs.
+type pointTracers struct {
+	dir  string
 	hops bool
 	mu   sync.Mutex
 	m    map[int]*trace.Tracer
 }
 
-func (jt *jobTracers) attach(job engine.Job) func(*machine.System) {
-	t := trace.NewTracer(trace.TracerConfig{Hops: jt.hops})
-	jt.mu.Lock()
-	jt.m[job.Index] = t
-	jt.mu.Unlock()
+func (pt *pointTracers) attach(job engine.Job) func(*machine.System) {
+	t := trace.NewTracer(trace.TracerConfig{Hops: pt.hops})
+	pt.mu.Lock()
+	pt.m[job.Index] = t
+	pt.mu.Unlock()
 	return func(sys *machine.System) { sys.Observe(t.Observer()) }
 }
 
-// writeFiles writes one trace per executed job: to base itself for a
-// single seed, to base with a -seedN suffix (before the extension) when
-// several seeds ran.
-func (jt *jobTracers) writeFiles(base string, results []engine.Result) error {
-	for _, r := range results {
-		jt.mu.Lock()
-		t := jt.m[r.Index]
-		jt.mu.Unlock()
-		if t == nil {
-			continue // job never ran
-		}
-		name := base
-		if len(results) > 1 {
-			ext := filepath.Ext(base)
-			name = strings.TrimSuffix(base, ext) + fmt.Sprintf("-seed%d", r.Point.Seed) + ext
-		}
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		if err := t.Export(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+func (pt *pointTracers) flush(r *engine.Result) error {
+	pt.mu.Lock()
+	t := pt.m[r.Index]
+	delete(pt.m, r.Index)
+	pt.mu.Unlock()
+	if t == nil {
+		return nil // job was skipped or recalled from the store
 	}
+	// The name is stable across runs and parallelism; sanitizeFile maps
+	// the mutation axis's "/" and "=" to underscores.
+	name := fmt.Sprintf("point-%04d-%s-seed%d.json", r.Index, jobName(r.Job, "-"), r.Point.Seed)
+	f, err := os.Create(filepath.Join(pt.dir, sanitizeFile(name)))
+	if err != nil {
+		return err
+	}
+	if err := t.Export(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// sanitizeFile maps characters that are awkward in file names (the
+// mutation axis uses "/" and "=") to underscores.
+func sanitizeFile(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '_', r == '.':
+			return r
+		}
+		return '_'
+	}, s)
+}
+
+// runStore is the `tokensim store` subcommand group. Its one verb, gc,
+// prunes archived envelopes whose embedded version stamp no longer
+// matches this binary's engine.CodeVersion — entries a resumed run
+// could never reuse — and sweeps crashed Puts' orphaned temp files.
+func runStore(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 || args[0] != "gc" {
+		fmt.Fprintln(stderr, "usage: tokensim store gc -store DIR [-dry-run]")
+		return fmt.Errorf("store: unknown verb %q (want gc)", strings.Join(args, " "))
+	}
+	fs := flag.NewFlagSet("tokensim store gc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		storeDir = fs.String("store", "", "result store directory to collect (required)")
+		dryRun   = fs.Bool("dry-run", false, "report what would be pruned without removing anything")
+	)
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if *storeDir == "" {
+		return fmt.Errorf("store gc: -store is required")
+	}
+	st, err := resultstore.Open(*storeDir)
+	if err != nil {
+		return err
+	}
+	got, err := st.GC(engine.CodeVersion, *dryRun)
+	if err != nil {
+		return err
+	}
+	verb := "pruned"
+	if *dryRun {
+		verb = "would prune"
+	}
+	fmt.Fprintf(stdout, "store gc: kept %d current objects; %s %d stale objects (%d bytes) and %d orphaned temp files [version %s]\n",
+		got.Kept, verb, got.Pruned, got.PrunedBytes, got.Temps, engine.CodeVersion)
 	return nil
 }
 
@@ -281,32 +576,8 @@ func parseSeeds(s string) ([]uint64, error) {
 	return out, nil
 }
 
-func printRun(w io.Writer, label string, run *stats.Run) {
-	m := run.Misses
-	fmt.Fprintf(w, "%s\n", label)
-	fmt.Fprintf(w, "  elapsed          %v\n", run.Elapsed)
-	fmt.Fprintf(w, "  transactions     %d (%.1f cycles/txn)\n", run.Transactions, run.CyclesPerTransaction())
-	fmt.Fprintf(w, "  accesses         %d (L1 %.1f%%, L2 %.1f%%, miss %.2f%%)\n",
-		run.Accesses,
-		pct(run.L1Hits, run.Accesses), pct(run.L2Hits, run.Accesses), pct(m.Issued, run.Accesses))
-	fmt.Fprintf(w, "  avg miss latency %v\n", run.AvgMissLatency())
-	fmt.Fprintf(w, "  misses           %d: %.2f%% first try, %.2f%% reissued once, %.2f%% more, %.3f%% persistent\n",
-		m.Issued, m.Frac(m.NotReissued()), m.Frac(m.ReissuedOnce), m.Frac(m.ReissuedMore), m.Frac(m.Persistent))
-	fmt.Fprintf(w, "  traffic          %.1f bytes/miss (requests %.1f, reissue+persistent %.1f, control %.1f, data %.1f)\n",
-		run.BytesPerMiss(),
-		run.CategoryBytesPerMiss(msg.CatRequest), run.CategoryBytesPerMiss(msg.CatReissue),
-		run.CategoryBytesPerMiss(msg.CatControl), run.CategoryBytesPerMiss(msg.CatData))
-}
-
-func pct(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
-}
-
 // printComponents enumerates the registry-resolved components and the
-// harness experiments, so users discover what the flags accept —
+// experiment catalogue, so users discover what the flags accept —
 // including anything registered beyond the built-ins.
 func printComponents(w io.Writer) {
 	fmt.Fprintf(w, "protocols:   %s\n", strings.Join(registry.AnnotatedProtocolNames(), ", "))

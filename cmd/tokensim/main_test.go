@@ -84,6 +84,19 @@ func TestBadFlagValues(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &out, &errw); err == nil {
 		t.Fatal("unknown flag did not error")
 	}
+	// The custom point's flags would be silently ignored by an
+	// experiment, so combining them is an error.
+	for _, extra := range [][]string{
+		{"-unlimited"},
+		{"-perfect-dir"},
+		{"-protocol", "hammer"},
+		{"-topo", "tree"},
+	} {
+		err := run(append([]string{"-experiment", "table2"}, extra...), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), extra[0]) || !strings.Contains(err.Error(), "-experiment") {
+			t.Errorf("-experiment table2 %v: err = %v, want rejection", extra, err)
+		}
+	}
 }
 
 func TestListComponents(t *testing.T) {
@@ -98,7 +111,7 @@ func TestListComponents(t *testing.T) {
 		"policies:",
 		"topologies:", "torus", "tree",
 		"workloads:", "apache", "oltp", "specjbb", "barnes",
-		"experiments:", "table2", "fig4a", "fig4b", "fig5a", "fig5b", "scaling",
+		"experiments:", "table2", "fig4a", "fig4b", "fig5a", "fig5b", "scaling", "bandwidth", "procs", "tokens", "mshr",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("-list output missing %q:\n%s", want, got)
@@ -152,9 +165,9 @@ func TestColumnsFlag(t *testing.T) {
 
 func TestColumnsFlagConflictsAndTypos(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := run([]string{"-experiment", "table2", "-columns", "seed"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "-experiment") {
-		t.Fatalf("-columns with -experiment: err = %v, want rejection", err)
+	err := run([]string{"-protocol", "tokenb", "-format", "json", "-columns", "seed"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "-columns") {
+		t.Fatalf("-columns with -format json: err = %v, want rejection", err)
 	}
 	err = run([]string{"-protocol", "tokenb", "-columns", "seed,cycles_per_tx"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "cycles_per_tx") {

@@ -90,25 +90,17 @@ func (s *shardSink) Emit(r engine.Result) error {
 	return err
 }
 
-// End implements engine.EndSink, flushing the buffered output writer.
-func (s *shardSink) End() error {
-	if f, ok := s.w.(interface{ Flush() error }); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-// runMerge is the `sweep merge` subcommand: it k-way merges shard
+// runMerge is the `tokensim merge` subcommand: it k-way merges shard
 // output files back into plan order, emitting each record byte-exactly
-// as the unsharded sweep would have. The files must be exactly one per
+// as the unsharded run would have. The files must be exactly one per
 // shard 0..N-1 of one N: a missing shard, a shard given twice, or files
 // from different N are errors, because any of them silently drops or
 // duplicates rows.
 func runMerge(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("sweep merge", flag.ContinueOnError)
+	fs := flag.NewFlagSet("tokensim merge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: sweep merge shard0.jsonl shard1.jsonl ...")
+		fmt.Fprintln(stderr, "usage: tokensim merge shard0.jsonl shard1.jsonl ...")
 		fmt.Fprintln(stderr, "merges the -shard i/N output files of every shard back into plan order on stdout")
 	}
 	if err := fs.Parse(args); err != nil {

@@ -12,7 +12,7 @@ func TestSweepKindsSmoke(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			var out, errw bytes.Buffer
-			args := []string{"-kind", kind, "-workload", "apache",
+			args := []string{"-experiment", kind, "-workload", "apache",
 				"-ops", "120", "-warmup", "120", "-parallel", "2"}
 			if err := run(args, &out, &errw); err != nil {
 				t.Fatal(err)
@@ -30,7 +30,7 @@ func TestSweepKindsSmoke(t *testing.T) {
 
 func TestSweepJSONFormat(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-kind", "tokens", "-workload", "apache",
+	args := []string{"-experiment", "tokens", "-workload", "apache",
 		"-ops", "130", "-warmup", "130", "-format", "json", "-progress"}
 	if err := run(args, &out, &errw); err != nil {
 		t.Fatal(err)
@@ -45,8 +45,8 @@ func TestSweepJSONFormat(t *testing.T) {
 
 func TestSweepBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run([]string{"-kind", "bogus"}, &out, &errw); err == nil {
-		t.Fatal("unknown sweep kind did not error")
+	if err := run([]string{"-experiment", "bogus"}, &out, &errw); err == nil {
+		t.Fatal("unknown experiment did not error")
 	}
 	if err := run([]string{"-format", "xml"}, &out, &errw); err == nil {
 		t.Fatal("unknown format did not error")
@@ -54,8 +54,8 @@ func TestSweepBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out, &errw); err == nil {
 		t.Fatal("unknown flag did not error")
 	}
-	// Words that are not subcommands must not be ignored: a sweep would
-	// otherwise run with default flags.
+	// Words that are not subcommands must not be ignored: a custom point
+	// would otherwise run with default flags.
 	for _, sub := range []string{"serve", "work"} {
 		if err := run([]string{sub}, &out, &errw); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("%q: want unknown-subcommand error, got %v", sub, err)
@@ -69,10 +69,10 @@ func TestSweepListFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	// Sweep kinds plus the registry's protocols, topologies, and
-	// workloads must all be enumerated.
+	// The sweep experiments plus the registry's protocols, topologies,
+	// and workloads must all be enumerated.
 	for _, want := range []string{
-		"sweep kinds:", "bandwidth", "procs", "tokens", "mshr",
+		"experiments:", "bandwidth", "procs", "tokens", "mshr",
 		"protocols:", "tokenb", "snooping[ordered-fabric]", "directory", "hammer", "tokend", "tokenm",
 		"dir2[scoped]", "regionfilter[scoped]",
 		"topologies:", "torus", "tree",
@@ -90,7 +90,7 @@ func TestSweepListFlag(t *testing.T) {
 
 func TestSweepListMetricsFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run([]string{"-list-metrics", "-kind", "bandwidth"}, &out, &errw); err != nil {
+	if err := run([]string{"-list-metrics", "-experiment", "bandwidth"}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -107,7 +107,7 @@ func TestSweepListMetricsFlag(t *testing.T) {
 
 func TestSweepColumnsFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	args := []string{"-kind", "tokens", "-workload", "apache",
+	args := []string{"-experiment", "tokens", "-workload", "apache",
 		"-ops", "130", "-warmup", "130",
 		"-columns", "protocol, tokens_per_block ,misses,token_transfers"}
 	if err := run(args, &out, &errw); err != nil {
@@ -124,7 +124,7 @@ func TestSweepColumnsFlag(t *testing.T) {
 
 func TestSweepColumnsRejectsJSONFormat(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := run([]string{"-kind", "tokens", "-format", "json", "-columns", "protocol"}, &out, &errw)
+	err := run([]string{"-experiment", "tokens", "-format", "json", "-columns", "protocol"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "-columns") {
 		t.Fatalf("-columns with -format json: err = %v, want rejection", err)
 	}
@@ -132,15 +132,15 @@ func TestSweepColumnsRejectsJSONFormat(t *testing.T) {
 
 func TestSweepColumnsRejectsUnknownNames(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := run([]string{"-kind", "tokens", "-columns", "protocol,cycles_per_tx"}, &out, &errw)
+	err := run([]string{"-experiment", "tokens", "-columns", "protocol,cycles_per_tx"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), `cycles_per_tx`) {
 		t.Fatalf("typoed column: err = %v, want unknown-column rejection", err)
 	}
-	if err := run([]string{"-kind", "tokens", "-columns", " , "}, &out, &errw); err == nil {
+	if err := run([]string{"-experiment", "tokens", "-columns", " , "}, &out, &errw); err == nil {
 		t.Fatal("all-blank -columns spec not rejected")
 	}
 	// Mutation tags are valid column names.
-	if err := run([]string{"-kind", "tokens", "-ops", "120", "-warmup", "120",
+	if err := run([]string{"-experiment", "tokens", "-ops", "120", "-warmup", "120",
 		"-workload", "apache", "-columns", "tokens_per_block,misses"}, &out, &errw); err != nil {
 		t.Fatalf("tag column rejected: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestSweepColumnsRejectsUnknownNames(t *testing.T) {
 	// bandwidth sweep mixes tokenb/directory/hammer, so each protocol's
 	// own metric is selectable even though no single point has all three.
 	out.Reset()
-	if err := run([]string{"-kind", "bandwidth", "-ops", "120", "-warmup", "120",
+	if err := run([]string{"-experiment", "bandwidth", "-ops", "120", "-warmup", "120",
 		"-workload", "apache", "-columns", "protocol,reissues,dir_home_requests,hammer_home_requests"}, &out, &errw); err != nil {
 		t.Fatalf("cross-protocol columns rejected: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestSweepColumnsRejectsUnknownNames(t *testing.T) {
 
 func TestSweepListMetricsUnionsProtocols(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run([]string{"-list-metrics", "-kind", "bandwidth"}, &out, &errw); err != nil {
+	if err := run([]string{"-list-metrics", "-experiment", "bandwidth"}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"reissues", "dir_home_requests", "hammer_home_requests"} {
@@ -171,11 +171,11 @@ func TestSweepListMetricsUnionsProtocols(t *testing.T) {
 
 func TestSweepUnknownKindListsRegistered(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := run([]string{"-kind", "bogus"}, &out, &errw)
+	err := run([]string{"-experiment", "bogus"}, &out, &errw)
 	if err == nil {
-		t.Fatal("unknown sweep kind did not error")
+		t.Fatal("unknown experiment did not error")
 	}
-	if !strings.Contains(err.Error(), "registered: bandwidth, procs, tokens, mshr") {
-		t.Errorf("error does not list registered kinds: %v", err)
+	if !strings.Contains(err.Error(), "registered: table2, fig4a, fig4b, fig5a, fig5b, scaling, bandwidth, procs, tokens, mshr") {
+		t.Errorf("error does not list the registered experiments: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tokencoherence/internal/engine"
+	"tokencoherence/internal/resultstore"
 )
 
 // sweepVarsOnce guards the process-wide "sweep" expvar map: expvar
@@ -47,15 +48,6 @@ type telemetry struct {
 	eventsPerSec, etaSeconds, elapsedSec expvar.Float
 }
 
-// storeStats is the slice of *resultstore.Store the telemetry endpoint
-// exports: live archive counters, without coupling this package's tests
-// to a real store.
-type storeStats interface {
-	Hits() uint64
-	Misses() uint64
-	Bytes() uint64
-}
-
 // newTelemetry builds the progress-consuming core without binding a
 // socket, for tests that feed synthetic Progress sequences.
 func newTelemetry(workers int, now func() time.Time) *telemetry {
@@ -71,7 +63,7 @@ func newTelemetry(workers int, now func() time.Time) *telemetry {
 // non-nil, additionally exports the result store's live hit/miss/byte
 // counters. The chosen address is announced on logw so callers binding
 // port 0 can find the endpoint.
-func startTelemetry(addr string, workers int, store storeStats, logw io.Writer) (*telemetry, error) {
+func startTelemetry(addr string, workers int, store *resultstore.Store, logw io.Writer) (*telemetry, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)

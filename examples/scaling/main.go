@@ -27,13 +27,13 @@ func main() {
 // run executes the scaling study up to maxProcs; main and the smoke
 // test call it.
 func run(w io.Writer, ops, warmup, maxProcs int) error {
-	// The grid (2 protocols x N system sizes) executes on the parallel
-	// engine; Parallel: 0 uses one worker per CPU.
-	rows, err := harness.Scaling(harness.Options{Ops: ops, Warmup: warmup, Parallel: 0}, maxProcs)
-	if err != nil {
+	// The catalogue's scaling grid (six protocol/fabric pairs x N system
+	// sizes) executes on the parallel engine; Parallel: 0 uses one worker
+	// per CPU.
+	opt := harness.Options{Ops: ops, Warmup: warmup, MaxProcs: maxProcs, Parallel: 0}
+	if err := harness.RunExperiment(w, "scaling", opt); err != nil {
 		return err
 	}
-	harness.PrintScaling(w, rows)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "TokenB's per-miss bytes grow with the broadcast fan-out (Θ(n) on the")
 	fmt.Fprintln(w, "torus) while Directory's stay nearly flat, so the ratio marches toward")

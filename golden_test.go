@@ -30,10 +30,10 @@ var goldenArgs = []string{"-ops", "200", "-warmup", "300"}
 // TestGoldenOutputs pins the simulator's user-visible output byte for
 // byte, so refactors of the simulation core (the kernel, caches,
 // interconnect) are checked against the exact bytes the previous code
-// produced rather than against invariants alone. It builds the sweep and
-// tokensim commands and compares, against testdata/golden:
+// produced rather than against invariants alone. It builds the tokensim
+// command and compares, against testdata/golden:
 //
-//   - whole: every sweep kind as JSONL and CSV, tokensim -list-metrics,
+//   - whole: every parameter sweep as JSONL and CSV, -list-metrics,
 //     tokensim -experiment all at a small size, and a two-seed tokenb
 //     custom point as its statistics block and as -columns CSV;
 //   - as SHA-256 + byte count: the hop-level Chrome trace of a tokenb
@@ -49,11 +49,11 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Skip("golden outputs skipped in -short mode")
 	}
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/sweep", "./cmd/tokensim")
+	tokensim := filepath.Join(bin, "tokensim")
+	build := exec.Command("go", "build", "-o", tokensim, "./cmd/tokensim")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	sweep, tokensim := filepath.Join(bin, "sweep"), filepath.Join(bin, "tokensim")
 
 	// Every subtest runs in parallel: the single-threaded points and the
 	// multi-point sweeps share the CPUs, keeping the test in CI budget.
@@ -65,10 +65,10 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	for _, kind := range []string{"bandwidth", "procs", "tokens", "mshr"} {
 		golden("sweep-"+kind+".jsonl", func(t *testing.T) []byte {
-			return runCLI(t, sweep, slices.Concat([]string{"-kind", kind, "-format", "json"}, goldenArgs)...)
+			return runCLI(t, tokensim, slices.Concat([]string{"-experiment", kind, "-format", "json"}, goldenArgs)...)
 		})
 		golden("sweep-"+kind+".csv", func(t *testing.T) []byte {
-			return runCLI(t, sweep, slices.Concat([]string{"-kind", kind}, goldenArgs)...)
+			return runCLI(t, tokensim, slices.Concat([]string{"-experiment", kind}, goldenArgs)...)
 		})
 	}
 	golden("tokensim-list-metrics.txt", func(t *testing.T) []byte { return runCLI(t, tokensim, "-list-metrics") })
@@ -85,9 +85,9 @@ func TestGoldenOutputs(t *testing.T) {
 		return fmt.Appendf(nil, "sha256 %x\nbytes %d\n", sha256.Sum256(dump), len(dump))
 	})
 	golden("tokensim-tokenb16-trace-hops.sha256", func(t *testing.T) []byte {
-		path := filepath.Join(bin, "trace.json")
-		runCLI(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-trace", path, "-trace-hops"}, goldenArgs)...)
-		trace, err := os.ReadFile(path)
+		dir := filepath.Join(bin, "trace")
+		runCLI(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-trace", dir, "-trace-hops"}, goldenArgs)...)
+		trace, err := os.ReadFile(filepath.Join(dir, "point-0000-tokenb-torus-oltp-seed1.json"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,42 +7,31 @@ import (
 	"testing"
 
 	"tokencoherence/internal/engine"
-	"tokencoherence/internal/sweeps"
+	"tokencoherence/internal/harness"
 )
 
 // TestSweepDeterminismSerialVsParallel locks in the engine's core
-// guarantee for every standard sweep kind: a plan executed with one
-// worker and with many workers emits byte-identical CSV and JSONL.
-// PR 1 verified this by hand; this test makes it a permanent regression
-// gate (at reduced point sizes so it stays fast).
+// guarantee for every parameter sweep in the experiment catalogue: a
+// plan executed with one worker and with many workers emits
+// byte-identical CSV and JSONL (at reduced point sizes so it stays
+// fast).
 func TestSweepDeterminismSerialVsParallel(t *testing.T) {
-	for _, kind := range sweeps.Kinds() {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
+	for _, e := range harness.Catalogue() {
+		if e.Print != nil {
+			continue // a paper table, not a parameter sweep
+		}
+		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			// apache completes a transaction every 120 operations, so 150
 			// measured ops per processor keep every metric finite (a
 			// transaction-less run would serialize null cycles_per_txn,
-			// hiding the runtime metric this test wants covered).
-			plan, cols, err := sweeps.ByKind(kind, "apache", 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan.Ops = 150
-			plan.Warmup = 150
-			plan.Procs = 8
-			// The procs sweep scales to 64 processors and the mutation
-			// sweeps carry long axes; trim both so the test exercises the
-			// same plan shapes at unit-test cost.
-			if kind == "procs" {
-				var kept []engine.Variant
-				for _, v := range plan.Variants {
-					if v.Point.Procs <= 8 {
-						kept = append(kept, v)
-					}
-				}
-				plan.Variants = kept
-			}
+			// hiding the runtime metric this test wants covered). The
+			// procs sweep stops at 8 processors and the mutation sweeps
+			// carry long axes; trim both so the test exercises the same
+			// plan shapes at unit-test cost.
+			plan := e.Plan(e.Defaults(harness.Options{Workload: "apache", Seeds: []uint64{3},
+				Ops: 150, Warmup: 150, Procs: 8, MaxProcs: 8}))
+			cols := e.Columns
 			if len(plan.Mutations) > 4 {
 				plan.Mutations = plan.Mutations[:4]
 			}

@@ -188,60 +188,73 @@ func TestPaperShapeUnlimitedBandwidth(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := Table2(testOpt())
+	agg, err := Run("table2", testOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(workload.Names()) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(workload.Names()))
+	cells := agg.Cells()
+	if len(cells) != len(workload.Names()) {
+		t.Fatalf("got %d rows, want %d", len(cells), len(workload.Names()))
 	}
-	for _, r := range rows {
-		total := r.NotReissued + r.ReissuedOnce + r.ReissuedMore + r.Persistent
+	for _, c := range cells {
+		m := c.SumMisses()
+		notReissued, once := m.Frac(m.NotReissued()), m.Frac(m.ReissuedOnce)
+		total := notReissued + once + m.Frac(m.ReissuedMore) + m.Frac(m.Persistent)
 		if total < 99.9 || total > 100.1 {
-			t.Errorf("%s: fractions sum to %.2f%%", r.Workload, total)
+			t.Errorf("%s: fractions sum to %.2f%%", c.Workload, total)
 		}
-		if r.NotReissued < 90 {
-			t.Errorf("%s: only %.1f%% first-try successes; paper reports ~97%%", r.Workload, r.NotReissued)
+		if notReissued < 90 {
+			t.Errorf("%s: only %.1f%% first-try successes; paper reports ~97%%", c.Workload, notReissued)
 		}
-		if r.ReissuedOnce > 10 {
-			t.Errorf("%s: %.1f%% reissued once; reissues must be rare", r.Workload, r.ReissuedOnce)
+		if once > 10 {
+			t.Errorf("%s: %.1f%% reissued once; reissues must be rare", c.Workload, once)
 		}
 	}
 }
 
-func TestScalingShape(t *testing.T) {
-	rows, err := Scaling(Options{Ops: 400, Warmup: 800}, 16)
+// runScaling runs the scaling experiment up to maxProcs and checks it
+// produced one row of cells per system size, returning the sizes.
+func runScaling(t *testing.T, opt Options, rows int) (*engine.AggregateSink, []int) {
+	t.Helper()
+	agg, err := Run("scaling", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 { // 4, 8, 16
-		t.Fatalf("got %d rows, want 3", len(rows))
+	sizes := Experiment{}.Defaults(opt).sizes()
+	if got := len(agg.Cells()) / len(scalingConfigs); got != rows || len(sizes) != rows {
+		t.Fatalf("got %d rows, want %d", got, rows)
 	}
+	return agg, sizes
+}
+
+func TestScalingShape(t *testing.T) {
+	agg, sizes := runScaling(t, Options{Ops: 400, Warmup: 800, MaxProcs: 16}, 3) // 4, 8, 16
 	// TokenB's broadcast traffic per miss must grow with system size
 	// while Directory's stays roughly flat, so the ratio grows.
-	if rows[0].TrafficRatio >= rows[len(rows)-1].TrafficRatio {
-		t.Errorf("traffic ratio did not grow with system size: %.2f -> %.2f",
-			rows[0].TrafficRatio, rows[len(rows)-1].TrafficRatio)
+	first, last := TrafficRatio(agg, sizes[0]), TrafficRatio(agg, sizes[len(sizes)-1])
+	if first >= last {
+		t.Errorf("traffic ratio did not grow with system size: %.2f -> %.2f", first, last)
 	}
-	for _, r := range rows {
+	for _, procs := range sizes {
+		cell := func(proto string) (bytesPerMiss, cycles float64) {
+			c := SizeCell(agg, proto, procs)
+			return c.MeanBytesPerMiss(), c.MeanCyclesPerTxn()
+		}
+		tokenB, _ := cell(engine.ProtoTokenB)
 		// The new columns must be populated at every size: Hammer
 		// broadcasts and collects acks, so it burns the most bandwidth;
 		// snooping rides the ordered tree.
-		if r.HammerPerMiss <= r.TokenBPerMiss {
-			t.Errorf("%dp: Hammer traffic (%.1f B/miss) not above TokenB (%.1f)",
-				r.Procs, r.HammerPerMiss, r.TokenBPerMiss)
+		if hammer, _ := cell(engine.ProtoHammer); hammer <= tokenB {
+			t.Errorf("%dp: Hammer traffic (%.1f B/miss) not above TokenB (%.1f)", procs, hammer, tokenB)
 		}
-		if r.SnoopPerMiss <= 0 || r.SnoopCycles <= 0 {
-			t.Errorf("%dp: snooping-on-tree column empty (%.1f B/miss, %.1f cyc/txn)",
-				r.Procs, r.SnoopPerMiss, r.SnoopCycles)
+		if b, c := cell(engine.ProtoSnooping); b <= 0 || c <= 0 {
+			t.Errorf("%dp: snooping-on-tree column empty (%.1f B/miss, %.1f cyc/txn)", procs, b, c)
 		}
-		if r.Dir2PerMiss <= 0 || r.Dir2Cycles <= 0 {
-			t.Errorf("%dp: two-level directory column empty (%.1f B/miss, %.1f cyc/txn)",
-				r.Procs, r.Dir2PerMiss, r.Dir2Cycles)
+		if b, c := cell(engine.ProtoDir2); b <= 0 || c <= 0 {
+			t.Errorf("%dp: two-level directory column empty (%.1f B/miss, %.1f cyc/txn)", procs, b, c)
 		}
-		if r.RegionPerMiss <= 0 || r.RegionCycles <= 0 {
-			t.Errorf("%dp: region-filter column empty (%.1f B/miss, %.1f cyc/txn)",
-				r.Procs, r.RegionPerMiss, r.RegionCycles)
+		if b, c := cell(engine.ProtoRegionFilter); b <= 0 || c <= 0 {
+			t.Errorf("%dp: region-filter column empty (%.1f B/miss, %.1f cyc/txn)", procs, b, c)
 		}
 	}
 }
@@ -253,24 +266,17 @@ func TestScalingShape(t *testing.T) {
 // a fabric that delivers broadcasts in one global order, and its oracle
 // audit fails loudly when that order breaks.
 func TestScaling64Smoke(t *testing.T) {
-	rows, err := Scaling(Options{Ops: 100, Warmup: 100}, 64)
-	if err != nil {
-		t.Fatal(err)
+	agg, sizes := runScaling(t, Options{Ops: 100, Warmup: 100, MaxProcs: 64}, 5) // 4, 8, 16, 32, 64
+	last := sizes[len(sizes)-1]
+	if last != 64 {
+		t.Fatalf("last row procs = %d, want 64", last)
 	}
-	if len(rows) != 5 { // 4, 8, 16, 32, 64
-		t.Fatalf("got %d rows, want 5", len(rows))
+	snoop := SizeCell(agg, engine.ProtoSnooping, last)
+	if b, c := snoop.MeanBytesPerMiss(), snoop.MeanCyclesPerTxn(); b <= 0 || c <= 0 {
+		t.Errorf("snooping-on-tree empty at 64 procs (%.1f B/miss, %.1f cyc/txn)", b, c)
 	}
-	last := rows[len(rows)-1]
-	if last.Procs != 64 {
-		t.Fatalf("last row procs = %d, want 64", last.Procs)
-	}
-	if last.SnoopPerMiss <= 0 || last.SnoopCycles <= 0 {
-		t.Errorf("snooping-on-tree empty at 64 procs (%.1f B/miss, %.1f cyc/txn)",
-			last.SnoopPerMiss, last.SnoopCycles)
-	}
-	if last.TrafficRatio <= rows[0].TrafficRatio {
-		t.Errorf("TokenB/Directory traffic ratio did not grow: %.2f at 4p -> %.2f at 64p",
-			rows[0].TrafficRatio, last.TrafficRatio)
+	if first, at64 := TrafficRatio(agg, sizes[0]), TrafficRatio(agg, last); at64 <= first {
+		t.Errorf("TokenB/Directory traffic ratio did not grow: %.2f at 4p -> %.2f at 64p", first, at64)
 	}
 }
 
@@ -281,16 +287,31 @@ func TestScaling256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor sweep skipped in -short mode")
 	}
-	rows, err := Scaling(Options{Ops: 30, Warmup: 30}, 256)
-	if err != nil {
-		t.Fatal(err)
+	agg, sizes := runScaling(t, Options{Ops: 30, Warmup: 30, MaxProcs: 256}, 7)
+	if sizes[6] != 256 {
+		t.Fatalf("last procs %d, want 256", sizes[6])
 	}
-	if len(rows) != 7 || rows[6].Procs != 256 {
-		t.Fatalf("rows = %d (last procs %d), want 7 up to 256", len(rows), rows[len(rows)-1].Procs)
+	for _, procs := range sizes {
+		if SizeCell(agg, engine.ProtoSnooping, procs).MeanBytesPerMiss() <= 0 {
+			t.Errorf("%dp: snooping-on-tree column empty", procs)
+		}
 	}
-	for _, r := range rows {
-		if r.SnoopPerMiss <= 0 {
-			t.Errorf("%dp: snooping-on-tree column empty", r.Procs)
+}
+
+// TestAllExperimentsAreCacheable: every catalogue entry's points must
+// carry a content identity (engine.PointKey), so -store archives them
+// and -resume recalls them. The scaling and procs entries' opaque
+// generator closure is the regression case — it needs its GenID.
+func TestAllExperimentsAreCacheable(t *testing.T) {
+	for _, e := range Catalogue() {
+		jobs, err := e.Plan(e.Defaults(Options{Ops: 100, Warmup: 100})).Jobs()
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, job := range jobs {
+			if _, err := engine.PointKey(job.Point); err != nil {
+				t.Errorf("%s: job %d (%s) is uncacheable: %v", e.Name, job.Index, job.Variant, err)
+			}
 		}
 	}
 }
@@ -299,18 +320,16 @@ func TestOptionsWarmupSentinel(t *testing.T) {
 	// Zero means unset (2x Ops), engine.NoWarmup means an explicitly cold
 	// cache — the conflation that made cold-cache measurement
 	// impossible is locked out here.
-	if got := (Options{Ops: 500}).warmup(); got != 1000 {
+	warmup := func(opt Options) int { return Experiment{}.Defaults(opt).Warmup }
+	if got := warmup(Options{Ops: 500}); got != 1000 {
 		t.Errorf("unset warmup = %d, want 1000 (2x Ops)", got)
 	}
-	if got := (Options{Ops: 500, Warmup: 250}).warmup(); got != 250 {
+	if got := warmup(Options{Ops: 500, Warmup: 250}); got != 250 {
 		t.Errorf("explicit warmup = %d, want 250", got)
-	}
-	if got := (Options{Ops: 500, Warmup: engine.NoWarmup}).warmup(); got != 0 {
-		t.Errorf("engine.NoWarmup warmup = %d, want 0", got)
 	}
 	// The engine plan keeps the distinction: explicit cold reaches the
 	// jobs as zero warmup ops.
-	plan := (Options{Ops: 500, Warmup: engine.NoWarmup}).plan([]engine.Variant{
+	plan := Experiment{}.Defaults(Options{Ops: 500, Warmup: engine.NoWarmup}).Plan([]engine.Variant{
 		{Point: engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "oltp"}},
 	})
 	jobs, err := plan.Jobs()

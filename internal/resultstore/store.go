@@ -81,7 +81,7 @@ type Store struct {
 	dir     string
 	version string
 
-	// Telemetry counters, exported to cmd/sweep's expvar endpoint.
+	// Telemetry counters, exported to tokensim's -http expvar endpoint.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	bytes  atomic.Uint64

@@ -86,7 +86,7 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // NewSyncWriter wraps w so that each Write call runs under a mutex.
 // Writers that emit whole lines (or whole dumps) in a single Write can
 // then share it across goroutines without tearing each other's output:
-// the sweep command hands one to the engine's progress printer and to
+// command tokensim hands one to the engine's progress printer and to
 // every point's flight recorder, which otherwise race from the collector
 // and worker goroutines respectively. Wrapping an already-wrapped writer
 // returns it unchanged.

@@ -112,7 +112,8 @@ func DefaultConfig() Config { return machine.DefaultConfig() }
 // with the registered alternatives.
 type Point = engine.Point
 
-// Options tunes experiment sizes (operations, warmup, seeds, processors).
+// Options tunes experiment sizes (operations, warmup, seeds, processors)
+// and the workload the parameter sweeps run.
 type Options = harness.Options
 
 // Run holds one simulation's statistics.
@@ -135,11 +136,13 @@ func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return engine.Ru
 // different protocol-specific metrics.
 func MetricSchema(pt Point) ([]MetricDesc, error) { return engine.MetricSchema(pt) }
 
-// Experiments lists the reproducible paper experiments.
+// Experiments lists the experiment catalogue: the paper's tables and
+// figures, the scaling study, and the parameter sweeps.
 func Experiments() []string { return harness.Experiments() }
 
 // RunExperiment reproduces one paper table or figure and prints its rows
-// to w. Valid names are returned by Experiments.
+// to w, or runs a parameter sweep and prints its CSV rows. Valid names
+// are returned by Experiments.
 func RunExperiment(w io.Writer, name string, opt Options) error {
 	return harness.RunExperiment(w, name, opt)
 }

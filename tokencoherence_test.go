@@ -29,7 +29,8 @@ func TestSimulateSmoke(t *testing.T) {
 
 func TestExperimentsList(t *testing.T) {
 	exps := Experiments()
-	want := map[string]bool{"table2": true, "fig4a": true, "fig4b": true, "fig5a": true, "fig5b": true, "scaling": true}
+	want := map[string]bool{"table2": true, "fig4a": true, "fig4b": true, "fig5a": true, "fig5b": true, "scaling": true,
+		"bandwidth": true, "procs": true, "tokens": true, "mshr": true}
 	if len(exps) != len(want) {
 		t.Fatalf("Experiments() = %v", exps)
 	}
