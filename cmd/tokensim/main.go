@@ -230,13 +230,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	var store *resultstore.Store
 	if *storeDir != "" {
-		if store, err = resultstore.Open(*storeDir); err != nil {
+		if store, err = openStore(*storeDir); err != nil {
 			return err
 		}
-		// Stamp new entries with this binary's simulator version so
-		// `tokensim store gc` can later prune entries no current binary
-		// could ever reuse.
-		store.SetVersion(engine.CodeVersion)
 		r.eng.Store, r.eng.Reuse = store, *resume
 	}
 	if *traceDir != "" {
@@ -547,7 +543,7 @@ func runStore(args []string, stdout, stderr io.Writer) error {
 	if *storeDir == "" {
 		return fmt.Errorf("store gc: -store is required")
 	}
-	st, err := resultstore.Open(*storeDir)
+	st, err := openStore(*storeDir)
 	if err != nil {
 		return err
 	}
@@ -562,6 +558,18 @@ func runStore(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "store gc: kept %d current objects; %s %d stale objects (%d bytes) and %d orphaned temp files [version %s]\n",
 		got.Kept, verb, got.Pruned, got.PrunedBytes, got.Temps, engine.CodeVersion)
 	return nil
+}
+
+// openStore opens the result store in dir, stamping the entries it
+// writes with this binary's simulator version so `tokensim store gc`
+// can later prune entries no current binary could ever reuse.
+func openStore(dir string) (*resultstore.Store, error) {
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	st.SetVersion(engine.CodeVersion)
+	return st, nil
 }
 
 func parseSeeds(s string) ([]uint64, error) {
