@@ -19,8 +19,9 @@ import (
 // ringTopology is a bidirectional ring: each node has a clockwise and a
 // counterclockwise outgoing link, and unicasts take the shorter
 // direction (ties go clockwise). Deterministic single-direction routing
-// means the union of one source's paths is a tree, which is what the
-// interconnect's multicast bandwidth accounting requires. A ring
+// is prefix-closed, so the union of one source's paths is a tree, which
+// is what the interconnect's multicast bandwidth accounting requires
+// (it checks this when it builds the source's routes). A ring
 // imposes no total order on broadcasts, so Ordered is false and the
 // engine will refuse to pair it with traditional snooping.
 type ringTopology struct {
@@ -35,13 +36,10 @@ func (r ringTopology) Ordered() bool { return false }
 // node+1), 2*node+1 is counterclockwise (toward node-1).
 func (r ringTopology) NumLinks() int { return 2 * r.n }
 
-func (r ringTopology) Path(src, dst tokencoherence.NodeID) []tokencoherence.LinkID {
-	if src == dst {
-		return nil
-	}
+// Path appends the route's links to path; src == dst appends none.
+func (r ringTopology) Path(path []tokencoherence.LinkID, src, dst tokencoherence.NodeID) []tokencoherence.LinkID {
 	cw := (int(dst) - int(src) + r.n) % r.n
 	ccw := (int(src) - int(dst) + r.n) % r.n
-	var path []tokencoherence.LinkID
 	at := int(src)
 	if cw <= ccw {
 		for i := 0; i < cw; i++ {

@@ -50,12 +50,12 @@ func (f *forwarder) Handle(m *msg.Message) {
 }
 
 // TestNetworkSteadyStateAllocs is the interconnect's hard allocation
-// gate: with the message pool, netOp records, multicast slabs and path
-// cache warm, sustained traffic (unicast, local, and broadcast) must
-// allocate nothing per message. The gate covers the paper's 16-node
-// fabrics and both 256-node configurations — the un-capped four-level
-// ordered tree and the 16x16 torus — so the O(n^2) precomputed path
-// cache and the pooled multicast slabs stay allocation-free at the
+// gate: once the message pool, netOp records, multicast trees and the
+// route rows of the sending nodes are warm, sustained traffic (unicast,
+// local, and broadcast) must allocate nothing per message. The gate
+// covers the paper's 16-node fabrics and both 256-node configurations —
+// the un-capped four-level ordered tree and the 16x16 torus — so route
+// lookups and the pooled multicast trees stay allocation-free at the
 // largest size the experiments sweep.
 func TestNetworkSteadyStateAllocs(t *testing.T) {
 	fabrics := []struct {
@@ -144,5 +144,27 @@ func testSteadyStateAllocs(t *testing.T, topo topology.Topology) {
 	}
 	if allocs > 0 {
 		t.Errorf("traffic with an armed flight recorder allocates %.1f objects per 5us slice, want 0", allocs)
+	}
+}
+
+// TestNewAllocsIndependentOfSize is the fabric set-up gate: New
+// tabulates no routes (each source's row is built on its first send),
+// so building a 256-node network makes exactly as many allocations as
+// building a 16-node one.
+func TestNewAllocsIndependentOfSize(t *testing.T) {
+	pairs := [][2]topology.Topology{
+		{topology.NewTorus(4, 4), topology.NewTorusFor(256)},
+		{topology.NewTree(16), topology.NewTree(256)},
+	}
+	for _, p := range pairs {
+		allocs := func(topo topology.Topology) float64 {
+			k := sim.NewKernel()
+			return testing.AllocsPerRun(20, func() { New(k, topo, DefaultConfig(), nil) })
+		}
+		small, large := allocs(p[0]), allocs(p[1])
+		if small != large {
+			t.Errorf("%s: New makes %.0f allocations at %d nodes but %.0f at %d",
+				p[0].Name(), small, p[0].Nodes(), large, p[1].Nodes())
+		}
 	}
 }

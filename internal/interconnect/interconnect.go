@@ -20,17 +20,19 @@
 // event, so all nodes observe all broadcasts in the same order — the
 // property traditional snooping requires.
 //
-// Allocation model. The network is on the simulator's innermost loop,
-// so everything it schedules per message is recycled: message copies
-// come from a msg.Pool (returned when the receiving handler is done,
-// see Handler), and the callbacks for deliveries, unicast hops,
+// Allocation model. Set-up costs what a run uses: the first message
+// from a source builds its O(n) route row (one flat link array plus
+// offsets), and a multicast folds its paths into a pooled, pointer-free
+// tree of one node per link. Everything scheduled per message is
+// recycled: message copies come from a msg.Pool (returned when the
+// receiving handler is done, see Handler), and deliveries, unicast hops,
 // multicast tree walks and delayed sends are pooled netOp records whose
-// closure is bound once. Steady-state traffic therefore allocates
-// nothing.
+// closure is bound once. Steady-state traffic therefore allocates nothing.
 package interconnect
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"tokencoherence/internal/msg"
@@ -83,27 +85,44 @@ type HandlerFunc func(m *msg.Message)
 func (f HandlerFunc) Handle(m *msg.Message) { f(m) }
 
 // shared is the fabric state common to every island view of one
-// network: the immutable routing/handler tables, plus the per-link
+// network: the handler table, the route rows, plus the per-link
 // transmission state. The link arrays are written without locks, which
 // is safe because each link is touched only by the island owning its
 // tail actor (links are reserved by the event executing at their tail).
 type shared struct {
-	handlers  map[msg.Port]Handler
-	nextFree  []sim.Time
-	linkBytes []uint64
-	paths     [][]topology.LinkID // deterministic routes, per (src, dst)
-	linkTail  []int32             // actor transmitting on each link
-	linkHead  []int32             // actor receiving from each link
-	views     []*Network          // per-island views, indexed by island
-	islandOf  []int32             // actor -> island; nil = single view
+	handlers map[msg.Port]Handler
+	nextFree []sim.Time
+	routes   []atomic.Pointer[route] // per source, built on first use
+	linkTail []int32                 // actor transmitting on each link
+	linkHead []int32                 // actor receiving from each link
+	views    []*Network              // per-island views, indexed by island
+	islandOf []int32                 // actor -> island; nil = single view
+}
+
+// route is one source's routes: the path to node d is
+// links[off[d]:off[d+1]] (link IDs as int32), immutable once published.
+type route struct {
+	links []int32
+	off   []int32
+}
+
+func (r *route) to(dst msg.NodeID) []int32 {
+	return r.links[r.off[dst]:r.off[dst+1]]
+}
+
+// stamp is per-link scratch, valid while gen is its view's current one:
+// a link's tree node in a multicast fold, its predecessor in a route build.
+type stamp struct {
+	gen uint32
+	val int32
 }
 
 // Network delivers messages between registered ports over a topology.
 // A Network is one island's view of the fabric: it owns the message
-// pool, callback free lists, traffic shard and observer of that island,
-// while routing tables and link state live in the shared fabric. A
-// network built by New is a complete single-view fabric; Split adds
-// views for parallel island execution.
+// pool, callback free lists, traffic shard, observer and fold scratch of
+// that island, while route rows and link state live in the shared
+// fabric. A network built by New is a complete single-view fabric;
+// Split adds views for parallel island execution.
 type Network struct {
 	kernel  *sim.Kernel
 	topo    topology.Topology
@@ -112,10 +131,12 @@ type Network struct {
 	sh      *shared
 	sent    uint64
 
-	nodes   int // topo.Nodes(), for path-cache indexing
 	pool    msg.Pool
 	freeOps *netOp
 	freeMcs *mcast
+	marks   []stamp // per link, allocated on first use
+	gen     uint32
+	buf     []topology.LinkID // route-build scratch
 
 	// obs receives per-link-traversal events when it subscribes to
 	// NetworkHop; otherwise the message path pays one mask test.
@@ -127,20 +148,13 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 	if cfg.LinkLatency <= 0 {
 		panic("interconnect: LinkLatency must be positive")
 	}
-	nn := topo.Nodes()
 	nl := topo.NumLinks()
 	sh := &shared{
-		handlers:  make(map[msg.Port]Handler),
-		nextFree:  make([]sim.Time, nl),
-		linkBytes: make([]uint64, nl),
-		paths:     make([][]topology.LinkID, nn*nn),
-		linkTail:  make([]int32, nl),
-		linkHead:  make([]int32, nl),
-	}
-	for s := 0; s < nn; s++ {
-		for d := 0; d < nn; d++ {
-			sh.paths[s*nn+d] = topo.Path(msg.NodeID(s), msg.NodeID(d))
-		}
+		handlers: make(map[msg.Port]Handler),
+		nextFree: make([]sim.Time, nl),
+		routes:   make([]atomic.Pointer[route], topo.Nodes()),
+		linkTail: make([]int32, nl),
+		linkHead: make([]int32, nl),
 	}
 	// Link ownership doubles as the execution-actor context for event
 	// stamping, so it is wired whenever the topology describes it —
@@ -158,7 +172,6 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 		cfg:     cfg,
 		traffic: traffic,
 		sh:      sh,
-		nodes:   nn,
 	}
 	sh.views = []*Network{n}
 	return n
@@ -166,7 +179,7 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 
 // Split partitions the fabric into island views. View 0 is the
 // receiver (which must have been built on kernels[0]); each additional
-// view shares the routing tables and link state but owns its island's
+// view shares the route rows and link state but owns its island's
 // kernel, message pool, callback free lists and traffic shard.
 // islandOf maps every actor (see topology.Partitioned) to its island.
 func (n *Network) Split(islandOf []int32, kernels []*sim.Kernel, traffics []*stats.Traffic) []*Network {
@@ -182,7 +195,6 @@ func (n *Network) Split(islandOf []int32, kernels []*sim.Kernel, traffics []*sta
 			cfg:     n.cfg,
 			traffic: traffics[i],
 			sh:      sh,
-			nodes:   n.nodes,
 		}
 	}
 	return sh.views
@@ -269,11 +281,6 @@ func (n *Network) CloneMessage(m *msg.Message) *msg.Message {
 // allocated with NewMessage and never sent).
 func (n *Network) FreeMessage(m *msg.Message) { n.pool.Put(m) }
 
-// path returns the precomputed deterministic route from src to dst.
-func (n *Network) path(src, dst msg.NodeID) []topology.LinkID {
-	return n.sh.paths[int(src)*n.nodes+int(dst)]
-}
-
 // serialization returns the time the message occupies one link.
 func (n *Network) serialization(bytes int) sim.Time {
 	if n.cfg.LinkBandwidth <= 0 {
@@ -283,22 +290,73 @@ func (n *Network) serialization(bytes int) sim.Time {
 	return sim.Time(ps + 0.5)
 }
 
+// route returns src's route row, building it on first use. Island views
+// share rows: two views racing to build one row build identical
+// contents, and the loser adopts the published winner.
+func (n *Network) route(src msg.NodeID) *route {
+	slot := &n.sh.routes[src]
+	if r := slot.Load(); r != nil {
+		return r
+	}
+	slot.CompareAndSwap(nil, n.buildRoute(src))
+	return slot.Load()
+}
+
+// buildRoute tabulates the paths from src to every node, at their exact
+// size. It enforces the prefix closure the link-keyed multicast tree
+// relies on: among one source's paths, every link is entered from the
+// same predecessor link (or is always a first hop).
+func (n *Network) buildRoute(src msg.NodeID) *route {
+	nodes := n.topo.Nodes()
+	off := make([]int32, nodes+1)
+	buf := n.buf[:0]
+	gen := n.nextGen()
+	for d := 0; d < nodes; d++ {
+		start := len(buf)
+		buf = n.topo.Path(buf, src, msg.NodeID(d))
+		pred := int32(-1)
+		for _, l := range buf[start:] {
+			if mk := n.marks[l]; mk.gen == gen && mk.val != pred {
+				panic(fmt.Sprintf("interconnect: %s routing is not prefix-closed: path %d->%d enters link %d from link %d, an earlier hop from link %d (-1 = the source)",
+					n.topo.Name(), src, d, l, pred, mk.val))
+			}
+			n.marks[l] = stamp{gen, pred}
+			pred = int32(l)
+		}
+		off[d+1] = int32(len(buf))
+	}
+	n.buf = buf
+	links := make([]int32, len(buf))
+	for i, l := range buf {
+		links[i] = int32(l)
+	}
+	return &route{links: links, off: off}
+}
+
+// nextGen starts a new stamp generation, invalidating every mark.
+func (n *Network) nextGen() uint32 {
+	if n.gen++; n.gen == 0 || n.marks == nil {
+		n.gen = 1 // first use, or the counter wrapped: start from clean marks
+		n.marks = make([]stamp, n.topo.NumLinks())
+	}
+	return n.gen
+}
+
 // netOp is a pooled callback record for everything the network schedules
 // on the kernel. Its fire closure is bound once when the record is first
 // allocated, so rescheduling recycled records is allocation-free.
 type netOp struct {
-	n     *Network
-	kind  uint8
-	m     *msg.Message
-	h     Handler
-	path  []topology.LinkID
-	nodes []*mcNode
-	mc    *mcast
-	dsts  []msg.Port
-	t     sim.Time
-	ser   sim.Time
-	fire  func()
-	next  *netOp
+	n      *Network
+	kind   uint8
+	node   int32 // first of the sibling tree nodes an opWalk walks
+	m      *msg.Message
+	h      Handler
+	path   []int32
+	mc     *mcast
+	dsts   []msg.Port
+	t, ser sim.Time
+	fire   func()
+	next   *netOp
 }
 
 const (
@@ -322,7 +380,7 @@ func (n *Network) getOp() *netOp {
 }
 
 func (n *Network) putOp(op *netOp) {
-	op.m, op.h, op.path, op.nodes, op.mc, op.dsts = nil, nil, nil, nil, nil, nil
+	op.m, op.h, op.path, op.mc, op.dsts = nil, nil, nil, nil, nil
 	op.next = n.freeOps
 	n.freeOps = op
 }
@@ -335,7 +393,7 @@ func (n *Network) putOp(op *netOp) {
 func (op *netOp) run() {
 	n := op.n
 	kind, m, h := op.kind, op.m, op.h
-	path, nodes, mc, dsts := op.path, op.nodes, op.mc, op.dsts
+	path, node, mc, dsts := op.path, op.node, op.mc, op.dsts
 	t, ser := op.t, op.ser
 	n.putOp(op)
 	switch kind {
@@ -346,7 +404,7 @@ func (op *netOp) run() {
 	case opHop:
 		n.hop(m, path, t, ser)
 	case opWalk:
-		n.walk(mc, nodes, t, ser)
+		n.walk(mc, node, t, ser)
 	case opSend:
 		n.Send(m)
 	case opMulticast:
@@ -369,22 +427,24 @@ func (n *Network) deliver(m *msg.Message, at sim.Time) {
 	n.kernel.ScheduleExec(dst, at, op.fire)
 }
 
-// hop advances a unicast message across path[0] at time t and chains the
-// remaining hops; the final hop schedules delivery of the tail.
-func (n *Network) hop(m *msg.Message, path []topology.LinkID, t, ser sim.Time) {
-	link := path[0]
-	n.sh.linkBytes[link] += uint64(m.Bytes())
+// reserve claims link for a message head arriving at time t and returns
+// the head's arrival at the far end; the link stays busy for ser.
+func (n *Network) reserve(link int32, m *msg.Message, t, ser sim.Time) sim.Time {
 	d := t
 	if n.cfg.LinkBandwidth > 0 {
-		if free := n.sh.nextFree[link]; free > d {
-			d = free
-		}
+		d = max(t, n.sh.nextFree[link])
 		n.sh.nextFree[link] = d + ser
 	}
-	arrival := d + n.cfg.LinkLatency
 	if n.obs.Kinds.Has(stats.NetworkHop) {
-		n.obs.On(stats.Event{Kind: stats.NetworkHop, At: d, Node: int32(link), N: int32(m.Bytes()), Cat: m.Cat})
+		n.obs.On(stats.Event{Kind: stats.NetworkHop, At: d, Node: link, N: int32(m.Bytes()), Cat: m.Cat})
 	}
+	return d + n.cfg.LinkLatency
+}
+
+// hop advances a unicast message across path[0] at time t and chains the
+// remaining hops; the final hop schedules delivery of the tail.
+func (n *Network) hop(m *msg.Message, path []int32, t, ser sim.Time) {
+	arrival := n.reserve(path[0], m, t, ser)
 	if len(path) == 1 {
 		n.deliver(m, arrival+ser) // tail arrives one serialization later
 		return
@@ -396,129 +456,104 @@ func (n *Network) hop(m *msg.Message, path []topology.LinkID, t, ser sim.Time) {
 	n.kernel.ScheduleExec(next, arrival, op.fire)
 }
 
-// mcNode is one edge of a multicast routing tree. Nodes live in their
-// mcast's slab and are recycled with it.
+// mcNode is one edge of a multicast routing tree. Its children and
+// destinations are chained in fold order by index, -1 ending a chain.
 type mcNode struct {
-	link     topology.LinkID
-	children []*mcNode
-	dests    []msg.Port // destinations whose path ends on this edge
+	link, sib      int32 // the edge's link; next sibling
+	child, last    int32 // first and last child
+	dest, destLast int32 // first and last destination, indexes into dsts
 }
 
-// mcast tracks one in-flight multicast: the template message, the
-// routing tree (slab-allocated), and the count of tree edges not yet
-// walked. When the last edge is walked every destination has its own
-// copy, so the template and the tree are recycled. The edge count is
-// decremented atomically because subtrees of one multicast may be
-// walked concurrently on different islands; all other fields are
+// mcast tracks one in-flight multicast: the template message, its
+// routing tree and the count of tree edges not yet walked. tree[0] is a
+// sentinel whose children are the root edges, and the other nodes are
+// kept in fold order. When the last edge is walked every destination has
+// its own copy, so the template and the tree are recycled. The edge
+// count is decremented atomically because subtrees of one multicast may
+// be walked concurrently on different islands; all other fields are
 // written before the first walk and read-only afterwards.
 type mcast struct {
 	m     *msg.Message
 	edges int32
-	slab  []mcNode
-	roots []*mcNode
-	paths [][]topology.LinkID
+	tree  []mcNode
 	dsts  []msg.Port
+	dnext []int32 // next destination on the same edge
 	next  *mcast
 }
 
-func (n *Network) getMcast() *mcast {
+// getMcast returns an empty multicast sized for a dsts-way broadcast.
+func (n *Network) getMcast(dsts int) *mcast {
 	mc := n.freeMcs
 	if mc == nil {
 		mc = &mcast{}
 	} else {
 		n.freeMcs = mc.next
 	}
-	mc.paths = mc.paths[:0]
-	mc.dsts = mc.dsts[:0]
-	mc.roots = mc.roots[:0]
+	mc.tree = append(slices.Grow(mc.tree[:0], dsts+1), mcNode{child: -1, dest: -1})
+	mc.dsts = slices.Grow(mc.dsts[:0], dsts)
+	mc.dnext = slices.Grow(mc.dnext[:0], dsts)
 	return mc
 }
 
 func (n *Network) putMcast(mc *mcast) {
 	mc.m = nil
-	mc.slab = mc.slab[:0]
 	mc.next = n.freeMcs
 	n.freeMcs = mc
 }
 
-// node takes the next tree node from the slab, keeping the capacity of
-// its child/destination slices from earlier multicasts. The slab is
-// pre-sized by Multicast, so taking never reallocates (which would
-// invalidate earlier *mcNode pointers).
-func (mc *mcast) node(l topology.LinkID) *mcNode {
-	i := len(mc.slab)
-	mc.slab = mc.slab[:i+1]
-	nd := &mc.slab[i]
-	nd.link = l
-	nd.children = nd.children[:0]
-	nd.dests = nd.dests[:0]
-	return nd
-}
-
-// build folds the per-destination paths into their prefix tree.
-// Deterministic routing guarantees prefix closure (verified by the
-// topology tests), so paths sharing a link share the entire prefix.
-func (mc *mcast) build() {
-	for i, path := range mc.paths {
-		level := &mc.roots
-		var nd *mcNode
-		for _, l := range path {
-			nd = mc.findOrAdd(level, l)
-			level = &nd.children
-		}
-		nd.dests = append(nd.dests, mc.dsts[i])
+// add appends a node for link l as parent's last child.
+func (mc *mcast) add(parent, l int32) int32 {
+	i := int32(len(mc.tree))
+	mc.tree = append(mc.tree, mcNode{link: l, child: -1, sib: -1, dest: -1})
+	if p := &mc.tree[parent]; p.child < 0 {
+		p.child, p.last = i, i
+	} else {
+		mc.tree[p.last].sib, p.last = i, i
 	}
-	mc.edges = int32(len(mc.slab))
+	return i
 }
 
-func (mc *mcast) findOrAdd(nodes *[]*mcNode, link topology.LinkID) *mcNode {
-	for _, nd := range *nodes {
-		if nd.link == link {
-			return nd
-		}
+// addDest appends dst to the destinations reached over node at.
+func (mc *mcast) addDest(at int32, dst msg.Port) {
+	j := int32(len(mc.dsts))
+	mc.dsts = append(mc.dsts, dst)
+	mc.dnext = append(mc.dnext, -1)
+	if nd := &mc.tree[at]; nd.dest < 0 {
+		nd.dest, nd.destLast = j, j
+	} else {
+		mc.dnext[nd.destLast], nd.destLast = j, j
 	}
-	nd := mc.node(link)
-	*nodes = append(*nodes, nd)
-	return nd
 }
 
-// walk reserves the given edges at time t, schedules deliveries for
-// destinations reached, and chains child edges at the head's arrival.
-// Each edge of the tree is reserved in exactly one event, in arrival
-// order, which keeps links work-conserving FIFOs. Walking the last edge
-// recycles the multicast.
-func (n *Network) walk(mc *mcast, nodes []*mcNode, t sim.Time, ser sim.Time) {
+// walk reserves the sibling edges chained from first at time t,
+// schedules deliveries for destinations reached, and chains child edges
+// at the head's arrival. Each edge of the tree is reserved in exactly
+// one event, in arrival order, which keeps links work-conserving FIFOs.
+// Walking the last edge recycles the multicast.
+func (n *Network) walk(mc *mcast, first int32, t, ser sim.Time) {
 	m := mc.m
-	for _, nd := range nodes {
-		d := t
-		n.sh.linkBytes[nd.link] += uint64(m.Bytes())
-		if n.cfg.LinkBandwidth > 0 {
-			if free := n.sh.nextFree[nd.link]; free > d {
-				d = free
-			}
-			n.sh.nextFree[nd.link] = d + ser
-		}
-		arrival := d + n.cfg.LinkLatency
-		if n.obs.Kinds.Has(stats.NetworkHop) {
-			n.obs.On(stats.Event{Kind: stats.NetworkHop, At: d, Node: int32(nd.link), N: int32(m.Bytes()), Cat: m.Cat})
-		}
-		for _, dst := range nd.dests {
+	walked := int32(0)
+	for i := first; i >= 0; i = mc.tree[i].sib {
+		nd := &mc.tree[i]
+		arrival := n.reserve(nd.link, m, t, ser)
+		for j := nd.dest; j >= 0; j = mc.dnext[j] {
 			cp := n.CloneMessage(m)
-			cp.Dst = dst
+			cp.Dst = mc.dsts[j]
 			n.deliver(cp, arrival+ser) // tail arrives one serialization later
 		}
-		if len(nd.children) > 0 {
+		if nd.child >= 0 {
 			// Child edges all emanate from this link's head vertex.
 			next := n.sh.linkHead[nd.link]
 			op := n.getOp()
 			op.n = n.viewFor(next)
-			op.kind, op.mc, op.nodes, op.t, op.ser = opWalk, mc, nd.children, arrival, ser
+			op.kind, op.mc, op.node, op.t, op.ser = opWalk, mc, nd.child, arrival, ser
 			n.kernel.ScheduleExec(next, arrival, op.fire)
 		}
+		walked++
 	}
 	// The island walking the last edge recycles the multicast into its
-	// own free lists; the template message and slab migrate with it.
-	if atomic.AddInt32(&mc.edges, -int32(len(nodes))) == 0 {
+	// own free lists; the template message and tree migrate with it.
+	if atomic.AddInt32(&mc.edges, -walked) == 0 {
 		n.pool.Put(mc.m)
 		n.putMcast(mc)
 	}
@@ -528,7 +563,7 @@ func (n *Network) walk(mc *mcast, nodes []*mcNode, t sim.Time, ser sim.Time) {
 // bypasses the fabric and costs no interconnect bandwidth.
 func (n *Network) Send(m *msg.Message) {
 	now := n.kernel.Now()
-	path := n.path(m.Src.Node, m.Dst.Node)
+	path := n.route(m.Src.Node).to(m.Dst.Node)
 	if len(path) == 0 {
 		n.deliver(m, now+n.cfg.LocalLatency)
 		return
@@ -552,34 +587,45 @@ func (n *Network) SendAfter(m *msg.Message, delay sim.Time) {
 // is set per copy.
 func (n *Network) Multicast(m *msg.Message, dsts []msg.Port) {
 	now := n.kernel.Now()
-	mc := n.getMcast()
-	need := 0
+	r := n.route(m.Src.Node)
+	mc := n.getMcast(len(dsts))
+	gen := n.nextGen()
 	for _, dst := range dsts {
-		path := n.path(m.Src.Node, dst.Node)
+		path := r.to(dst.Node)
 		if len(path) == 0 {
 			cp := n.CloneMessage(m)
 			cp.Dst = dst
 			n.deliver(cp, now+n.cfg.LocalLatency)
 			continue
 		}
-		mc.paths = append(mc.paths, path)
-		mc.dsts = append(mc.dsts, dst)
-		need += len(path)
+		// Fold the path into the tree, one node per link. By prefix
+		// closure the links before the last one already in the tree are
+		// all in it, so only the links after it are new.
+		at, j := int32(0), len(path)
+		for j > 0 && n.marks[path[j-1]].gen != gen {
+			j--
+		}
+		if j > 0 {
+			at = n.marks[path[j-1]].val
+		}
+		for _, l := range path[j:] {
+			at = mc.add(at, l)
+			n.marks[l] = stamp{gen, at}
+		}
+		mc.addDest(at, dst)
 	}
-	if len(mc.dsts) == 0 {
+	edges := len(mc.tree) - 1
+	if edges == 0 {
 		n.pool.Put(m)
 		n.putMcast(mc)
 		return
 	}
-	if cap(mc.slab) < need {
-		mc.slab = make([]mcNode, 0, need)
-	}
 	mc.m = m
-	mc.build()
+	mc.edges = int32(edges)
 	if n.traffic != nil {
-		n.traffic.Record(m, int(mc.edges))
+		n.traffic.Record(m, edges)
 	}
-	n.walk(mc, mc.roots, now, n.serialization(m.Bytes()))
+	n.walk(mc, mc.tree[0].child, now, n.serialization(m.Bytes()))
 }
 
 // MulticastAfter schedules Multicast(m, dsts) after delay, without
@@ -588,47 +634,4 @@ func (n *Network) MulticastAfter(m *msg.Message, dsts []msg.Port, delay sim.Time
 	op := n.getOp()
 	op.kind, op.m, op.dsts = opMulticast, m, dsts
 	n.kernel.After(delay, op.fire)
-}
-
-// LinkBytes reports the bytes that crossed each link, indexed by
-// topology.LinkID. Useful for hotspot analysis: on the indirect tree the
-// root links carry every broadcast, which is the central bottleneck the
-// paper's evaluation exposes.
-func (n *Network) LinkBytes() []uint64 {
-	out := make([]uint64, len(n.sh.linkBytes))
-	copy(out, n.sh.linkBytes)
-	return out
-}
-
-// HottestLink returns the link that carried the most bytes.
-func (n *Network) HottestLink() (topology.LinkID, uint64) {
-	var best topology.LinkID
-	var bytes uint64
-	for l, b := range n.sh.linkBytes {
-		if b > bytes {
-			best, bytes = topology.LinkID(l), b
-		}
-	}
-	return best, bytes
-}
-
-// Utilization reports a link's average utilization over elapsed time
-// (0..1; 0 when bandwidth is unlimited or elapsed is zero).
-func (n *Network) Utilization(l topology.LinkID, elapsed sim.Time) float64 {
-	if n.cfg.LinkBandwidth <= 0 || elapsed <= 0 {
-		return 0
-	}
-	seconds := float64(elapsed) / 1e12
-	return float64(n.sh.linkBytes[l]) / (n.cfg.LinkBandwidth * seconds)
-}
-
-// UnicastLatency estimates the uncontended delivery time from src to dst
-// for a message of the given size; used by controllers to size timeout
-// intervals and by tests.
-func (n *Network) UnicastLatency(src, dst msg.NodeID, bytes int) sim.Time {
-	path := n.path(src, dst)
-	if len(path) == 0 {
-		return n.cfg.LocalLatency
-	}
-	return sim.Time(len(path))*n.cfg.LinkLatency + n.serialization(bytes)
 }

@@ -113,7 +113,7 @@ func TestTreeClustersShareRootSubtree(t *testing.T) {
 		top := tr.Levels() - 1
 		cs := Clusters(tr)
 		rootLink := func(m msg.NodeID) LinkID {
-			path := tr.Path(m, m)
+			path := tr.Path(nil, m, m)
 			return path[top] // the tier-top up-link into the root
 		}
 		linkOf := make(map[int]LinkID)
@@ -155,7 +155,7 @@ func TestTorusClustersAreRows(t *testing.T) {
 				if m == next {
 					continue // 1-wide row: nothing to hop
 				}
-				if hops := len(to.Path(m, next)); hops != 1 {
+				if hops := len(to.Path(nil, m, next)); hops != 1 {
 					t.Errorf("%d-node torus cluster %d: nodes %d -> %d are %d hops apart, want a direct ring link",
 						n, c, m, next, hops)
 				}

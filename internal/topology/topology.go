@@ -5,11 +5,11 @@
 // bidirectional torus with no ordering guarantees.
 //
 // A topology maps (source node, destination node) to an ordered sequence
-// of directed links. Deterministic routing means the union of the paths
-// from one source to any destination set is a tree, which lets the
-// interconnect layer account multicast bandwidth per tree edge exactly as
-// the paper does ("broadcast messages use bandwidth-efficient tree-based
-// multicast routing").
+// of directed links. Routing is deterministic and prefix-closed (each
+// link is entered from one predecessor among one source's paths), so
+// the paths from one source to any destination set form a tree: the
+// interconnect charges multicast bandwidth per tree edge as the paper
+// does ("bandwidth-efficient tree-based multicast routing").
 package topology
 
 import (
@@ -29,9 +29,9 @@ type Topology interface {
 	Nodes() int
 	// NumLinks reports the number of directed links.
 	NumLinks() int
-	// Path returns the directed links crossed from src to dst, in order.
-	// An empty path means local delivery (no interconnect crossing).
-	Path(src, dst msg.NodeID) []LinkID
+	// Path appends the directed links crossed from src to dst, in order,
+	// to buf; appending none means local delivery (no fabric crossing).
+	Path(buf []LinkID, src, dst msg.NodeID) []LinkID
 	// Ordered reports whether the fabric delivers broadcasts in a total
 	// order (required by traditional snooping).
 	Ordered() bool
@@ -48,7 +48,7 @@ func AvgHops(t Topology) float64 {
 			if s == d {
 				continue
 			}
-			total += len(t.Path(msg.NodeID(s), msg.NodeID(d)))
+			total += len(t.Path(nil, msg.NodeID(s), msg.NodeID(d)))
 			pairs++
 		}
 	}
@@ -159,13 +159,9 @@ func ringStep(a, b, n int) (step, hops int) {
 }
 
 // Path implements dimension-order routing: X first, then Y.
-func (t *Torus) Path(src, dst msg.NodeID) []LinkID {
-	if src == dst {
-		return nil
-	}
+func (t *Torus) Path(path []LinkID, src, dst msg.NodeID) []LinkID {
 	sx, sy := t.coord(src)
 	dx, dy := t.coord(dst)
-	var path []LinkID
 	// X phase.
 	step, hops := ringStep(sx, dx, t.w)
 	x := sx
@@ -228,9 +224,9 @@ type Tree struct {
 const TreeFanout = 4
 
 // MaxTreeNodes caps the tree (and the sizes the experiments sweep) at
-// 256 processors: the interconnect precomputes a per-(src,dst) path
-// cache and pools multicast tree slabs, both sized O(n^2), which stay
-// comfortably allocation-gated at this bound.
+// 256 processors, the largest system the experiments run. The fabric
+// itself no longer bounds it: the interconnect builds one O(n) route
+// row per source a run uses and pools O(n) multicast trees.
 const MaxTreeNodes = 256
 
 // CheckTree reports whether NewTreeFanout can build the ordered
@@ -333,8 +329,7 @@ func (t *Tree) downLink(l int, n msg.NodeID) LinkID {
 
 // Path always routes through the root — including src == dst — because
 // a node must observe its own broadcast in the global order.
-func (t *Tree) Path(src, dst msg.NodeID) []LinkID {
-	path := make([]LinkID, 0, 2*t.levels)
+func (t *Tree) Path(path []LinkID, src, dst msg.NodeID) []LinkID {
 	for l := 0; l < t.levels; l++ {
 		path = append(path, t.upLink(l, src))
 	}

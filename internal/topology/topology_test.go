@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 func TestTorusSelfPathEmpty(t *testing.T) {
 	torus := NewTorus(4, 4)
 	for n := 0; n < 16; n++ {
-		if p := torus.Path(msg.NodeID(n), msg.NodeID(n)); len(p) != 0 {
+		if p := torus.Path(nil, msg.NodeID(n), msg.NodeID(n)); len(p) != 0 {
 			t.Errorf("self path for node %d has %d links, want 0", n, len(p))
 		}
 	}
@@ -20,7 +21,7 @@ func TestTorusNeighborOneHop(t *testing.T) {
 	torus := NewTorus(4, 4)
 	// Node 0 at (0,0): east neighbor 1, west neighbor 3, south 4, north 12.
 	for _, dst := range []msg.NodeID{1, 3, 4, 12} {
-		if p := torus.Path(0, dst); len(p) != 1 {
+		if p := torus.Path(nil, 0, dst); len(p) != 1 {
 			t.Errorf("path 0->%d = %d hops, want 1", dst, len(p))
 		}
 	}
@@ -29,7 +30,7 @@ func TestTorusNeighborOneHop(t *testing.T) {
 func TestTorusMaxDistance(t *testing.T) {
 	torus := NewTorus(4, 4)
 	// Farthest node from 0 in a 4x4 torus is (2,2) = node 10: 2+2 hops.
-	if p := torus.Path(0, 10); len(p) != 4 {
+	if p := torus.Path(nil, 0, 10); len(p) != 4 {
 		t.Errorf("path 0->10 = %d hops, want 4", len(p))
 	}
 }
@@ -50,7 +51,7 @@ func TestTreeAlwaysFourHops(t *testing.T) {
 	tree := NewTree(16)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
-			if p := tree.Path(msg.NodeID(s), msg.NodeID(d)); len(p) != 4 {
+			if p := tree.Path(nil, msg.NodeID(s), msg.NodeID(d)); len(p) != 4 {
 				t.Fatalf("tree path %d->%d = %d hops, want 4", s, d, len(p))
 			}
 		}
@@ -101,7 +102,7 @@ func TestPathLinksValid(t *testing.T) {
 		n := topo.Nodes()
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				for _, l := range topo.Path(msg.NodeID(s), msg.NodeID(d)) {
+				for _, l := range topo.Path(nil, msg.NodeID(s), msg.NodeID(d)) {
 					if l < 0 || int(l) >= topo.NumLinks() {
 						t.Fatalf("%s: link %d out of range [0,%d)", topo.Name(), l, topo.NumLinks())
 					}
@@ -123,7 +124,7 @@ func TestPropertyRoutesArePrefixClosed(t *testing.T) {
 			// For each link, remember the prefix that first reached it.
 			prefixOf := make(map[LinkID][]LinkID)
 			for d := 0; d < n; d++ {
-				path := topo.Path(msg.NodeID(s), msg.NodeID(d))
+				path := topo.Path(nil, msg.NodeID(s), msg.NodeID(d))
 				for i, l := range path {
 					prefix := path[:i+1]
 					if prev, ok := prefixOf[l]; ok {
@@ -150,7 +151,7 @@ func TestTorusPathEndsAtDestination(t *testing.T) {
 	linkDst := buildTorusLinkMap(torus)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
-			path := torus.Path(msg.NodeID(s), msg.NodeID(d))
+			path := torus.Path(nil, msg.NodeID(s), msg.NodeID(d))
 			cur := msg.NodeID(s)
 			for _, l := range path {
 				from, to := linkDst[l][0], linkDst[l][1]
@@ -202,7 +203,7 @@ func TestTorusShortestDistance(t *testing.T) {
 			sx, sy := s%8, s/8
 			dx, dy := d%8, d/8
 			want := ringDist(sx, dx, 8) + ringDist(sy, dy, 4)
-			if got := len(torus.Path(msg.NodeID(s), msg.NodeID(d))); got != want {
+			if got := len(torus.Path(nil, msg.NodeID(s), msg.NodeID(d))); got != want {
 				t.Fatalf("path %d->%d = %d hops, want %d", s, d, got, want)
 			}
 		}
@@ -288,7 +289,7 @@ func TestPropertyTreePathsCrossRoot(t *testing.T) {
 		rootOut := tree.downOff[L-1]
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				path := tree.Path(msg.NodeID(s), msg.NodeID(d))
+				path := tree.Path(nil, msg.NodeID(s), msg.NodeID(d))
 				if len(path) != 2*L {
 					t.Fatalf("n=%d: path %d->%d has %d links, want 2*levels = %d", n, s, d, len(path), 2*L)
 				}
@@ -315,7 +316,7 @@ func TestPropertyTreeLinkIDsDense(t *testing.T) {
 		used := make([]bool, tree.NumLinks())
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				for _, l := range tree.Path(msg.NodeID(s), msg.NodeID(d)) {
+				for _, l := range tree.Path(nil, msg.NodeID(s), msg.NodeID(d)) {
 					if l < 0 || int(l) >= len(used) {
 						t.Fatalf("n=%d: link %d out of range [0,%d)", n, l, len(used))
 					}
@@ -350,7 +351,7 @@ func TestTreeLinkNumberingCompatible(t *testing.T) {
 	tree := NewTree(16)
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
-			got := tree.Path(msg.NodeID(s), msg.NodeID(d))
+			got := tree.Path(nil, msg.NodeID(s), msg.NodeID(d))
 			want := []LinkID{
 				LinkID(s),            // node -> in-switch
 				LinkID(16 + s/4),     // in-switch -> root
@@ -376,7 +377,7 @@ func TestPropertyTorusPathLength(t *testing.T) {
 		tor := NewTorus(w, h)
 		s := msg.NodeID(int(sRaw) % n)
 		d := msg.NodeID(int(dRaw) % n)
-		path := tor.Path(s, d)
+		path := tor.Path(nil, s, d)
 		ringDist := func(a, b, n int) int {
 			fwd := (b - a + n) % n
 			bwd := (a - b + n) % n
@@ -390,5 +391,22 @@ func TestPropertyTorusPathLength(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPathAppends pins Path's append form: it extends the buffer it is
+// given, leaving the existing prefix alone, and appends exactly the
+// route Path(nil, ...) returns.
+func TestPathAppends(t *testing.T) {
+	for _, topo := range []Topology{NewTorus(4, 4), NewTree(16)} {
+		for s := 0; s < topo.Nodes(); s++ {
+			for d := 0; d < topo.Nodes(); d++ {
+				want := topo.Path(nil, msg.NodeID(s), msg.NodeID(d))
+				got := topo.Path([]LinkID{-1}, msg.NodeID(s), msg.NodeID(d))
+				if got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("%s: Path([-1], %d, %d) = %v, want [-1] + %v", topo.Name(), s, d, got, want)
+				}
+			}
+		}
 	}
 }

@@ -278,10 +278,10 @@ type TokenController = core.TokenB
 // destination set safe. Register implementations with RegisterPolicy.
 type Policy = core.Policy
 
-// Topology is a static interconnect graph with deterministic routing;
-// see the package documentation of the built-in tree and torus for the
-// multicast-tree requirement. Register implementations with
-// RegisterTopology.
+// Topology is a static interconnect graph with deterministic,
+// prefix-closed routing: among one source's paths every link is entered
+// from one predecessor, so they form a multicast tree (the network
+// panics otherwise). Register implementations with RegisterTopology.
 type Topology = topology.Topology
 
 // LinkID names one directed interconnect link (dense in [0, NumLinks)).
