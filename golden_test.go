@@ -36,9 +36,10 @@ var goldenArgs = []string{"-ops", "200", "-warmup", "300"}
 //   - whole: every parameter sweep as JSONL and CSV, -list-metrics,
 //     tokensim -experiment all at a small size, and a two-seed tokenb
 //     custom point as its statistics block and as -columns CSV;
-//   - as SHA-256 + byte count: the hop-level Chrome trace of a tokenb
-//     16-processor point, and the stderr flight-recorder dumps of the
-//     same point under a 500ns starvation deadline;
+//   - as SHA-256 + byte count: the hop-level Chrome traces of a tokenb
+//     16-processor point and of a dir2 64-processor point run serially
+//     and on four islands, and the stderr flight-recorder dumps of the
+//     tokenb point under a 500ns starvation deadline;
 //   - as FNV-64a + byte count: the raw stats.Event stream (hops included)
 //     of the 64-processor points TestIslandKernelByteIdentity64 checks.
 //
@@ -84,15 +85,21 @@ func TestGoldenOutputs(t *testing.T) {
 		_, dump := runCmd(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-deadline", "500ns"}, goldenArgs)...)
 		return fmt.Appendf(nil, "sha256 %x\nbytes %d\n", sha256.Sum256(dump), len(dump))
 	})
-	golden("tokensim-tokenb16-trace-hops.sha256", func(t *testing.T) []byte {
-		dir := filepath.Join(bin, "trace")
-		runCLI(t, tokensim, slices.Concat([]string{"-protocol", "tokenb", "-procs", "16", "-trace", dir, "-trace-hops"}, goldenArgs)...)
-		trace, err := os.ReadFile(filepath.Join(dir, "point-0000-tokenb-torus-oltp-seed1.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Appendf(nil, "sha256 %x\nbytes %d\n", sha256.Sum256(trace), len(trace))
-	})
+	for _, tc := range []struct{ name, proto, procs, islands string }{
+		{"tokensim-tokenb16-trace-hops.sha256", "tokenb", "16", "1"},
+		{"tokensim-dir2-64-trace-hops.sha256", "dir2", "64", "1"},
+		{"tokensim-dir2-64-islands4-trace-hops.sha256", "dir2", "64", "4"},
+	} {
+		golden(tc.name, func(t *testing.T) []byte {
+			dir := filepath.Join(bin, tc.name)
+			runCLI(t, tokensim, slices.Concat([]string{"-protocol", tc.proto, "-procs", tc.procs, "-islands", tc.islands, "-trace", dir, "-trace-hops"}, goldenArgs)...)
+			trace, err := os.ReadFile(filepath.Join(dir, "point-0000-"+tc.proto+"-torus-oltp-seed1.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Appendf(nil, "sha256 %x\nbytes %d\n", sha256.Sum256(trace), len(trace))
+		})
+	}
 	for _, tc := range []struct{ proto, topo string }{
 		{engine.ProtoTokenB, engine.TopoTorus},
 		{engine.ProtoSnooping, engine.TopoTree},
