@@ -115,13 +115,11 @@ func (a *Arbiter) broadcastTargets() []msg.Port {
 func (a *Arbiter) broadcast(kind msg.Kind, e arbEntry) {
 	a.seq++
 	a.acksPending = len(a.broadcastTargetsCached())
-	m := a.isle.Net.NewMessage()
-	*m = msg.Message{
+	a.isle.Net.MulticastAfter(msg.Message{
 		Kind: kind, Cat: msg.CatReissue,
 		Src: a.Port(), Addr: e.addr, Requester: e.requester, Seq: a.seq,
 		Acks: e.epoch,
-	}
-	a.isle.Net.MulticastAfter(m, a.broadcastTargetsCached(), a.sys.Cfg.CtrlLatency)
+	}, a.broadcastTargetsCached(), a.sys.Cfg.CtrlLatency)
 }
 
 // broadcastTargetsCached memoizes the static activation broadcast set.

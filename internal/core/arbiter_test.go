@@ -55,14 +55,14 @@ func newArbiterRig(t *testing.T, procs int) *arbiterRig {
 }
 
 func (r *arbiterRig) ack(from msg.Port, m *msg.Message, kind msg.Kind) {
-	r.sys.Net.Send(&msg.Message{
+	r.sys.Net.Send(msg.Message{
 		Kind: kind, Src: from, Dst: m.Src, Addr: m.Addr, Seq: m.Seq,
 	})
 }
 
 func (r *arbiterRig) request(starver msg.NodeID, b msg.Block) {
 	p := msg.Port{Node: starver, Unit: msg.UnitCache}
-	r.sys.Net.Send(&msg.Message{
+	r.sys.Net.Send(msg.Message{
 		Kind: msg.KindPersistentReq, Src: p, Dst: r.arb.Port(),
 		Addr: b.Base(), Requester: p,
 	})
@@ -70,7 +70,7 @@ func (r *arbiterRig) request(starver msg.NodeID, b msg.Block) {
 
 func (r *arbiterRig) deactivate(starver msg.NodeID, b msg.Block) {
 	p := msg.Port{Node: starver, Unit: msg.UnitCache}
-	r.sys.Net.Send(&msg.Message{
+	r.sys.Net.Send(msg.Message{
 		Kind: msg.KindPersistentDeactivate, Src: p, Dst: r.arb.Port(),
 		Addr: b.Base(),
 	})

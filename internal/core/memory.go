@@ -29,8 +29,8 @@ type memLine struct {
 // writebacks and redirected tokens unconditionally.
 type Memory struct {
 	sys *machine.System
-	// isle is the controller's island context; event-time message
-	// allocation and sends go through its network view.
+	// isle is the controller's island context; event-time sends go
+	// through its network view.
 	isle   *machine.Isle
 	id     msg.NodeID
 	ledger *Ledger
@@ -121,13 +121,11 @@ func (m *Memory) respond(to msg.Port, b msg.Block, tokens int, owner bool, data 
 		cat = msg.CatData
 	}
 	m.ledger.Sent(b, tokens, owner, hasData)
-	out := m.isle.Net.NewMessage()
-	*out = msg.Message{
+	m.isle.Net.SendAfter(msg.Message{
 		Kind: kind, Cat: cat,
 		Src: m.Port(), Dst: to, Addr: b.Base(),
 		Tokens: tokens, Owner: owner, HasData: hasData, Data: data, Dirty: dirty,
-	}
-	m.isle.Net.SendAfter(out, lat)
+	}, lat)
 }
 
 // EnableHints turns on the soft-state redirect directory (TokenD and
@@ -190,7 +188,7 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 		}
 	}
 	if len(targets) > 0 {
-		fwd := m.isle.Net.CloneMessage(mm)
+		fwd := *mm
 		fwd.Src = m.Port()
 		fwd.Cat = msg.CatRequest
 		m.isle.Net.MulticastAfter(fwd, targets, m.sys.Cfg.CtrlLatency)
@@ -233,8 +231,7 @@ func (m *Memory) handleTransient(mm *msg.Message) {
 		}
 		// Keep the owner token, hand out one plain token with data.
 		m.ledger.Sent(b, 1, false, true)
-		out := m.isle.Net.NewMessage()
-		*out = msg.Message{
+		out := msg.Message{
 			Kind: msg.KindData, Cat: msg.CatData,
 			Src: m.Port(), Dst: mm.Requester, Addr: mm.Addr,
 			Tokens: 1, HasData: true, Data: l.data, Dirty: l.dirty,
@@ -259,7 +256,7 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 		// Forward everything to the starving processor, per the
 		// persistent-request rules.
 		m.ledger.Sent(b, mm.Tokens, mm.Owner, mm.HasData)
-		fwd := m.isle.Net.CloneMessage(mm)
+		fwd := *mm
 		fwd.Src = m.Port()
 		fwd.Dst = starver
 		fwd.Cat = msg.CatControl
@@ -307,10 +304,8 @@ func (m *Memory) handleDeactivate(mm *msg.Message) {
 }
 
 func (m *Memory) ack(mm *msg.Message, kind msg.Kind) {
-	out := m.isle.Net.NewMessage()
-	*out = msg.Message{
+	m.isle.Net.SendAfter(msg.Message{
 		Kind: kind, Cat: msg.CatReissue,
 		Src: m.Port(), Dst: mm.Src, Addr: mm.Addr, Seq: mm.Seq,
-	}
-	m.isle.Net.SendAfter(out, m.sys.Cfg.CtrlLatency)
+	}, m.sys.Cfg.CtrlLatency)
 }

@@ -17,6 +17,8 @@ type Policy interface {
 	// request, so implementations must not retain the returned slice.
 	Destinations(c *TokenB, m *machine.MSHR, reissue bool, buf []msg.Port) []msg.Port
 	// Observe trains the policy on an incoming token-carrying message.
+	// mm is valid only during the call; a policy that keeps it keeps a
+	// copy of the value.
 	Observe(c *TokenB, mm *msg.Message)
 	// Name identifies the resulting protocol.
 	Name() string

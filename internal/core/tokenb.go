@@ -100,8 +100,7 @@ func (c *TokenB) broadcastTransient(m *machine.MSHR, cat msg.Category) {
 	if m.Write {
 		kind = msg.KindGetM
 	}
-	req := c.Net.NewMessage()
-	*req = msg.Message{
+	req := msg.Message{
 		Kind: kind, Cat: cat,
 		Src: c.CachePort(), Addr: m.Block.Base(), Requester: c.CachePort(),
 	}
@@ -157,15 +156,13 @@ func (c *TokenB) goPersistent(m *machine.MSHR) {
 	c.persistSeq++
 	c.starving[m.Block] = m
 	c.starvingSeq[m.Block] = c.persistSeq
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: msg.KindPersistentReq, Cat: msg.CatReissue,
 		Src:  c.CachePort(),
 		Dst:  c.ArbiterPort(m.Block),
 		Addr: m.Block.Base(), Requester: c.CachePort(),
 		Acks: int(c.persistSeq),
-	}
-	c.Net.Send(out)
+	})
 }
 
 // EvictL2 implements machine.CacheHooks: evicted tokens (and data when
@@ -194,8 +191,7 @@ func (c *TokenB) sendTokens(to msg.Port, b msg.Block, tokens int, owner, hasData
 		kind, cat = msg.KindData, msg.CatData
 	}
 	c.ledger.Sent(b, tokens, owner, hasData)
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	out := msg.Message{
 		Kind: kind, Cat: cat,
 		Src: c.CachePort(), Dst: to, Addr: b.Base(),
 		Tokens: tokens, Owner: owner, HasData: hasData, Data: data, Dirty: dirty,
@@ -310,7 +306,7 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 
 func (c *TokenB) forwardTokens(to msg.Port, m *msg.Message) {
 	c.ledger.Sent(msg.BlockOf(m.Addr), m.Tokens, m.Owner, m.HasData)
-	fwd := c.Net.CloneMessage(m)
+	fwd := *m
 	fwd.Src = c.CachePort()
 	fwd.Dst = to
 	fwd.Cat = msg.CatControl
@@ -358,14 +354,12 @@ func (c *TokenB) completeTokenMiss(m *machine.MSHR) {
 }
 
 func (c *TokenB) sendDeactivate(b msg.Block) {
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: msg.KindPersistentDeactivate, Cat: msg.CatReissue,
 		Src:  c.CachePort(),
 		Dst:  c.ArbiterPort(b),
 		Addr: b.Base(),
-	}
-	c.Net.Send(out)
+	})
 }
 
 func (c *TokenB) handleActivate(m *msg.Message) {
@@ -415,10 +409,8 @@ func (c *TokenB) ForEachLine(f func(b msg.Block, tokens int, owner bool)) {
 }
 
 func (c *TokenB) ackArbiter(m *msg.Message, kind msg.Kind) {
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: kind, Cat: msg.CatReissue,
 		Src: c.CachePort(), Dst: m.Src, Addr: m.Addr, Seq: m.Seq,
-	}
-	c.Net.Send(out)
+	})
 }

@@ -46,7 +46,7 @@ type wbEntry struct {
 type Cache struct {
 	machine.CacheBase
 	wb       map[msg.Block][]*wbEntry
-	deferred map[msg.Block][]*msg.Message
+	deferred map[msg.Block][]msg.Message
 	// invAfterFill records, per block being filled, the newest home
 	// transaction number of an invalidation that overtook the fill; the
 	// fill is consumed once and then invalidated if it is older.
@@ -60,7 +60,7 @@ type Cache struct {
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
 	c := &Cache{
 		wb:           make(map[msg.Block][]*wbEntry),
-		deferred:     make(map[msg.Block][]*msg.Message),
+		deferred:     make(map[msg.Block][]msg.Message),
 		invAfterFill: make(map[msg.Block]uint64),
 		pendingAcks:  make(map[msg.Block][]uint64),
 	}
@@ -88,13 +88,11 @@ func (c *Cache) sendRequest(m *machine.MSHR) {
 	if m.Write {
 		kind = msg.KindGetM
 	}
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: kind, Cat: msg.CatRequest,
 		Src: c.CachePort(), Dst: c.HomePort(m.Block),
 		Addr: m.Block.Base(), Requester: c.CachePort(),
-	}
-	c.Net.Send(out)
+	})
 }
 
 // EvictL2 implements machine.CacheHooks.
@@ -110,13 +108,11 @@ func (c *Cache) EvictL2(v cache.Line) {
 	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
 		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written, epoch: v.Epoch,
 	})
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatData,
 		Src: c.CachePort(), Dst: c.HomePort(v.Block),
 		Addr: v.Block.Base(), HasData: true, Data: v.Data, Dirty: v.Dirty, Seq: v.Epoch,
-	}
-	c.Net.Send(out)
+	})
 }
 
 // Handle implements interconnect.Handler.
@@ -150,16 +146,10 @@ func (c *Cache) onData(m *msg.Message) {
 		panic(fmt.Sprintf("directory: node %d data for block %d with no MSHR", c.ID, b))
 	}
 	mshr.GotData = true
-	mshr.Fill = m
+	mshr.Fill = machine.FillOf(m)
 	mshr.AcksNeeded = m.Acks
 	c.absorbPendingAcks(mshr)
 	c.maybeComplete(mshr)
-	if mshr.Fill == m {
-		// Invalidation acks are still outstanding: keep the fill alive
-		// past this handler call; CompleteMiss recycles it.
-		m.Retain()
-		mshr.FillKept = true
-	}
 }
 
 // absorbPendingAcks counts buffered early acks that match the fill's
@@ -220,14 +210,10 @@ func (c *Cache) onGrant(m *msg.Message) {
 	}
 	mshr.GotData = true
 	mshr.Grant = true
-	mshr.Fill = m
+	mshr.Fill = machine.FillOf(m)
 	mshr.AcksNeeded = m.Acks
 	c.absorbPendingAcks(mshr)
 	c.maybeComplete(mshr)
-	if mshr.Fill == m {
-		m.Retain()
-		mshr.FillKept = true
-	}
 }
 
 // maybeComplete commits the transaction once data (or grant) and all
@@ -248,7 +234,7 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 		l.Epoch = m.Fill.Seq
 		becameM = true
 	} else {
-		fill := m.Fill
+		fill := &m.Fill
 		l := c.EnsureL2(b)
 		l.Valid = true
 		l.Data = fill.Data
@@ -266,9 +252,8 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 	// Drain requests the directory forwarded to us while we were filling.
 	defs := c.deferred[b]
 	delete(c.deferred, b)
-	for _, d := range defs {
-		c.serveFwd(d, b)
-		c.Net.FreeMessage(d)
+	for i := range defs {
+		c.serveFwd(&defs[i], b)
 	}
 	// An invalidation from a home transaction newer than this fill
 	// overtook the data; the fill satisfied the waiting accesses once
@@ -281,13 +266,11 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 	}
 	// Forward-served transactions unblock the home (it is busy waiting).
 	if fromCache {
-		out := c.Net.NewMessage()
-		*out = msg.Message{
+		c.Net.Send(msg.Message{
 			Kind: msg.KindUnblock, Cat: msg.CatControl,
 			Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
 			Owner: becameM,
-		}
-		c.Net.Send(out)
+		})
 	}
 }
 
@@ -309,12 +292,10 @@ func (c *Cache) onInv(m *msg.Message) {
 	}
 	// Always acknowledge, directly to the requesting writer, echoing the
 	// home transaction number so the writer can match acks to its fill.
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.SendAfter(msg.Message{
 		Kind: msg.KindAck, Cat: msg.CatControl,
 		Src: c.CachePort(), Dst: m.Requester, Addr: m.Addr, Seq: m.Seq,
-	}
-	c.Net.SendAfter(out, c.Cfg.L2Latency)
+	}, c.Cfg.L2Latency)
 }
 
 func (c *Cache) onFwd(m *msg.Message) {
@@ -331,7 +312,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 				// Our own transaction is ordered before this forward at
 				// the home; we are the owner-to-be, so serve it after
 				// completion (ownership chaining).
-				c.deferred[b] = append(c.deferred[b], m.Retain())
+				c.deferred[b] = append(c.deferred[b], *m)
 				return
 			}
 			c.serveFwd(m, b)
@@ -345,7 +326,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 			return
 		}
 		// Our fill is still in flight; chain the forward to completion.
-		c.deferred[b] = append(c.deferred[b], m.Retain())
+		c.deferred[b] = append(c.deferred[b], *m)
 		return
 	}
 	c.serveFwd(m, b)
@@ -397,13 +378,11 @@ func (c *Cache) serveFwd(m *msg.Message, b msg.Block) {
 }
 
 func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, dirty bool, acks int, seq uint64) {
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.SendAfter(msg.Message{
 		Kind: msg.KindData, Cat: msg.CatData,
 		Src: c.CachePort(), Dst: to, Addr: b.Base(),
 		HasData: true, Data: data, Owner: grantOwner, Dirty: dirty, Acks: acks, Seq: seq,
-	}
-	c.Net.SendAfter(out, c.Cfg.L2Latency)
+	}, c.Cfg.L2Latency)
 }
 
 func (c *Cache) onWBAck(m *msg.Message) { c.popWB(msg.BlockOf(m.Addr)) }
@@ -463,7 +442,7 @@ func (m *Memory) Handle(mm *msg.Message) {
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM, msg.KindPutM:
 		if l.busy {
-			l.queue = append(l.queue, mm.Retain())
+			l.queue = append(l.queue, *mm)
 			return
 		}
 		m.process(l, mm)

@@ -20,6 +20,7 @@ package directory
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
@@ -42,10 +43,10 @@ type authLine struct {
 	// recalling marks an in-progress recall: cluster copies are being
 	// invalidated and gathered before the authority returns.
 	recalling bool
-	// recallAcks counts outstanding invalidation acks of the recall.
-	recallAcks int
 	// needData marks a recall waiting for the cluster owner's data.
 	needData bool
+	// recallAcks counts outstanding invalidation acks of the recall.
+	recallAcks int
 }
 
 // ClusterHome is the per-cluster directory tier of the two-level
@@ -112,7 +113,7 @@ func (h *ClusterHome) Handle(mm *msg.Message) {
 		l := h.line(b)
 		a := h.auth(b)
 		if !a.have || a.acquiring || a.recalling || a.pendingRecall || l.busy {
-			l.queue = append(l.queue, mm.Retain())
+			l.queue = append(l.queue, *mm)
 			h.ensureAuthority(b, a)
 			return
 		}
@@ -140,10 +141,10 @@ func (h *ClusterHome) ensureAuthority(b msg.Block, a *authLine) {
 	}
 	a.acquiring = true
 	h.acquires.Inc()
-	h.send(h.newMessage(msg.Message{
+	h.send(msg.Message{
 		Kind: msg.KindAuthReq, Cat: msg.CatRequest,
 		Src: h.port, Dst: h.globalPort(b), Addr: b.Base(),
-	}), h.sys.Cfg.CtrlLatency)
+	}, h.sys.Cfg.CtrlLatency)
 }
 
 func (h *ClusterHome) onGrant(b msg.Block, mm *msg.Message) {
@@ -160,9 +161,8 @@ func (h *ClusterHome) onGrant(b msg.Block, mm *msg.Message) {
 	l.data = mm.Data
 	for len(l.queue) > 0 && !l.busy {
 		next := l.queue[0]
-		l.queue = l.queue[1:]
-		h.process(l, next)
-		h.isle.Net.FreeMessage(next)
+		l.queue = slices.Delete(l.queue, 0, 1)
+		h.process(l, &next)
 	}
 }
 
@@ -214,11 +214,11 @@ func (h *ClusterHome) startRecall(b msg.Block, l *dirLine, a *authLine) {
 		others := l.sharers &^ (1 << h.idx(l.owner))
 		a.needData = true
 		a.recallAcks = bits.OnesCount64(others)
-		h.send(h.newMessage(msg.Message{
+		h.send(msg.Message{
 			Kind: msg.KindFwdGetM, Cat: msg.CatRequest,
 			Src: h.port, Dst: msg.Port{Node: l.owner, Unit: msg.UnitCache},
 			Addr: b.Base(), Requester: h.port, Acks: a.recallAcks, Seq: seq,
-		}), h.dirLat())
+		}, h.dirLat())
 		h.sendInvals(others, b.Base(), h.port, seq)
 	}
 	h.maybeFinishRecall(b, l, a)
@@ -256,11 +256,11 @@ func (h *ClusterHome) maybeFinishRecall(b msg.Block, l *dirLine, a *authLine) {
 	l.state = dirI
 	l.owner = 0
 	l.sharers = 0
-	h.send(h.newMessage(msg.Message{
+	h.send(msg.Message{
 		Kind: msg.KindRecallAck, Cat: msg.CatData,
 		Src: h.port, Dst: h.globalPort(b), Addr: b.Base(),
 		HasData: true, Data: l.data,
-	}), h.sys.Cfg.CtrlLatency)
+	}, h.sys.Cfg.CtrlLatency)
 	if len(l.queue) > 0 {
 		h.ensureAuthority(b, a)
 	}
@@ -359,24 +359,20 @@ func (g *GlobalAuth) Handle(mm *msg.Message) {
 func (g *GlobalAuth) grant(e *authEntry, b msg.Block, to msg.NodeID) {
 	e.held = true
 	e.holder = to
-	out := g.isle.Net.NewMessage()
-	*out = msg.Message{
+	g.isle.Net.SendAfter(msg.Message{
 		Kind: msg.KindAuthGrant, Cat: msg.CatData,
 		Src: g.Port(), Dst: msg.Port{Node: to, Unit: msg.UnitMem}, Addr: b.Base(),
 		HasData: true, Data: e.data,
-	}
-	g.isle.Net.SendAfter(out, g.sys.Cfg.CtrlLatency)
+	}, g.sys.Cfg.CtrlLatency)
 }
 
 func (g *GlobalAuth) recall(e *authEntry, b msg.Block) {
 	e.busy = true
 	g.recalls.Inc()
-	out := g.isle.Net.NewMessage()
-	*out = msg.Message{
+	g.isle.Net.SendAfter(msg.Message{
 		Kind: msg.KindRecall, Cat: msg.CatRequest,
 		Src: g.Port(), Dst: msg.Port{Node: e.holder, Unit: msg.UnitMem}, Addr: b.Base(),
-	}
-	g.isle.Net.SendAfter(out, g.sys.Cfg.CtrlLatency)
+	}, g.sys.Cfg.CtrlLatency)
 }
 
 // System2 bundles the two-level directory machine's components.

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"math/bits"
+	"slices"
 
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
@@ -19,12 +20,17 @@ const (
 	dirM                 // a cache owns exclusively
 )
 
+// dirLine is one block's home state. Its fields are ordered to pack
+// into 80 bytes.
 type dirLine struct {
-	state   dirState
+	state dirState
+	busy  bool
+	// txnKind and txnReq record the in-flight forwarded transaction.
+	txnKind msg.Kind
 	owner   msg.NodeID
+	txnReq  msg.Port
 	sharers uint64 // bitset over sharer indices (see homeCore.idx)
 	data    uint64
-	busy    bool
 	// seq numbers this block's home transactions; every outgoing data,
 	// grant, forward and invalidation is stamped with it so caches can
 	// order messages that raced on the unordered fabric.
@@ -33,10 +39,9 @@ type dirLine struct {
 	// owner; a PutM is genuine only if it carries this epoch.
 	ownerSeq uint64
 	txnSeq   uint64
-	queue    []*msg.Message
-	// txn records the in-flight forwarded transaction.
-	txnKind msg.Kind
-	txnReq  msg.Port
+	// queue holds the requests that found the line busy, oldest first.
+	// Drains pop by shifting, so a line's queue reuses its storage.
+	queue []msg.Message
 }
 
 // homeCore is the per-block MOSI home directory state machine, reusable
@@ -134,14 +139,7 @@ func (m *homeCore) line(b msg.Block) *dirLine {
 func (m *homeCore) dataLat() sim.Time { return m.sys.Cfg.CtrlLatency + m.sys.Cfg.MemLatency }
 func (m *homeCore) dirLat() sim.Time  { return m.sys.Cfg.CtrlLatency + m.sys.Cfg.DirLatency }
 
-// newMessage allocates an outgoing message from the network's pool.
-func (m *homeCore) newMessage(t msg.Message) *msg.Message {
-	out := m.isle.Net.NewMessage()
-	*out = t
-	return out
-}
-
-func (m *homeCore) send(out *msg.Message, lat sim.Time) {
+func (m *homeCore) send(out msg.Message, lat sim.Time) {
 	m.isle.Net.SendAfter(out, lat)
 }
 
@@ -156,21 +154,21 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 		case dirI, dirS:
 			l.state = dirS
 			l.sharers |= 1 << m.idx(req.Node)
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
 				HasData: true, Data: l.data, Seq: seq,
-			}), m.dataLat())
+			}, m.dataLat())
 		case dirM, dirO:
 			l.busy = true
 			l.txnKind = msg.KindGetS
 			l.txnReq = req
 			l.txnSeq = seq
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindFwdGetS, Cat: msg.CatRequest,
 				Src: m.port, Dst: msg.Port{Node: l.owner, Unit: msg.UnitCache},
 				Addr: mm.Addr, Requester: req, Seq: seq,
-			}), m.dirLat())
+			}, m.dirLat())
 		}
 	case msg.KindGetM:
 		switch l.state {
@@ -179,11 +177,11 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 			l.owner = req.Node
 			l.ownerSeq = seq
 			l.sharers = 0
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
 				HasData: true, Data: l.data, Owner: true, Seq: seq,
-			}), m.dataLat())
+			}, m.dataLat())
 		case dirS:
 			others := l.sharers &^ (1 << m.idx(req.Node))
 			n := bits.OnesCount64(others)
@@ -191,11 +189,11 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 			l.owner = req.Node
 			l.ownerSeq = seq
 			l.sharers = 0
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
 				HasData: true, Data: l.data, Owner: true, Acks: n, Seq: seq,
-			}), m.dataLat())
+			}, m.dataLat())
 			m.sendInvals(others, mm.Addr, req, seq)
 		case dirM, dirO:
 			if l.owner == req.Node {
@@ -206,10 +204,10 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 				l.state = dirM
 				l.ownerSeq = seq
 				l.sharers = 0
-				m.send(m.newMessage(msg.Message{
+				m.send(msg.Message{
 					Kind: msg.KindAck, Cat: msg.CatControl,
 					Src: m.port, Dst: req, Addr: mm.Addr, Acks: n, Seq: seq,
-				}), m.dirLat())
+				}, m.dirLat())
 				m.sendInvals(others, mm.Addr, req, seq)
 				return
 			}
@@ -219,11 +217,11 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 			l.txnKind = msg.KindGetM
 			l.txnReq = req
 			l.txnSeq = seq
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindFwdGetM, Cat: msg.CatRequest,
 				Src: m.port, Dst: msg.Port{Node: l.owner, Unit: msg.UnitCache},
 				Addr: mm.Addr, Requester: req, Acks: n, Seq: seq,
-			}), m.dirLat())
+			}, m.dirLat())
 			m.sendInvals(others, mm.Addr, req, seq)
 		}
 	case msg.KindPutM:
@@ -235,15 +233,15 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 				l.state = dirS
 			}
 			l.owner = 0
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindWBAck, Cat: msg.CatControl,
 				Src: m.port, Dst: mm.Src, Addr: mm.Addr,
-			}), m.dirLat())
+			}, m.dirLat())
 		} else {
-			m.send(m.newMessage(msg.Message{
+			m.send(msg.Message{
 				Kind: msg.KindWBStale, Cat: msg.CatControl,
 				Src: m.port, Dst: mm.Src, Addr: mm.Addr,
-			}), m.dirLat())
+			}, m.dirLat())
 		}
 	}
 }
@@ -252,11 +250,11 @@ func (m *homeCore) sendInvals(set uint64, addr msg.Addr, req msg.Port, seq uint6
 	for set != 0 {
 		i := bits.TrailingZeros64(set)
 		set &^= 1 << uint(i)
-		m.send(m.newMessage(msg.Message{
+		m.send(msg.Message{
 			Kind: msg.KindInv, Cat: msg.CatRequest,
 			Src: m.port, Dst: msg.Port{Node: m.nodeAt(i), Unit: msg.UnitCache},
 			Addr: addr, Requester: req, Seq: seq,
-		}), m.dirLat())
+		}, m.dirLat())
 	}
 }
 
@@ -294,8 +292,7 @@ func (m *homeCore) unblock(l *dirLine, mm *msg.Message) {
 	// Drain queued requests until one blocks again.
 	for len(l.queue) > 0 && !l.busy {
 		next := l.queue[0]
-		l.queue = l.queue[1:]
-		m.process(l, next)
-		m.isle.Net.FreeMessage(next)
+		l.queue = slices.Delete(l.queue, 0, 1)
+		m.process(l, &next)
 	}
 }

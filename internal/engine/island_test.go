@@ -10,7 +10,6 @@ import (
 
 	"tokencoherence/internal/engine"
 	"tokencoherence/internal/machine"
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/stats"
 	"tokencoherence/internal/trace"
 )
@@ -60,14 +59,6 @@ func islandOutputs(t *testing.T, pt engine.Point, islands int, hops bool) map[st
 	}
 }
 
-// poisonPool poisons the message pool until t and its subtests finish.
-// It is set once, before any subtest starts, because parallel subtests
-// and the island goroutines they start all read it.
-func poisonPool(t *testing.T) {
-	msg.PoolPoison = true
-	t.Cleanup(func() { msg.PoolPoison = false })
-}
-
 // checkIslandIdentity asserts that a point emits byte-identical outputs
 // (see islandOutputs) at every island count in counts, and across
 // repeated runs at the highest count.
@@ -101,10 +92,8 @@ func checkIslandIdentity(t *testing.T, pt engine.Point, counts []int, hops bool)
 // the 8x8 torus, snooping on the ordered tree) emits byte-identical
 // JSONL rows, hop-level trace exports, flight-recorder dumps, and raw
 // event-stream hashes (hops included) across island counts 1, 2, and 4
-// and across repeated 4-island runs, with the message pool poisoned
-// throughout.
+// and across repeated 4-island runs.
 func TestIslandKernelByteIdentity64(t *testing.T) {
-	poisonPool(t)
 	for _, tc := range []struct{ proto, topo string }{
 		{engine.ProtoTokenB, engine.TopoTorus},
 		{engine.ProtoSnooping, engine.TopoTree},
@@ -132,7 +121,6 @@ func TestIslandKernelByteIdentity256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor island determinism skipped in -short mode")
 	}
-	poisonPool(t)
 	checkIslandIdentity(t, engine.Point{
 		Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "apache",
 		Procs: 256, Ops: 12, Warmup: 12, Seed: 5,

@@ -26,6 +26,7 @@ package hammer
 
 import (
 	"fmt"
+	"slices"
 
 	"tokencoherence/internal/cache"
 	"tokencoherence/internal/machine"
@@ -80,13 +81,11 @@ func (c *Cache) StartMiss(m *machine.MSHR) {
 	if m.Write {
 		kind = msg.KindGetM
 	}
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: kind, Cat: msg.CatRequest,
 		Src: c.CachePort(), Dst: c.HomePort(m.Block),
 		Addr: m.Block.Base(), Requester: c.CachePort(),
-	}
-	c.Net.Send(out)
+	})
 }
 
 // EvictL2 implements machine.CacheHooks: owner evictions announce intent
@@ -104,12 +103,10 @@ func (c *Cache) EvictL2(v cache.Line) {
 	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
 		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written,
 	})
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatControl,
 		Src: c.CachePort(), Dst: c.HomePort(v.Block), Addr: v.Block.Base(),
-	}
-	c.Net.Send(out)
+	})
 }
 
 // ownerWB returns the writeback entry that still owns b, if any.
@@ -183,13 +180,11 @@ func (c *Cache) respond(to msg.Port, b msg.Block, kind msg.Kind, data uint64, gr
 	if hasData {
 		cat = msg.CatData
 	}
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.SendAfter(msg.Message{
 		Kind: kind, Cat: cat,
 		Src: c.CachePort(), Dst: to, Addr: b.Base(),
 		HasData: hasData, Data: data, Owner: grantOwner, Dirty: dirty,
-	}
-	c.Net.SendAfter(out, c.Cfg.L2Latency)
+	}, c.Cfg.L2Latency)
 }
 
 // onResponse collects probe responses and the memory response.
@@ -202,23 +197,17 @@ func (c *Cache) onResponse(m *msg.Message) {
 	mshr.AcksGot++
 	if m.Kind == msg.KindProbeData {
 		// Owner data beats the (possibly stale) memory copy.
-		c.setFill(mshr, m)
+		mshr.Fill = machine.FillOf(m)
 		mshr.GotData = true
 	} else if m.Kind == msg.KindMemData && !mshr.GotData {
-		c.setFill(mshr, m)
+		mshr.Fill = machine.FillOf(m)
 	}
 	if mshr.AcksGot < mshr.AcksNeeded {
-		if mshr.Fill == m {
-			// More responses are coming: keep this fill alive past the
-			// handler call; CompleteMiss (or a better fill) recycles it.
-			m.Retain()
-			mshr.FillKept = true
-		}
 		return
 	}
 	// All responses in: pick the best data and fill.
-	fill := mshr.Fill
-	if fill == nil {
+	fill := &mshr.Fill
+	if !fill.Valid {
 		panic("hammer: transaction completed without any data")
 	}
 	data, dirty, owner := fill.Data, fill.Dirty, fill.Owner
@@ -239,22 +228,10 @@ func (c *Cache) onResponse(m *msg.Message) {
 		l.State = stateS
 	}
 	c.CompleteMiss(mshr)
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.Net.Send(msg.Message{
 		Kind: msg.KindUnblock, Cat: msg.CatControl,
 		Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
-	}
-	c.Net.Send(out)
-}
-
-// setFill records the transaction's best data response so far, recycling
-// a previously kept fill it supersedes.
-func (c *Cache) setFill(mshr *machine.MSHR, m *msg.Message) {
-	if mshr.Fill != nil && mshr.FillKept {
-		c.Net.FreeMessage(mshr.Fill)
-	}
-	mshr.Fill = m
-	mshr.FillKept = false
+	})
 }
 
 // onWBProceed supplies the writeback data (or cancels a stale one).
@@ -270,15 +247,15 @@ func (c *Cache) onWBProceed(m *msg.Message) {
 	} else {
 		c.wb[b] = entries[1:]
 	}
-	out := c.Net.NewMessage()
+	var out msg.Message
 	if e.owner {
-		*out = msg.Message{
+		out = msg.Message{
 			Kind: msg.KindPutM, Cat: msg.CatData,
 			Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
 			HasData: true, Data: e.data, Dirty: e.dirty,
 		}
 	} else {
-		*out = msg.Message{
+		out = msg.Message{
 			Kind: msg.KindWBStale, Cat: msg.CatControl,
 			Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
 		}
@@ -295,15 +272,15 @@ func (c *Cache) dropLine(b msg.Block) {
 type homeLine struct {
 	data  uint64
 	busy  bool
-	queue []*msg.Message
+	queue []msg.Message
 }
 
 // Memory is the Hammer home node controller: a per-block transaction
 // queue and the DRAM copy, with no directory state at all.
 type Memory struct {
 	sys *machine.System
-	// isle is the controller's island context; event-time message
-	// allocation and sends go through its network view.
+	// isle is the controller's island context; event-time sends go
+	// through its network view.
 	isle  *machine.Isle
 	id    msg.NodeID
 	lines map[msg.Block]*homeLine
@@ -345,7 +322,7 @@ func (m *Memory) Handle(mm *msg.Message) {
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM:
 		if l.busy {
-			l.queue = append(l.queue, mm.Retain())
+			l.queue = append(l.queue, *mm)
 			return
 		}
 		m.startGet(l, mm)
@@ -357,7 +334,7 @@ func (m *Memory) Handle(mm *msg.Message) {
 			return
 		}
 		if l.busy {
-			l.queue = append(l.queue, mm.Retain())
+			l.queue = append(l.queue, *mm)
 			return
 		}
 		m.startPut(l, mm)
@@ -393,32 +370,26 @@ func (m *Memory) startGet(l *homeLine, mm *msg.Message) {
 	m.homeReqs.Inc()
 	l.busy = true
 	cfg := m.sys.Cfg
-	probe := m.isle.Net.NewMessage()
-	*probe = msg.Message{
+	m.isle.Net.MulticastAfter(msg.Message{
 		Kind: msg.KindProbe, Cat: msg.CatRequest,
 		Src: m.Port(), Addr: mm.Addr, Requester: mm.Requester,
 		Owner: mm.Kind == msg.KindGetM, // exclusive probe
-	}
-	m.isle.Net.MulticastAfter(probe, m.probeTargets(mm.Requester.Node), cfg.CtrlLatency)
-	memData := m.isle.Net.NewMessage()
-	*memData = msg.Message{
+	}, m.probeTargets(mm.Requester.Node), cfg.CtrlLatency)
+	m.isle.Net.SendAfter(msg.Message{
 		Kind: msg.KindMemData, Cat: msg.CatData,
 		Src: m.Port(), Dst: mm.Requester, Addr: mm.Addr,
 		HasData: true, Data: l.data,
-	}
-	m.isle.Net.SendAfter(memData, cfg.CtrlLatency+cfg.MemLatency)
+	}, cfg.CtrlLatency+cfg.MemLatency)
 }
 
 // startPut grants the writeback slot.
 func (m *Memory) startPut(l *homeLine, mm *msg.Message) {
 	m.homeReqs.Inc()
 	l.busy = true
-	out := m.isle.Net.NewMessage()
-	*out = msg.Message{
+	m.isle.Net.SendAfter(msg.Message{
 		Kind: msg.KindWBAck, Cat: msg.CatControl,
 		Src: m.Port(), Dst: mm.Src, Addr: mm.Addr,
-	}
-	m.isle.Net.SendAfter(out, m.sys.Cfg.CtrlLatency)
+	}, m.sys.Cfg.CtrlLatency)
 }
 
 // finish completes the current transaction and starts the next.
@@ -431,14 +402,13 @@ func (m *Memory) finish(l *homeLine) {
 		return
 	}
 	next := l.queue[0]
-	l.queue = l.queue[1:]
+	l.queue = slices.Delete(l.queue, 0, 1)
 	switch next.Kind {
 	case msg.KindGetS, msg.KindGetM:
-		m.startGet(l, next)
+		m.startGet(l, &next)
 	case msg.KindPutM:
-		m.startPut(l, next)
+		m.startPut(l, &next)
 	}
-	m.isle.Net.FreeMessage(next)
 }
 
 // System bundles the Hammer machine's components.

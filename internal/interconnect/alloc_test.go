@@ -13,15 +13,18 @@ import (
 // forwarder circulates a single token message around the ring (one
 // reply per delivery, so the population stays constant) and, every 16th
 // hop through node 0, fires a broadcast whose copies are absorbed on
-// delivery. That covers the unicast hop chain, the local path, and the
-// multicast tree walk without amplifying traffic.
+// delivery. Every other reply and every other broadcast goes through
+// SendAfter or MulticastAfter. That covers the unicast hop chain, the
+// local path, the multicast tree walk and both delayed paths without
+// amplifying traffic.
 type forwarder struct {
-	n     *Network
-	id    msg.NodeID
-	nodes int
-	hops  int
-	dsts  []msg.Port
-	total *int
+	n       *Network
+	id      msg.NodeID
+	nodes   int
+	replies int
+	hops    int
+	dsts    []msg.Port
+	total   *int
 }
 
 func (f *forwarder) Handle(m *msg.Message) {
@@ -29,31 +32,36 @@ func (f *forwarder) Handle(m *msg.Message) {
 	if m.Kind == msg.KindProbe {
 		return // broadcast copy: absorbed, recycled by the network
 	}
-	out := f.n.NewMessage()
-	*out = msg.Message{
+	out := msg.Message{
 		Kind: msg.KindGetS, Cat: msg.CatRequest,
 		Src: msg.Port{Node: f.id, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: (f.id + 3) % msg.NodeID(f.nodes), Unit: msg.UnitCache},
 	}
-	f.n.Send(out)
+	if f.replies++; f.replies%2 == 0 {
+		f.n.SendAfter(out, sim.Nanosecond)
+	} else {
+		f.n.Send(out)
+	}
 	if f.id == 0 {
 		f.hops++
-		if f.hops%16 == 0 {
-			bc := f.n.NewMessage()
-			*bc = msg.Message{
-				Kind: msg.KindProbe, Cat: msg.CatRequest,
-				Src: msg.Port{Node: f.id, Unit: msg.UnitCache},
-			}
+		bc := msg.Message{
+			Kind: msg.KindProbe, Cat: msg.CatRequest,
+			Src: msg.Port{Node: f.id, Unit: msg.UnitCache},
+		}
+		switch f.hops % 32 {
+		case 0:
+			f.n.MulticastAfter(bc, f.dsts, sim.Nanosecond)
+		case 16:
 			f.n.Multicast(bc, f.dsts)
 		}
 	}
 }
 
 // TestNetworkSteadyStateAllocs is the interconnect's hard allocation
-// gate: once the message pool, netOp records, multicast trees and the
-// route rows of the sending nodes are warm, sustained traffic (unicast,
-// local, and broadcast) must allocate nothing per message. The gate
-// covers the paper's 16-node fabrics and both 256-node configurations —
+// gate: once the netOp records, multicast trees and the route rows of
+// the sending nodes are warm, sustained traffic (unicast, local,
+// broadcast, and their delayed forms) must allocate nothing per
+// message. The gate covers the paper's 16-node fabrics and both 256-node configurations —
 // the un-capped four-level ordered tree and the 16x16 torus — so route
 // lookups and the pooled multicast trees stay allocation-free at the
 // largest size the experiments sweep.
@@ -87,15 +95,13 @@ func testSteadyStateAllocs(t *testing.T, topo topology.Topology) {
 		n.Register(msg.Port{Node: msg.NodeID(i), Unit: msg.UnitCache},
 			&forwarder{n: n, id: msg.NodeID(i), nodes: nodes, dsts: dsts, total: &total})
 	}
-	// Seed one token per node and warm all pools.
+	// Seed one token per node and warm the op and multicast pools.
 	for i := 0; i < nodes; i++ {
-		m := n.NewMessage()
-		*m = msg.Message{
+		n.Send(msg.Message{
 			Kind: msg.KindGetS, Cat: msg.CatRequest,
 			Src: msg.Port{Node: msg.NodeID(i), Unit: msg.UnitCache},
 			Dst: msg.Port{Node: msg.NodeID((i + 1) % nodes), Unit: msg.UnitCache},
-		}
-		n.Send(m)
+		})
 	}
 	k.RunUntil(k.Now() + 200*sim.Microsecond)
 	if total == 0 {

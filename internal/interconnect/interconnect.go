@@ -23,11 +23,12 @@
 // Allocation model. Set-up costs what a run uses: the first message
 // from a source builds its O(n) route row (one flat link array plus
 // offsets), and a multicast folds its paths into a pooled, pointer-free
-// tree of one node per link. Everything scheduled per message is
-// recycled: message copies come from a msg.Pool (returned when the
-// receiving handler is done, see Handler), and deliveries, unicast hops,
-// multicast tree walks and delayed sends are pooled netOp records whose
-// closure is bound once. Steady-state traffic therefore allocates nothing.
+// tree of one node per link. Messages travel by value inside pooled
+// netOp records whose closure is bound once: a unicast message stays in
+// one record from Send to delivery, rescheduled hop by hop, and a
+// multicast keeps one template from which each delivery copies its own
+// record. Tree walks and delayed sends are netOp records too, so
+// steady-state traffic allocates nothing.
 package interconnect
 
 import (
@@ -70,10 +71,10 @@ func (c Config) Unlimited() Config {
 	return c
 }
 
-// Handler consumes delivered messages. The delivered message is owned by
-// the network: it may be read and mutated freely during Handle, but it is
-// recycled when Handle returns. A handler that keeps the message past its
-// return must call Message.Retain and later hand it to Network.FreeMessage.
+// Handler consumes delivered messages. The *msg.Message points into the
+// network's delivery record and is valid only during Handle: the handler
+// may read and mutate it freely, and one that keeps the message past its
+// return stores a copy of the value.
 type Handler interface {
 	Handle(m *msg.Message)
 }
@@ -118,11 +119,11 @@ type stamp struct {
 }
 
 // Network delivers messages between registered ports over a topology.
-// A Network is one island's view of the fabric: it owns the message
-// pool, callback free lists, traffic shard, observer and fold scratch of
-// that island, while route rows and link state live in the shared
-// fabric. A network built by New is a complete single-view fabric;
-// Split adds views for parallel island execution.
+// A Network is one island's view of the fabric: it owns the callback
+// free lists, traffic shard, observer and fold scratch of that island,
+// while route rows and link state live in the shared fabric. A network
+// built by New is a complete single-view fabric; Split adds views for
+// parallel island execution.
 type Network struct {
 	kernel  *sim.Kernel
 	topo    topology.Topology
@@ -131,7 +132,6 @@ type Network struct {
 	sh      *shared
 	sent    uint64
 
-	pool    msg.Pool
 	freeOps *netOp
 	freeMcs *mcast
 	marks   []stamp // per link, allocated on first use
@@ -180,7 +180,7 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 // Split partitions the fabric into island views. View 0 is the
 // receiver (which must have been built on kernels[0]); each additional
 // view shares the route rows and link state but owns its island's
-// kernel, message pool, callback free lists and traffic shard.
+// kernel, callback free lists and traffic shard.
 // islandOf maps every actor (see topology.Partitioned) to its island.
 func (n *Network) Split(islandOf []int32, kernels []*sim.Kernel, traffics []*stats.Traffic) []*Network {
 	sh := n.sh
@@ -268,19 +268,6 @@ func (n *Network) Register(p msg.Port, h Handler) {
 // island.
 func (n *Network) Sent() uint64 { return n.sent }
 
-// NewMessage returns a zeroed message from the network's pool. Senders
-// fill it and pass it to Send/Multicast, which take ownership.
-func (n *Network) NewMessage() *msg.Message { return n.pool.Get() }
-
-// CloneMessage returns a pooled copy of m (pool bookkeeping reset).
-func (n *Network) CloneMessage(m *msg.Message) *msg.Message {
-	return n.pool.Clone(m)
-}
-
-// FreeMessage recycles a message previously retained by a handler (or
-// allocated with NewMessage and never sent).
-func (n *Network) FreeMessage(m *msg.Message) { n.pool.Put(m) }
-
 // serialization returns the time the message occupies one link.
 func (n *Network) serialization(bytes int) sim.Time {
 	if n.cfg.LinkBandwidth <= 0 {
@@ -344,12 +331,13 @@ func (n *Network) nextGen() uint32 {
 
 // netOp is a pooled callback record for everything the network schedules
 // on the kernel. Its fire closure is bound once when the record is first
-// allocated, so rescheduling recycled records is allocation-free.
+// allocated, so rescheduling recycled records is allocation-free. A
+// unicast message or a delivery's copy lives in m.
 type netOp struct {
 	n      *Network
 	kind   uint8
 	node   int32 // first of the sibling tree nodes an opWalk walks
-	m      *msg.Message
+	m      msg.Message
 	h      Handler
 	path   []int32
 	mc     *mcast
@@ -380,51 +368,57 @@ func (n *Network) getOp() *netOp {
 }
 
 func (n *Network) putOp(op *netOp) {
-	op.m, op.h, op.path, op.mc, op.dsts = nil, nil, nil, nil, nil
+	op.h, op.path, op.mc, op.dsts = nil, nil, nil, nil
 	op.next = n.freeOps
 	n.freeOps = op
 }
 
-// run dispatches a scheduled network operation. The record is recycled
-// before the work runs so that nested scheduling can reuse it. Ops
-// scheduled across islands carry the target island's view in op.n, so
-// run executes entirely with island-local state (free lists, message
-// pool, traffic shard, observer) of the island firing the event.
+// run dispatches a scheduled network operation. Ops scheduled across
+// islands carry the target island's view in op.n, so run executes
+// entirely with island-local state (free lists, traffic shard, observer)
+// of the island firing the event. A delivery record is recycled only
+// after Handle returns, because the handler's pointer points into it.
 func (op *netOp) run() {
 	n := op.n
-	kind, m, h := op.kind, op.m, op.h
-	path, node, mc, dsts := op.path, op.node, op.mc, op.dsts
-	t, ser := op.t, op.ser
-	n.putOp(op)
-	switch kind {
+	switch op.kind {
 	case opDeliver:
 		n.sent++
-		h.Handle(m)
-		n.pool.Release(m)
+		op.h.Handle(&op.m)
+		n.putOp(op)
 	case opHop:
-		n.hop(m, path, t, ser)
+		n.hop(op)
 	case opWalk:
+		mc, node, t, ser := op.mc, op.node, op.t, op.ser
+		n.putOp(op)
 		n.walk(mc, node, t, ser)
 	case opSend:
-		n.Send(m)
+		n.send(op)
 	case opMulticast:
-		n.Multicast(m, dsts)
+		n.Multicast(op.m, op.dsts)
+		n.putOp(op)
 	}
 }
 
-// deliver schedules the handler for m at time at. The message executes
-// as (and on the island of) the destination node's actor. The network
-// owns m until the handler returns (see Handler).
-func (n *Network) deliver(m *msg.Message, at sim.Time) {
-	h, ok := n.sh.handlers[m.Dst]
+// deliver schedules the handler for op's message at time at. The message
+// executes as (and on the island of) the destination node's actor.
+func (n *Network) deliver(op *netOp, at sim.Time) {
+	h, ok := n.sh.handlers[op.m.Dst]
 	if !ok {
-		panic(fmt.Sprintf("interconnect: no handler for %v (message %v)", m.Dst, m))
+		panic(fmt.Sprintf("interconnect: no handler for %v (message %s)", op.m.Dst, op.m.String()))
 	}
-	dst := int32(m.Dst.Node)
-	op := n.getOp()
+	dst := int32(op.m.Dst.Node)
 	op.n = n.viewFor(dst)
-	op.kind, op.m, op.h = opDeliver, m, h
+	op.kind, op.h = opDeliver, h
 	n.kernel.ScheduleExec(dst, at, op.fire)
+}
+
+// deliverCopy schedules a copy of m, addressed to dst, for delivery at
+// time at.
+func (n *Network) deliverCopy(m *msg.Message, dst msg.Port, at sim.Time) {
+	op := n.getOp()
+	op.m = *m
+	op.m.Dst = dst
+	n.deliver(op, at)
 }
 
 // reserve claims link for a message head arriving at time t and returns
@@ -441,18 +435,19 @@ func (n *Network) reserve(link int32, m *msg.Message, t, ser sim.Time) sim.Time 
 	return d + n.cfg.LinkLatency
 }
 
-// hop advances a unicast message across path[0] at time t and chains the
-// remaining hops; the final hop schedules delivery of the tail.
-func (n *Network) hop(m *msg.Message, path []int32, t, ser sim.Time) {
-	arrival := n.reserve(path[0], m, t, ser)
+// hop advances op's unicast message across op.path[0] at time op.t and
+// reschedules the record for the remaining hops; the final hop schedules
+// delivery of the tail.
+func (n *Network) hop(op *netOp) {
+	path := op.path
+	arrival := n.reserve(path[0], &op.m, op.t, op.ser)
 	if len(path) == 1 {
-		n.deliver(m, arrival+ser) // tail arrives one serialization later
+		n.deliver(op, arrival+op.ser) // tail arrives one serialization later
 		return
 	}
 	next := n.sh.linkTail[path[1]]
-	op := n.getOp()
 	op.n = n.viewFor(next)
-	op.kind, op.m, op.path, op.t, op.ser = opHop, m, path[1:], arrival, ser
+	op.kind, op.path, op.t = opHop, path[1:], arrival
 	n.kernel.ScheduleExec(next, arrival, op.fire)
 }
 
@@ -468,12 +463,12 @@ type mcNode struct {
 // routing tree and the count of tree edges not yet walked. tree[0] is a
 // sentinel whose children are the root edges, and the other nodes are
 // kept in fold order. When the last edge is walked every destination has
-// its own copy, so the template and the tree are recycled. The edge
-// count is decremented atomically because subtrees of one multicast may
-// be walked concurrently on different islands; all other fields are
-// written before the first walk and read-only afterwards.
+// its own copy, so the multicast is recycled. The edge count is
+// decremented atomically because subtrees of one multicast may be walked
+// concurrently on different islands; all other fields are written before
+// the first walk and read-only afterwards.
 type mcast struct {
-	m     *msg.Message
+	m     msg.Message
 	edges int32
 	tree  []mcNode
 	dsts  []msg.Port
@@ -496,7 +491,6 @@ func (n *Network) getMcast(dsts int) *mcast {
 }
 
 func (n *Network) putMcast(mc *mcast) {
-	mc.m = nil
 	mc.next = n.freeMcs
 	n.freeMcs = mc
 }
@@ -531,15 +525,13 @@ func (mc *mcast) addDest(at int32, dst msg.Port) {
 // one event, in arrival order, which keeps links work-conserving FIFOs.
 // Walking the last edge recycles the multicast.
 func (n *Network) walk(mc *mcast, first int32, t, ser sim.Time) {
-	m := mc.m
+	m := &mc.m
 	walked := int32(0)
 	for i := first; i >= 0; i = mc.tree[i].sib {
 		nd := &mc.tree[i]
 		arrival := n.reserve(nd.link, m, t, ser)
 		for j := nd.dest; j >= 0; j = mc.dnext[j] {
-			cp := n.CloneMessage(m)
-			cp.Dst = mc.dsts[j]
-			n.deliver(cp, arrival+ser) // tail arrives one serialization later
+			n.deliverCopy(m, mc.dsts[j], arrival+ser) // tail arrives one serialization later
 		}
 		if nd.child >= 0 {
 			// Child edges all emanate from this link's head vertex.
@@ -554,48 +546,54 @@ func (n *Network) walk(mc *mcast, first int32, t, ser sim.Time) {
 	// The island walking the last edge recycles the multicast into its
 	// own free lists; the template message and tree migrate with it.
 	if atomic.AddInt32(&mc.edges, -walked) == 0 {
-		n.pool.Put(mc.m)
 		n.putMcast(mc)
 	}
 }
 
-// Send delivers m to m.Dst, taking ownership of m. Same-node delivery
-// bypasses the fabric and costs no interconnect bandwidth.
-func (n *Network) Send(m *msg.Message) {
+// Send delivers a copy of m to m.Dst. Same-node delivery bypasses the
+// fabric and costs no interconnect bandwidth.
+func (n *Network) Send(m msg.Message) {
+	op := n.getOp()
+	op.m = m
+	n.send(op)
+}
+
+// send routes op's message from now on; see Send.
+func (n *Network) send(op *netOp) {
 	now := n.kernel.Now()
+	m := &op.m
 	path := n.route(m.Src.Node).to(m.Dst.Node)
 	if len(path) == 0 {
-		n.deliver(m, now+n.cfg.LocalLatency)
+		n.deliver(op, now+n.cfg.LocalLatency)
 		return
 	}
 	if n.traffic != nil {
 		n.traffic.Record(m, len(path))
 	}
-	n.hop(m, path, now, n.serialization(m.Bytes()))
+	op.path, op.t, op.ser = path, now, n.serialization(m.Bytes())
+	n.hop(op)
 }
 
 // SendAfter schedules Send(m) after delay, without allocating a closure.
-func (n *Network) SendAfter(m *msg.Message, delay sim.Time) {
+func (n *Network) SendAfter(m msg.Message, delay sim.Time) {
 	op := n.getOp()
 	op.kind, op.m = opSend, m
 	n.kernel.After(delay, op.fire)
 }
 
-// Multicast delivers a copy of m to every port in dsts, taking ownership
-// of m. Bandwidth is charged once per multicast-tree edge; destinations
-// on the source node receive a local delivery. The message's Dst field
-// is set per copy.
-func (n *Network) Multicast(m *msg.Message, dsts []msg.Port) {
+// Multicast delivers a copy of m to every port in dsts. Bandwidth is
+// charged once per multicast-tree edge; destinations on the source node
+// receive a local delivery. The message's Dst field is set per copy.
+func (n *Network) Multicast(m msg.Message, dsts []msg.Port) {
 	now := n.kernel.Now()
 	r := n.route(m.Src.Node)
 	mc := n.getMcast(len(dsts))
+	mc.m = m
 	gen := n.nextGen()
 	for _, dst := range dsts {
 		path := r.to(dst.Node)
 		if len(path) == 0 {
-			cp := n.CloneMessage(m)
-			cp.Dst = dst
-			n.deliver(cp, now+n.cfg.LocalLatency)
+			n.deliverCopy(&mc.m, dst, now+n.cfg.LocalLatency)
 			continue
 		}
 		// Fold the path into the tree, one node per link. By prefix
@@ -616,21 +614,19 @@ func (n *Network) Multicast(m *msg.Message, dsts []msg.Port) {
 	}
 	edges := len(mc.tree) - 1
 	if edges == 0 {
-		n.pool.Put(m)
 		n.putMcast(mc)
 		return
 	}
-	mc.m = m
 	mc.edges = int32(edges)
 	if n.traffic != nil {
-		n.traffic.Record(m, edges)
+		n.traffic.Record(&mc.m, edges)
 	}
 	n.walk(mc, mc.tree[0].child, now, n.serialization(m.Bytes()))
 }
 
 // MulticastAfter schedules Multicast(m, dsts) after delay, without
 // allocating a closure. The caller must not mutate dsts afterwards.
-func (n *Network) MulticastAfter(m *msg.Message, dsts []msg.Port, delay sim.Time) {
+func (n *Network) MulticastAfter(m msg.Message, dsts []msg.Port, delay sim.Time) {
 	op := n.getOp()
 	op.kind, op.m, op.dsts = opMulticast, m, dsts
 	n.kernel.After(delay, op.fire)

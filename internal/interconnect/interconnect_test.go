@@ -12,12 +12,12 @@ import (
 // collector records deliveries with their times.
 type collector struct {
 	k   *sim.Kernel
-	got []*msg.Message
+	got []msg.Message
 	at  []sim.Time
 }
 
 func (c *collector) Handle(m *msg.Message) {
-	c.got = append(c.got, m.Retain())
+	c.got = append(c.got, *m)
 	c.at = append(c.at, c.k.Now())
 }
 
@@ -42,7 +42,7 @@ func registerAll(k *sim.Kernel, n *Network, unit msg.Unit) map[msg.NodeID]*colle
 func TestUnicastLatencyUncontended(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
-	m := &msg.Message{
+	m := msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst:  msg.Port{Node: 1, Unit: msg.UnitCache},
@@ -59,7 +59,7 @@ func TestUnicastLatencyUncontended(t *testing.T) {
 func TestDataMessageSerialization(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
-	m := &msg.Message{
+	m := msg.Message{
 		Kind: msg.KindData, HasData: true,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 2, Unit: msg.UnitCache},
@@ -76,7 +76,7 @@ func TestDataMessageSerialization(t *testing.T) {
 func TestUnlimitedBandwidthNoSerialization(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig().Unlimited())
 	cs := registerAll(k, n, msg.UnitCache)
-	m := &msg.Message{
+	m := msg.Message{
 		Kind: msg.KindData, HasData: true,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 2, Unit: msg.UnitCache},
@@ -93,7 +93,7 @@ func TestLocalDeliveryBypassesFabric(t *testing.T) {
 	k, n, tr := newTorusNet(t, DefaultConfig())
 	c := &collector{k: k}
 	n.Register(msg.Port{Node: 3, Unit: msg.UnitMem}, c)
-	m := &msg.Message{
+	m := msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 3, Unit: msg.UnitCache},
 		Dst:  msg.Port{Node: 3, Unit: msg.UnitMem},
@@ -113,7 +113,7 @@ func TestContentionSerializesOnSharedLink(t *testing.T) {
 	cs := registerAll(k, n, msg.UnitCache)
 	// Two data messages 0->1 sent at the same instant share link 0-east.
 	for i := 0; i < 2; i++ {
-		n.Send(&msg.Message{
+		n.Send(msg.Message{
 			Kind: msg.KindData, HasData: true,
 			Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 			Dst: msg.Port{Node: 1, Unit: msg.UnitCache},
@@ -140,7 +140,7 @@ func TestMulticastChargesTreeEdgesOnce(t *testing.T) {
 	for i := 1; i < 16; i++ {
 		dsts = append(dsts, msg.Port{Node: msg.NodeID(i), Unit: msg.UnitCache})
 	}
-	m := &msg.Message{
+	m := msg.Message{
 		Kind: msg.KindGetM, Cat: msg.CatRequest,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 	}
@@ -164,7 +164,7 @@ func TestMulticastDeliversToEveryDestinationOnce(t *testing.T) {
 	for i := 0; i < 16; i++ { // include self
 		dsts = append(dsts, msg.Port{Node: msg.NodeID(i), Unit: msg.UnitCache})
 	}
-	n.Multicast(&msg.Message{
+	n.Multicast(msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 5, Unit: msg.UnitCache},
 	}, dsts)
@@ -179,17 +179,20 @@ func TestMulticastDeliversToEveryDestinationOnce(t *testing.T) {
 func TestMulticastCopiesAreIndependent(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
-	orig := &msg.Message{
+	orig := msg.Message{
 		Kind: msg.KindData, HasData: true, Tokens: 5,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 	}
+	// The first destination mutates its copy during Handle; the copies
+	// delivered after it must not see that.
+	n.Register(msg.Port{Node: 1, Unit: msg.UnitMem}, HandlerFunc(func(m *msg.Message) { m.Tokens = 99 }))
 	n.Multicast(orig, []msg.Port{
+		{Node: 1, Unit: msg.UnitMem},
 		{Node: 1, Unit: msg.UnitCache},
 		{Node: 2, Unit: msg.UnitCache},
 	})
 	k.Run()
-	cs[1].got[0].Tokens = 99
-	if cs[2].got[0].Tokens != 5 {
+	if cs[1].got[0].Tokens != 5 || cs[2].got[0].Tokens != 5 {
 		t.Error("multicast copies alias each other")
 	}
 	if cs[1].got[0].Dst.Node != 1 || cs[2].got[0].Dst.Node != 2 {
@@ -215,7 +218,7 @@ func TestTreeBroadcastTotalOrder(t *testing.T) {
 		i := i
 		src := msg.NodeID(i % 16)
 		k.Schedule(sim.Time(i)*2*sim.Nanosecond, func() {
-			n.Multicast(&msg.Message{
+			n.Multicast(msg.Message{
 				Kind: msg.KindGetM,
 				Seq:  uint64(i),
 				Src:  msg.Port{Node: src, Unit: msg.UnitCache},
@@ -246,7 +249,7 @@ func TestTreeSelfDeliveryGoesThroughRoot(t *testing.T) {
 	n := New(k, topology.NewTree(16), DefaultConfig(), nil)
 	c := &collector{k: k}
 	n.Register(msg.Port{Node: 7, Unit: msg.UnitCache}, c)
-	n.Send(&msg.Message{
+	n.Send(msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 7, Unit: msg.UnitCache},
 		Dst:  msg.Port{Node: 7, Unit: msg.UnitCache},
@@ -266,7 +269,7 @@ func TestUnregisteredPortPanics(t *testing.T) {
 			t.Error("send to unregistered port did not panic")
 		}
 	}()
-	n.Send(&msg.Message{
+	n.Send(msg.Message{
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 1, Unit: msg.UnitCache},
 	})
@@ -292,7 +295,7 @@ func TestUnicastLatencyHelper(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
 	send := func(dst msg.NodeID, data bool) {
-		n.Send(&msg.Message{
+		n.Send(msg.Message{
 			Kind: msg.KindData, HasData: data,
 			Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 			Dst: msg.Port{Node: dst, Unit: msg.UnitCache},
@@ -312,11 +315,11 @@ func TestUnicastLatencyHelper(t *testing.T) {
 func TestSentCounter(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	registerAll(k, n, msg.UnitCache)
-	n.Send(&msg.Message{
+	n.Send(msg.Message{
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 1, Unit: msg.UnitCache},
 	})
-	n.Multicast(&msg.Message{Src: msg.Port{Node: 0, Unit: msg.UnitCache}},
+	n.Multicast(msg.Message{Src: msg.Port{Node: 0, Unit: msg.UnitCache}},
 		[]msg.Port{{Node: 2, Unit: msg.UnitCache}, {Node: 3, Unit: msg.UnitCache}})
 	k.Run()
 	if n.Sent() != 3 {
@@ -333,13 +336,13 @@ func TestWorkConservingLinks(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
 	// A: 0 -> 2 (east, east). B: 1 -> 2 (east), sent at t=1ns.
-	n.Send(&msg.Message{
+	n.Send(msg.Message{
 		Kind: msg.KindData, HasData: true,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 2, Unit: msg.UnitCache},
 	})
 	k.Schedule(1*sim.Nanosecond, func() {
-		n.Send(&msg.Message{
+		n.Send(msg.Message{
 			Kind: msg.KindGetS,
 			Src:  msg.Port{Node: 1, Unit: msg.UnitCache},
 			Dst:  msg.Port{Node: 2, Unit: msg.UnitCache},
@@ -365,7 +368,7 @@ func TestMulticastSharedPrefixTiming(t *testing.T) {
 	k, n, tr := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
 	// From node 0: east to 1, continue east to 2. Paths share link 0E.
-	n.Multicast(&msg.Message{
+	n.Multicast(msg.Message{
 		Kind: msg.KindGetM, Cat: msg.CatRequest,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 	}, []msg.Port{
@@ -390,7 +393,7 @@ func TestMulticastSharedPrefixTiming(t *testing.T) {
 func TestInteriorDestinationDelivered(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
-	n.Multicast(&msg.Message{
+	n.Multicast(msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 0, Unit: msg.UnitCache},
 	}, []msg.Port{
@@ -413,7 +416,7 @@ func TestMixedLocalAndRemoteMulticast(t *testing.T) {
 	cs := registerAll(k, n, msg.UnitCache)
 	local := &collector{k: k}
 	n.Register(msg.Port{Node: 0, Unit: msg.UnitMem}, local)
-	n.Multicast(&msg.Message{
+	n.Multicast(msg.Message{
 		Kind: msg.KindGetS,
 		Src:  msg.Port{Node: 0, Unit: msg.UnitCache},
 	}, []msg.Port{
@@ -456,7 +459,7 @@ func TestTreeRootIsTheBottleneck(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			src := msg.NodeID(i)
 			k.Schedule(sim.Time(i)*sim.Nanosecond, func() {
-				n.Multicast(&msg.Message{Kind: msg.KindGetM, Src: msg.Port{Node: src, Unit: msg.UnitCache}}, all)
+				n.Multicast(msg.Message{Kind: msg.KindGetM, Src: msg.Port{Node: src, Unit: msg.UnitCache}}, all)
 			})
 		}
 		k.Run()
@@ -481,7 +484,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
 	registerAll(k, n, msg.UnitCache)
 	bytes := countLinkBytes(n)
-	n.Send(&msg.Message{
+	n.Send(msg.Message{
 		Kind: msg.KindData, HasData: true,
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 1, Unit: msg.UnitCache},

@@ -110,7 +110,7 @@ func runNetwork(topo topology.Topology, launches []mcLaunch) (hops []record, del
 	})
 	for _, l := range launches {
 		k.Schedule(l.at, func() {
-			n.Multicast(&msg.Message{Kind: msg.KindData, HasData: l.data, Src: l.src}, l.dsts)
+			n.Multicast(msg.Message{Kind: msg.KindData, HasData: l.data, Src: l.src}, l.dsts)
 		})
 	}
 	k.Run()
@@ -261,7 +261,7 @@ func TestRouteRejectsNonPrefixClosedTopology(t *testing.T) {
 	k := sim.NewKernel()
 	n := New(k, ring{n: 8, hub: true}, DefaultConfig(), nil)
 	registerAll(k, n, msg.UnitCache)
-	n.Send(&msg.Message{Src: msg.Port{Node: 0}, Dst: msg.Port{Node: 5}}) // from the hub: closed
+	n.Send(msg.Message{Src: msg.Port{Node: 0}, Dst: msg.Port{Node: 5}}) // from the hub: closed
 	k.Run()
 	defer func() {
 		got, _ := recover().(string)
@@ -269,7 +269,7 @@ func TestRouteRejectsNonPrefixClosedTopology(t *testing.T) {
 			t.Errorf("panic %q, want one naming hub-ring and path 3->4", got)
 		}
 	}()
-	n.Send(&msg.Message{Src: msg.Port{Node: 3}, Dst: msg.Port{Node: 1}})
+	n.Send(msg.Message{Src: msg.Port{Node: 3}, Dst: msg.Port{Node: 1}})
 }
 
 // TestRouteRowsSharedAcrossViews builds every route row from two island

@@ -37,39 +37,49 @@ type Controller interface {
 // MSHR tracks one outstanding coherence miss.
 type MSHR struct {
 	Block  msg.Block
-	Write  bool
 	Issued sim.Time
 	// Waiters re-execute their access when the miss resolves.
 	Waiters []func()
 
 	// Reissues counts transient-request reissues (Token Coherence).
 	Reissues int
-	// Persistent marks escalation to a persistent request.
-	Persistent bool
 	// Timer is the pending reissue/starvation timer, if any.
 	Timer *sim.Event
-
-	// Ordered marks that the request has reached its serialization point
-	// (its place in the snooping total order, or acceptance at the
-	// directory/home).
-	Ordered bool
 
 	// Generic transaction scratch space used by the directory and hammer
 	// protocols.
 	AcksNeeded int
 	AcksGot    int
-	GotData    bool
 	// Fill holds the data response until the transaction can commit
 	// (e.g., while invalidation acknowledgments are still outstanding).
-	Fill *msg.Message
-	// FillKept marks a Fill the protocol retained from the network's
-	// message pool (the fill arrived in an earlier handler call);
-	// CompleteMiss recycles it. A fill consumed within the handler that
-	// delivered it is recycled by the network instead.
-	FillKept bool
+	Fill Fill
+
+	Write bool
+	// Persistent marks escalation to a persistent request.
+	Persistent bool
+	// Ordered marks that the request has reached its serialization point
+	// (its place in the snooping total order, or acceptance at the
+	// directory/home).
+	Ordered bool
+	GotData bool
 	// Grant marks a dataless exclusivity grant (the requester upgrades
 	// its own resident copy instead of filling from Fill).
 	Grant bool
+}
+
+// Fill is what an MSHR keeps of a data response: the fields the
+// directory and hammer protocols commit from.
+type Fill struct {
+	Data, Seq    uint64
+	Src          msg.Port
+	Owner, Dirty bool
+	// Valid marks that a response has been recorded.
+	Valid bool
+}
+
+// FillOf returns the fill that response m carries.
+func FillOf(m *msg.Message) Fill {
+	return Fill{Data: m.Data, Seq: m.Seq, Src: m.Src, Owner: m.Owner, Dirty: m.Dirty, Valid: true}
 }
 
 // CacheHooks is what a protocol supplies to specialize CacheBase.
@@ -284,13 +294,6 @@ func (b *CacheBase) CompleteMiss(m *MSHR) {
 	if m.Timer != nil {
 		b.K.Cancel(m.Timer)
 		m.Timer = nil
-	}
-	if m.Fill != nil {
-		if m.FillKept {
-			b.Net.FreeMessage(m.Fill)
-		}
-		m.Fill = nil
-		m.FillKept = false
 	}
 	lat := b.K.Now() - m.Issued
 	b.Run.MissLatencySum += lat

@@ -3,6 +3,7 @@ package machine
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tokencoherence/internal/cache"
 	"tokencoherence/internal/msg"
@@ -10,6 +11,15 @@ import (
 	"tokencoherence/internal/stats"
 	"tokencoherence/internal/topology"
 )
+
+// TestMSHRSize holds MSHR to 112 bytes, the 112-byte allocation class
+// every miss pays: the fill keeps only the response fields protocols
+// commit from, and the flags are packed together.
+func TestMSHRSize(t *testing.T) {
+	if size := unsafe.Sizeof(MSHR{}); size > 112 {
+		t.Errorf("unsafe.Sizeof(MSHR{}) = %d, want <= 112", size)
+	}
+}
 
 func TestDefaultConfigMatchesTable1(t *testing.T) {
 	c := DefaultConfig()

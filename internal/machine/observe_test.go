@@ -37,10 +37,10 @@ func fireMissAndHop(sys *System, b *CacheBase, h *hookRecorder) {
 	l := b.EnsureL2(9)
 	l.State, l.Valid = 1, true
 	b.CompleteMiss(h.misses[0])
-	m := sys.Net.NewMessage()
-	m.Src = msg.Port{Node: 0, Unit: msg.UnitCache}
-	m.Dst = msg.Port{Node: 1, Unit: msg.UnitCache}
-	sys.Net.Send(m)
+	sys.Net.Send(msg.Message{
+		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
+		Dst: msg.Port{Node: 1, Unit: msg.UnitCache},
+	})
 	sys.K.Run()
 }
 
@@ -114,13 +114,11 @@ type bouncer struct {
 }
 
 func (b *bouncer) Handle(m *msg.Message) {
-	out := b.net.NewMessage()
-	*out = msg.Message{
+	b.net.Send(msg.Message{
 		Kind: msg.KindGetS, Cat: msg.CatRequest,
 		Src: msg.Port{Node: b.id, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: (b.id + 1) % msg.NodeID(b.nodes), Unit: msg.UnitCache},
-	}
-	b.net.Send(out)
+	})
 }
 
 // TestObservationPathZeroAllocs is the allocation gate for the whole
@@ -157,7 +155,7 @@ func TestObservationPathZeroAllocs(t *testing.T) {
 		sys.dispatch(stats.Event{Kind: stats.MeasurementStarted, At: sys.K.Now()})
 	}
 	for i := 0; i < 50; i++ {
-		window() // grow the journal and warm the message pools
+		window() // grow the journal and warm the network op pools
 	}
 	allocs := testing.AllocsPerRun(100, window)
 	if allocs != 0 {

@@ -12,7 +12,7 @@ import "fmt"
 
 // NodeID identifies one highly-integrated node (processor + caches +
 // memory controller + coherence controllers), 0..N-1.
-type NodeID int
+type NodeID int32
 
 // Unit selects a controller within a node.
 type Unit uint8
@@ -240,14 +240,26 @@ func (c Category) Slug() string {
 	return fmt.Sprintf("category%d", uint8(c))
 }
 
-// Message is one coherence message. A message is owned by the network
-// from Send/Multicast until delivery; each destination receives its own
-// copy and may mutate it freely during Handle. The network recycles the
-// copy when the handler returns unless the handler called Retain, which
-// transfers ownership to the retainer (who frees it when done).
+// Message is one coherence message, passed by value. Send and Multicast
+// copy it into the network, and each destination receives its own copy.
+// A handler's *Message is valid only during Handle: the handler may read
+// and mutate it freely, and a receiver that keeps a message stores a copy
+// of the value.
 type Message struct {
 	Kind Kind
 	Cat  Category
+
+	// Owner, HasData and Dirty sit beside Kind and Cat so that the
+	// message packs into 72 bytes.
+	//
+	// Owner marks the owner token among the Tokens carried.
+	Owner bool
+	// HasData marks a 72-byte message carrying the cache block.
+	HasData bool
+	// Dirty marks data that has been modified relative to memory, so
+	// migratory-sharing grants can be detected by the receiver.
+	Dirty bool
+
 	Src  Port
 	Dst  Port
 	Addr Addr
@@ -260,10 +272,7 @@ type Message struct {
 	// the number of tokens carried (including the owner token when Owner
 	// is set). Non-token protocols leave these zero.
 	Tokens int
-	Owner  bool
 
-	// HasData marks a 72-byte message carrying the cache block.
-	HasData bool
 	// Data is the block payload, modelled as a write-version number so
 	// the safety oracle can detect stale reads.
 	Data uint64
@@ -272,91 +281,9 @@ type Message struct {
 	// (directory protocol), or a generic small counter.
 	Acks int
 
-	// Dirty marks data that has been modified relative to memory, so
-	// migratory-sharing grants can be detected by the receiver.
-	Dirty bool
-
 	// Seq carries a protocol-defined sequence number (persistent request
 	// identifiers, snooping order tags in tests).
 	Seq uint64
-
-	// Pool bookkeeping (see Pool): free-list link, receiver-retention
-	// mark, and a double-free guard.
-	next     *Message
-	retained bool
-	pooled   bool
-}
-
-// Retain marks a delivered message as kept by its receiver: the network
-// will not recycle it when the handler returns. The retainer owns the
-// message afterwards and should hand it to Pool.Put (via the network's
-// FreeMessage) once done with it. Retain returns m for call-site
-// convenience.
-func (m *Message) Retain() *Message {
-	m.retained = true
-	return m
-}
-
-// Pool is a free list of Message objects. The simulator allocates every
-// hot-path message from a pool and recycles it when its receiver is done,
-// so steady-state simulation creates no per-message garbage. A Pool is
-// single-threaded, like the kernel whose network owns it.
-type Pool struct {
-	free *Message
-}
-
-// PoolPoison, when set (by tests), scrambles messages as they are
-// recycled so that any use-after-free surfaces as loudly wrong values
-// instead of silently stale ones.
-var PoolPoison bool
-
-// Get returns a zeroed message from the pool, allocating if empty.
-func (p *Pool) Get() *Message {
-	m := p.free
-	if m == nil {
-		return &Message{}
-	}
-	p.free = m.next
-	*m = Message{}
-	return m
-}
-
-// Put recycles a message. Putting the same message twice panics: it
-// always indicates an ownership bug.
-func (p *Pool) Put(m *Message) {
-	if m.pooled {
-		panic("msg: message freed twice")
-	}
-	if PoolPoison {
-		*m = Message{
-			Kind: Kind(0xEE), Cat: Category(0xEE),
-			Addr: ^Addr(0), Tokens: -1 << 20, Acks: -1 << 20,
-			Data: ^uint64(0), Seq: ^uint64(0),
-		}
-	}
-	m.pooled = true
-	m.retained = false
-	m.next = p.free
-	p.free = m
-}
-
-// Clone returns a pooled copy of m with fresh pool bookkeeping.
-func (p *Pool) Clone(m *Message) *Message {
-	c := p.Get()
-	*c = *m
-	c.next, c.retained, c.pooled = nil, false, false
-	return c
-}
-
-// Release is what the network calls after a handler returns: recycle the
-// message unless the handler retained it, in which case ownership has
-// transferred to the retainer.
-func (p *Pool) Release(m *Message) {
-	if m.retained {
-		m.retained = false
-		return
-	}
-	p.Put(m)
 }
 
 // Bytes reports the wire size of the message.

@@ -59,7 +59,7 @@ type Cache struct {
 	wb map[msg.Block]*wbEntry
 	// deferred holds foreign requests ordered between this node's own
 	// ordered request and its data arrival.
-	deferred map[msg.Block][]*msg.Message
+	deferred map[msg.Block][]msg.Message
 	// dsts is the broadcast destination scratch buffer, reused across
 	// broadcasts (Multicast copies what it keeps).
 	dsts []msg.Port
@@ -72,7 +72,7 @@ type Cache struct {
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
 	c := &Cache{
 		wb:       make(map[msg.Block]*wbEntry),
-		deferred: make(map[msg.Block][]*msg.Message),
+		deferred: make(map[msg.Block][]msg.Message),
 	}
 	c.InitBase(sys, id, c)
 	c.broadcasts = sys.Metrics.Counter(stats.Desc{
@@ -106,8 +106,7 @@ func (c *Cache) StartMiss(m *machine.MSHR) {
 // one, to establish its place in the total order) plus the home memory.
 func (c *Cache) broadcast(kind msg.Kind, b msg.Block) {
 	c.broadcasts.Inc()
-	req := c.Net.NewMessage()
-	*req = msg.Message{
+	req := msg.Message{
 		Kind: kind, Cat: msg.CatRequest,
 		Src: c.CachePort(), Addr: b.Base(), Requester: c.CachePort(),
 	}
@@ -157,7 +156,7 @@ func (c *Cache) ordered(m *msg.Message) {
 		// This node's own ordered request precedes m; it may end up the
 		// owner (GetM, or a migratory GetS grant), so m's disposition is
 		// decided when the data arrives.
-		c.deferred[b] = append(c.deferred[b], m.Retain())
+		c.deferred[b] = append(c.deferred[b], *m)
 		return
 	}
 	c.foreign(m, b)
@@ -173,15 +172,15 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 		}
 		delete(c.wb, b)
 		home := c.HomePort(b)
-		out := c.Net.NewMessage()
+		var out msg.Message
 		if e.owner {
-			*out = msg.Message{
+			out = msg.Message{
 				Kind: msg.KindPutM, Cat: msg.CatData,
 				Src: c.CachePort(), Dst: home, Addr: b.Base(),
 				HasData: true, Data: e.data, Dirty: e.dirty,
 			}
 		} else {
-			*out = msg.Message{
+			out = msg.Message{
 				Kind: msg.KindWBStale, Cat: msg.CatControl,
 				Src: c.CachePort(), Dst: home, Addr: b.Base(),
 			}
@@ -270,16 +269,14 @@ func (c *Cache) foreign(m *msg.Message, b msg.Block) {
 // respondData sends a data response. grantOwner marks transfers of
 // ownership (GetM responses and migratory GetS grants).
 func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, dirty bool, extra sim.Time) {
-	out := c.Net.NewMessage()
-	*out = msg.Message{
+	c.send(msg.Message{
 		Kind: msg.KindData, Cat: msg.CatData,
 		Src: c.CachePort(), Dst: to, Addr: b.Base(),
 		HasData: true, Data: data, Owner: grantOwner, Dirty: dirty,
-	}
-	c.send(out, c.Cfg.L2Latency+extra)
+	}, c.Cfg.L2Latency+extra)
 }
 
-func (c *Cache) send(m *msg.Message, lat sim.Time) {
+func (c *Cache) send(m msg.Message, lat sim.Time) {
 	if lat == 0 {
 		c.Net.Send(m)
 		return
@@ -312,9 +309,8 @@ func (c *Cache) onData(m *msg.Message) {
 	c.CompleteMiss(mshr)
 	defs := c.deferred[b]
 	delete(c.deferred, b)
-	for _, d := range defs {
-		c.foreign(d, b)
-		c.Net.FreeMessage(d)
+	for i := range defs {
+		c.foreign(&defs[i], b)
 	}
 }
 
@@ -323,7 +319,7 @@ type memLine struct {
 	ownerBit  bool // memory is the block's owner
 	data      uint64
 	wbPending int
-	deferred  []*msg.Message
+	deferred  []msg.Message
 }
 
 // Memory is the snooping home memory controller: it snoops the ordered
@@ -331,8 +327,8 @@ type memLine struct {
 // sequences writebacks with the wbPending/deferred mechanism.
 type Memory struct {
 	sys *machine.System
-	// isle is the controller's island context; event-time message
-	// allocation and sends go through its network view.
+	// isle is the controller's island context; event-time sends go
+	// through its network view.
 	isle  *machine.Isle
 	id    msg.NodeID
 	lines map[msg.Block]*memLine
@@ -367,7 +363,7 @@ func (m *Memory) Handle(mm *msg.Message) {
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM:
 		if l.wbPending > 0 {
-			l.deferred = append(l.deferred, mm.Retain())
+			l.deferred = append(l.deferred, *mm)
 			return
 		}
 		m.serve(l, mm)
@@ -399,15 +395,14 @@ func (m *Memory) resolveWB(l *memLine) {
 	}
 	defs := l.deferred
 	l.deferred = nil
-	for i, d := range defs {
+	for i := range defs {
 		if l.wbPending > 0 {
 			// A drained request cannot re-raise wbPending, but keep the
-			// guard for safety: re-defer the remainder (still retained).
+			// guard for safety: re-defer the remainder.
 			l.deferred = append(l.deferred, defs[i:]...)
 			return
 		}
-		m.serve(l, d)
-		m.isle.Net.FreeMessage(d)
+		m.serve(l, &defs[i])
 	}
 }
 
@@ -417,8 +412,7 @@ func (m *Memory) serve(l *memLine, mm *msg.Message) {
 		return // a cache owner will respond
 	}
 	cfg := m.sys.Cfg
-	out := m.isle.Net.NewMessage()
-	*out = msg.Message{
+	out := msg.Message{
 		Kind: msg.KindData, Cat: msg.CatData,
 		Src: m.Port(), Dst: mm.Requester, Addr: mm.Addr,
 		HasData: true, Data: l.data,

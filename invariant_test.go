@@ -23,14 +23,7 @@ import (
 // with the same final memory image — the last committed version of every
 // block — pairwise across all runs. Timing differs wildly between
 // protocols; the committed write history must not.
-//
-// The message pool is poisoned for the duration, so any use-after-free
-// in the pooled hot path shows up as a loudly wrong image or an oracle
-// violation rather than silently stale data.
 func TestCrossProtocolDifferentialInvariant(t *testing.T) {
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
-
 	const (
 		procs  = 8
 		ops    = 400
@@ -80,9 +73,6 @@ func TestCrossProtocolDifferentialInvariant(t *testing.T) {
 // total-order proof at that scale), TokenB and Directory on the 8x8
 // torus. All three must agree on the final memory image.
 func TestCrossProtocolDifferentialInvariant64(t *testing.T) {
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
-
 	const (
 		procs  = 64
 		ops    = 150
@@ -204,9 +194,6 @@ func TestCrossProtocolDifferentialInvariant256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor differential invariant skipped in -short mode")
 	}
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
-
 	const (
 		procs  = 256
 		ops    = 15

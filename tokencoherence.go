@@ -259,8 +259,10 @@ type (
 // BlockOf returns the cache block containing a byte address.
 func BlockOf(a Addr) Block { return msg.BlockOf(a) }
 
-// Message is one interconnect message; policies observe incoming
-// token-carrying messages to train predictors.
+// Message is one interconnect message, passed by value; policies observe
+// incoming token-carrying messages to train predictors. A *Message given
+// to a handler or to Policy.Observe is valid only during the call: code
+// that keeps a message keeps a copy of the value.
 type Message = msg.Message
 
 // MSHR is an outstanding miss's state (the block being requested and the
