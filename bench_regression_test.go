@@ -130,7 +130,7 @@ func TestBenchmarkRegression(t *testing.T) {
 			}
 			pt := benchPoint(proto, topo, "oltp", 1)
 			allocs, bytes := memPerRun(func() {
-				if _, err := engine.RunPoint(pt); err != nil {
+				if _, _, err := engine.RunPoint(pt, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -170,7 +170,7 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 			pt.Warmup = 600
 			pt.Islands = islands
 			allocs, bytes := memPerRun(func() {
-				if _, err := engine.RunPoint(pt); err != nil {
+				if _, _, err := engine.RunPoint(pt, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

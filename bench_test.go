@@ -121,8 +121,8 @@ func normalizedMean(agg *engine.AggregateSink, cfg, base string) float64 {
 		if c.Variant != cfg || c.Unlimited {
 			continue
 		}
-		if v := agg.Find(base, c.Workload, "", false).MeanCyclesPerTxn(); v > 0 {
-			sum += c.MeanCyclesPerTxn() / v
+		if v := agg.Find(base, c.Workload, "", false).Mean("cycles_per_txn"); v > 0 {
+			sum += c.Mean("cycles_per_txn") / v
 			n++
 		}
 	}
@@ -136,7 +136,7 @@ func normalizedMean(agg *engine.AggregateSink, cfg, base string) float64 {
 func trafficTotals(agg *engine.AggregateSink) map[string]float64 {
 	totals := map[string]float64{}
 	for _, c := range agg.Cells() {
-		totals[c.Variant] += c.MeanBytesPerMiss()
+		totals[c.Variant] += c.Mean("bytes_per_miss")
 	}
 	return totals
 }
@@ -153,7 +153,7 @@ func BenchmarkAblationTokenCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.TokensPerBlock = tokens }
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -187,7 +187,7 @@ func BenchmarkAblationReissuePolicy(b *testing.B) {
 					cfg.MaxReissues = c.maxReissues
 					cfg.BackoffFactor = c.factor
 				}
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,7 +210,7 @@ func BenchmarkAblationMigratory(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.Migratory = enabled }
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func BenchmarkAblationProcessorMLP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "apache", 1)
 				pt.Mutate = func(c *machine.Config) { c.MaxLoads = loads }
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,7 +247,7 @@ func BenchmarkAblationPerformancePolicy(b *testing.B) {
 		proto := proto
 		b.Run(proto, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := engine.RunPoint(benchPoint(proto, engine.TopoTorus, "specjbb", 1))
+				run, _, err := engine.RunPoint(benchPoint(proto, engine.TopoTorus, "specjbb", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func BenchmarkSimulatePoint(b *testing.B) {
 		b.Run(c.proto, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run, err := engine.RunPoint(benchPoint(c.proto, c.topo, "oltp", 1))
+				run, _, err := engine.RunPoint(benchPoint(c.proto, c.topo, "oltp", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -349,7 +349,7 @@ func BenchmarkSimulatePointIslands(b *testing.B) {
 			pt.Warmup = 600
 			pt.Islands = islands
 			for i := 0; i < b.N; i++ {
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,10 +381,12 @@ func BenchmarkUniformTokenB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pt := engine.Point{
 			Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus,
-			Gen: workload.NewUniform(1024, 0.3, 6*sim.Nanosecond, 16),
+			NewGen: func(n int) machine.Generator {
+				return workload.NewUniform(1024, 0.3, 6*sim.Nanosecond, n)
+			},
 			Ops: 2000, Warmup: 0, Seed: 1,
 		}
-		run, err := engine.RunPoint(pt)
+		run, _, err := engine.RunPoint(pt, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

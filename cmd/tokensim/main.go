@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -400,20 +401,28 @@ func (s *statsSink) Emit(r engine.Result) error {
 		return nil
 	}
 	s.next++
-	run, m, w := r.Run, r.Run.Misses, s.w
+	snap, m, w := r.Metrics, engine.Misses(r.Metrics), s.w
+	value := func(name string) float64 {
+		v, _ := snap.Value(name)
+		return v
+	}
+	// The snapshot carries times in nanoseconds; sim.Time counts
+	// picoseconds, so rounding the product recovers the integer exactly.
+	ns := func(name string) sim.Time { return sim.Time(math.Round(value(name) * 1000)) }
+	accesses := uint64(value("accesses"))
 	fmt.Fprintf(w, "%s/%s/%s seed=%d\n", r.Point.Protocol, r.Point.Topo, r.Point.Workload, r.Point.Seed)
-	fmt.Fprintf(w, "  elapsed          %v\n", run.Elapsed)
-	fmt.Fprintf(w, "  transactions     %d (%.1f cycles/txn)\n", run.Transactions, run.CyclesPerTransaction())
+	fmt.Fprintf(w, "  elapsed          %v\n", ns("elapsed_ns"))
+	fmt.Fprintf(w, "  transactions     %d (%.1f cycles/txn)\n", uint64(value("transactions")), value("cycles_per_txn"))
 	fmt.Fprintf(w, "  accesses         %d (L1 %.1f%%, L2 %.1f%%, miss %.2f%%)\n",
-		run.Accesses,
-		pct(run.L1Hits, run.Accesses), pct(run.L2Hits, run.Accesses), pct(m.Issued, run.Accesses))
-	fmt.Fprintf(w, "  avg miss latency %v\n", run.AvgMissLatency())
+		accesses,
+		pct(uint64(value("l1_hits")), accesses), pct(uint64(value("l2_hits")), accesses), pct(m.Issued, accesses))
+	fmt.Fprintf(w, "  avg miss latency %v\n", ns("avg_miss_ns"))
 	fmt.Fprintf(w, "  misses           %d: %.2f%% first try, %.2f%% reissued once, %.2f%% more, %.3f%% persistent\n",
 		m.Issued, m.Frac(m.NotReissued()), m.Frac(m.ReissuedOnce), m.Frac(m.ReissuedMore), m.Frac(m.Persistent))
 	_, err := fmt.Fprintf(w, "  traffic          %.1f bytes/miss (requests %.1f, reissue+persistent %.1f, control %.1f, data %.1f)\n",
-		run.BytesPerMiss(),
-		run.CategoryBytesPerMiss(msg.CatRequest), run.CategoryBytesPerMiss(msg.CatReissue),
-		run.CategoryBytesPerMiss(msg.CatControl), run.CategoryBytesPerMiss(msg.CatData))
+		value("bytes_per_miss"),
+		value("bytes_per_miss_request"), value("bytes_per_miss_reissue"),
+		value("bytes_per_miss_control"), value("bytes_per_miss_data"))
 	return err
 }
 

@@ -35,6 +35,37 @@ func TestTokensimStoreRecall(t *testing.T) {
 	}
 }
 
+// TestResumeFromLegacyStore: testdata/legacystore holds this point's two
+// seeds as archived when an entry still carried the run's raw counters
+// beside its snapshot. Resuming from it must recall both seeds (no
+// simulation, so no -trace file) and print the JSONL rows and the
+// statistics block byte-identically to a fresh computation.
+func TestResumeFromLegacyStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacystore"))); err != nil {
+		t.Fatal(err)
+	}
+	point := []string{"-protocol", "tokenb", "-workload", "oltp",
+		"-procs", "4", "-ops", "120", "-warmup", "120", "-seeds", "1,2"}
+	for _, format := range [][]string{{"-format", "json"}, nil} {
+		args := append(append([]string{}, point...), format...)
+		var fresh, resumed, errw bytes.Buffer
+		if err := run(args, &fresh, &errw); err != nil {
+			t.Fatal(err)
+		}
+		traces := t.TempDir()
+		if err := run(append(args, "-store", dir, "-resume", "-trace", traces), &resumed, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.String() != resumed.String() {
+			t.Errorf("%v: resumed output differs from computed:\n%s\nvs\n%s", format, resumed.String(), fresh.String())
+		}
+		if files, _ := os.ReadDir(traces); len(files) != 0 {
+			t.Errorf("%v: resumed run simulated %d points, want both recalled", format, len(files))
+		}
+	}
+}
+
 // TestExperimentStoreResume: a paper table archived with -store and
 // printed again with -resume must be byte-identical, with every point
 // recalled. A recalled point runs no simulation, so it writes no -trace
@@ -219,14 +250,13 @@ func TestStoreGCVerb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := &stats.Run{Transactions: 1}
 	snap := stats.NewMetricSet().Snapshot()
 	st.SetVersion(engine.CodeVersion)
-	if err := st.Put(strings.Repeat("aa", 32), sample, snap); err != nil {
+	if err := st.Put(strings.Repeat("aa", 32), snap); err != nil {
 		t.Fatal(err)
 	}
 	st.SetVersion("antique-version")
-	if err := st.Put(strings.Repeat("bb", 32), sample, snap); err != nil {
+	if err := st.Put(strings.Repeat("bb", 32), snap); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,7 +15,7 @@ import (
 func snapshotWithEvents(t *testing.T, n float64) *stats.Snapshot {
 	t.Helper()
 	ms := stats.NewMetricSet()
-	ms.Gauge(stats.Desc{Name: "events_executed", Unit: "events", Help: "test"}).Set(n)
+	ms.Derived(stats.Desc{Name: "events_executed", Unit: "events", Help: "test"}, func() float64 { return n })
 	return ms.Snapshot()
 }
 

@@ -50,11 +50,13 @@ func run(out io.Writer, ops, warmup int) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "protocol\tfabric\tcycles/txn\tavg miss\tbytes/miss\treissued")
 	for _, r := range results {
-		run := r.Run
-		m := run.Misses
-		fmt.Fprintf(w, "%s\t%s\t%.1f\t%v\t%.0f\t%.2f%%\n",
-			r.Point.Protocol, r.Point.Topo, run.CyclesPerTransaction(), run.AvgMissLatency(),
-			run.BytesPerMiss(), m.Frac(m.ReissuedOnce+m.ReissuedMore+m.Persistent))
+		value := func(name string) float64 {
+			v, _ := r.Metrics.Value(name)
+			return v
+		}
+		fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1fns\t%.0f\t%.2f%%\n",
+			r.Point.Protocol, r.Point.Topo, value("cycles_per_txn"), value("avg_miss_ns"),
+			value("bytes_per_miss"), value("reissued_pct")+value("persistent_pct"))
 	}
 	w.Flush()
 

@@ -13,13 +13,14 @@ import (
 )
 
 // Result is one executed job: the plan coordinates plus the run's
-// statistics or the error (including recovered panics) that stopped it.
+// metric snapshot or the error (including recovered panics) that
+// stopped it.
 type Result struct {
 	Job
-	Run *stats.Run
 	// Metrics is the run's metric snapshot: every named metric the
 	// machine, interconnect, protocol, and registered probes published.
-	// Sinks and column selectors read results through it by name.
+	// It is the point's only result record; sinks, column selectors and
+	// the store read it by name.
 	Metrics *stats.Snapshot
 	// Cached marks a result recalled from the Engine's Store instead of
 	// simulated: provenance for telemetry (a recalled point cost no
@@ -39,7 +40,7 @@ type Progress struct {
 	Done, Total int
 	// Failed counts completed jobs whose Err is set.
 	Failed int
-	// Last is the job that just completed, with its Run/Metrics/Err
+	// Last is the job that just completed, with its Metrics/Err
 	// populated. Completion order is nondeterministic under parallelism;
 	// sink emission, not Progress, is the ordered stream.
 	Last *Result
@@ -52,16 +53,16 @@ type Progress struct {
 // parallel. internal/resultstore provides the durable file-backed
 // implementation.
 type Store interface {
-	// Get returns the archived result for key, reporting found=false for
-	// a clean miss. An error means the store itself failed (corrupt
-	// entry, unreadable directory) and fails the job loudly — a store
-	// that silently recomputes would mask corruption.
-	Get(key string) (run *stats.Run, metrics *stats.Snapshot, found bool, err error)
-	// Put archives a computed result under key. Put must be atomic:
-	// concurrent writers of the same key (two sweep shards sharing a
-	// store) may race, but they write identical content, so last-rename-
-	// wins is correct.
-	Put(key string, run *stats.Run, metrics *stats.Snapshot) error
+	// Get returns the archived metric snapshot for key, reporting
+	// found=false for a clean miss. An error means the store itself
+	// failed (corrupt entry, unreadable directory) and fails the job
+	// loudly — a store that silently recomputes would mask corruption.
+	Get(key string) (metrics *stats.Snapshot, found bool, err error)
+	// Put archives a computed point's metric snapshot under key. Put must
+	// be atomic: concurrent writers of the same key (two sweep shards
+	// sharing a store) may race, but they write identical content, so
+	// last-rename-wins is correct.
+	Put(key string, metrics *stats.Snapshot) error
 }
 
 // EndSink is the optional Sink extension Execute invokes exactly once
@@ -279,19 +280,19 @@ func (e Engine) runJob(r *Result) {
 		}
 	}
 	if key != "" && e.Reuse {
-		run, snap, found, err := e.Store.Get(key)
+		snap, found, err := e.Store.Get(key)
 		if err != nil {
 			r.Err = fmt.Errorf("engine: store get %s: %w", key, err)
 			return
 		}
 		if found {
-			r.Run, r.Metrics, r.Cached = run, snap, true
+			r.Metrics, r.Cached = snap, true
 			return
 		}
 	}
-	r.Run, r.Metrics, r.Err = runIsolated(r.Job, e.Attach)
+	r.Metrics, r.Err = runIsolated(r.Job, e.Attach)
 	if key != "" && r.Err == nil {
-		if err := e.Store.Put(key, r.Run, r.Metrics); err != nil {
+		if err := e.Store.Put(key, r.Metrics); err != nil {
 			r.Err = fmt.Errorf("engine: store put %s: %w", key, err)
 		}
 	}
@@ -299,7 +300,7 @@ func (e Engine) runJob(r *Result) {
 
 // runIsolated executes one job, converting a panic into an error so a
 // single bad configuration cannot take down the whole sweep.
-func runIsolated(job Job, attach func(Job) func(*machine.System)) (run *stats.Run, snap *stats.Snapshot, err error) {
+func runIsolated(job Job, attach func(Job) func(*machine.System)) (snap *stats.Snapshot, err error) {
 	pt := job.Point
 	defer func() {
 		if r := recover(); r != nil {
@@ -311,5 +312,6 @@ func runIsolated(job Job, attach func(Job) func(*machine.System)) (run *stats.Ru
 	if attach != nil {
 		hook = attach(job)
 	}
-	return RunPointObserved(pt, hook)
+	_, snap, err = RunPoint(pt, hook)
+	return snap, err
 }

@@ -3,13 +3,12 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 
 	"tokencoherence/internal/machine"
-	"tokencoherence/internal/sim"
-	"tokencoherence/internal/workload"
 )
 
 // testPlan is a small but non-trivial grid: two protocols, two
@@ -61,34 +60,9 @@ func TestPlanJobsOrderAndCount(t *testing.T) {
 	}
 }
 
-func TestPlanRejectsEmptyAndSharedGen(t *testing.T) {
+func TestPlanRejectsEmpty(t *testing.T) {
 	if _, err := (Plan{}).Jobs(); err == nil {
 		t.Error("empty plan not rejected")
-	}
-	shared := Plan{
-		Variants: []Variant{{Point: Point{
-			Protocol: ProtoTokenB, Topo: TopoTorus,
-			Gen: workload.NewUniform(64, 0.3, sim.Nanosecond, 4), Procs: 4,
-		}}},
-		Seeds: []uint64{1, 2},
-	}
-	if _, err := shared.Jobs(); err == nil {
-		t.Error("stateful Gen shared across several jobs not rejected")
-	}
-	shared.Seeds = shared.Seeds[:1]
-	if _, err := shared.Jobs(); err != nil {
-		t.Errorf("single-job Gen plan rejected: %v", err)
-	}
-
-	// One Gen instance behind two variants would race under parallel
-	// execution even though each variant expands to one job.
-	g := workload.NewUniform(64, 0.3, sim.Nanosecond, 4)
-	crossVariant := Plan{Variants: []Variant{
-		{Name: "a", Point: Point{Protocol: ProtoTokenB, Topo: TopoTorus, Gen: g, Procs: 4}},
-		{Name: "b", Point: Point{Protocol: ProtoDirectory, Topo: TopoTorus, Gen: g, Procs: 4}},
-	}}
-	if _, err := crossVariant.Jobs(); err == nil {
-		t.Error("one Gen shared by two variants not rejected")
 	}
 }
 
@@ -128,6 +102,48 @@ func TestEngineDeterministicOutput(t *testing.T) {
 	}
 }
 
+// TestJSONLHeadlinesMatchMetrics: on every JSONL row the five headline
+// fields equal their entries in the row's metrics map. A non-finite
+// headline is null there and absent from the map.
+func TestJSONLHeadlinesMatchMetrics(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := (Engine{}).Execute(context.Background(), testPlan(), &JSONLSink{W: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 8 {
+		t.Fatalf("got %d JSONL rows, want 8", len(lines))
+	}
+	for i, line := range lines {
+		var row struct {
+			CyclesPerTxn  *float64           `json:"cycles_per_txn"`
+			AvgMissNS     *float64           `json:"avg_miss_ns"`
+			BytesPerMiss  *float64           `json:"bytes_per_miss"`
+			ReissuedPct   *float64           `json:"reissued_pct"`
+			PersistentPct *float64           `json:"persistent_pct"`
+			Metrics       map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range map[string]*float64{
+			"cycles_per_txn": row.CyclesPerTxn,
+			"avg_miss_ns":    row.AvgMissNS,
+			"bytes_per_miss": row.BytesPerMiss,
+			"reissued_pct":   row.ReissuedPct,
+			"persistent_pct": row.PersistentPct,
+		} {
+			m, ok := row.Metrics[name]
+			switch {
+			case v == nil && ok:
+				t.Errorf("row %d: %s is null but the metrics map holds %v", i, name, m)
+			case v != nil && (!ok || m != *v):
+				t.Errorf("row %d: %s = %v, metrics map holds %v (present %v)", i, name, *v, m, ok)
+			}
+		}
+	}
+}
+
 // TestEnginePanicIsolation checks that one panicking point is confined
 // to its own result while every other job still completes.
 func TestEnginePanicIsolation(t *testing.T) {
@@ -150,7 +166,7 @@ func TestEnginePanicIsolation(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
-	if results[0].Err != nil || results[0].Run == nil {
+	if results[0].Err != nil || results[0].Metrics == nil {
 		t.Errorf("healthy job did not complete: %+v", results[0].Err)
 	}
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "boom") {
@@ -187,11 +203,11 @@ func TestAggregateSinkGroupsSeeds(t *testing.T) {
 		t.Fatalf("got %d cells, want 4", len(cells))
 	}
 	for _, c := range cells {
-		if len(c.Runs) != 2 {
-			t.Errorf("cell %s/%s has %d runs, want 2", c.Variant, c.Workload, len(c.Runs))
+		if len(c.Snapshots) != 2 {
+			t.Errorf("cell %s/%s has %d snapshots, want 2", c.Variant, c.Workload, len(c.Snapshots))
 		}
-		if c.MeanCyclesPerTxn() <= 0 {
-			t.Errorf("cell %s/%s mean cycles = %v", c.Variant, c.Workload, c.MeanCyclesPerTxn())
+		if c.Mean("cycles_per_txn") <= 0 {
+			t.Errorf("cell %s/%s mean cycles = %v", c.Variant, c.Workload, c.Mean("cycles_per_txn"))
 		}
 	}
 	if got := agg.Find("tokenb-torus", "oltp", "", false); got == nil {
@@ -215,7 +231,7 @@ func TestEngineProgress(t *testing.T) {
 		if p.Failed != 0 {
 			t.Errorf("failed = %d, want 0", p.Failed)
 		}
-		if p.Last == nil || p.Last.Run == nil || p.Last.Err != nil {
+		if p.Last == nil || p.Last.Metrics == nil || p.Last.Err != nil {
 			t.Errorf("progress %d lacks its completed result: %+v", p.Done, p.Last)
 		}
 		calls = append(calls, p.Done)

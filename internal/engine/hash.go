@@ -23,10 +23,10 @@ import (
 const CodeVersion = "tokencoherence-sim-v8"
 
 // ErrUncacheable marks a point with no stable content identity: it
-// carries a pre-built Gen or a NewGen closure and no GenID naming what
-// that generator computes. The engine runs such points normally but
+// carries a NewGen closure and no GenID naming what that generator
+// computes. The engine runs such points normally but
 // never consults or fills the result store for them.
-var ErrUncacheable = errors.New("engine: point carries Gen/NewGen without a GenID and has no content identity")
+var ErrUncacheable = errors.New("engine: point carries NewGen without a GenID and has no content identity")
 
 // PointKey returns the point's content hash: a hex SHA-256 over the
 // fully-resolved simulation inputs — protocol, resolved topology,
@@ -63,7 +63,7 @@ func pointKey(pt Point, salt string) (string, error) {
 	fmt.Fprintf(h, "protocol=%s\n", comps.proto.Name)
 	fmt.Fprintf(h, "topology=%s\n", comps.topo.Name)
 	switch {
-	case pt.Gen != nil || pt.NewGen != nil:
+	case pt.NewGen != nil:
 		if pt.GenID == "" {
 			return "", ErrUncacheable
 		}

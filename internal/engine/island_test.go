@@ -138,14 +138,14 @@ func TestIslandMetricsAllProtocols(t *testing.T) {
 			t.Parallel()
 			base := engine.Point{Protocol: proto,
 				Workload: "apache", Procs: 16, Ops: 200, Warmup: 200, Seed: 1}
-			_, ref, err := engine.RunPointMetrics(base)
+			_, ref, err := engine.RunPoint(base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, islands := range []int{2, 4} {
 				pt := base
 				pt.Islands = islands
-				_, snap, err := engine.RunPointMetrics(pt)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					t.Fatalf("islands=%d: %v", islands, err)
 				}

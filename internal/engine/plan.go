@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"tokencoherence/internal/machine"
 )
@@ -118,27 +117,6 @@ func (p Plan) Jobs() ([]Job, error) {
 	hasSeeds := len(seeds) > 0
 	if !hasSeeds {
 		seeds = []uint64{0}
-	}
-
-	// A pre-built Gen carries mutable per-processor state, so it must
-	// back exactly one job: reject variants that expand it to several,
-	// and distinct variants that share one instance (the engine may run
-	// them concurrently).
-	perVariant := len(workloads) * len(mutations) * len(unlimited) * len(seeds)
-	genSeen := map[machine.Generator]bool{}
-	for _, v := range p.Variants {
-		if v.Point.Gen == nil || v.Point.NewGen != nil {
-			continue
-		}
-		if perVariant > 1 {
-			return nil, fmt.Errorf("engine: variant %q carries a stateful Gen but expands to %d jobs; use NewGen", v.name(), perVariant)
-		}
-		if reflect.TypeOf(v.Point.Gen).Comparable() {
-			if genSeen[v.Point.Gen] {
-				return nil, fmt.Errorf("engine: variant %q shares its stateful Gen with another variant; use NewGen", v.name())
-			}
-			genSeen[v.Point.Gen] = true
-		}
 	}
 
 	var jobs []Job

@@ -54,18 +54,14 @@ type Point struct {
 	// default fabric: the first registered topology the protocol can run
 	// on (the tree for order-requiring protocols, the torus otherwise).
 	Topo     string
-	Workload string // registered workload name, or "" to use Gen/NewGen
+	Workload string // registered workload name, or "" to use NewGen
 
-	// Gen is a pre-built generator. A generator carries mutable
-	// per-processor state, so a Gen-bearing point must expand to exactly
-	// one job in a Plan; plans that vary seeds or mutations must use
-	// NewGen instead so that every job gets a fresh generator.
-	Gen machine.Generator
 	// NewGen builds a fresh generator for the point's (defaulted)
-	// processor count; it takes precedence over Gen and is safe under
-	// parallel execution.
+	// processor count. A generator carries mutable per-processor state,
+	// so every job gets its own, which keeps plans that vary seeds or
+	// mutations safe under parallel execution.
 	NewGen func(procs int) machine.Generator
-	// GenID names what a Gen/NewGen generator computes, giving an
+	// GenID names what a NewGen generator computes, giving an
 	// otherwise-opaque closure a stable content identity for the result
 	// store (see PointKey). Leave it empty to mark the point uncacheable.
 	// Callers own its correctness: two different generators sharing one
@@ -121,7 +117,7 @@ func (pt Point) withDefaults() Point {
 type components struct {
 	proto registry.Protocol
 	topo  registry.Topology
-	// wl is zero when the point carries its own generator (Gen/NewGen).
+	// wl is zero when the point carries its own generator (NewGen).
 	wl registry.Workload
 }
 
@@ -183,7 +179,7 @@ func (pt Point) resolve() (components, error) {
 			pt.Protocol, c.topo.Name, strings.Join(pairs, ", "))
 	}
 
-	if pt.Gen == nil && pt.NewGen == nil {
+	if pt.NewGen == nil {
 		wl, ok := registry.LookupWorkload(pt.Workload)
 		if !ok {
 			return c, fmt.Errorf("engine: unknown workload %q (registered: %s)",
@@ -204,30 +200,20 @@ func (pt Point) Validate() error {
 	return err
 }
 
-// RunPoint executes one point and returns its statistics. Components are
+// RunPoint executes one point and returns its statistics and its
+// metric snapshot: every measurement the machine, interconnect,
+// protocol, and registered probes published, captured after the run
+// (and after the protocol audit, when one is declared). Components are
 // resolved through the registry once, up front; protocols that declare
-// an audit (Token Coherence checks token conservation) are audited after
-// the run.
-func RunPoint(pt Point) (*stats.Run, error) {
-	run, _, err := RunPointMetrics(pt)
-	return run, err
-}
-
-// RunPointMetrics executes one point and additionally returns its metric
-// snapshot: every measurement the machine, interconnect, protocol, and
-// registered probes published, captured after the run (and after the
-// protocol audit, when one is declared). The snapshot is non-nil
-// whenever a simulation actually ran, even one that then failed.
-func RunPointMetrics(pt Point) (*stats.Run, *stats.Snapshot, error) {
-	return RunPointObserved(pt, nil)
-}
-
-// RunPointObserved is RunPointMetrics with a per-run attachment hook:
+// an audit (Token Coherence checks token conservation) are audited
+// after the run. The snapshot is non-nil whenever a simulation actually
+// ran, even one that then failed.
+//
 // attach (if non-nil) is called with the fully assembled System — after
 // the protocol's controllers and the registered probes, before any
 // simulation — so callers can attach run-scoped observers such as a
 // transaction tracer. The engine routes its Attach hook here.
-func RunPointObserved(pt Point, attach func(*machine.System)) (*stats.Run, *stats.Snapshot, error) {
+func RunPoint(pt Point, attach func(*machine.System)) (*stats.Run, *stats.Snapshot, error) {
 	pt = pt.withDefaults()
 	comps, err := pt.resolve()
 	if err != nil {
@@ -243,15 +229,12 @@ func RunPointObserved(pt Point, attach func(*machine.System)) (*stats.Run, *stat
 		attach(sys)
 	}
 
-	gen := pt.Gen
-	if pt.NewGen != nil {
-		gen = pt.NewGen(pt.Procs)
-	}
-	if gen == nil {
-		gen = comps.wl.New(pt.Procs)
+	newGen := pt.NewGen
+	if newGen == nil {
+		newGen = comps.wl.New
 	}
 
-	run, err := sys.ExecuteWarm(ctrls, gen, pt.Warmup, pt.Ops)
+	run, err := sys.ExecuteWarm(ctrls, newGen(pt.Procs), pt.Warmup, pt.Ops)
 	if err != nil {
 		return run, sys.Metrics.Snapshot(), fmt.Errorf("%s/%s/%s: %w", pt.Protocol, comps.topo.Name, pt.Workload, err)
 	}
@@ -318,7 +301,7 @@ func buildMachine(pt Point, comps components) (*machine.System, []machine.Contro
 // point's workload may be left empty.
 func MetricSchema(pt Point) ([]stats.Desc, error) {
 	pt = pt.withDefaults()
-	if pt.Workload == "" && pt.Gen == nil && pt.NewGen == nil {
+	if pt.Workload == "" && pt.NewGen == nil {
 		pt.NewGen = func(procs int) machine.Generator { return nil }
 	}
 	comps, err := pt.resolve()

@@ -122,13 +122,13 @@ func TestMetricSchemaColumnFormats(t *testing.T) {
 // TestMetricColumnsMatchRunFields verifies the by-name columns report
 // exactly what the Run struct's accessors report, for a real run.
 func TestMetricColumnsMatchRunFields(t *testing.T) {
-	run, snap, err := engine.RunPointMetrics(engine.Point{
+	run, snap, err := engine.RunPoint(engine.Point{
 		Protocol: "tokenb", Workload: "oltp", Procs: 4, Ops: 300, Warmup: 300, Seed: 7,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := engine.Result{Run: run, Metrics: snap}
+	r := engine.Result{Metrics: snap}
 	m := run.Misses
 	for _, tc := range []struct {
 		col  engine.Column
@@ -150,7 +150,7 @@ func TestMetricColumnsMatchRunFields(t *testing.T) {
 	if got := engine.MetricColumn("no_such_metric").Value(r); got != "" {
 		t.Errorf("missing metric column = %q, want empty", got)
 	}
-	if got := engine.MetricColumn("anything").Value(engine.Result{Run: run}); got != "" {
+	if got := engine.MetricColumn("anything").Value(engine.Result{}); got != "" {
 		t.Errorf("nil-snapshot column = %q, want empty", got)
 	}
 }
@@ -158,9 +158,9 @@ func TestMetricColumnsMatchRunFields(t *testing.T) {
 // TestColumnByNameResolution covers the -columns resolution order:
 // identity fields, then metrics, then mutation tags.
 func TestColumnByNameResolution(t *testing.T) {
-	run, snap, err := engine.RunPointMetrics(engine.Point{
+	run, snap, err := engine.RunPoint(engine.Point{
 		Protocol: "directory", Workload: "apache", Procs: 4, Ops: 200, Warmup: 200,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestColumnByNameResolution(t *testing.T) {
 			Tags:  map[string]string{"bandwidth_gbps": "3.2", "misses": "tag-shadowed"},
 			Point: engine.Point{Protocol: "directory", Topo: "torus", Workload: "apache", Procs: 4, Seed: 9},
 		},
-		Run: run, Metrics: snap,
+		Metrics: snap,
 	}
 	cols := engine.ColumnsByName([]string{"protocol", "seed", "misses", "bandwidth_gbps", "unknown"})
 	got := make([]string, len(cols))
@@ -255,10 +255,14 @@ func TestProbeDerivesMetricEndToEnd(t *testing.T) {
 	for i, r := range results {
 		// The probe counted exactly the measured interval's misses: the
 		// MetricSet reset at the warmup boundary covered its counter too.
+		run, _, err := engine.RunPoint(r.Point, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		v, ok := r.Metrics.Value("probe_completed_misses")
-		if !ok || uint64(v) != r.Run.MissLatencyCount {
+		if !ok || uint64(v) != run.MissLatencyCount {
 			t.Errorf("seed %d: probe_completed_misses = %v (ok=%v), run counted %d",
-				r.Point.Seed, v, ok, r.Run.MissLatencyCount)
+				r.Point.Seed, v, ok, run.MissLatencyCount)
 		}
 		wantRow := fmt.Sprintf("%d,%.0f,%s", r.Point.Seed, v, mustFormatted(t, r.Metrics, "probe_slow_misses"))
 		if lines[i+1] != wantRow {
@@ -275,9 +279,12 @@ func TestJSONLSinkNonFiniteValues(t *testing.T) {
 	var buf bytes.Buffer
 	sink := &engine.JSONLSink{W: &buf}
 	run := &stats.Run{} // zero transactions: CyclesPerTransaction is +Inf
+	ms := stats.NewMetricSet()
+	ms.Derived(stats.Desc{Name: "cycles_per_txn"}, run.CyclesPerTransaction)
+	ms.Derived(stats.Desc{Name: "avg_miss_ns"}, func() float64 { return run.AvgMissLatency().Nanoseconds() })
 	if err := sink.Emit(engine.Result{
-		Job: engine.Job{Point: engine.Point{Protocol: "tokenb", Topo: "torus"}},
-		Run: run,
+		Job:     engine.Job{Point: engine.Point{Protocol: "tokenb", Topo: "torus"}},
+		Metrics: ms.Snapshot(),
 	}); err != nil {
 		t.Fatalf("Emit with non-finite metrics: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/stats"
 )
 
@@ -272,7 +271,10 @@ func (s *JSONLSink) End() error { return flushWriter(s.W) }
 
 // Emit writes one line.
 func (s *JSONLSink) Emit(r Result) error {
-	m := r.Run.Misses
+	value := func(name string) jsonFloat {
+		v, _ := r.Metrics.Value(name)
+		return jsonFloat(v)
+	}
 	rec := jsonlRecord{
 		Variant:       r.Variant,
 		Protocol:      r.Point.Protocol,
@@ -283,15 +285,13 @@ func (s *JSONLSink) Emit(r Result) error {
 		Seed:          r.Point.Seed,
 		Unlimited:     r.Point.Unlimited,
 		Procs:         r.Point.Procs,
-		CyclesPerTxn:  jsonFloat(r.Run.CyclesPerTransaction()),
-		AvgMissNS:     jsonFloat(r.Run.AvgMissLatency().Nanoseconds()),
-		BytesPerMiss:  jsonFloat(r.Run.BytesPerMiss()),
-		ReissuedPct:   jsonFloat(m.Frac(m.ReissuedOnce + m.ReissuedMore)),
-		PersistentPct: jsonFloat(m.Frac(m.Persistent)),
+		CyclesPerTxn:  value("cycles_per_txn"),
+		AvgMissNS:     value("avg_miss_ns"),
+		BytesPerMiss:  value("bytes_per_miss"),
+		ReissuedPct:   value("reissued_pct"),
+		PersistentPct: value("persistent_pct"),
 	}
-	if r.Metrics != nil {
-		rec.Metrics = r.Metrics.FiniteMap()
-	}
+	rec.Metrics = r.Metrics.FiniteMap()
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -303,52 +303,47 @@ func (s *JSONLSink) Emit(r Result) error {
 
 // --- In-memory aggregation ---------------------------------------------
 
-// Aggregate accumulates the per-seed runs of one grid cell — one
+// Aggregate accumulates the per-seed results of one grid cell — one
 // (variant, workload, mutation, unlimited) combination.
 type Aggregate struct {
 	Variant   string
 	Workload  string
 	Mutation  string
 	Unlimited bool
-	// Runs holds the cell's per-seed runs in seed-axis order.
-	Runs []*stats.Run
+	// Snapshots holds the cell's per-seed metric snapshots in seed-axis
+	// order.
+	Snapshots []*stats.Snapshot
 }
 
-// MeanCyclesPerTxn averages the runtime metric over the cell's seeds.
-func (a *Aggregate) MeanCyclesPerTxn() float64 {
+// Mean averages the named metric over the cell's seeds.
+func (a *Aggregate) Mean(metric string) float64 {
 	var s stats.Sample
-	for _, r := range a.Runs {
-		s.Add(r.CyclesPerTransaction())
-	}
-	return s.Mean()
-}
-
-// MeanBytesPerMiss averages the traffic metric over the cell's seeds.
-func (a *Aggregate) MeanBytesPerMiss() float64 {
-	var s stats.Sample
-	for _, r := range a.Runs {
-		s.Add(r.BytesPerMiss())
-	}
-	return s.Mean()
-}
-
-// MeanCategoryBytesPerMiss averages one message category's bytes/miss.
-func (a *Aggregate) MeanCategoryBytesPerMiss(c msg.Category) float64 {
-	var s stats.Sample
-	for _, r := range a.Runs {
-		s.Add(r.CategoryBytesPerMiss(c))
+	for _, snap := range a.Snapshots {
+		v, _ := snap.Value(metric)
+		s.Add(v)
 	}
 	return s.Mean()
 }
 
 // SumMisses sums the miss classification over the cell's seeds.
-func (a *Aggregate) SumMisses() stats.Misses {
+func (a *Aggregate) SumMisses() stats.Misses { return Misses(a.Snapshots...) }
+
+// Misses sums the Table 2 miss classes of snaps, rebuilt from each
+// snapshot's four integer counters. The not-reissued class is derived
+// from them in integer arithmetic (stats.Misses.NotReissued), never read
+// back from its float metric, so every printed percentage matches the
+// counters'.
+func Misses(snaps ...*stats.Snapshot) stats.Misses {
 	var m stats.Misses
-	for _, r := range a.Runs {
-		m.Issued += r.Misses.Issued
-		m.ReissuedOnce += r.Misses.ReissuedOnce
-		m.ReissuedMore += r.Misses.ReissuedMore
-		m.Persistent += r.Misses.Persistent
+	for _, snap := range snaps {
+		count := func(name string) uint64 {
+			v, _ := snap.Value(name)
+			return uint64(v)
+		}
+		m.Issued += count("misses")
+		m.ReissuedOnce += count("misses_reissued_once")
+		m.ReissuedMore += count("misses_reissued_more")
+		m.Persistent += count("misses_persistent")
 	}
 	return m
 }
@@ -385,7 +380,7 @@ func (s *AggregateSink) Emit(r Result) error {
 		s.index[key] = cell
 		s.cells = append(s.cells, cell)
 	}
-	cell.Runs = append(cell.Runs, r.Run)
+	cell.Snapshots = append(cell.Snapshots, r.Metrics)
 	return nil
 }
 

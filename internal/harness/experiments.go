@@ -9,7 +9,6 @@ import (
 
 	"tokencoherence/internal/engine"
 	"tokencoherence/internal/machine"
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/registry"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/workload"
@@ -243,10 +242,10 @@ func runtimePrinter(title, baseline string) func(io.Writer, *engine.AggregateSin
 			if lim.Unlimited {
 				continue
 			}
-			cyc := lim.MeanCyclesPerTxn()
-			cycInf := agg.Find(lim.Variant, lim.Workload, "", true).MeanCyclesPerTxn()
+			cyc := lim.Mean("cycles_per_txn")
+			cycInf := agg.Find(lim.Variant, lim.Workload, "", true).Mean("cycles_per_txn")
 			norm, normInf := 0.0, 0.0
-			if v := agg.Find(baseline, lim.Workload, "", false).MeanCyclesPerTxn(); v > 0 {
+			if v := agg.Find(baseline, lim.Workload, "", false).Mean("cycles_per_txn"); v > 0 {
 				norm = cyc / v
 				normInf = cycInf / v
 			}
@@ -268,9 +267,9 @@ func trafficPrinter(title string) func(io.Writer, *engine.AggregateSink, Options
 		for _, c := range agg.Cells() {
 			fmt.Fprintf(w, "%-10s %-12s %10.1f %10.1f %10.1f %10.1f %10.1f\n",
 				c.Workload, c.Variant,
-				c.MeanCategoryBytesPerMiss(msg.CatReissue), c.MeanCategoryBytesPerMiss(msg.CatRequest),
-				c.MeanCategoryBytesPerMiss(msg.CatControl), c.MeanCategoryBytesPerMiss(msg.CatData),
-				c.MeanBytesPerMiss())
+				c.Mean("bytes_per_miss_reissue"), c.Mean("bytes_per_miss_request"),
+				c.Mean("bytes_per_miss_control"), c.Mean("bytes_per_miss_data"),
+				c.Mean("bytes_per_miss"))
 		}
 	}
 }
@@ -307,8 +306,8 @@ func SizeCell(agg *engine.AggregateSink, proto string, procs int) *engine.Aggreg
 // processors — the paper's ~2x at 64 — or zero without Directory
 // traffic.
 func TrafficRatio(agg *engine.AggregateSink, procs int) float64 {
-	if dir := SizeCell(agg, engine.ProtoDirectory, procs).MeanBytesPerMiss(); dir > 0 {
-		return SizeCell(agg, engine.ProtoTokenB, procs).MeanBytesPerMiss() / dir
+	if dir := SizeCell(agg, engine.ProtoDirectory, procs).Mean("bytes_per_miss"); dir > 0 {
+		return SizeCell(agg, engine.ProtoTokenB, procs).Mean("bytes_per_miss") / dir
 	}
 	return 0
 }
@@ -351,10 +350,10 @@ func printScaling(w io.Writer, agg *engine.AggregateSink, opt Options) {
 	fmt.Fprintf(w, "%6s %14s %14s %14s %14s %14s %14s %14s %16s\n",
 		"procs", "tokenB B/miss", "dir B/miss", "hammer B/miss", "snoop B/miss", "dir2 B/miss", "region B/miss", "traffic ratio", "dir/tokenB time")
 	for _, procs := range opt.sizes() {
-		bytes := func(proto string) float64 { return SizeCell(agg, proto, procs).MeanBytesPerMiss() }
+		bytes := func(proto string) float64 { return SizeCell(agg, proto, procs).Mean("bytes_per_miss") }
 		runtime := 0.0
-		if tb := SizeCell(agg, engine.ProtoTokenB, procs).MeanCyclesPerTxn(); tb > 0 {
-			runtime = SizeCell(agg, engine.ProtoDirectory, procs).MeanCyclesPerTxn() / tb
+		if tb := SizeCell(agg, engine.ProtoTokenB, procs).Mean("cycles_per_txn"); tb > 0 {
+			runtime = SizeCell(agg, engine.ProtoDirectory, procs).Mean("cycles_per_txn") / tb
 		}
 		fmt.Fprintf(w, "%6d %14.1f %14.1f %14.1f %14.1f %14.1f %14.1f %14.2f %16.2f\n",
 			procs, bytes(engine.ProtoTokenB), bytes(engine.ProtoDirectory), bytes(engine.ProtoHammer),

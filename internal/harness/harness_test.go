@@ -22,19 +22,19 @@ func testPoint(proto, topo, wl string) engine.Point {
 }
 
 func TestRunRejectsUnknownProtocol(t *testing.T) {
-	if _, err := engine.RunPoint(engine.Point{Protocol: "nope", Topo: engine.TopoTorus, Workload: "oltp"}); err == nil {
+	if _, _, err := engine.RunPoint(engine.Point{Protocol: "nope", Topo: engine.TopoTorus, Workload: "oltp"}, nil); err == nil {
 		t.Error("unknown protocol not rejected")
 	}
 }
 
 func TestRunRejectsUnknownTopology(t *testing.T) {
-	if _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: "ring", Workload: "oltp"}); err == nil {
+	if _, _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: "ring", Workload: "oltp"}, nil); err == nil {
 		t.Error("unknown topology not rejected")
 	}
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "nope"}); err == nil {
+	if _, _, err := engine.RunPoint(engine.Point{Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Workload: "nope"}, nil); err == nil {
 		t.Error("unknown workload not rejected")
 	}
 }
@@ -56,7 +56,7 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 				pt := testPoint(p.proto, p.topo, wl)
 				pt.Ops = 600
 				pt.Warmup = 1500
-				run, err := engine.RunPoint(pt)
+				run, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
@@ -76,7 +76,7 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 // same tree snooping is at least as fast as TokenB.
 func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 	cpt := func(proto, topo string) float64 {
-		run, err := engine.RunPoint(testPoint(proto, topo, "apache"))
+		run, _, err := engine.RunPoint(testPoint(proto, topo, "apache"), nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", proto, topo, err)
 		}
@@ -101,7 +101,7 @@ func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 func TestPaperShapeDirectoryAndHammer(t *testing.T) {
 	type res struct{ cpt, bpm float64 }
 	get := func(proto string) res {
-		run, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "oltp"))
+		run, _, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "oltp"), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -136,17 +136,17 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 		pt.Ops = 4800
 		return pt
 	}
-	dram, err := engine.RunPoint(point(engine.ProtoDirectory))
+	dram, _, err := engine.RunPoint(point(engine.ProtoDirectory), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perfect := point(engine.ProtoDirectory)
 	perfect.PerfectDir = true
-	fast, err := engine.RunPoint(perfect)
+	fast, _, err := engine.RunPoint(perfect, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, err := engine.RunPoint(point(engine.ProtoTokenB))
+	token, _, err := engine.RunPoint(point(engine.ProtoTokenB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 // (it has the most traffic).
 func TestPaperShapeUnlimitedBandwidth(t *testing.T) {
 	speedup := func(proto string) float64 {
-		lim, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "apache"))
+		lim, _, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "apache"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pt := testPoint(proto, engine.TopoTorus, "apache")
 		pt.Unlimited = true
-		inf, err := engine.RunPoint(pt)
+		inf, _, err := engine.RunPoint(pt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestScalingShape(t *testing.T) {
 	for _, procs := range sizes {
 		cell := func(proto string) (bytesPerMiss, cycles float64) {
 			c := SizeCell(agg, proto, procs)
-			return c.MeanBytesPerMiss(), c.MeanCyclesPerTxn()
+			return c.Mean("bytes_per_miss"), c.Mean("cycles_per_txn")
 		}
 		tokenB, _ := cell(engine.ProtoTokenB)
 		// The new columns must be populated at every size: Hammer
@@ -272,7 +272,7 @@ func TestScaling64Smoke(t *testing.T) {
 		t.Fatalf("last row procs = %d, want 64", last)
 	}
 	snoop := SizeCell(agg, engine.ProtoSnooping, last)
-	if b, c := snoop.MeanBytesPerMiss(), snoop.MeanCyclesPerTxn(); b <= 0 || c <= 0 {
+	if b, c := snoop.Mean("bytes_per_miss"), snoop.Mean("cycles_per_txn"); b <= 0 || c <= 0 {
 		t.Errorf("snooping-on-tree empty at 64 procs (%.1f B/miss, %.1f cyc/txn)", b, c)
 	}
 	if first, at64 := TrafficRatio(agg, sizes[0]), TrafficRatio(agg, last); at64 <= first {
@@ -292,7 +292,7 @@ func TestScaling256(t *testing.T) {
 		t.Fatalf("last procs %d, want 256", sizes[6])
 	}
 	for _, procs := range sizes {
-		if SizeCell(agg, engine.ProtoSnooping, procs).MeanBytesPerMiss() <= 0 {
+		if SizeCell(agg, engine.ProtoSnooping, procs).Mean("bytes_per_miss") <= 0 {
 			t.Errorf("%dp: snooping-on-tree column empty", procs)
 		}
 	}
@@ -361,11 +361,11 @@ func TestRunExperimentUnknown(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run1, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"))
+	run1, _, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run2, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"))
+	run2, _, err := engine.RunPoint(testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +377,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestSeedsChangeResults(t *testing.T) {
 	pt := testPoint(engine.ProtoTokenB, engine.TopoTorus, "specjbb")
-	run1, err := engine.RunPoint(pt)
+	run1, _, err := engine.RunPoint(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt.Seed = 2
-	run2, err := engine.RunPoint(pt)
+	run2, _, err := engine.RunPoint(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,14 +395,16 @@ func TestCustomGeneratorAndMutate(t *testing.T) {
 	mutated := false
 	pt := engine.Point{
 		Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus,
-		Gen: workload.NewUniform(256, 0.4, 4*sim.Nanosecond, 8),
+		NewGen: func(n int) machine.Generator {
+			return workload.NewUniform(256, 0.4, 4*sim.Nanosecond, n)
+		},
 		Ops: 400, Procs: 8, Seed: 1,
 		Mutate: func(c *machine.Config) {
 			mutated = true
 			c.MSHRs = 4
 		},
 	}
-	if _, err := engine.RunPoint(pt); err != nil {
+	if _, _, err := engine.RunPoint(pt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !mutated {

@@ -365,8 +365,8 @@ func WorkloadNames() []string { return workloads.list() }
 // cross-cutting: unlike the components above, which a Point selects by
 // name, every registered probe attaches to every simulation the engine
 // runs. New is called once per simulation point with the run's MetricSet;
-// the probe registers the metrics it derives (counters, gauges,
-// histograms, derived values) and returns an Observer subscribing to the
+// the probe registers the metrics it derives (counters, histograms,
+// derived values) and returns an Observer subscribing to the
 // events it needs — or the zero Observer, for probes that only re-derive
 // existing measurements. Metrics the probe registers reset automatically
 // at the warmup boundary. Events no observer subscribes to cost their

@@ -15,10 +15,15 @@
 // which is what makes kill-and-resume byte-identical to an
 // uninterrupted run.
 //
-// The encoding is the stats package's exact JSON round-trip (see
-// internal/stats codec): integer counters stay exact, float metric
-// values travel as shortest-round-trip strings, so a recalled result
-// reproduces every CSV cell and JSONL field of the computed one.
+// An entry is the key, the code version it was computed under, and the
+// point's metric snapshot — the point's only result record. The
+// snapshot uses the stats package's exact JSON round-trip (see
+// internal/stats codec): float metric values travel as
+// shortest-round-trip strings, so a recalled result reproduces every
+// CSV cell and JSONL field of the computed one. Entries written before
+// the snapshot became the only record also carry a "run" object; the
+// decoder ignores it, so those entries stay readable. New entries lack
+// it, so binaries that still require it cannot read them.
 package resultstore
 
 import (
@@ -42,17 +47,16 @@ import (
 type envelope struct {
 	Key     string          `json:"key"`
 	Version string          `json:"version,omitempty"`
-	Run     *stats.Run      `json:"run"`
 	Metrics *stats.Snapshot `json:"metrics"`
 }
 
 // encode renders one entry as its canonical file bytes. The encoding is
-// deterministic for equal inputs (struct field order is fixed, the stats
-// codecs are exact), so two writers racing on one key write identical
+// deterministic for equal inputs (struct field order is fixed, the
+// snapshot codec is exact), so two writers racing on one key write identical
 // files.
 func encode(env envelope) ([]byte, error) {
-	if env.Run == nil || env.Metrics == nil {
-		return nil, fmt.Errorf("resultstore: refusing to archive incomplete result for %s", env.Key)
+	if env.Metrics == nil {
+		return nil, fmt.Errorf("resultstore: refusing to archive an empty result for %s", env.Key)
 	}
 	raw, err := json.Marshal(env)
 	if err != nil {
@@ -68,7 +72,7 @@ func decode(raw []byte) (envelope, error) {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return envelope{}, fmt.Errorf("corrupt envelope: %w", err)
 	}
-	if env.Run == nil || env.Metrics == nil {
+	if env.Metrics == nil {
 		return envelope{}, fmt.Errorf("incomplete envelope for key %q", env.Key)
 	}
 	return env, nil
@@ -117,36 +121,36 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "objects", fan, key+".json")
 }
 
-// Get implements engine.Store: it returns the archived result for key,
-// found=false on a clean miss, or an error for a store-level failure
-// (unreadable or corrupt entry, key mismatch).
-func (s *Store) Get(key string) (*stats.Run, *stats.Snapshot, bool, error) {
+// Get implements engine.Store: it returns the archived snapshot for
+// key, found=false on a clean miss, or an error for a store-level
+// failure (unreadable or corrupt entry, key mismatch).
+func (s *Store) Get(key string) (*stats.Snapshot, bool, error) {
 	raw, err := os.ReadFile(s.path(key))
 	if os.IsNotExist(err) {
 		s.misses.Add(1)
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("resultstore: %w", err)
+		return nil, false, fmt.Errorf("resultstore: %w", err)
 	}
 	env, err := decode(raw)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("resultstore: entry %s: %w", key, err)
+		return nil, false, fmt.Errorf("resultstore: entry %s: %w", key, err)
 	}
 	if env.Key != key {
-		return nil, nil, false, fmt.Errorf("resultstore: entry %s carries key %s (misplaced object file)", key, env.Key)
+		return nil, false, fmt.Errorf("resultstore: entry %s carries key %s (misplaced object file)", key, env.Key)
 	}
 	s.hits.Add(1)
 	s.bytes.Add(uint64(len(raw)))
-	return env.Run, env.Metrics, true, nil
+	return env.Metrics, true, nil
 }
 
-// Put implements engine.Store: it archives one computed result under
-// key, atomically (temp file + rename in the final directory). Two
-// writers racing on one key write identical content, so last rename
-// winning is correct.
-func (s *Store) Put(key string, run *stats.Run, metrics *stats.Snapshot) error {
-	raw, err := encode(envelope{Key: key, Version: s.version, Run: run, Metrics: metrics})
+// Put implements engine.Store: it archives one computed point's
+// snapshot under key, atomically (temp file + rename in the final
+// directory). Two writers racing on one key write identical content,
+// so last rename winning is correct.
+func (s *Store) Put(key string, metrics *stats.Snapshot) error {
+	raw, err := encode(envelope{Key: key, Version: s.version, Metrics: metrics})
 	if err != nil {
 		return err
 	}

@@ -9,48 +9,49 @@ import (
 	"sync"
 	"testing"
 
+	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
 )
 
-func sampleResult() (*stats.Run, *stats.Snapshot) {
-	run := &stats.Run{
-		Misses:       stats.Misses{Issued: 10, ReissuedOnce: 1},
-		Transactions: 42,
-		Elapsed:      12345,
-	}
+// sampleSnapshot holds one metric of each kind plus the +Inf a
+// transaction-less run reports.
+func sampleSnapshot() *stats.Snapshot {
 	ms := stats.NewMetricSet()
-	ms.Gauge(stats.Desc{Name: "g", Unit: "x", Help: "h"}).Set(1.0 / 3.0)
-	ms.Gauge(stats.Desc{Name: "inf", Unit: "x", Help: "h"}).Set(math.Inf(1))
-	return run, ms.Snapshot()
+	ms.Counter(stats.Desc{Name: "reissues", Unit: "count", Help: "transient requests reissued", Fmt: "%.0f"}).Add(4)
+	ms.Histogram(stats.Desc{Name: "lat", Unit: "ns", Help: "latency"}).Observe(300 * sim.Nanosecond)
+	ms.Derived(stats.Desc{Name: "cycles_per_txn", Unit: "cycles/txn", Help: "runtime", Fmt: "%.2f"}, func() float64 { return 4115 })
+	ms.Derived(stats.Desc{Name: "inf", Unit: "x", Help: "h"}, func() float64 { return math.Inf(1) })
+	return ms.Snapshot()
 }
 
 const key = "ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12"
+
+// parentEntry is sampleSnapshot's entry as written before the snapshot
+// became the only record: it also carries the run's raw counters.
+const parentEntry = `{"key":"ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12","version":"tokencoherence-sim-v8","run":{"Traffic":{"bytes":[0,0,0,24],"messages":[0,0,0,3]},"Misses":{"Issued":10,"ReissuedOnce":1,"ReissuedMore":0,"Persistent":2},"L1Hits":0,"L2Hits":0,"Accesses":77,"Upgrades":0,"Writeback":0,"Transactions":3,"Elapsed":12345000,"MissLatencySum":900000,"MissLatencyCount":9,"MissLatencies":{"buckets":[0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":100000,"max":100000}},"metrics":{"descs":[{"Name":"reissues","Unit":"count","Help":"transient requests reissued","Fmt":"%.0f","Kind":0},{"Name":"lat","Unit":"ns","Help":"latency","Fmt":"%g","Kind":2},{"Name":"cycles_per_txn","Unit":"cycles/txn","Help":"runtime","Fmt":"%.2f","Kind":3},{"Name":"inf","Unit":"x","Help":"h","Fmt":"%g","Kind":3}],"values":["4","300","4115","+Inf"]}}`
 
 func TestPutGetRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
+	snap := sampleSnapshot()
 
-	if _, _, found, err := st.Get(key); err != nil || found {
+	if _, found, err := st.Get(key); err != nil || found {
 		t.Fatalf("empty store: found=%v err=%v", found, err)
 	}
 	if st.Misses() != 1 {
 		t.Errorf("misses = %d, want 1", st.Misses())
 	}
-	if err := st.Put(key, run, snap); err != nil {
+	if err := st.Put(key, snap); err != nil {
 		t.Fatal(err)
 	}
-	gotRun, gotSnap, found, err := st.Get(key)
+	gotSnap, found, err := st.Get(key)
 	if err != nil || !found {
 		t.Fatalf("after put: found=%v err=%v", found, err)
 	}
-	if !reflect.DeepEqual(run, gotRun) {
-		t.Errorf("run did not round-trip: %+v vs %+v", run, gotRun)
-	}
-	if v, _ := gotSnap.Value("g"); v != 1.0/3.0 {
-		t.Errorf("snapshot value lost: %v", v)
+	if !reflect.DeepEqual(snap, gotSnap) {
+		t.Errorf("snapshot did not round-trip: %+v vs %+v", snap, gotSnap)
 	}
 	if v, _ := gotSnap.Value("inf"); !math.IsInf(v, 1) {
 		t.Errorf("non-finite snapshot value lost: %v", v)
@@ -71,8 +72,8 @@ func TestNoTempFilesSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
-	if err := st.Put(key, run, snap); err != nil {
+	snap := sampleSnapshot()
+	if err := st.Put(key, snap); err != nil {
 		t.Fatal(err)
 	}
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
@@ -97,26 +98,26 @@ func TestCorruptEntryIsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
-	if err := st.Put(key, run, snap); err != nil {
+	snap := sampleSnapshot()
+	if err := st.Put(key, snap); err != nil {
 		t.Fatal(err)
 	}
 	path := st.path(key)
 	if err := os.WriteFile(path, []byte(`{"key":"`+key+`","run"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := st.Get(key); err == nil {
+	if _, _, err := st.Get(key); err == nil {
 		t.Error("want error for truncated entry")
 	}
 	// A complete entry filed under the wrong key must also be loud.
 	other := strings.Repeat("ff", 32)
-	if err := st.Put(other, run, snap); err != nil {
+	if err := st.Put(other, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(st.path(other), path); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := st.Get(key); err == nil || !strings.Contains(err.Error(), "misplaced") {
+	if _, _, err := st.Get(key); err == nil || !strings.Contains(err.Error(), "misplaced") {
 		t.Errorf("want misplaced-object error, got %v", err)
 	}
 }
@@ -128,7 +129,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
+	snap := sampleSnapshot()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -136,11 +137,11 @@ func TestConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := strings.Repeat("0123456789abcdef"[i%16:i%16+1], 64)
-				if err := st.Put(k, run, snap); err != nil {
+				if err := st.Put(k, snap); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
-				if _, _, found, err := st.Get(k); err != nil || !found {
+				if _, found, err := st.Get(k); err != nil || !found {
 					t.Errorf("get: found=%v err=%v", found, err)
 					return
 				}
@@ -169,8 +170,8 @@ func TestCrossProcessPutRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
-	want, err := encode(envelope{Key: key, Run: run, Metrics: snap})
+	snap := sampleSnapshot()
+	want, err := encode(envelope{Key: key, Metrics: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestCrossProcessPutRace(t *testing.T) {
 		go func(st *Store) {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
-				if err := st.Put(key, run, snap); err != nil {
+				if err := st.Put(key, snap); err != nil {
 					t.Errorf("racing put: %v", err)
 					return
 				}
@@ -202,13 +203,13 @@ func TestCrossProcessPutRace(t *testing.T) {
 					return
 				default:
 				}
-				gotRun, _, found, err := st.Get(key)
+				got, found, err := st.Get(key)
 				if err != nil {
 					t.Errorf("racing get: %v", err)
 					return
 				}
-				if found && !reflect.DeepEqual(gotRun, run) {
-					t.Errorf("racing get returned different content: %+v", gotRun)
+				if found && !reflect.DeepEqual(got, snap) {
+					t.Errorf("racing get returned different content: %+v", got)
 					return
 				}
 			}
@@ -241,21 +242,21 @@ func TestGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, snap := sampleResult()
+	snap := sampleSnapshot()
 
 	st.SetVersion("v2")
 	live := strings.Repeat("aa", 32)
-	if err := st.Put(live, run, snap); err != nil {
+	if err := st.Put(live, snap); err != nil {
 		t.Fatal(err)
 	}
 	st.SetVersion("v1")
 	stale := strings.Repeat("bb", 32)
-	if err := st.Put(stale, run, snap); err != nil {
+	if err := st.Put(stale, snap); err != nil {
 		t.Fatal(err)
 	}
 	st.SetVersion("")
 	unstamped := strings.Repeat("cc", 32)
-	if err := st.Put(unstamped, run, snap); err != nil {
+	if err := st.Put(unstamped, snap); err != nil {
 		t.Fatal(err)
 	}
 	corrupt := strings.Repeat("dd", 32)
@@ -291,7 +292,7 @@ func TestGC(t *testing.T) {
 	if n, _ := st.Len(); n != 1 {
 		t.Errorf("after GC: Len=%d, want 1", n)
 	}
-	if _, _, found, err := st.Get(live); err != nil || !found {
+	if _, found, err := st.Get(live); err != nil || !found {
 		t.Errorf("live entry lost: found=%v err=%v", found, err)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
@@ -303,8 +304,8 @@ func TestGC(t *testing.T) {
 // x, and encoding the decoded value reproduces the original bytes
 // exactly (racing writers of one key must write identical files).
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	run, snap := sampleResult()
-	raw, err := encode(envelope{Key: key, Version: "v9", Run: run, Metrics: snap})
+	snap := sampleSnapshot()
+	raw, err := encode(envelope{Key: key, Version: "v9", Metrics: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +316,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if env.Key != key || env.Version != "v9" {
 		t.Errorf("key/version did not round-trip: %q %q", env.Key, env.Version)
 	}
-	if !reflect.DeepEqual(env.Run, run) {
-		t.Errorf("run did not round-trip")
+	if !reflect.DeepEqual(env.Metrics, snap) {
+		t.Errorf("snapshot did not round-trip")
 	}
 	again, err := encode(env)
 	if err != nil {
@@ -327,5 +328,43 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if _, err := decode([]byte(`{"key":"x"}`)); err == nil {
 		t.Error("want error decoding incomplete envelope")
+	}
+}
+
+// TestParentFormatEntryStaysReadable: an entry that still carries the
+// run object decodes into the identical snapshot, is served by Get, and
+// re-encodes without the run.
+func TestParentFormatEntryStaysReadable(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(st.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.path(key), []byte(parentEntry+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, found, err := st.Get(key)
+	if err != nil || !found {
+		t.Fatalf("parent-format entry: found=%v err=%v", found, err)
+	}
+	want := sampleSnapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parent-format entry decoded to %+v, want %+v", got, want)
+	}
+	env, err := decode([]byte(parentEntry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := encode(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"run"`) {
+		t.Errorf("re-encoded entry still carries the run: %s", raw)
+	}
+	if st, err := st.GC("tokencoherence-sim-v8", true); err != nil || st.Kept != 1 {
+		t.Errorf("GC does not keep the parent-format entry: %+v err=%v", st, err)
 	}
 }

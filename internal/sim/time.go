@@ -1,8 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel is single threaded: components schedule events (closures) at
-// absolute simulated times and the kernel executes them in time order,
-// breaking ties by insertion sequence so that runs are bit-reproducible.
+// absolute simulated times and the kernel executes them in time order.
+// Ties break by the event's (time, actor, per-actor sequence) stamp: the
+// actor whose event scheduled it and that actor's private count of
+// schedules. The stamp does not depend on how actors are split into
+// islands, so runs are bit-reproducible serially and at any island
+// count.
 // All randomness used by simulation components must come from Source
 // values seeded from the run configuration.
 package sim

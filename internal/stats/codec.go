@@ -4,91 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-
-	"tokencoherence/internal/msg"
-	"tokencoherence/internal/sim"
 )
 
-// This file makes a run's results durable: Traffic, Histogram, and
-// Snapshot (and therefore Run, whose remaining fields are plain exported
-// integers) round-trip through JSON exactly. The result store
-// (internal/resultstore) persists completed points in this encoding and
-// the engine replays decoded results through the normal sink path, so a
-// recalled point must reproduce every CSV cell and JSONL field byte for
-// byte. Integer counters are exact in JSON; float64 metric values are
-// encoded as strings via strconv's shortest round-trip form because JSON
-// numbers cannot carry the Inf/NaN a transaction-less run legitimately
-// reports.
-
-// floatString encodes f in the shortest form that parses back to the
-// identical float64, including the non-finite values JSON numbers cannot
-// express.
-func floatString(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-func parseFloatString(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
-}
-
-// trafficJSON is Traffic's wire form: per-category byte and
-// link-traversal counts in category order.
-type trafficJSON struct {
-	Bytes    []uint64 `json:"bytes"`
-	Messages []uint64 `json:"messages"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (t Traffic) MarshalJSON() ([]byte, error) {
-	return json.Marshal(trafficJSON{Bytes: t.bytes[:], Messages: t.messages[:]})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (t *Traffic) UnmarshalJSON(data []byte) error {
-	var w trafficJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if len(w.Bytes) != msg.NumCategories || len(w.Messages) != msg.NumCategories {
-		return fmt.Errorf("stats: traffic with %d/%d categories, want %d (stale store entry?)",
-			len(w.Bytes), len(w.Messages), msg.NumCategories)
-	}
-	*t = Traffic{}
-	copy(t.bytes[:], w.Bytes)
-	copy(t.messages[:], w.Messages)
-	return nil
-}
-
-// histogramJSON is Histogram's wire form.
-type histogramJSON struct {
-	Buckets []uint64 `json:"buckets"`
-	Count   uint64   `json:"count"`
-	Sum     sim.Time `json:"sum"`
-	Max     sim.Time `json:"max"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (h Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{Buckets: h.buckets[:], Count: h.count, Sum: h.sum, Max: h.max})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if len(w.Buckets) != len(h.buckets) {
-		return fmt.Errorf("stats: histogram with %d buckets, want %d (stale store entry?)",
-			len(w.Buckets), len(h.buckets))
-	}
-	*h = Histogram{count: w.Count, sum: w.Sum, max: w.Max}
-	copy(h.buckets[:], w.Buckets)
-	return nil
-}
+// This file makes a run's result durable: a Snapshot round-trips
+// through JSON exactly. The result store (internal/resultstore)
+// persists completed points in this encoding and the engine replays
+// decoded snapshots through the normal sink path, so a recalled point
+// must reproduce every CSV cell and JSONL field byte for byte. float64
+// metric values are encoded as strings via strconv's shortest
+// round-trip form because JSON numbers cannot carry the Inf/NaN a
+// transaction-less run legitimately reports.
 
 // snapshotJSON is Snapshot's wire form: the schema in registration order
-// plus one string-encoded value per metric (see floatString).
+// plus one value per metric, in the shortest string that parses back to
+// the identical float64, non-finite values included.
 type snapshotJSON struct {
 	Descs  []Desc   `json:"descs"`
 	Values []string `json:"values"`
@@ -98,7 +27,7 @@ type snapshotJSON struct {
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	w := snapshotJSON{Descs: s.descs, Values: make([]string, len(s.values))}
 	for i, v := range s.values {
-		w.Values[i] = floatString(v)
+		w.Values[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
 	return json.Marshal(w)
 }
@@ -118,7 +47,7 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 		index:  make(map[string]int, len(w.Descs)),
 	}
 	for i, raw := range w.Values {
-		v, err := parseFloatString(raw)
+		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return fmt.Errorf("stats: snapshot value %d (%s): %w", i, w.Descs[i].Name, err)
 		}

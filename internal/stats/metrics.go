@@ -6,29 +6,27 @@ import (
 	"sync/atomic"
 )
 
-// MetricKind distinguishes how a metric's value is produced.
+// MetricKind distinguishes how a metric's value is produced. The values
+// are explicit because every archived snapshot serializes its Descs'
+// kinds: a kind's number never changes (1, once a gauge, stays unused).
 type MetricKind uint8
 
 const (
 	// KindCounter is a monotonically increasing event count owned by the
 	// MetricSet and zeroed by Reset (the warmup boundary).
-	KindCounter MetricKind = iota
-	// KindGauge is a point-in-time value owned by the MetricSet.
-	KindGauge
+	KindCounter MetricKind = 0
 	// KindHistogram is a latency distribution owned by the MetricSet; its
 	// scalar snapshot value is the distribution mean in nanoseconds.
-	KindHistogram
+	KindHistogram MetricKind = 2
 	// KindDerived is computed on demand from state owned elsewhere (the
 	// Run struct, the network, a protocol controller).
-	KindDerived
+	KindDerived MetricKind = 3
 )
 
 func (k MetricKind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	case KindDerived:
@@ -91,30 +89,11 @@ func (c *Counter) Value() uint64 {
 	return atomic.LoadUint64(&c.n)
 }
 
-// Gauge is a point-in-time value. The nil Gauge is valid and inert.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value reports the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // metric is one registered entry: its schema plus exactly one value
 // source according to Kind.
 type metric struct {
 	desc Desc
 	ctr  *Counter
-	gge  *Gauge
 	hist *Histogram
 	read func() float64
 }
@@ -123,8 +102,6 @@ func (m *metric) value() float64 {
 	switch m.desc.Kind {
 	case KindCounter:
 		return float64(m.ctr.Value())
-	case KindGauge:
-		return m.gge.Value()
 	case KindHistogram:
 		return m.hist.Mean().Nanoseconds()
 	default:
@@ -153,7 +130,7 @@ func NewMetricSet() *MetricSet {
 
 // add registers m under its name. Re-registering the same name is
 // allowed only when the descriptor matches exactly and the kind owns
-// shared storage (counter/gauge/histogram): per-node components (16
+// shared storage (counter/histogram): per-node components (16
 // cache controllers, 16 arbiters) then share one instance. A name
 // collision with a different descriptor is mis-wiring and panics, like
 // the component registry's duplicate names.
@@ -182,12 +159,6 @@ func (ms *MetricSet) add(m *metric) *metric {
 func (ms *MetricSet) Counter(d Desc) *Counter {
 	m := ms.add(&metric{desc: d.withDefaults(KindCounter), ctr: &Counter{}})
 	return m.ctr
-}
-
-// Gauge registers (or returns the already-registered) gauge metric.
-func (ms *MetricSet) Gauge(d Desc) *Gauge {
-	m := ms.add(&metric{desc: d.withDefaults(KindGauge), gge: &Gauge{}})
-	return m.gge
 }
 
 // Histogram registers (or returns the already-registered) histogram
@@ -241,7 +212,7 @@ func (ms *MetricSet) Value(name string) (float64, bool) {
 	return m.value(), true
 }
 
-// Reset zeroes every counter, gauge, and histogram the set owns; derived
+// Reset zeroes every counter and histogram the set owns; derived
 // metrics reset with the state they read. The machine calls this at the
 // end of cache warmup together with Run.Reset, so probe-registered
 // metrics observe exactly the measured interval without any bookkeeping
@@ -252,8 +223,6 @@ func (ms *MetricSet) Reset() {
 		switch m.desc.Kind {
 		case KindCounter:
 			atomic.StoreUint64(&m.ctr.n, 0)
-		case KindGauge:
-			m.gge.v = 0
 		case KindHistogram:
 			*m.hist = Histogram{}
 		}

@@ -11,7 +11,8 @@ import (
 func TestMetricSetRegistrationOrderAndSchema(t *testing.T) {
 	ms := NewMetricSet()
 	c := ms.Counter(Desc{Name: "c", Unit: "count", Help: "a counter"})
-	g := ms.Gauge(Desc{Name: "g", Unit: "ratio"})
+	gv := 0.0
+	ms.Derived(Desc{Name: "g", Unit: "ratio"}, func() float64 { return gv })
 	h := ms.Histogram(Desc{Name: "h", Unit: "ns"})
 	ms.Derived(Desc{Name: "d", Unit: "x", Fmt: "%.2f"}, func() float64 { return 42.5 })
 
@@ -19,9 +20,13 @@ func TestMetricSetRegistrationOrderAndSchema(t *testing.T) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 	descs := ms.Descs()
-	if descs[0].Kind != KindCounter || descs[1].Kind != KindGauge ||
+	if descs[0].Kind != KindCounter || descs[1].Kind != KindDerived ||
 		descs[2].Kind != KindHistogram || descs[3].Kind != KindDerived {
 		t.Fatalf("kinds wrong: %+v", descs)
+	}
+	// Every archived snapshot serializes its kinds by number.
+	if KindCounter != 0 || KindHistogram != 2 || KindDerived != 3 {
+		t.Fatalf("metric kinds renumbered: counter=%d histogram=%d derived=%d", KindCounter, KindHistogram, KindDerived)
 	}
 	if descs[0].Fmt != "%g" {
 		t.Errorf("default Fmt = %q, want %%g", descs[0].Fmt)
@@ -29,7 +34,7 @@ func TestMetricSetRegistrationOrderAndSchema(t *testing.T) {
 
 	c.Add(3)
 	c.Inc()
-	g.Set(1.5)
+	gv = 1.5
 	h.Observe(100 * sim.Nanosecond)
 	h.Observe(300 * sim.Nanosecond)
 
@@ -77,7 +82,7 @@ func TestMetricSetConflictPanics(t *testing.T) {
 		},
 		"different kind": func(ms *MetricSet) {
 			ms.Counter(Desc{Name: "m"})
-			ms.Gauge(Desc{Name: "m"})
+			ms.Histogram(Desc{Name: "m"})
 		},
 		"derived re-registration": func(ms *MetricSet) {
 			ms.Derived(Desc{Name: "m"}, func() float64 { return 0 })
@@ -101,18 +106,16 @@ func TestMetricSetConflictPanics(t *testing.T) {
 func TestMetricSetReset(t *testing.T) {
 	ms := NewMetricSet()
 	c := ms.Counter(Desc{Name: "c"})
-	g := ms.Gauge(Desc{Name: "g"})
 	h := ms.Histogram(Desc{Name: "h"})
 	ext := 7.0
 	ms.Derived(Desc{Name: "d"}, func() float64 { return ext })
 
 	c.Add(10)
-	g.Set(3)
 	h.Observe(5 * sim.Nanosecond)
 	ms.Reset()
 
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Errorf("owned metrics not zeroed: c=%d g=%v h=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != 0 {
+		t.Errorf("owned metrics not zeroed: c=%d h=%d", c.Value(), h.Count())
 	}
 	if v, _ := ms.Value("d"); v != 7 {
 		t.Errorf("derived metric disturbed by Reset: %v", v)

@@ -72,7 +72,10 @@ func (m *Misses) Frac(n uint64) float64 {
 	return 100 * float64(n) / float64(m.Issued)
 }
 
-// Run aggregates one simulation run.
+// Run aggregates one simulation run: the machine's per-island counter
+// shard, merged after the run. The machine publishes every field and
+// accessor as a named metric, and the metric snapshot is what results,
+// sinks and the result store carry.
 type Run struct {
 	Traffic Traffic
 	Misses  Misses

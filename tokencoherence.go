@@ -122,13 +122,16 @@ type Run = stats.Run
 // Simulate executes one simulation point; Token Coherence runs are
 // audited for token conservation and every run is checked by the
 // coherence oracle.
-func Simulate(pt Point) (*Run, error) { return engine.RunPoint(pt) }
+func Simulate(pt Point) (*Run, error) {
+	run, _, err := engine.RunPoint(pt, nil)
+	return run, err
+}
 
 // SimulateMetrics executes one simulation point and additionally returns
 // its metric snapshot: every named metric the machine, interconnect,
 // protocol, and registered probes published, readable by name (see
 // MetricSchema for discovery).
-func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return engine.RunPointMetrics(pt) }
+func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return engine.RunPoint(pt, nil) }
 
 // MetricSchema reports the named metrics the point's simulation will
 // expose — without running it. The schema is deterministic for a fixed
@@ -165,7 +168,10 @@ type Engine = engine.Engine
 // Job is one expanded plan job.
 type Job = engine.Job
 
-// Result is one executed plan job.
+// Result is one executed plan job. Its Metrics snapshot is the job's
+// only result record: sinks read every value from it by name (see
+// MetricSchema), whether the job simulated or was recalled from a
+// Store.
 type Result = engine.Result
 
 // Sink consumes a plan's results in deterministic order.
@@ -368,9 +374,6 @@ type MetricSnapshot = stats.Snapshot
 // a MetricSet.
 type CounterMetric = stats.Counter
 
-// GaugeMetric is a point-in-time value registered in a MetricSet.
-type GaugeMetric = stats.Gauge
-
 // LatencyHistogram is a power-of-two-bucketed latency histogram;
 // MetricSet.Histogram registers one whose snapshot value is its mean.
 type LatencyHistogram = stats.Histogram
@@ -455,7 +458,12 @@ type Progress = engine.Progress
 // Store is the engine's content-addressed result archive interface:
 // set Engine.Store (and Engine.Reuse for resume semantics) to archive
 // every computed point under its PointKey and recall archived points
-// instead of re-simulating them, with byte-identical sink output.
+// instead of re-simulating them, with byte-identical sink output. An
+// implementation archives one MetricSnapshot per key: Put receives the
+// computed point's snapshot, and Get must return a snapshot equal in
+// every name, schema entry and value (bit for bit, Inf included), since
+// sinks render a recalled result from it alone. MetricSnapshot's JSON
+// encoding is exact and may serve as the stored form.
 type Store = engine.Store
 
 // ResultStore is the durable file-backed Store: one JSON file per
@@ -470,7 +478,7 @@ func OpenResultStore(dir string) (*ResultStore, error) { return resultstore.Open
 
 // PointKey returns a Point's content hash — a hex SHA-256 over its
 // fully-resolved simulation inputs salted with CodeVersion — which is
-// its address in a Store. Points carrying an opaque Gen/NewGen return
+// its address in a Store. Points carrying an opaque NewGen return
 // ErrUncacheable unless Point.GenID names the generator's content.
 func PointKey(pt Point) (string, error) { return engine.PointKey(pt) }
 
