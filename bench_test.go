@@ -16,12 +16,19 @@ import (
 	"tokencoherence/internal/harness"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/sim"
+	"tokencoherence/internal/stats"
 	"tokencoherence/internal/workload"
 )
 
 // benchOpt keeps one benchmark iteration around a hundred milliseconds.
 func benchOpt() harness.Options {
 	return harness.Options{Ops: 800, Warmup: 2500, Seeds: []uint64{1}}
+}
+
+// metric reads one named metric from a point's snapshot.
+func metric(snap *stats.Snapshot, name string) float64 {
+	v, _ := snap.Value(name)
+	return v
 }
 
 // benchPoint builds a reduced-size point.
@@ -153,11 +160,11 @@ func BenchmarkAblationTokenCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.TokensPerBlock = tokens }
-				run, _, err := engine.RunPoint(pt, nil)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(run.CyclesPerTransaction(), "cyc/txn")
+				b.ReportMetric(metric(snap, "cycles_per_txn"), "cyc/txn")
 			}
 		})
 	}
@@ -187,12 +194,12 @@ func BenchmarkAblationReissuePolicy(b *testing.B) {
 					cfg.MaxReissues = c.maxReissues
 					cfg.BackoffFactor = c.factor
 				}
-				run, _, err := engine.RunPoint(pt, nil)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := run.Misses
-				b.ReportMetric(run.CyclesPerTransaction(), "cyc/txn")
+				m := engine.Misses(snap)
+				b.ReportMetric(metric(snap, "cycles_per_txn"), "cyc/txn")
 				b.ReportMetric(m.Frac(m.ReissuedOnce+m.ReissuedMore), "%reissued")
 				b.ReportMetric(m.Frac(m.Persistent), "%persistent")
 			}
@@ -210,12 +217,12 @@ func BenchmarkAblationMigratory(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.Migratory = enabled }
-				run, _, err := engine.RunPoint(pt, nil)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(run.CyclesPerTransaction(), "cyc/txn")
-				b.ReportMetric(float64(run.Misses.Issued), "misses")
+				b.ReportMetric(metric(snap, "cycles_per_txn"), "cyc/txn")
+				b.ReportMetric(metric(snap, "misses"), "misses")
 			}
 		})
 	}
@@ -230,11 +237,11 @@ func BenchmarkAblationProcessorMLP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(engine.ProtoTokenB, engine.TopoTorus, "apache", 1)
 				pt.Mutate = func(c *machine.Config) { c.MaxLoads = loads }
-				run, _, err := engine.RunPoint(pt, nil)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(run.CyclesPerTransaction(), "cyc/txn")
+				b.ReportMetric(metric(snap, "cycles_per_txn"), "cyc/txn")
 			}
 		})
 	}
@@ -247,12 +254,12 @@ func BenchmarkAblationPerformancePolicy(b *testing.B) {
 		proto := proto
 		b.Run(proto, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, _, err := engine.RunPoint(benchPoint(proto, engine.TopoTorus, "specjbb", 1), nil)
+				_, snap, err := engine.RunPoint(benchPoint(proto, engine.TopoTorus, "specjbb", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(run.CyclesPerTransaction(), "cyc/txn")
-				b.ReportMetric(run.BytesPerMiss(), "B/miss")
+				b.ReportMetric(metric(snap, "cycles_per_txn"), "cyc/txn")
+				b.ReportMetric(metric(snap, "bytes_per_miss"), "B/miss")
 			}
 		})
 	}
@@ -320,11 +327,11 @@ func BenchmarkSimulatePoint(b *testing.B) {
 		b.Run(c.proto, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run, _, err := engine.RunPoint(benchPoint(c.proto, c.topo, "oltp", 1), nil)
+				_, snap, err := engine.RunPoint(benchPoint(c.proto, c.topo, "oltp", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(run.Accesses), "ops/iter")
+				b.ReportMetric(metric(snap, "accesses"), "ops/iter")
 			}
 		})
 	}
@@ -349,11 +356,11 @@ func BenchmarkSimulatePointIslands(b *testing.B) {
 			pt.Warmup = 600
 			pt.Islands = islands
 			for i := 0; i < b.N; i++ {
-				run, _, err := engine.RunPoint(pt, nil)
+				_, snap, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(run.Accesses), "ops/iter")
+				b.ReportMetric(metric(snap, "accesses"), "ops/iter")
 			}
 		})
 	}
@@ -386,10 +393,10 @@ func BenchmarkUniformTokenB(b *testing.B) {
 			},
 			Ops: 2000, Warmup: 0, Seed: 1,
 		}
-		run, _, err := engine.RunPoint(pt, nil)
+		_, snap, err := engine.RunPoint(pt, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(run.Accesses), "ops/iter")
+		b.ReportMetric(metric(snap, "accesses"), "ops/iter")
 	}
 }

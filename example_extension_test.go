@@ -109,7 +109,7 @@ func Example_extension() {
 		New:     func(procs int) tokencoherence.Topology { return ringTopology{n: procs} },
 	})
 
-	run, err := tokencoherence.Simulate(tokencoherence.Point{
+	snap, err := tokencoherence.Simulate(tokencoherence.Point{
 		Protocol: "tokenlast",
 		Topo:     "ring",
 		Workload: "oltp",
@@ -134,7 +134,9 @@ func Example_extension() {
 	c := tokencoherence.Components()
 	fmt.Println("policy registered as protocol:", has(c.Protocols, "tokenlast") && has(c.Policies, "tokenlast"))
 	fmt.Println("ring registered:", has(c.Topologies, "ring"))
-	fmt.Println("tokens conserved over a real run:", run.Transactions > 0 && run.Misses.Issued > 0)
+	txns, _ := snap.Value("transactions")
+	misses, _ := snap.Value("misses")
+	fmt.Println("tokens conserved over a real run:", txns > 0 && misses > 0)
 
 	// The capability flag still guards the new fabric: snooping needs a
 	// total order the ring cannot provide.
@@ -226,7 +228,7 @@ func Example_probe() {
 
 	// The same numbers are readable programmatically from the snapshot,
 	// consistent with what the probe's own histogram observed.
-	run, snap, err := tokencoherence.SimulateMetrics(tokencoherence.Point{
+	sys, snap, err := tokencoherence.SimulateMetrics(tokencoherence.Point{
 		Protocol: tokencoherence.ProtoTokenB, Workload: "oltp",
 		Procs: 8, Ops: 400, Warmup: 800, Seed: 1,
 	})
@@ -237,8 +239,9 @@ func Example_probe() {
 	tail, ok := snap.Value("tail_misses")
 	mean, ok2 := snap.Value("probe_miss_latency")
 	fmt.Println("snapshot carries probe metrics:", ok && ok2)
-	fmt.Println("probe histogram mean matches run:", mean == run.AvgMissLatency().Nanoseconds())
-	fmt.Println("tail within misses:", tail >= 0 && uint64(tail) <= run.Misses.Issued)
+	avg, _ := snap.Value("avg_miss_ns")
+	fmt.Println("probe histogram mean matches run:", mean == avg)
+	fmt.Println("tail within misses:", tail >= 0 && uint64(tail) <= sys.Metrics.Count("misses"))
 
 	// Output:
 	// probe registered: true

@@ -11,7 +11,7 @@ import (
 // deterministic, audited for token conservation, and checked by the
 // coherence oracle.
 func ExampleSimulate() {
-	run, err := tokencoherence.Simulate(tokencoherence.Point{
+	snap, err := tokencoherence.Simulate(tokencoherence.Point{
 		Protocol: tokencoherence.ProtoTokenB,
 		Topo:     tokencoherence.TopoTorus,
 		Workload: "oltp",
@@ -26,8 +26,10 @@ func ExampleSimulate() {
 		fmt.Println("simulate:", err)
 		return
 	}
-	fmt.Println("made progress:", run.Transactions > 0 && run.Misses.Issued > 0)
-	fmt.Println("finite metrics:", run.CyclesPerTransaction() > 0 && run.BytesPerMiss() > 0)
+	// Every measurement is a named metric (tokensim -list-metrics).
+	v := func(name string) float64 { x, _ := snap.Value(name); return x }
+	fmt.Println("made progress:", v("transactions") > 0 && v("misses") > 0)
+	fmt.Println("finite metrics:", v("cycles_per_txn") > 0 && v("bytes_per_miss") > 0)
 	// Output:
 	// made progress: true
 	// finite metrics: true

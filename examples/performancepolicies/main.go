@@ -33,7 +33,7 @@ func run(out io.Writer, ops, warmup int) error {
 		tokencoherence.ProtoTokenM,
 		tokencoherence.ProtoTokenD,
 	} {
-		run, err := tokencoherence.Simulate(tokencoherence.Point{
+		snap, err := tokencoherence.Simulate(tokencoherence.Point{
 			Protocol: proto,
 			Topo:     tokencoherence.TopoTorus,
 			Workload: "specjbb",
@@ -44,12 +44,10 @@ func run(out io.Writer, ops, warmup int) error {
 		if err != nil {
 			return err
 		}
-		m := run.Misses
-		fmt.Fprintf(w, "%s\t%.1f\t%v\t%.1f\t%.1f\t%.2f%%\n",
-			proto, run.CyclesPerTransaction(), run.AvgMissLatency(),
-			run.CategoryBytesPerMiss(0), // requests
-			run.BytesPerMiss(),
-			m.Frac(m.ReissuedOnce+m.ReissuedMore+m.Persistent))
+		v := func(name string) float64 { x, _ := snap.Value(name); return x }
+		fmt.Fprintf(w, "%s\t%.1f\t%.1fns\t%.1f\t%.1f\t%.2f%%\n",
+			proto, v("cycles_per_txn"), v("avg_miss_ns"), v("bytes_per_miss_request"),
+			v("bytes_per_miss"), v("reissued_pct")+v("persistent_pct"))
 	}
 	w.Flush()
 

@@ -21,7 +21,7 @@ func main() {
 // run simulates the quickstart point at the given size and prints the
 // headline statistics; main and the smoke test call it.
 func run(w io.Writer, ops, warmup int) error {
-	run, err := tokencoherence.Simulate(tokencoherence.Point{
+	snap, err := tokencoherence.Simulate(tokencoherence.Point{
 		Protocol: tokencoherence.ProtoTokenB,
 		Topo:     tokencoherence.TopoTorus,
 		Workload: "oltp",
@@ -33,16 +33,23 @@ func run(w io.Writer, ops, warmup int) error {
 		return err
 	}
 
-	m := run.Misses
+	// Every measurement is a named metric (tokensim -list-metrics).
+	v := func(name string) float64 { x, _ := snap.Value(name); return x }
+	pct := func(name string) float64 {
+		if v("misses") == 0 {
+			return 0
+		}
+		return 100 * v(name) / v("misses")
+	}
 	fmt.Fprintln(w, "TokenB / torus / OLTP (16 processors)")
-	fmt.Fprintf(w, "  runtime:           %.1f cycles per transaction\n", run.CyclesPerTransaction())
-	fmt.Fprintf(w, "  avg miss latency:  %v\n", run.AvgMissLatency())
-	fmt.Fprintf(w, "  traffic:           %.1f bytes per miss\n", run.BytesPerMiss())
-	fmt.Fprintf(w, "  transient success: %.2f%% of %d misses on first attempt\n",
-		m.Frac(m.NotReissued()), m.Issued)
+	fmt.Fprintf(w, "  runtime:           %.1f cycles per transaction\n", v("cycles_per_txn"))
+	fmt.Fprintf(w, "  avg miss latency:  %.1fns\n", v("avg_miss_ns"))
+	fmt.Fprintf(w, "  traffic:           %.1f bytes per miss\n", v("bytes_per_miss"))
+	fmt.Fprintf(w, "  transient success: %.2f%% of %.0f misses on first attempt\n",
+		pct("misses_not_reissued"), v("misses"))
 	fmt.Fprintf(w, "  reissued:          %.2f%% once, %.2f%% more than once\n",
-		m.Frac(m.ReissuedOnce), m.Frac(m.ReissuedMore))
+		pct("misses_reissued_once"), pct("misses_reissued_more"))
 	fmt.Fprintf(w, "  persistent:        %.3f%% fell back to the correctness substrate\n",
-		m.Frac(m.Persistent))
+		v("persistent_pct"))
 	return nil
 }

@@ -75,9 +75,9 @@ func run(w io.Writer) error {
 	if tokens, owner := ts.Mems[msg.HomeOf(block, cfg.Procs)].Tokens(block); tokens > 0 {
 		fmt.Fprintf(w, "  home memory holds %d token(s), owner=%v\n", tokens, owner)
 	}
-	m := sys.Run.Misses
+	count := sys.Metrics.Count
 	fmt.Fprintf(w, "\nMisses: %d issued, %d reissued, %d persistent — safety held without any ordering point.\n",
-		m.Issued, m.ReissuedOnce+m.ReissuedMore, m.Persistent)
+		count("misses"), count("misses_reissued_once")+count("misses_reissued_more"), count("misses_persistent"))
 	fmt.Fprintln(w, "Token conservation audit: passed.")
 	return nil
 }

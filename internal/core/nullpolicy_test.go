@@ -71,16 +71,16 @@ func TestNullPerformanceProtocolIsCorrect(t *testing.T) {
 	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 11)
 	ts := buildWithPolicy(sys, func() Policy { return nullPolicy{} })
 	gen := &uniformGen{blocks: 8, pWrite: 0.5, think: 5 * sim.Nanosecond}
-	run, err := sys.Execute(ts.Controllers(), gen, 40)
+	err := sys.Execute(ts.Controllers(), gen, 40)
 	if err != nil {
 		t.Fatalf("null policy broke correctness: %v", err)
 	}
 	if err := ts.Audit(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	if run.Misses.Persistent != run.Misses.Issued {
+	if sys.Metrics.Count("misses_persistent") != sys.Metrics.Count("misses") {
 		t.Errorf("persistent=%d of %d misses; with a null policy every miss must be rescued by the substrate",
-			run.Misses.Persistent, run.Misses.Issued)
+			sys.Metrics.Count("misses_persistent"), sys.Metrics.Count("misses"))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestRandomPerformanceProtocolIsCorrect(t *testing.T) {
 			rng := sim.NewSource(seed * 977)
 			ts := buildWithPolicy(sys, func() Policy { return &randomPolicy{rng: rng.Split()} })
 			gen := &uniformGen{blocks: 12, pWrite: 0.4, think: 4 * sim.Nanosecond}
-			if _, err := sys.Execute(ts.Controllers(), gen, 60); err != nil {
+			if err := sys.Execute(ts.Controllers(), gen, 60); err != nil {
 				t.Fatalf("random policy broke correctness: %v", err)
 			}
 			if err := ts.Audit(); err != nil {

@@ -46,12 +46,6 @@ type TokenB struct {
 	dsts []msg.Port
 }
 
-// NewTokenB builds node id's TokenB controller and registers it on the
-// network.
-func NewTokenB(sys *machine.System, id msg.NodeID, ledger *Ledger) *TokenB {
-	return NewTokenController(sys, id, ledger, broadcastPolicy{})
-}
-
 // NewTokenController builds a Token Coherence cache controller with an
 // arbitrary transient-request policy (TokenB, TokenD, TokenM, ...).
 func NewTokenController(sys *machine.System, id msg.NodeID, ledger *Ledger, policy Policy) *TokenB {

@@ -61,8 +61,8 @@ func TestSingleWriteThenRead(t *testing.T) {
 	}
 	r := access(sys, c, addr, false)
 	finish(t, sys, ts, r)
-	if sys.Run.Misses.Issued != 1 {
-		t.Errorf("misses = %d, want 1 (read hits after write)", sys.Run.Misses.Issued)
+	if sys.Metrics.Count("misses") != 1 {
+		t.Errorf("misses = %d, want 1 (read hits after write)", sys.Metrics.Count("misses"))
 	}
 }
 
@@ -300,14 +300,14 @@ func TestConcurrentMixedStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, ts := newTokenSystem(t, 16, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			run, err := sys.Execute(ts.Controllers(), gen, 400)
+			err := sys.Execute(ts.Controllers(), gen, 400)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
 			if err := ts.Audit(); err != nil {
 				t.Fatalf("audit: %v", err)
 			}
-			if run.Misses.Issued == 0 {
+			if sys.Metrics.Count("misses") == 0 {
 				t.Error("stress run produced no coherence misses")
 			}
 		})
@@ -317,33 +317,35 @@ func TestConcurrentMixedStress(t *testing.T) {
 func TestHighContentionSingleBlock(t *testing.T) {
 	sys, ts := newTokenSystem(t, 16, 33, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	run, err := sys.Execute(ts.Controllers(), gen, 150)
+	err := sys.Execute(ts.Controllers(), gen, 150)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	if err := ts.Audit(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	reissued := run.Misses.ReissuedOnce + run.Misses.ReissuedMore + run.Misses.Persistent
+	reissued := sys.Metrics.Count("misses_reissued_once") + sys.Metrics.Count("misses_reissued_more") + sys.Metrics.Count("misses_persistent")
 	if reissued == 0 {
 		t.Error("pathological contention produced no reissues; races untested")
 	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	runOnce := func() (sim.Time, uint64) {
+	runOnce := func() (elapsed, bytes float64) {
 		sys, ts := newTokenSystem(t, 16, 99, nil)
 		gen := &uniformGen{blocks: 16, pWrite: 0.3, think: 4 * sim.Nanosecond}
-		run, err := sys.Execute(ts.Controllers(), gen, 200)
+		err := sys.Execute(ts.Controllers(), gen, 200)
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}
-		return run.Elapsed, run.Traffic.TotalBytes()
+		elapsed, _ = sys.Metrics.Value("elapsed_ns")
+		bytes, _ = sys.Metrics.Value("bytes_total")
+		return elapsed, bytes
 	}
 	e1, b1 := runOnce()
 	e2, b2 := runOnce()
 	if e1 != e2 || b1 != b2 {
-		t.Errorf("replay diverged: elapsed %v/%v bytes %d/%d", e1, e2, b1, b2)
+		t.Errorf("replay diverged: elapsed %vns/%vns bytes %v/%v", e1, e2, b1, b2)
 	}
 }
 

@@ -209,17 +209,17 @@ func TestPerfectDirectoryCacheLatency(t *testing.T) {
 	slow, sSlow := newDirSystem(t, 10, nil)
 	fast, sFast := newDirSystem(t, 10, func(c *machine.Config) { c.DirLatency = 0 })
 	gen := &uniformGen{blocks: 8, pWrite: 0.5, think: 4 * sim.Nanosecond}
-	runSlow, err := slow.Execute(sSlow.Controllers(), gen, 200)
-	if err != nil {
+	if err := slow.Execute(sSlow.Controllers(), gen, 200); err != nil {
 		t.Fatalf("slow: %v", err)
 	}
 	genF := &uniformGen{blocks: 8, pWrite: 0.5, think: 4 * sim.Nanosecond}
-	runFast, err := fast.Execute(sFast.Controllers(), genF, 200)
-	if err != nil {
+	if err := fast.Execute(sFast.Controllers(), genF, 200); err != nil {
 		t.Fatalf("fast: %v", err)
 	}
-	if runFast.Elapsed >= runSlow.Elapsed {
-		t.Errorf("perfect directory (%v) not faster than DRAM directory (%v)", runFast.Elapsed, runSlow.Elapsed)
+	slowNs, _ := slow.Metrics.Value("elapsed_ns")
+	fastNs, _ := fast.Metrics.Value("elapsed_ns")
+	if fastNs >= slowNs {
+		t.Errorf("perfect directory (%vns) not faster than DRAM directory (%vns)", fastNs, slowNs)
 	}
 }
 
@@ -229,11 +229,11 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newDirSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			run, err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(s.Controllers(), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
-			if run.Misses.Issued == 0 {
+			if sys.Metrics.Count("misses") == 0 {
 				t.Error("no misses in stress run")
 			}
 		})
@@ -243,7 +243,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newDirSystem(t, 60, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -256,7 +256,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

@@ -140,11 +140,11 @@ func TestDir2Stress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newDir2System(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			run, err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(s.Controllers(), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
-			if run.Misses.Issued == 0 {
+			if sys.Metrics.Count("misses") == 0 {
 				t.Error("no misses in stress run")
 			}
 			auditDir2(t, s)
@@ -155,7 +155,7 @@ func TestDir2Stress(t *testing.T) {
 func TestDir2StressHighContention(t *testing.T) {
 	sys, s := newDir2System(t, 80, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	auditDir2(t, s)
@@ -169,7 +169,7 @@ func TestDir2StressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	auditDir2(t, s)

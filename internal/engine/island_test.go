@@ -132,7 +132,8 @@ func TestIslandKernelByteIdentity256(t *testing.T) {
 // run's metric snapshot exactly, value for value.
 func TestIslandMetricsAllProtocols(t *testing.T) {
 	for _, proto := range []string{engine.ProtoTokenB, engine.ProtoTokenD, engine.ProtoTokenM,
-		engine.ProtoSnooping, engine.ProtoDirectory, engine.ProtoHammer} {
+		engine.ProtoSnooping, engine.ProtoDirectory, engine.ProtoHammer,
+		engine.ProtoDir2, engine.ProtoRegionFilter} {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()

@@ -200,10 +200,11 @@ func (pt Point) Validate() error {
 	return err
 }
 
-// RunPoint executes one point and returns its statistics and its
-// metric snapshot: every measurement the machine, interconnect,
-// protocol, and registered probes published, captured after the run
-// (and after the protocol audit, when one is declared). Components are
+// RunPoint executes one point and returns its machine and its metric
+// snapshot: every measurement the machine, interconnect, protocol, and
+// registered probes published, captured after the run (and after the
+// protocol audit, when one is declared). The machine is for callers
+// that audit it or read its live counters (System.Metrics). Components are
 // resolved through the registry once, up front; protocols that declare
 // an audit (Token Coherence checks token conservation) are audited
 // after the run. The snapshot is non-nil whenever a simulation actually
@@ -213,7 +214,7 @@ func (pt Point) Validate() error {
 // the protocol's controllers and the registered probes, before any
 // simulation — so callers can attach run-scoped observers such as a
 // transaction tracer. The engine routes its Attach hook here.
-func RunPoint(pt Point, attach func(*machine.System)) (*stats.Run, *stats.Snapshot, error) {
+func RunPoint(pt Point, attach func(*machine.System)) (*machine.System, *stats.Snapshot, error) {
 	pt = pt.withDefaults()
 	comps, err := pt.resolve()
 	if err != nil {
@@ -234,16 +235,14 @@ func RunPoint(pt Point, attach func(*machine.System)) (*stats.Run, *stats.Snapsh
 		newGen = comps.wl.New
 	}
 
-	run, err := sys.ExecuteWarm(ctrls, newGen(pt.Procs), pt.Warmup, pt.Ops)
+	err = sys.ExecuteWarm(ctrls, newGen(pt.Procs), pt.Warmup, pt.Ops)
+	if err == nil && audit != nil {
+		err = audit()
+	}
 	if err != nil {
-		return run, sys.Metrics.Snapshot(), fmt.Errorf("%s/%s/%s: %w", pt.Protocol, comps.topo.Name, pt.Workload, err)
+		return sys, sys.Metrics.Snapshot(), fmt.Errorf("%s/%s/%s: %w", pt.Protocol, comps.topo.Name, pt.Workload, err)
 	}
-	if audit != nil {
-		if err := audit(); err != nil {
-			return run, sys.Metrics.Snapshot(), fmt.Errorf("%s/%s/%s: %w", pt.Protocol, comps.topo.Name, pt.Workload, err)
-		}
-	}
-	return run, sys.Metrics.Snapshot(), nil
+	return sys, sys.Metrics.Snapshot(), nil
 }
 
 // effectiveConfig assembles the point's fully-resolved machine

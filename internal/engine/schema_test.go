@@ -9,9 +9,12 @@ import (
 	"testing"
 
 	"tokencoherence/internal/engine"
+	"tokencoherence/internal/machine"
+	"tokencoherence/internal/msg"
 	"tokencoherence/internal/registry"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
+	"tokencoherence/internal/topology"
 )
 
 // commonSchemaPrefix is the machine + interconnect schema every protocol
@@ -120,26 +123,38 @@ func TestMetricSchemaColumnFormats(t *testing.T) {
 }
 
 // TestMetricColumnsMatchRunFields verifies the by-name columns report
-// exactly what the Run struct's accessors report, for a real run.
+// exactly the ratios recomputed from the run's counters, for a real run.
 func TestMetricColumnsMatchRunFields(t *testing.T) {
-	run, snap, err := engine.RunPoint(engine.Point{
+	sys, snap, err := engine.RunPoint(engine.Point{
 		Protocol: "tokenb", Workload: "oltp", Procs: 4, Ops: 300, Warmup: 300, Seed: 7,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := engine.Result{Metrics: snap}
-	m := run.Misses
+	count := sys.Metrics.Count
+	m := stats.Misses{
+		Issued:       count("misses"),
+		ReissuedOnce: count("misses_reissued_once"),
+		ReissuedMore: count("misses_reissued_more"),
+		Persistent:   count("misses_persistent"),
+	}
+	var traffic uint64
+	for c := 0; c < msg.NumCategories; c++ {
+		traffic += count("bytes_" + msg.Category(c).Slug())
+	}
+	elapsed, _ := snap.Value("elapsed_ns")
+	lat := sys.Metrics.Merged("avg_miss_ns")
 	for _, tc := range []struct {
 		col  engine.Column
 		want string
 	}{
-		{engine.ColCyclesPerTxn, fmt.Sprintf("%.2f", run.CyclesPerTransaction())},
-		{engine.ColAvgMissNS, fmt.Sprintf("%.1f", run.AvgMissLatency().Nanoseconds())},
-		{engine.ColBytesPerMiss, fmt.Sprintf("%.1f", run.BytesPerMiss())},
+		{engine.ColCyclesPerTxn, fmt.Sprintf("%.2f", elapsed/float64(count("transactions")))},
+		{engine.ColAvgMissNS, fmt.Sprintf("%.1f", lat.Mean().Nanoseconds())},
+		{engine.ColBytesPerMiss, fmt.Sprintf("%.1f", float64(traffic)/float64(m.Issued))},
 		{engine.ColReissuedPct, fmt.Sprintf("%.2f", m.Frac(m.ReissuedOnce+m.ReissuedMore))},
 		{engine.ColPersistentPct, fmt.Sprintf("%.3f", m.Frac(m.Persistent))},
-		{engine.MetricColumn("transactions"), fmt.Sprintf("%d", run.Transactions)},
+		{engine.MetricColumn("transactions"), fmt.Sprintf("%d", count("transactions"))},
 		{engine.MetricColumn("misses"), fmt.Sprintf("%d", m.Issued)},
 	} {
 		if got := tc.col.Value(r); got != tc.want {
@@ -158,7 +173,7 @@ func TestMetricColumnsMatchRunFields(t *testing.T) {
 // TestColumnByNameResolution covers the -columns resolution order:
 // identity fields, then metrics, then mutation tags.
 func TestColumnByNameResolution(t *testing.T) {
-	run, snap, err := engine.RunPoint(engine.Point{
+	sys, snap, err := engine.RunPoint(engine.Point{
 		Protocol: "directory", Workload: "apache", Procs: 4, Ops: 200, Warmup: 200,
 	}, nil)
 	if err != nil {
@@ -179,9 +194,9 @@ func TestColumnByNameResolution(t *testing.T) {
 	}
 	want := []string{
 		"directory", "9",
-		fmt.Sprintf("%d", run.Misses.Issued), // metric wins over the same-named tag
-		"3.2",                                // tag fallback
-		"",                                   // unknown name: empty cells
+		fmt.Sprintf("%d", sys.Metrics.Count("misses")), // metric wins over the same-named tag
+		"3.2", // tag fallback
+		"",    // unknown name: empty cells
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resolved values = %q, want %q", got, want)
@@ -255,14 +270,15 @@ func TestProbeDerivesMetricEndToEnd(t *testing.T) {
 	for i, r := range results {
 		// The probe counted exactly the measured interval's misses: the
 		// MetricSet reset at the warmup boundary covered its counter too.
-		run, _, err := engine.RunPoint(r.Point, nil)
+		sys, _, err := engine.RunPoint(r.Point, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		completed := sys.Metrics.Merged("avg_miss_ns")
 		v, ok := r.Metrics.Value("probe_completed_misses")
-		if !ok || uint64(v) != run.MissLatencyCount {
+		if !ok || uint64(v) != completed.Count() {
 			t.Errorf("seed %d: probe_completed_misses = %v (ok=%v), run counted %d",
-				r.Point.Seed, v, ok, run.MissLatencyCount)
+				r.Point.Seed, v, ok, completed.Count())
 		}
 		wantRow := fmt.Sprintf("%d,%.0f,%s", r.Point.Seed, v, mustFormatted(t, r.Metrics, "probe_slow_misses"))
 		if lines[i+1] != wantRow {
@@ -278,13 +294,14 @@ func TestProbeDerivesMetricEndToEnd(t *testing.T) {
 func TestJSONLSinkNonFiniteValues(t *testing.T) {
 	var buf bytes.Buffer
 	sink := &engine.JSONLSink{W: &buf}
-	run := &stats.Run{} // zero transactions: CyclesPerTransaction is +Inf
-	ms := stats.NewMetricSet()
-	ms.Derived(stats.Desc{Name: "cycles_per_txn"}, run.CyclesPerTransaction)
-	ms.Derived(stats.Desc{Name: "avg_miss_ns"}, func() float64 { return run.AvgMissLatency().Nanoseconds() })
+	// A machine that has run nothing: zero transactions make
+	// cycles_per_txn +Inf.
+	cfg := machine.DefaultConfig()
+	cfg.Procs = 4
+	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 1)
 	if err := sink.Emit(engine.Result{
 		Job:     engine.Job{Point: engine.Point{Protocol: "tokenb", Topo: "torus"}},
-		Metrics: ms.Snapshot(),
+		Metrics: sys.Metrics.Snapshot(),
 	}); err != nil {
 		t.Fatalf("Emit with non-finite metrics: %v", err)
 	}

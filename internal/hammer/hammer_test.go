@@ -56,7 +56,7 @@ func TestEveryProcessorAcknowledges(t *testing.T) {
 	finish(t, sys, w)
 	// 15 probe responses (all acks, nobody had data) must have crossed
 	// the interconnect: that is Hammer's defining overhead.
-	if got := sys.Run.Traffic.Messages(msg.CatControl); got < 15 {
+	if got := sys.Metrics.Count("msgs_control"); got < 15 {
 		t.Errorf("control traversals = %d, want >= 15 (one ack per probed node)", got)
 	}
 }
@@ -161,11 +161,11 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newHammerSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			run, err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(s.Controllers(), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
-			if run.Misses.Issued == 0 {
+			if sys.Metrics.Count("misses") == 0 {
 				t.Error("no misses in stress run")
 			}
 		})
@@ -175,7 +175,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newHammerSystem(t, 80, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

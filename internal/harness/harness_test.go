@@ -56,14 +56,14 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 				pt := testPoint(p.proto, p.topo, wl)
 				pt.Ops = 600
 				pt.Warmup = 1500
-				run, _, err := engine.RunPoint(pt, nil)
+				sys, _, err := engine.RunPoint(pt, nil)
 				if err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
-				if run.Misses.Issued == 0 {
+				if sys.Metrics.Count("misses") == 0 {
 					t.Error("no coherence misses — workload not exercising the protocol")
 				}
-				if run.Transactions == 0 {
+				if sys.Metrics.Count("transactions") == 0 {
 					t.Error("no transactions completed")
 				}
 			})
@@ -76,11 +76,11 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 // same tree snooping is at least as fast as TokenB.
 func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 	cpt := func(proto, topo string) float64 {
-		run, _, err := engine.RunPoint(testPoint(proto, topo, "apache"), nil)
+		sys, _, err := engine.RunPoint(testPoint(proto, topo, "apache"), nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", proto, topo, err)
 		}
-		return run.CyclesPerTransaction()
+		return metric(sys, "cycles_per_txn")
 	}
 	tokenTorus := cpt(engine.ProtoTokenB, engine.TopoTorus)
 	tokenTree := cpt(engine.ProtoTokenB, engine.TopoTree)
@@ -101,11 +101,11 @@ func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 func TestPaperShapeDirectoryAndHammer(t *testing.T) {
 	type res struct{ cpt, bpm float64 }
 	get := func(proto string) res {
-		run, _, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "oltp"), nil)
+		sys, _, err := engine.RunPoint(testPoint(proto, engine.TopoTorus, "oltp"), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
-		return res{run.CyclesPerTransaction(), run.BytesPerMiss()}
+		return res{metric(sys, "cycles_per_txn"), metric(sys, "bytes_per_miss")}
 	}
 	token := get(engine.ProtoTokenB)
 	dir := get(engine.ProtoDirectory)
@@ -150,13 +150,13 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.CyclesPerTransaction() >= dram.CyclesPerTransaction() {
+	if metric(fast, "cycles_per_txn") >= metric(dram, "cycles_per_txn") {
 		t.Errorf("perfect directory (%.1f) not faster than DRAM directory (%.1f)",
-			fast.CyclesPerTransaction(), dram.CyclesPerTransaction())
+			metric(fast, "cycles_per_txn"), metric(dram, "cycles_per_txn"))
 	}
-	if token.CyclesPerTransaction() >= fast.CyclesPerTransaction() {
+	if metric(token, "cycles_per_txn") >= metric(fast, "cycles_per_txn") {
 		t.Errorf("TokenB (%.1f) not faster than even the perfect directory (%.1f)",
-			token.CyclesPerTransaction(), fast.CyclesPerTransaction())
+			metric(token, "cycles_per_txn"), metric(fast, "cycles_per_txn"))
 	}
 }
 
@@ -175,7 +175,7 @@ func TestPaperShapeUnlimitedBandwidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lim.CyclesPerTransaction() / inf.CyclesPerTransaction()
+		return metric(lim, "cycles_per_txn") / metric(inf, "cycles_per_txn")
 	}
 	tb := speedup(engine.ProtoTokenB)
 	hm := speedup(engine.ProtoHammer)
@@ -369,9 +369,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run1.Elapsed != run2.Elapsed || run1.Traffic.TotalBytes() != run2.Traffic.TotalBytes() {
-		t.Errorf("identical points diverged: %v/%v bytes %d/%d",
-			run1.Elapsed, run2.Elapsed, run1.Traffic.TotalBytes(), run2.Traffic.TotalBytes())
+	if metric(run1, "elapsed_ns") != metric(run2, "elapsed_ns") || metric(run1, "bytes_total") != metric(run2, "bytes_total") {
+		t.Errorf("identical points diverged: %vns/%vns bytes %v/%v",
+			metric(run1, "elapsed_ns"), metric(run2, "elapsed_ns"), metric(run1, "bytes_total"), metric(run2, "bytes_total"))
 	}
 }
 
@@ -386,7 +386,7 @@ func TestSeedsChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run1.Elapsed == run2.Elapsed {
+	if metric(run1, "elapsed_ns") == metric(run2, "elapsed_ns") {
 		t.Error("different seeds produced identical elapsed time (suspicious)")
 	}
 }
@@ -410,4 +410,10 @@ func TestCustomGeneratorAndMutate(t *testing.T) {
 	if !mutated {
 		t.Error("Mutate hook not invoked")
 	}
+}
+
+// metric reads one named metric from a point's machine after its run.
+func metric(sys *machine.System, name string) float64 {
+	v, _ := sys.Metrics.Value(name)
+	return v
 }

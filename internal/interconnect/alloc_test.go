@@ -83,8 +83,9 @@ func TestNetworkSteadyStateAllocs(t *testing.T) {
 
 func testSteadyStateAllocs(t *testing.T, topo topology.Topology) {
 	k := sim.NewKernel()
-	var tr stats.Traffic
-	n := New(k, topo, DefaultConfig(), &tr)
+	n := New(k, topo, DefaultConfig())
+	// Count traffic as a run does, so the counted send path is measured.
+	n.PublishMetrics(stats.NewMetricSet())
 	nodes := topo.Nodes()
 	var dsts []msg.Port
 	for i := 0; i < nodes; i++ {
@@ -165,7 +166,7 @@ func TestNewAllocsIndependentOfSize(t *testing.T) {
 	for _, p := range pairs {
 		allocs := func(topo topology.Topology) float64 {
 			k := sim.NewKernel()
-			return testing.AllocsPerRun(20, func() { New(k, topo, DefaultConfig(), nil) })
+			return testing.AllocsPerRun(20, func() { New(k, topo, DefaultConfig()) })
 		}
 		small, large := allocs(p[0]), allocs(p[1])
 		if small != large {

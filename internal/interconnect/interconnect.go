@@ -120,17 +120,19 @@ type stamp struct {
 
 // Network delivers messages between registered ports over a topology.
 // A Network is one island's view of the fabric: it owns the callback
-// free lists, traffic shard, observer and fold scratch of that island,
+// free lists, traffic counter shards, observer and fold scratch of that island,
 // while route rows and link state live in the shared fabric. A network
 // built by New is a complete single-view fabric; Split adds views for
 // parallel island execution.
 type Network struct {
-	kernel  *sim.Kernel
-	topo    topology.Topology
-	cfg     Config
-	traffic *stats.Traffic
-	sh      *shared
-	sent    uint64
+	kernel *sim.Kernel
+	topo   topology.Topology
+	cfg    Config
+	sh     *shared
+
+	// bytes and msgs are this view's shards of the bytes_<cat> and
+	// msgs_<cat> metrics (nil, discarding, until PublishMetrics).
+	bytes, msgs [msg.NumCategories]*stats.Counter
 
 	freeOps *netOp
 	freeMcs *mcast
@@ -143,8 +145,9 @@ type Network struct {
 	obs stats.Observer
 }
 
-// New builds a network. traffic may be nil to skip accounting.
-func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traffic) *Network {
+// New builds a network. It counts traffic once PublishMetrics has
+// registered its counters.
+func New(k *sim.Kernel, topo topology.Topology, cfg Config) *Network {
 	if cfg.LinkLatency <= 0 {
 		panic("interconnect: LinkLatency must be positive")
 	}
@@ -167,11 +170,10 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 		}
 	}
 	n := &Network{
-		kernel:  k,
-		topo:    topo,
-		cfg:     cfg,
-		traffic: traffic,
-		sh:      sh,
+		kernel: k,
+		topo:   topo,
+		cfg:    cfg,
+		sh:     sh,
 	}
 	sh.views = []*Network{n}
 	return n
@@ -180,21 +182,20 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config, traffic *stats.Traff
 // Split partitions the fabric into island views. View 0 is the
 // receiver (which must have been built on kernels[0]); each additional
 // view shares the route rows and link state but owns its island's
-// kernel, callback free lists and traffic shard.
+// kernel, callback free lists and traffic counter shards. Split before
+// PublishMetrics, so every view registers its shards.
 // islandOf maps every actor (see topology.Partitioned) to its island.
-func (n *Network) Split(islandOf []int32, kernels []*sim.Kernel, traffics []*stats.Traffic) []*Network {
+func (n *Network) Split(islandOf []int32, kernels []*sim.Kernel) []*Network {
 	sh := n.sh
 	sh.islandOf = islandOf
 	sh.views = make([]*Network, len(kernels))
 	sh.views[0] = n
-	n.traffic = traffics[0]
 	for i := 1; i < len(kernels); i++ {
 		sh.views[i] = &Network{
-			kernel:  kernels[i],
-			topo:    n.topo,
-			cfg:     n.cfg,
-			traffic: traffics[i],
-			sh:      sh,
+			kernel: kernels[i],
+			topo:   n.topo,
+			cfg:    n.cfg,
+			sh:     sh,
 		}
 	}
 	return sh.views
@@ -216,40 +217,46 @@ func (n *Network) Topology() topology.Topology { return n.topo }
 // probes attach.
 func (n *Network) SetObserver(o stats.Observer) { n.obs = o }
 
-// PublishMetrics registers the network's traffic accounting in ms: total
-// and per-category interconnect bytes and link traversals, read from the
-// same Traffic the run resets at the warmup boundary. It is a no-op for
-// networks built without traffic accounting.
+// PublishMetrics registers the fabric's traffic accounting in ms:
+// interconnect bytes and link traversals per category, one counter
+// shard per island view, and their total. Call it once, after Split.
 func (n *Network) PublishMetrics(ms *stats.MetricSet) {
-	n.PublishMetricsFor(ms, n.traffic)
-}
-
-// PublishMetricsFor registers the traffic metrics reading from tr
-// rather than this view's shard. The machine passes the merged run's
-// Traffic: island shards are folded into it after the run, before
-// metrics are snapshotted.
-func (n *Network) PublishMetricsFor(ms *stats.MetricSet, tr *stats.Traffic) {
-	if tr == nil {
-		return
-	}
 	ms.Derived(stats.Desc{
 		Name: "bytes_total", Unit: "bytes", Fmt: "%.0f",
 		Help: "interconnect bytes, weighted by links traversed",
-	}, func() float64 { return float64(tr.TotalBytes()) })
+	}, func() float64 {
+		var sum uint64
+		for c := 0; c < msg.NumCategories; c++ {
+			sum += ms.Count("bytes_" + msg.Category(c).Slug())
+		}
+		return float64(sum)
+	})
 	for c := 0; c < msg.NumCategories; c++ {
 		cat := msg.Category(c)
-		ms.Derived(stats.Desc{
-			Name: "bytes_" + cat.Slug(), Unit: "bytes", Fmt: "%.0f",
-			Help: "interconnect bytes in category " + cat.String(),
-		}, func() float64 { return float64(tr.Bytes(cat)) })
+		for _, v := range n.sh.views {
+			v.bytes[c] = ms.Counter(stats.Desc{
+				Name: "bytes_" + cat.Slug(), Unit: "bytes", Fmt: "%.0f",
+				Help: "interconnect bytes in category " + cat.String(),
+			})
+		}
 	}
 	for c := 0; c < msg.NumCategories; c++ {
 		cat := msg.Category(c)
-		ms.Derived(stats.Desc{
-			Name: "msgs_" + cat.Slug(), Unit: "count", Fmt: "%.0f",
-			Help: "link traversals by messages in category " + cat.String(),
-		}, func() float64 { return float64(tr.Messages(cat)) })
+		for _, v := range n.sh.views {
+			v.msgs[c] = ms.Counter(stats.Desc{
+				Name: "msgs_" + cat.Slug(), Unit: "count", Fmt: "%.0f",
+				Help: "link traversals by messages in category " + cat.String(),
+			})
+		}
 	}
+}
+
+// count charges m's bytes and one traversal to each of links links, as
+// the paper charges traffic: a broadcast pays once per multicast-tree
+// edge.
+func (n *Network) count(m *msg.Message, links int) {
+	n.bytes[m.Cat].Add(uint64(m.Bytes()) * uint64(links))
+	n.msgs[m.Cat].Add(uint64(links))
 }
 
 // Register attaches a handler to a port. Registering a port twice
@@ -263,10 +270,6 @@ func (n *Network) Register(p msg.Port, h Handler) {
 	}
 	n.sh.handlers[p] = h
 }
-
-// Sent reports the number of message deliveries handled on this view's
-// island.
-func (n *Network) Sent() uint64 { return n.sent }
 
 // serialization returns the time the message occupies one link.
 func (n *Network) serialization(bytes int) sim.Time {
@@ -375,14 +378,13 @@ func (n *Network) putOp(op *netOp) {
 
 // run dispatches a scheduled network operation. Ops scheduled across
 // islands carry the target island's view in op.n, so run executes
-// entirely with island-local state (free lists, traffic shard, observer)
+// entirely with island-local state (free lists, traffic shards, observer)
 // of the island firing the event. A delivery record is recycled only
 // after Handle returns, because the handler's pointer points into it.
 func (op *netOp) run() {
 	n := op.n
 	switch op.kind {
 	case opDeliver:
-		n.sent++
 		op.h.Handle(&op.m)
 		n.putOp(op)
 	case opHop:
@@ -567,9 +569,7 @@ func (n *Network) send(op *netOp) {
 		n.deliver(op, now+n.cfg.LocalLatency)
 		return
 	}
-	if n.traffic != nil {
-		n.traffic.Record(m, len(path))
-	}
+	n.count(m, len(path))
 	op.path, op.t, op.ser = path, now, n.serialization(m.Bytes())
 	n.hop(op)
 }
@@ -618,9 +618,7 @@ func (n *Network) Multicast(m msg.Message, dsts []msg.Port) {
 		return
 	}
 	mc.edges = int32(edges)
-	if n.traffic != nil {
-		n.traffic.Record(&mc.m, edges)
-	}
+	n.count(&mc.m, edges)
 	n.walk(mc, mc.tree[0].child, now, n.serialization(m.Bytes()))
 }
 

@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"testing"
+	"testing/quick"
 
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
@@ -21,12 +22,21 @@ func (c *collector) Handle(m *msg.Message) {
 	c.at = append(c.at, c.k.Now())
 }
 
-func newTorusNet(t *testing.T, cfg Config) (*sim.Kernel, *Network, *stats.Traffic) {
+// newTorusNet builds a 4x4 torus network whose traffic counters are
+// registered in the returned MetricSet.
+func newTorusNet(t *testing.T, cfg Config) (*sim.Kernel, *Network, *stats.MetricSet) {
 	t.Helper()
 	k := sim.NewKernel()
-	var tr stats.Traffic
-	n := New(k, topology.NewTorus(4, 4), cfg, &tr)
-	return k, n, &tr
+	ms := stats.NewMetricSet()
+	n := New(k, topology.NewTorus(4, 4), cfg)
+	n.PublishMetrics(ms)
+	return k, n, ms
+}
+
+// totalBytes reads the bytes_total metric.
+func totalBytes(ms *stats.MetricSet) float64 {
+	v, _ := ms.Value("bytes_total")
+	return v
 }
 
 func registerAll(k *sim.Kernel, n *Network, unit msg.Unit) map[msg.NodeID]*collector {
@@ -103,8 +113,8 @@ func TestLocalDeliveryBypassesFabric(t *testing.T) {
 	if c.at[0] != 1*sim.Nanosecond {
 		t.Errorf("local delivery at %v, want 1ns", c.at[0])
 	}
-	if tr.TotalBytes() != 0 {
-		t.Errorf("local delivery recorded %d bytes, want 0", tr.TotalBytes())
+	if got := totalBytes(tr); got != 0 {
+		t.Errorf("local delivery recorded %v bytes, want 0", got)
 	}
 }
 
@@ -149,10 +159,10 @@ func TestMulticastChargesTreeEdgesOnce(t *testing.T) {
 	// The XY multicast tree from one source to all 15 others spans exactly
 	// 15 links on a 4x4 torus (one per destination reached, tree property).
 	wantLinks := uint64(15)
-	if got := tr.Messages(msg.CatRequest); got != wantLinks {
+	if got := tr.Count("msgs_request"); got != wantLinks {
 		t.Errorf("multicast used %d link traversals, want %d", got, wantLinks)
 	}
-	if got := tr.Bytes(msg.CatRequest); got != wantLinks*8 {
+	if got := tr.Count("bytes_request"); got != wantLinks*8 {
 		t.Errorf("multicast bytes = %d, want %d", got, wantLinks*8)
 	}
 }
@@ -203,7 +213,7 @@ func TestMulticastCopiesAreIndependent(t *testing.T) {
 func TestTreeBroadcastTotalOrder(t *testing.T) {
 	k := sim.NewKernel()
 	tree := topology.NewTree(16)
-	n := New(k, tree, DefaultConfig(), nil)
+	n := New(k, tree, DefaultConfig())
 	cs := registerAll(k, n, msg.UnitCache)
 	allPorts := func() []msg.Port {
 		var ps []msg.Port
@@ -246,7 +256,7 @@ func TestTreeBroadcastTotalOrder(t *testing.T) {
 
 func TestTreeSelfDeliveryGoesThroughRoot(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, topology.NewTree(16), DefaultConfig(), nil)
+	n := New(k, topology.NewTree(16), DefaultConfig())
 	c := &collector{k: k}
 	n.Register(msg.Port{Node: 7, Unit: msg.UnitCache}, c)
 	n.Send(msg.Message{
@@ -314,7 +324,7 @@ func TestUnicastLatencyHelper(t *testing.T) {
 
 func TestSentCounter(t *testing.T) {
 	k, n, _ := newTorusNet(t, DefaultConfig())
-	registerAll(k, n, msg.UnitCache)
+	cs := registerAll(k, n, msg.UnitCache)
 	n.Send(msg.Message{
 		Src: msg.Port{Node: 0, Unit: msg.UnitCache},
 		Dst: msg.Port{Node: 1, Unit: msg.UnitCache},
@@ -322,8 +332,72 @@ func TestSentCounter(t *testing.T) {
 	n.Multicast(msg.Message{Src: msg.Port{Node: 0, Unit: msg.UnitCache}},
 		[]msg.Port{{Node: 2, Unit: msg.UnitCache}, {Node: 3, Unit: msg.UnitCache}})
 	k.Run()
-	if n.Sent() != 3 {
-		t.Errorf("Sent() = %d, want 3", n.Sent())
+	delivered := 0
+	for _, c := range cs {
+		delivered += len(c.got)
+	}
+	if delivered != 3 {
+		t.Errorf("%d deliveries handled, want 3", delivered)
+	}
+}
+
+func TestTrafficRecordWeightsByLinks(t *testing.T) {
+	k, n, tr := newTorusNet(t, DefaultConfig())
+	registerAll(k, n, msg.UnitCache)
+	// 0 -> 10 on the 4x4 torus is 2 hops east and 2 south; 0 -> 1 is one.
+	n.Send(msg.Message{Kind: msg.KindGetS, Cat: msg.CatRequest,
+		Src: msg.Port{Node: 0, Unit: msg.UnitCache}, Dst: msg.Port{Node: 10, Unit: msg.UnitCache}})
+	n.Send(msg.Message{Kind: msg.KindData, Cat: msg.CatData, HasData: true,
+		Src: msg.Port{Node: 0, Unit: msg.UnitCache}, Dst: msg.Port{Node: 1, Unit: msg.UnitCache}})
+	k.Run()
+	if got := tr.Count("bytes_request"); got != 32 {
+		t.Errorf("request bytes = %d, want 32 (8B x 4 links)", got)
+	}
+	if got := tr.Count("bytes_data"); got != 72 {
+		t.Errorf("data bytes = %d, want 72 (72B x 1 link)", got)
+	}
+	if got := totalBytes(tr); got != 104 {
+		t.Errorf("total = %v, want 104", got)
+	}
+	if got := tr.Count("msgs_request"); got != 4 {
+		t.Errorf("request traversals = %d, want 4", got)
+	}
+}
+
+func TestTrafficLocalDeliveryFree(t *testing.T) {
+	k, n, tr := newTorusNet(t, DefaultConfig())
+	registerAll(k, n, msg.UnitCache)
+	n.Send(msg.Message{Kind: msg.KindData, Cat: msg.CatData, HasData: true,
+		Src: msg.Port{Node: 5, Unit: msg.UnitCache}, Dst: msg.Port{Node: 5, Unit: msg.UnitCache}})
+	n.Multicast(msg.Message{Cat: msg.CatData, HasData: true, Src: msg.Port{Node: 5, Unit: msg.UnitCache}},
+		[]msg.Port{{Node: 5, Unit: msg.UnitCache}})
+	k.Run()
+	if got := totalBytes(tr); got != 0 || tr.Count("msgs_data") != 0 {
+		t.Errorf("local deliveries recorded %v bytes, %d traversals; want none", got, tr.Count("msgs_data"))
+	}
+}
+
+// Property: the traffic total equals the sum of the category bytes.
+func TestPropertyTrafficTotal(t *testing.T) {
+	cats := []msg.Category{msg.CatRequest, msg.CatReissue, msg.CatControl, msg.CatData}
+	f := func(counts [4]uint8, dst uint8) bool {
+		k, n, tr := newTorusNet(t, DefaultConfig())
+		registerAll(k, n, msg.UnitCache)
+		for i, c := range cats {
+			for j := 0; j < int(counts[i]); j++ {
+				n.Send(msg.Message{Cat: c, HasData: c == msg.CatData,
+					Src: msg.Port{Node: 0, Unit: msg.UnitCache}, Dst: msg.Port{Node: msg.NodeID(dst % 16), Unit: msg.UnitCache}})
+			}
+		}
+		k.Run()
+		var sum uint64
+		for _, c := range cats {
+			sum += tr.Count("bytes_" + c.Slug())
+		}
+		return float64(sum) == totalBytes(tr)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -383,7 +457,7 @@ func TestMulticastSharedPrefixTiming(t *testing.T) {
 	if cs[2].at[0] != 32500*sim.Picosecond {
 		t.Errorf("node 2 delivery at %v, want 32.5ns", cs[2].at[0])
 	}
-	if got := tr.Messages(msg.CatRequest); got != 2 {
+	if got := tr.Count("msgs_request"); got != 2 {
 		t.Errorf("link traversals = %d, want 2 (0E shared, 1E)", got)
 	}
 }
@@ -449,7 +523,7 @@ func countLinkBytes(n *Network) []uint64 {
 func TestTreeRootIsTheBottleneck(t *testing.T) {
 	load := func(topo topology.Topology) (max uint64) {
 		k := sim.NewKernel()
-		n := New(k, topo, DefaultConfig(), nil)
+		n := New(k, topo, DefaultConfig())
 		registerAll(k, n, msg.UnitCache)
 		bytes := countLinkBytes(n)
 		var all []msg.Port

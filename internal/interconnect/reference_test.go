@@ -96,7 +96,7 @@ func portIndex(p msg.Port) int { return int(p.Node)*int(msg.UnitProc+1) + int(p.
 // reservation and delivery in order.
 func runNetwork(topo topology.Topology, launches []mcLaunch) (hops []record, dels []record) {
 	k := sim.NewKernel()
-	n := New(k, topo, DefaultConfig(), nil)
+	n := New(k, topo, DefaultConfig())
 	for node := 0; node < topo.Nodes(); node++ {
 		for u := msg.UnitCache; u <= msg.UnitProc; u++ {
 			n.Register(msg.Port{Node: msg.NodeID(node), Unit: u}, HandlerFunc(func(m *msg.Message) {
@@ -259,7 +259,7 @@ func at(rs []record, i int) any {
 // different predecessors panics, naming the topology and the pair.
 func TestRouteRejectsNonPrefixClosedTopology(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, ring{n: 8, hub: true}, DefaultConfig(), nil)
+	n := New(k, ring{n: 8, hub: true}, DefaultConfig())
 	registerAll(k, n, msg.UnitCache)
 	n.Send(msg.Message{Src: msg.Port{Node: 0}, Dst: msg.Port{Node: 5}}) // from the hub: closed
 	k.Run()
@@ -277,8 +277,8 @@ func TestRouteRejectsNonPrefixClosedTopology(t *testing.T) {
 // exactly the topology's paths.
 func TestRouteRowsSharedAcrossViews(t *testing.T) {
 	topo := topology.NewTorusFor(64)
-	views := New(sim.NewKernel(), topo, DefaultConfig(), nil).Split(
-		make([]int32, topo.Nodes()), []*sim.Kernel{sim.NewKernel(), sim.NewKernel()}, make([]*stats.Traffic, 2))
+	views := New(sim.NewKernel(), topo, DefaultConfig()).Split(
+		make([]int32, topo.Nodes()), []*sim.Kernel{sim.NewKernel(), sim.NewKernel()})
 	rows := make([][]*route, len(views))
 	var wg sync.WaitGroup
 	for i, v := range views {

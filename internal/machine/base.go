@@ -105,14 +105,14 @@ type CacheBase struct {
 	Net    *interconnect.Network
 	ID     msg.NodeID
 	Cfg    Config
-	Run    *stats.Run
 	Oracle *Oracle
 	Rng    *sim.Source
 	Hooks  CacheHooks
-	// Sys is the owning system. Isle is this node's island context; event
-	// sites read Isle.Obs through it so observers attached after protocol
-	// construction are still seen (events journal on the island and replay
-	// to the system's observers at the barriers).
+	// Sys is the owning system. Isle is this node's island context: the
+	// controller counts into its counter shards, and event sites read
+	// Isle.Obs through it so observers attached after protocol
+	// construction are still seen (events journal on the island and
+	// replay to the system's observers at the barriers).
 	Sys  *System
 	Isle *Isle
 
@@ -178,7 +178,6 @@ func (b *CacheBase) InitBase(sys *System, id msg.NodeID, hooks CacheHooks) {
 	b.Net = b.Isle.Net
 	b.ID = id
 	b.Cfg = sys.Cfg
-	b.Run = b.Isle.Run
 	b.Oracle = sys.Oracle
 	b.Rng = sys.Rng.Split()
 	b.Hooks = hooks
@@ -213,14 +212,14 @@ func (b *CacheBase) Access(op Op, done func()) {
 		b.L2.Touch(l2)
 		lat := b.Cfg.L1Latency
 		if b.L1.Lookup(blk) != nil {
-			b.Run.L1Hits++
+			b.Isle.counts[l1Hits].Inc()
 		} else {
 			lat += b.Cfg.L2Latency
-			b.Run.L2Hits++
+			b.Isle.counts[l2Hits].Inc()
 			b.fillL1(blk)
 		}
 		b.commit(op, l2)
-		b.Run.Accesses++
+		b.Isle.counts[accesses].Inc()
 		b.K.After(lat, done)
 		return
 	}
@@ -235,12 +234,12 @@ func (b *CacheBase) Access(op Op, done func()) {
 	m := &MSHR{Block: blk, Write: op.Write, Issued: b.K.Now()}
 	m.Waiters = append(m.Waiters, b.waiterFor(op, done))
 	b.Outstanding[blk] = m
-	b.Run.Misses.Issued++
+	b.Isle.counts[misses].Inc()
 	if o := &b.Isle.Obs; o.Kinds.Has(stats.MissIssued) {
 		o.On(stats.Event{Kind: stats.MissIssued, At: m.Issued, Node: int32(b.ID), Block: blk, Flag: op.Write})
 	}
 	if op.Write && b.L2.Lookup(blk) != nil {
-		b.Run.Upgrades++
+		b.Isle.counts[upgrades].Inc()
 	}
 	b.Hooks.StartMiss(m)
 }
@@ -278,7 +277,7 @@ func (b *CacheBase) EnsureL2(blk msg.Block) *cache.Line {
 	})
 	if evicted {
 		b.DropL1(victim.Block)
-		b.Run.Writeback++
+		b.Isle.counts[writebacks].Inc()
 		b.Hooks.EvictL2(victim)
 	}
 	return l
@@ -296,17 +295,15 @@ func (b *CacheBase) CompleteMiss(m *MSHR) {
 		m.Timer = nil
 	}
 	lat := b.K.Now() - m.Issued
-	b.Run.MissLatencySum += lat
-	b.Run.MissLatencyCount++
-	b.Run.MissLatencies.Observe(lat)
+	b.Isle.missLatency.Observe(lat)
 	b.AvgMiss += (lat - b.AvgMiss) / 8
 	switch {
 	case m.Persistent:
-		b.Run.Misses.Persistent++
+		b.Isle.counts[persistent].Inc()
 	case m.Reissues == 1:
-		b.Run.Misses.ReissuedOnce++
+		b.Isle.counts[reissuedOnce].Inc()
 	case m.Reissues > 1:
-		b.Run.Misses.ReissuedMore++
+		b.Isle.counts[reissuedMore].Inc()
 	}
 	if o := &b.Isle.Obs; o.Kinds.Has(stats.MissCompleted) {
 		o.On(stats.Event{Kind: stats.MissCompleted, At: b.K.Now(), Node: int32(b.ID), Block: m.Block,

@@ -2,6 +2,11 @@
 // system: the Table 1 configuration, the timing processor model, the
 // MSHR-based cache-controller base that all four protocols build on, the
 // write-version safety oracle, and system wiring.
+//
+// A System counts into its MetricSet only: each island registers its
+// own shards of the machine counters (transactions, accesses, hits,
+// misses by Table 2 class, the miss-latency histogram), and the
+// runtime and traffic ratios are derived metrics over their sums.
 package machine
 
 import (

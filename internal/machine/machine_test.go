@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -189,7 +190,7 @@ func TestProcessorIssuesAllOps(t *testing.T) {
 	ctrl := &fakeCtrl{k: k, delay: 10 * sim.Nanosecond}
 	cfg := DefaultConfig()
 	doneCalled := false
-	p := NewProcessor(k, 0, fixedGen{think: 1 * sim.Nanosecond}, ctrl, cfg, sim.NewSource(1), newRun(), 50, func() { doneCalled = true })
+	p := NewProcessor(k, 0, fixedGen{think: 1 * sim.Nanosecond}, ctrl, cfg, sim.NewSource(1), nil, 50, func() { doneCalled = true })
 	p.Start()
 	k.Run()
 	if !p.Done() || !doneCalled {
@@ -210,7 +211,7 @@ func TestProcessorStallsAtMSHRLimit(t *testing.T) {
 	ctrl := &slowCtrl{}
 	cfg := DefaultConfig()
 	cfg.MSHRs = 4
-	p := NewProcessor(k, 0, storeGen{think: 1 * sim.Nanosecond}, ctrl, cfg, sim.NewSource(2), newRun(), 100, nil)
+	p := NewProcessor(k, 0, storeGen{think: 1 * sim.Nanosecond}, ctrl, cfg, sim.NewSource(2), nil, 100, nil)
 	p.Start()
 	k.Run()
 	if ctrl.seen != 4 {
@@ -227,7 +228,7 @@ func TestProcessorStallsAtLoadLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxLoads = 2
 	// Loads only: the processor must stop after MaxLoads outstanding.
-	p := NewProcessor(k, 0, loadGen{think: sim.Nanosecond}, ctrl, cfg, sim.NewSource(2), newRun(), 100, nil)
+	p := NewProcessor(k, 0, loadGen{think: sim.Nanosecond}, ctrl, cfg, sim.NewSource(2), nil, 100, nil)
 	p.Start()
 	k.Run()
 	if ctrl.seen != 2 {
@@ -244,13 +245,13 @@ func (g loadGen) Next(proc int, rng *sim.Source) Op {
 
 func TestProcessorCountsTransactions(t *testing.T) {
 	k := sim.NewKernel()
-	run := newRun()
+	var txns stats.Counter
 	ctrl := &fakeCtrl{k: k, delay: sim.Nanosecond}
-	p := NewProcessor(k, 0, fixedGen{think: sim.Nanosecond}, ctrl, DefaultConfig(), sim.NewSource(3), run, 25, nil)
+	p := NewProcessor(k, 0, fixedGen{think: sim.Nanosecond}, ctrl, DefaultConfig(), sim.NewSource(3), &txns, 25, nil)
 	p.Start()
 	k.Run()
-	if run.Transactions != 25 {
-		t.Errorf("transactions = %d, want 25 (every op ends one)", run.Transactions)
+	if txns.Value() != 25 {
+		t.Errorf("transactions = %d, want 25 (every op ends one)", txns.Value())
 	}
 }
 
@@ -273,7 +274,7 @@ func TestSystemExecuteDetectsDeadlock(t *testing.T) {
 	for i := range ctrls {
 		ctrls[i] = &slowCtrl{}
 	}
-	_, err := sys.Execute(ctrls, fixedGen{think: sim.Nanosecond}, 10)
+	err := sys.Execute(ctrls, fixedGen{think: sim.Nanosecond}, 10)
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("deadlock not reported: %v", err)
 	}
@@ -283,7 +284,7 @@ func TestSystemExecuteControllerCountMismatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Procs = 4
 	sys := NewSystem(cfg, topology.NewTorusFor(4), 1)
-	if _, err := sys.Execute(nil, fixedGen{}, 1); err == nil {
+	if err := sys.Execute(nil, fixedGen{}, 1); err == nil {
 		t.Error("controller count mismatch not reported")
 	}
 }
@@ -331,14 +332,14 @@ func TestCacheBaseHitPath(t *testing.T) {
 	if len(h.misses) != 0 {
 		t.Error("hit path started a miss")
 	}
-	if b.Run.L2Hits != 1 {
-		t.Errorf("L2Hits = %d, want 1 (first touch misses L1)", b.Run.L2Hits)
+	if n := b.Sys.Metrics.Count("l2_hits"); n != 1 {
+		t.Errorf("l2_hits = %d, want 1 (first touch misses L1)", n)
 	}
 	// Second access should now hit L1.
 	b.Access(Op{Addr: msg.Block(5).Base()}, func() {})
 	k.Run()
-	if b.Run.L1Hits != 1 {
-		t.Errorf("L1Hits = %d, want 1", b.Run.L1Hits)
+	if n := b.Sys.Metrics.Count("l1_hits"); n != 1 {
+		t.Errorf("l1_hits = %d, want 1", n)
 	}
 }
 
@@ -351,8 +352,8 @@ func TestCacheBaseMissMergesWaiters(t *testing.T) {
 	if len(h.misses) != 1 {
 		t.Fatalf("issued %d misses for same block, want 1 (merged)", len(h.misses))
 	}
-	if b.Run.Misses.Issued != 1 {
-		t.Errorf("Misses.Issued = %d, want 1", b.Run.Misses.Issued)
+	if n := b.Sys.Metrics.Count("misses"); n != 1 {
+		t.Errorf("misses = %d, want 1", n)
 	}
 	// Resolve the miss: grant read permission and complete.
 	l := b.EnsureL2(blk)
@@ -405,8 +406,8 @@ func TestCacheBaseMissLatencyEWMA(t *testing.T) {
 	if b.AvgMiss == before {
 		t.Error("AvgMiss not updated after a miss")
 	}
-	if b.Run.MissLatencyCount != 1 {
-		t.Errorf("MissLatencyCount = %d, want 1", b.Run.MissLatencyCount)
+	if h := b.Sys.Metrics.Merged("avg_miss_ns"); h.Count() != 1 {
+		t.Errorf("completed misses = %d, want 1", h.Count())
 	}
 }
 
@@ -433,9 +434,6 @@ func TestCompleteMissUnknownPanics(t *testing.T) {
 	b.CompleteMiss(&MSHR{Block: 77})
 }
 
-// newRun builds an empty stats record for processor tests.
-func newRun() *stats.Run { return &stats.Run{} }
-
 // warmCtrl completes every access after a fixed delay and counts them.
 type warmCtrl struct {
 	k    *sim.Kernel
@@ -456,21 +454,21 @@ func TestExecuteWarmResetsStatistics(t *testing.T) {
 		ctrls[i] = &warmCtrl{k: sys.K}
 	}
 	const warmup, ops = 30, 50
-	run, err := sys.ExecuteWarm(ctrls, fixedGen{think: sim.Nanosecond}, warmup, ops)
-	if err != nil {
+	if err := sys.ExecuteWarm(ctrls, fixedGen{think: sim.Nanosecond}, warmup, ops); err != nil {
 		t.Fatal(err)
 	}
 	// Transactions measured must reflect only the post-warmup interval
 	// (some slack: processors cross the warmup boundary at different
 	// times, so a few of other processors' ops may land pre-reset).
-	if run.Transactions < ops*4/2 || run.Transactions > (warmup+ops)*4 {
-		t.Errorf("Transactions = %d, want about %d", run.Transactions, ops*4)
+	txns := sys.Metrics.Count("transactions")
+	if txns < ops*4/2 || txns > (warmup+ops)*4 {
+		t.Errorf("transactions = %d, want about %d", txns, ops*4)
 	}
-	if run.Transactions >= (warmup+ops)*4 {
+	if txns >= (warmup+ops)*4 {
 		t.Error("warmup interval was not excluded from statistics")
 	}
-	if run.Elapsed <= 0 {
-		t.Errorf("Elapsed = %v, want positive post-warmup interval", run.Elapsed)
+	if sys.elapsed <= 0 {
+		t.Errorf("elapsed = %v, want positive post-warmup interval", sys.elapsed)
 	}
 }
 
@@ -481,11 +479,58 @@ func TestExecuteWithoutWarmupCountsEverything(t *testing.T) {
 	// is fine for this two-controller wiring test.
 	sys := NewSystem(cfg, topology.NewTorus(2, 1), 3)
 	ctrls := []Controller{&warmCtrl{k: sys.K}, &warmCtrl{k: sys.K}}
-	run, err := sys.Execute(ctrls, fixedGen{think: sim.Nanosecond}, 25)
-	if err != nil {
+	if err := sys.Execute(ctrls, fixedGen{think: sim.Nanosecond}, 25); err != nil {
 		t.Fatal(err)
 	}
-	if run.Transactions != 50 {
-		t.Errorf("Transactions = %d, want 50", run.Transactions)
+	if n := sys.Metrics.Count("transactions"); n != 50 {
+		t.Errorf("transactions = %d, want 50", n)
+	}
+}
+
+// sink accepts and drops messages.
+type sink struct{}
+
+func (sink) Handle(*msg.Message) {}
+
+// TestRunMetrics checks the ratios derived from the machine and fabric
+// counters: runtime per transaction and traffic per miss.
+func TestRunMetrics(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Procs = 4
+	sys := NewSystem(cfg, topology.NewTorusFor(4), 1)
+	for i := 0; i < 4; i++ {
+		sys.Net.Register(msg.Port{Node: msg.NodeID(i), Unit: msg.UnitCache}, sink{})
+	}
+	// One data message over one link: 72 bytes.
+	sys.Net.Send(msg.Message{Kind: msg.KindData, Cat: msg.CatData, HasData: true,
+		Src: msg.Port{Node: 0, Unit: msg.UnitCache}, Dst: msg.Port{Node: 1, Unit: msg.UnitCache}})
+	sys.K.Run()
+	isle := sys.Isles[0]
+	isle.counts[transactions].Add(50)
+	isle.counts[misses].Inc()
+	sys.elapsed = 100 * sim.Microsecond
+	for name, want := range map[string]float64{
+		"cycles_per_txn":         2000,
+		"bytes_per_miss":         72,
+		"bytes_per_miss_data":    72,
+		"bytes_per_miss_request": 0,
+	} {
+		if got, _ := sys.Metrics.Value(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+func TestRunZeroGuards(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Procs = 4
+	sys := NewSystem(cfg, topology.NewTorusFor(4), 1)
+	if v, _ := sys.Metrics.Value("cycles_per_txn"); !math.IsInf(v, 1) {
+		t.Errorf("zero transactions should yield +Inf cycles/txn, got %v", v)
+	}
+	for _, name := range []string{"bytes_per_miss", "avg_miss_ns", "reissued_pct", "miss_latency_p99_ns"} {
+		if v, _ := sys.Metrics.Value(name); v != 0 {
+			t.Errorf("zero misses should yield 0 %s, got %v", name, v)
+		}
 	}
 }

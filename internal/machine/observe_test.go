@@ -53,7 +53,7 @@ func TestObserveSparseSubscription(t *testing.T) {
 	sys.Observe(stats.Observer{Kinds: stats.MaskOf(stats.MissCompleted), On: func(ev stats.Event) { got = append(got, ev) }})
 	sys.Observe(stats.Observer{}) // subscribes to nothing: not attached
 	fireMissAndHop(sys, b, h)
-	if sys.Run.Traffic.TotalBytes() == 0 {
+	if v, _ := sys.Metrics.Value("bytes_total"); v == 0 {
 		t.Fatal("the message crossed no link")
 	}
 	journaled := 0

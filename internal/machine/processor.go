@@ -17,7 +17,7 @@ type Processor struct {
 	ctrl Controller
 	cfg  Config
 	rng  *sim.Source
-	run  *stats.Run
+	txns *stats.Counter
 
 	limit        int
 	issued       int
@@ -60,10 +60,11 @@ func (t *opToken) run() {
 	p.opDone(op)
 }
 
-// NewProcessor builds a processor that will issue limit operations.
-func NewProcessor(k *sim.Kernel, id int, gen Generator, ctrl Controller, cfg Config, rng *sim.Source, run *stats.Run, limit int, onDone func()) *Processor {
+// NewProcessor builds a processor that will issue limit operations,
+// counting completed transactions in txns (which may be nil).
+func NewProcessor(k *sim.Kernel, id int, gen Generator, ctrl Controller, cfg Config, rng *sim.Source, txns *stats.Counter, limit int, onDone func()) *Processor {
 	p := &Processor{
-		k: k, id: id, gen: gen, ctrl: ctrl, cfg: cfg, rng: rng, run: run,
+		k: k, id: id, gen: gen, ctrl: ctrl, cfg: cfg, rng: rng, txns: txns,
 		limit: limit, onDone: onDone,
 	}
 	p.issueFire = p.issueTick
@@ -142,7 +143,7 @@ func (p *Processor) opDone(op Op) {
 	}
 	p.completed++
 	if op.EndTxn {
-		p.run.Transactions++
+		p.txns.Inc()
 	}
 	if p.warmupOps > 0 && !p.warmed && p.completed >= p.warmupOps {
 		p.warmed = true

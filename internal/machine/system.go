@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"tokencoherence/internal/interconnect"
@@ -21,16 +22,15 @@ import (
 // default): processors and switches are partitioned along the
 // topology's link graph, each island executes on its own goroutine, and
 // the cluster synchronizes every link-latency window. Every component
-// is wired to its island's Isle (kernel, network view, statistics
-// shard, observer journal); the coordinator merges shards and replays
-// observation journals at the barriers, so outputs are byte-identical
-// at any island count.
+// is wired to its island's Isle (kernel, network view, counter shards,
+// observer journal); counts are summed from their shards when Metrics
+// is read, and the coordinator replays observation journals at the
+// barriers, so outputs are byte-identical at any island count.
 type System struct {
 	K      *sim.Kernel // island 0's kernel; construction-time context
 	Cfg    Config
 	Topo   topology.Topology
 	Net    *interconnect.Network // island 0's view; fabric-wide queries
-	Run    *stats.Run            // merged after Execute; shards live per Isle
 	Oracle *Oracle
 	Rng    *sim.Source
 
@@ -45,9 +45,10 @@ type System struct {
 	Cluster *sim.Cluster
 	Isles   []*Isle
 
-	// Metrics is the run's named-metric registry. NewSystem publishes the
-	// machine, kernel, and interconnect measurements; protocol packages
-	// add theirs at Build; probes add derived metrics when they attach.
+	// Metrics is the run's named-metric registry and its only counter
+	// store. NewSystem registers every island's shards of the machine and
+	// interconnect counters and the ratios derived from them; protocol
+	// packages add theirs at Build; probes add metrics when they attach.
 	Metrics *stats.MetricSet
 	// Recorder is the always-armed flight recorder NewSystem wires from
 	// the Cfg knobs (nil when Cfg.RecorderSize is negative). It dumps the
@@ -66,16 +67,21 @@ type System struct {
 
 	// jidx is replayJournals' merge cursor per island.
 	jidx []int
+	// elapsed is the measured interval, set when ExecuteWarm returns.
+	elapsed sim.Time
 }
 
 // Isle is one island's execution context: its kernel, its view of the
-// interconnect fabric, its statistics shard, and the journaling
-// observer protocol events on this island must fire into. Components
-// are wired to their node's Isle at construction.
+// interconnect fabric, its shards of the machine counters, and the
+// journaling observer protocol events on this island must fire into.
+// Components are wired to their node's Isle at construction.
 type Isle struct {
 	K   *sim.Kernel
 	Net *interconnect.Network
-	Run *stats.Run
+	// counts and missLatency are this island's shards of the machine
+	// counters and of the avg_miss_ns histogram.
+	counts      [numCounts]*stats.Counter
+	missLatency *stats.Histogram
 	// Obs journals this island's events for barrier replay; its mask is
 	// the union of the attached observers'. Event sites read it at event
 	// time (it is armed when Execute starts).
@@ -138,12 +144,10 @@ func NewSystem(cfg Config, topo topology.Topology, seed uint64) *System {
 		assign = make([]int32, topo.Nodes())
 	}
 	cluster := sim.NewCluster(islands, assign, cfg.Net.LinkLatency)
-	run := &stats.Run{}
 	s := &System{
 		K:        cluster.Kernel(0),
 		Cfg:      cfg,
 		Topo:     topo,
-		Run:      run,
 		Oracle:   NewOracle(),
 		Rng:      sim.NewSource(seed ^ 0x5bf0_3635_dcf5_9e11),
 		Scope:    NewFlatScope(cfg.Procs),
@@ -153,27 +157,18 @@ func NewSystem(cfg Config, topo topology.Topology, seed uint64) *System {
 	}
 	s.Isles = make([]*Isle, islands)
 	kernels := make([]*sim.Kernel, islands)
-	traffics := make([]*stats.Traffic, islands)
 	for i := range s.Isles {
-		// Single-island systems share the top-level Run so code that
-		// drives the kernel by hand (tests, tools) reads statistics
-		// without an explicit merge step; multi-island systems shard.
-		ir := run
-		if islands > 1 {
-			ir = &stats.Run{}
-		}
-		isle := &Isle{K: cluster.Kernel(i), Run: ir}
+		isle := &Isle{K: cluster.Kernel(i)}
 		isle.jr.k = isle.K
 		s.Isles[i] = isle
 		kernels[i] = isle.K
-		traffics[i] = &isle.Run.Traffic
 	}
-	s.Net = interconnect.New(kernels[0], topo, cfg.Net, traffics[0])
-	for i, v := range s.Net.Split(assign, kernels, traffics) {
+	s.Net = interconnect.New(kernels[0], topo, cfg.Net)
+	for i, v := range s.Net.Split(assign, kernels) {
 		s.Isles[i].Net = v
 	}
 	s.publishMetrics()
-	s.Net.PublishMetricsFor(s.Metrics, &run.Traffic)
+	s.Net.PublishMetrics(s.Metrics)
 	if cfg.RecorderSize >= 0 {
 		s.Recorder = trace.NewFlightRecorder(trace.RecorderConfig{
 			Size:     cfg.RecorderSize,
@@ -185,60 +180,92 @@ func NewSystem(cfg Config, topo topology.Topology, seed uint64) *System {
 	return s
 }
 
-// publishMetrics registers the machine layer's measurements — everything
-// the Run struct accumulates, plus the kernel's event counts — as named
-// metrics. Registration order is fixed, so the schema is deterministic
-// (see the engine's schema golden test).
+// The machine counters; every island owns one shard of each
+// (Isle.counts).
+const (
+	transactions = iota
+	accesses
+	l1Hits
+	l2Hits
+	upgrades
+	writebacks
+	misses
+	reissuedOnce
+	reissuedMore
+	persistent
+	numCounts
+)
+
+// publishMetrics registers the machine layer's measurements: every
+// island's shards of the machine counters and miss-latency histogram,
+// the ratios derived from their sums, and the kernel's event counts.
+// The first registration fixes a metric's position, so the schema is
+// deterministic (see the engine's schema golden test).
 func (s *System) publishMetrics() {
-	ms, r := s.Metrics, s.Run
+	ms := s.Metrics
 	derived := func(name, unit, format, help string, read func() float64) {
 		ms.Derived(stats.Desc{Name: name, Unit: unit, Fmt: format, Help: help}, read)
 	}
+	counter := func(i int, name, help string) {
+		for _, isle := range s.Isles {
+			isle.counts[i] = ms.Counter(stats.Desc{Name: name, Unit: "count", Fmt: "%.0f", Help: help})
+		}
+	}
+	missClasses := func() stats.Misses {
+		return stats.Misses{
+			Issued:       ms.Count("misses"),
+			ReissuedOnce: ms.Count("misses_reissued_once"),
+			ReissuedMore: ms.Count("misses_reissued_more"),
+			Persistent:   ms.Count("misses_persistent"),
+		}
+	}
+	perMiss := func(n float64) float64 {
+		if m := ms.Count("misses"); m != 0 {
+			return n / float64(m)
+		}
+		return 0
+	}
 	derived("elapsed_ns", "ns", "%.0f", "measured simulated interval",
-		func() float64 { return r.Elapsed.Nanoseconds() })
-	derived("transactions", "count", "%.0f", "workload transactions completed",
-		func() float64 { return float64(r.Transactions) })
+		func() float64 { return s.elapsed.Nanoseconds() })
+	counter(transactions, "transactions", "workload transactions completed")
 	derived("cycles_per_txn", "cycles/txn", "%.2f", "runtime in 1 GHz cycles per completed transaction",
-		func() float64 { return r.CyclesPerTransaction() })
-	derived("accesses", "count", "%.0f", "memory operations performed",
-		func() float64 { return float64(r.Accesses) })
-	derived("l1_hits", "count", "%.0f", "accesses satisfied by the L1 latency filter",
-		func() float64 { return float64(r.L1Hits) })
-	derived("l2_hits", "count", "%.0f", "accesses satisfied by the L2",
-		func() float64 { return float64(r.L2Hits) })
-	derived("upgrades", "count", "%.0f", "write misses on a resident readable line",
-		func() float64 { return float64(r.Upgrades) })
-	derived("writebacks", "count", "%.0f", "L2 victim lines evicted through the protocol",
-		func() float64 { return float64(r.Writeback) })
-	derived("misses", "count", "%.0f", "coherence misses issued",
-		func() float64 { return float64(r.Misses.Issued) })
+		func() float64 {
+			if n := ms.Count("transactions"); n != 0 {
+				return s.elapsed.Nanoseconds() / float64(n)
+			}
+			return math.Inf(1)
+		})
+	counter(accesses, "accesses", "memory operations performed")
+	counter(l1Hits, "l1_hits", "accesses satisfied by the L1 latency filter")
+	counter(l2Hits, "l2_hits", "accesses satisfied by the L2")
+	counter(upgrades, "upgrades", "write misses on a resident readable line")
+	counter(writebacks, "writebacks", "L2 victim lines evicted through the protocol")
+	counter(misses, "misses", "coherence misses issued")
 	derived("misses_not_reissued", "count", "%.0f", "misses satisfied by their first request",
-		func() float64 { return float64(r.Misses.NotReissued()) })
-	derived("misses_reissued_once", "count", "%.0f", "misses reissued exactly once",
-		func() float64 { return float64(r.Misses.ReissuedOnce) })
-	derived("misses_reissued_more", "count", "%.0f", "misses reissued more than once",
-		func() float64 { return float64(r.Misses.ReissuedMore) })
-	derived("misses_persistent", "count", "%.0f", "misses escalated to a persistent request",
-		func() float64 { return float64(r.Misses.Persistent) })
+		func() float64 { m := missClasses(); return float64(m.NotReissued()) })
+	counter(reissuedOnce, "misses_reissued_once", "misses reissued exactly once")
+	counter(reissuedMore, "misses_reissued_more", "misses reissued more than once")
+	counter(persistent, "misses_persistent", "misses escalated to a persistent request")
 	derived("reissued_pct", "percent", "%.2f", "percentage of misses reissued at least once",
-		func() float64 { return r.Misses.Frac(r.Misses.ReissuedOnce + r.Misses.ReissuedMore) })
+		func() float64 { m := missClasses(); return m.Frac(m.ReissuedOnce + m.ReissuedMore) })
 	derived("persistent_pct", "percent", "%.3f", "percentage of misses resolved persistently",
-		func() float64 { return r.Misses.Frac(r.Misses.Persistent) })
-	derived("avg_miss_ns", "ns", "%.1f", "mean coherence-miss latency",
-		func() float64 { return r.AvgMissLatency().Nanoseconds() })
+		func() float64 { m := missClasses(); return m.Frac(m.Persistent) })
+	for _, isle := range s.Isles {
+		isle.missLatency = ms.Histogram(stats.Desc{Name: "avg_miss_ns", Unit: "ns", Fmt: "%.1f", Help: "mean coherence-miss latency"})
+	}
 	derived("miss_latency_p50_ns", "ns", "%.0f", "median miss latency (histogram bucket upper bound)",
-		func() float64 { return r.MissLatencies.Quantile(0.50).Nanoseconds() })
+		func() float64 { h := ms.Merged("avg_miss_ns"); return h.Quantile(0.50).Nanoseconds() })
 	derived("miss_latency_p99_ns", "ns", "%.0f", "99th-percentile miss latency (histogram bucket upper bound)",
-		func() float64 { return r.MissLatencies.Quantile(0.99).Nanoseconds() })
+		func() float64 { h := ms.Merged("avg_miss_ns"); return h.Quantile(0.99).Nanoseconds() })
 	derived("miss_latency_max_ns", "ns", "%.0f", "largest observed miss latency",
-		func() float64 { return r.MissLatencies.Max().Nanoseconds() })
+		func() float64 { h := ms.Merged("avg_miss_ns"); return h.Max().Nanoseconds() })
 	derived("bytes_per_miss", "bytes/miss", "%.1f", "interconnect bytes per coherence miss",
-		func() float64 { return r.BytesPerMiss() })
+		func() float64 { total, _ := ms.Value("bytes_total"); return perMiss(total) })
 	for c := 0; c < msg.NumCategories; c++ {
 		cat := msg.Category(c)
 		derived("bytes_per_miss_"+cat.Slug(), "bytes/miss", "%.1f",
 			"category "+cat.String()+" bytes per coherence miss",
-			func() float64 { return r.CategoryBytesPerMiss(cat) })
+			func() float64 { return perMiss(float64(ms.Count("bytes_" + cat.Slug()))) })
 	}
 	derived("events_scheduled", "count", "%.0f", "kernel events scheduled over the whole run (warmup included)",
 		func() float64 {
@@ -258,11 +285,11 @@ func (s *System) publishMetrics() {
 		})
 }
 
-// Execute drives opsPerProc operations from gen through each controller
-// and returns the populated statistics. It fails if the simulation
-// deadlocks (event queue drains with operations incomplete) or the
-// safety oracle observed a violation.
-func (s *System) Execute(ctrls []Controller, gen Generator, opsPerProc int) (*stats.Run, error) {
+// Execute drives opsPerProc operations from gen through each
+// controller; the measurements are then in Metrics. It fails if the
+// simulation deadlocks (event queue drains with operations incomplete)
+// or the safety oracle observed a violation.
+func (s *System) Execute(ctrls []Controller, gen Generator, opsPerProc int) error {
 	return s.ExecuteWarm(ctrls, gen, 0, opsPerProc)
 }
 
@@ -270,9 +297,9 @@ func (s *System) Execute(ctrls []Controller, gen Generator, opsPerProc int) (*st
 // caches, then resets the statistics and measures opsPerProc operations,
 // mirroring the paper's warmed-checkpoint methodology. Statistics reset
 // once every processor has completed its warmup.
-func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerProc int) (*stats.Run, error) {
+func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerProc int) error {
 	if len(ctrls) != s.Cfg.Procs {
-		return nil, fmt.Errorf("machine: %d controllers for %d procs", len(ctrls), s.Cfg.Procs)
+		return fmt.Errorf("machine: %d controllers for %d procs", len(ctrls), s.Cfg.Procs)
 	}
 	// Completion and warmup are global transitions; island goroutines only
 	// decrement these counters, and the coordinator acts on them at the
@@ -284,7 +311,7 @@ func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerPr
 	procs := make([]*Processor, len(ctrls))
 	for i, c := range ctrls {
 		isle := s.IsleFor(i)
-		p := NewProcessor(isle.K, i, gen, c, s.Cfg, s.Rng.Split(), isle.Run, warmup+opsPerProc, func() {
+		p := NewProcessor(isle.K, i, gen, c, s.Cfg, s.Rng.Split(), isle.counts[transactions], warmup+opsPerProc, func() {
 			atomic.AddInt32(&remaining, -1)
 		})
 		if warmup > 0 {
@@ -306,22 +333,13 @@ func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerPr
 		s.replayJournals()
 		if !warmed && atomic.LoadInt32(&cold) == 0 {
 			warmed = true
-			for _, isle := range s.Isles {
-				isle.Run.Reset()
-			}
-			s.Run.Reset()
 			s.Metrics.Reset()
 			warmStart = t
 			s.dispatch(stats.Event{Kind: stats.MeasurementStarted, At: t})
 		}
 		return atomic.LoadInt32(&remaining) == 0
 	})
-	for _, isle := range s.Isles {
-		if isle.Run != s.Run {
-			s.Run.Merge(isle.Run)
-		}
-	}
-	s.Run.Elapsed = end - warmStart
+	s.elapsed = end - warmStart
 	if atomic.LoadInt32(&remaining) > 0 {
 		issued, completed := 0, 0
 		for _, p := range procs {
@@ -331,11 +349,11 @@ func (s *System) ExecuteWarm(ctrls []Controller, gen Generator, warmup, opsPerPr
 		err := fmt.Errorf("machine: deadlock, %d/%d processors incomplete (%d issued, %d completed)",
 			remaining, len(procs), issued, completed)
 		s.Recorder.Trip(err.Error())
-		return s.Run, err
+		return err
 	}
 	if err := s.Oracle.Err(); err != nil {
 		s.Recorder.Trip("safety oracle failed: " + err.Error())
-		return s.Run, err
+		return err
 	}
-	return s.Run, nil
+	return nil
 }

@@ -167,6 +167,13 @@ func (s *Store) Put(key string, metrics *stats.Snapshot) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
+	// CreateTemp makes the file 0600; an archive is shared by every
+	// cooperating process, whichever account runs it.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("resultstore: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)

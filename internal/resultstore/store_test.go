@@ -90,6 +90,25 @@ func TestNoTempFilesSurvive(t *testing.T) {
 	}
 }
 
+// TestPutEntryIsShareable: an archived entry is readable by the group
+// and by other users, so processes under other accounts can recall it.
+func TestPutEntryIsShareable(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(st.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := info.Mode().Perm(); mode&0o044 != 0o044 {
+		t.Errorf("entry mode = %v, want group- and other-readable", mode)
+	}
+}
+
 // TestCorruptEntryIsLoud: a torn or edited entry must fail the lookup
 // with an error, not silently miss (recomputing would mask corruption)
 // and not return garbage.

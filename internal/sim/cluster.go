@@ -73,14 +73,8 @@ func (c *Cluster) Islands() int { return len(c.kernels) }
 // Kernel returns island i's kernel.
 func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
 
-// KernelFor returns the kernel of the island owning actor a.
-func (c *Cluster) KernelFor(a int) *Kernel { return c.kernels[c.actorIsland[a]] }
-
 // IslandOf reports which island owns actor a.
 func (c *Cluster) IslandOf(a int) int32 { return c.actorIsland[a] }
-
-// Lookahead reports the synchronization window width.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
 
 // Now reports the end time of the last completed window.
 func (c *Cluster) Now() Time { return c.now }

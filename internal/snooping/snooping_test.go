@@ -117,8 +117,8 @@ func TestUpgradeCompletesAtOrderPoint(t *testing.T) {
 	if l == nil || l.State != stateM {
 		t.Fatalf("upgraded line = %+v, want M", l)
 	}
-	if sys.Run.Misses.Issued != 2 {
-		t.Errorf("misses = %d, want 2", sys.Run.Misses.Issued)
+	if sys.Metrics.Count("misses") != 2 {
+		t.Errorf("misses = %d, want 2", sys.Metrics.Count("misses"))
 	}
 }
 
@@ -203,15 +203,15 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newSnoopSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			run, err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(s.Controllers(), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
-			if run.Misses.Issued == 0 {
+			if sys.Metrics.Count("misses") == 0 {
 				t.Error("no misses in stress run")
 			}
 			// Snooping never reissues.
-			if run.Misses.ReissuedOnce+run.Misses.ReissuedMore+run.Misses.Persistent != 0 {
+			if sys.Metrics.Count("misses_reissued_once")+sys.Metrics.Count("misses_reissued_more")+sys.Metrics.Count("misses_persistent") != 0 {
 				t.Error("snooping reported reissued/persistent misses")
 			}
 		})
@@ -221,7 +221,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newSnoopSystem(t, 40, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -234,7 +234,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if _, err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

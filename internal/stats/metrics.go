@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // MetricKind distinguishes how a metric's value is produced. The values
@@ -12,14 +11,15 @@ import (
 type MetricKind uint8
 
 const (
-	// KindCounter is a monotonically increasing event count owned by the
-	// MetricSet and zeroed by Reset (the warmup boundary).
+	// KindCounter is a monotonically increasing event count: the sum of
+	// its registrants' shards, each zeroed by Reset (the warmup boundary).
 	KindCounter MetricKind = 0
-	// KindHistogram is a latency distribution owned by the MetricSet; its
-	// scalar snapshot value is the distribution mean in nanoseconds.
+	// KindHistogram is a latency distribution merged from its
+	// registrants' shards; its scalar snapshot value is the distribution
+	// mean in nanoseconds.
 	KindHistogram MetricKind = 2
-	// KindDerived is computed on demand from state owned elsewhere (the
-	// Run struct, the network, a protocol controller).
+	// KindDerived is computed on demand: a ratio over counters, or state
+	// owned elsewhere (the kernel, a protocol controller).
 	KindDerived MetricKind = 3
 )
 
@@ -57,53 +57,72 @@ func (d Desc) withDefaults(kind MetricKind) Desc {
 	return d
 }
 
-// Counter is a monotonically increasing event count. The nil Counter is
-// valid and discards increments, so components may count unconditionally
-// whether or not they were wired to a MetricSet.
+// Counter is one shard of a counter metric: a monotonically increasing
+// event count owned by the component that registered it. The nil
+// Counter is valid and discards increments, so components may count
+// unconditionally whether or not they were wired to a MetricSet.
 //
-// Increments are atomic: a counter registered once and shared by many
-// components (one per cache controller, say) may be bumped from several
-// islands of a parallel run concurrently. Addition commutes, so the
-// final value is identical at any island count.
+// A shard is plain memory, written only by its owner's island; the
+// metric's value is the sum of its shards, read between windows or
+// after the run. Addition commutes, so the sum is identical at any
+// island count.
 type Counter struct{ n uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		atomic.AddUint64(&c.n, 1)
+		c.n++
 	}
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		atomic.AddUint64(&c.n, n)
+		c.n += n
 	}
 }
 
-// Value reports the current count.
+// Value reports this shard's count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&c.n)
+	return c.n
 }
 
-// metric is one registered entry: its schema plus exactly one value
-// source according to Kind.
+// metric is one registered entry: its schema plus its value source
+// according to Kind — counter shards, histogram shards or a read
+// function.
 type metric struct {
-	desc Desc
-	ctr  *Counter
-	hist *Histogram
-	read func() float64
+	desc  Desc
+	ctrs  []*Counter
+	hists []*Histogram
+	read  func() float64
+}
+
+func (m *metric) count() uint64 {
+	var n uint64
+	for _, c := range m.ctrs {
+		n += c.n
+	}
+	return n
+}
+
+func (m *metric) merged() Histogram {
+	var h Histogram
+	for _, s := range m.hists {
+		h.Merge(s)
+	}
+	return h
 }
 
 func (m *metric) value() float64 {
 	switch m.desc.Kind {
 	case KindCounter:
-		return float64(m.ctr.Value())
+		return float64(m.count())
 	case KindHistogram:
-		return m.hist.Mean().Nanoseconds()
+		h := m.merged()
+		return h.Mean().Nanoseconds()
 	default:
 		return m.read()
 	}
@@ -117,7 +136,9 @@ func (m *metric) value() float64 {
 // component registry's Names() — are reproducible run to run.
 //
 // A MetricSet belongs to one simulated System and is not safe for
-// concurrent use; the engine gives every point its own.
+// concurrent use; the engine gives every point its own. Registration
+// happens at construction; during a parallel run each island writes
+// only its own shards.
 type MetricSet struct {
 	names   []string
 	metrics map[string]*metric
@@ -128,54 +149,63 @@ func NewMetricSet() *MetricSet {
 	return &MetricSet{metrics: make(map[string]*metric)}
 }
 
-// add registers m under its name. Re-registering the same name is
-// allowed only when the descriptor matches exactly and the kind owns
-// shared storage (counter/histogram): per-node components (16
-// cache controllers, 16 arbiters) then share one instance. A name
-// collision with a different descriptor is mis-wiring and panics, like
-// the component registry's duplicate names.
-func (ms *MetricSet) add(m *metric) *metric {
-	if m.desc.Name == "" {
+// add returns the metric registered under d's name, registering it on
+// first use; the first registration fixes the metric's schema position.
+// Counters and histograms register once per shard, so a repeat must
+// carry the identical descriptor. A name collision with a different
+// descriptor, or a repeated derived metric, is mis-wiring and panics,
+// like the component registry's duplicate names.
+func (ms *MetricSet) add(d Desc) *metric {
+	if d.Name == "" {
 		panic("stats: metric with empty name")
 	}
-	if prev, ok := ms.metrics[m.desc.Name]; ok {
-		if m.desc.Kind == KindDerived {
-			panic(fmt.Sprintf("stats: derived metric %q registered twice; derived metrics have no shared storage to dedupe onto (previously registered as %+v)",
-				m.desc.Name, prev.desc))
+	if prev, ok := ms.metrics[d.Name]; ok {
+		if d.Kind == KindDerived {
+			panic(fmt.Sprintf("stats: derived metric %q registered twice; only counters and histograms have shards (previously registered as %+v)",
+				d.Name, prev.desc))
 		}
-		if prev.desc != m.desc {
+		if prev.desc != d {
 			panic(fmt.Sprintf("stats: metric %q re-registered with a different descriptor (%+v vs %+v)",
-				m.desc.Name, prev.desc, m.desc))
+				d.Name, prev.desc, d))
 		}
 		return prev
 	}
-	ms.metrics[m.desc.Name] = m
-	ms.names = append(ms.names, m.desc.Name)
+	m := &metric{desc: d}
+	ms.metrics[d.Name] = m
+	ms.names = append(ms.names, d.Name)
 	return m
 }
 
-// Counter registers (or, for an identical descriptor, returns the
-// already-registered) counter metric.
+// Counter registers a new shard of the named counter metric and returns
+// it to the registrant, which owns it: each per-node component (16
+// cache controllers, 16 arbiters) counts into its own shard, and the
+// metric's value is their sum.
 func (ms *MetricSet) Counter(d Desc) *Counter {
-	m := ms.add(&metric{desc: d.withDefaults(KindCounter), ctr: &Counter{}})
-	return m.ctr
+	m := ms.add(d.withDefaults(KindCounter))
+	c := &Counter{}
+	m.ctrs = append(m.ctrs, c)
+	return c
 }
 
-// Histogram registers (or returns the already-registered) histogram
-// metric. The metric's scalar snapshot value is the distribution mean in
-// nanoseconds; register Derived companions for quantiles.
+// Histogram registers a new shard of the named histogram metric, owned
+// by the registrant. The metric's scalar snapshot value is the mean, in
+// nanoseconds, of its merged shards; register Derived companions over
+// Merged for quantiles.
 func (ms *MetricSet) Histogram(d Desc) *Histogram {
-	m := ms.add(&metric{desc: d.withDefaults(KindHistogram), hist: &Histogram{}})
-	return m.hist
+	m := ms.add(d.withDefaults(KindHistogram))
+	h := &Histogram{}
+	m.hists = append(m.hists, h)
+	return h
 }
 
 // Derived registers a metric computed by read at snapshot time, for
-// measurements whose storage lives elsewhere (Run fields, ratios).
+// ratios over counters and measurements whose storage lives elsewhere
+// (the kernel, a protocol controller).
 func (ms *MetricSet) Derived(d Desc, read func() float64) {
 	if read == nil {
 		panic(fmt.Sprintf("stats: derived metric %q with nil read function", d.Name))
 	}
-	ms.add(&metric{desc: d.withDefaults(KindDerived), read: read})
+	ms.add(d.withDefaults(KindDerived)).read = read
 }
 
 // Names lists the registered metric names in registration order.
@@ -212,19 +242,35 @@ func (ms *MetricSet) Value(name string) (float64, bool) {
 	return m.value(), true
 }
 
-// Reset zeroes every counter and histogram the set owns; derived
-// metrics reset with the state they read. The machine calls this at the
-// end of cache warmup together with Run.Reset, so probe-registered
-// metrics observe exactly the measured interval without any bookkeeping
-// in the probe.
+// Count reports the named counter's value: the sum of its shards (0 for
+// a name that is not a counter).
+func (ms *MetricSet) Count(name string) uint64 {
+	if m, ok := ms.metrics[name]; ok {
+		return m.count()
+	}
+	return 0
+}
+
+// Merged reports the named histogram's shards merged into one
+// distribution (empty for a name that is not a histogram).
+func (ms *MetricSet) Merged(name string) Histogram {
+	if m, ok := ms.metrics[name]; ok {
+		return m.merged()
+	}
+	return Histogram{}
+}
+
+// Reset zeroes every counter and histogram shard; derived metrics reset
+// with the state they read. The machine calls this at the end of cache
+// warmup, so every count — the machine's, the fabric's, the protocols'
+// and the probes' — covers exactly the measured interval.
 func (ms *MetricSet) Reset() {
-	for _, name := range ms.names {
-		m := ms.metrics[name]
-		switch m.desc.Kind {
-		case KindCounter:
-			atomic.StoreUint64(&m.ctr.n, 0)
-		case KindHistogram:
-			*m.hist = Histogram{}
+	for _, m := range ms.metrics {
+		for _, c := range m.ctrs {
+			c.n = 0
+		}
+		for _, h := range m.hists {
+			*h = Histogram{}
 		}
 	}
 }

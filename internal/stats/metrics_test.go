@@ -56,21 +56,56 @@ func TestMetricSetRegistrationOrderAndSchema(t *testing.T) {
 }
 
 func TestMetricSetSharedRegistration(t *testing.T) {
-	// Per-node components register the same metric once each; identical
-	// descriptors must return the shared instance.
+	// Per-node components register the same metric once each; every
+	// registration is its own shard, and the metric reads their sum.
 	ms := NewMetricSet()
 	d := Desc{Name: "acts", Unit: "count", Fmt: "%.0f"}
 	a, b := ms.Counter(d), ms.Counter(d)
-	if a != b {
-		t.Fatal("identical counter registrations did not share storage")
+	if a == b {
+		t.Fatal("two counter registrations returned the same shard")
 	}
-	a.Inc()
+	a.Add(2)
 	b.Inc()
-	if v, _ := ms.Value("acts"); v != 2 {
-		t.Errorf("shared counter = %v, want 2", v)
+	if a.Value() != 2 || b.Value() != 1 {
+		t.Errorf("shards = %d, %d, want 2, 1", a.Value(), b.Value())
+	}
+	if v, _ := ms.Value("acts"); v != 3 {
+		t.Errorf("Value(acts) = %v, want 3", v)
+	}
+	if n := ms.Count("acts"); n != 3 {
+		t.Errorf("Count(acts) = %d, want 3", n)
 	}
 	if n := len(ms.Names()); n != 1 {
 		t.Errorf("Names() has %d entries, want 1", n)
+	}
+	ms.Reset()
+	if a.Value() != 0 || b.Value() != 0 || ms.Count("acts") != 0 {
+		t.Errorf("Reset left shards %d, %d", a.Value(), b.Value())
+	}
+
+	// Histogram shards merge bucket-wise; the scalar value is the mean of
+	// the merged distribution.
+	hd := Desc{Name: "lat", Unit: "ns"}
+	h1, h2 := ms.Histogram(hd), ms.Histogram(hd)
+	if h1 == h2 {
+		t.Fatal("two histogram registrations returned the same shard")
+	}
+	h1.Observe(10 * sim.Nanosecond)
+	h1.Observe(20 * sim.Nanosecond)
+	h2.Observe(90 * sim.Nanosecond)
+	merged := ms.Merged("lat")
+	if merged.Count() != 3 || merged.Max() != 90*sim.Nanosecond || merged.Mean() != 40*sim.Nanosecond {
+		t.Errorf("Merged(lat) = n=%d max=%v mean=%v, want 3, 90ns, 40ns", merged.Count(), merged.Max(), merged.Mean())
+	}
+	if v, _ := ms.Value("lat"); v != 40 {
+		t.Errorf("Value(lat) = %v, want 40", v)
+	}
+	ms.Reset()
+	if h1.Count() != 0 || h2.Count() != 0 {
+		t.Errorf("Reset left histogram shards with %d, %d samples", h1.Count(), h2.Count())
+	}
+	if acts := ms.Merged("acts"); ms.Count("lat") != 0 || acts.Count() != 0 || ms.Count("nope") != 0 {
+		t.Error("Count/Merged of a name of another kind, or unknown, is not zero")
 	}
 }
 

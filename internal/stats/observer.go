@@ -106,7 +106,7 @@ type Event struct {
 }
 
 // Observer subscribes On to the events whose Kind is in Kinds, so
-// probes can derive metrics the fixed Run counters do not carry
+// probes can derive metrics the machine's built-in counters do not carry
 // (latency CDFs, per-block heat, inter-reissue intervals, ...). The
 // zero Observer subscribes to nothing and attaching it is a no-op.
 //

@@ -4,39 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"testing/quick"
 
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 )
-
-func TestTrafficRecordWeightsByLinks(t *testing.T) {
-	var tr Traffic
-	req := &msg.Message{Kind: msg.KindGetS, Cat: msg.CatRequest}
-	data := &msg.Message{Kind: msg.KindData, Cat: msg.CatData, HasData: true}
-	tr.Record(req, 5)  // broadcast over 5 links
-	tr.Record(data, 2) // data over 2 links
-	if got := tr.Bytes(msg.CatRequest); got != 40 {
-		t.Errorf("request bytes = %d, want 40 (8B x 5 links)", got)
-	}
-	if got := tr.Bytes(msg.CatData); got != 144 {
-		t.Errorf("data bytes = %d, want 144 (72B x 2 links)", got)
-	}
-	if got := tr.TotalBytes(); got != 184 {
-		t.Errorf("total = %d, want 184", got)
-	}
-	if got := tr.Messages(msg.CatRequest); got != 5 {
-		t.Errorf("request traversals = %d, want 5", got)
-	}
-}
-
-func TestTrafficLocalDeliveryFree(t *testing.T) {
-	var tr Traffic
-	tr.Record(&msg.Message{Cat: msg.CatData, HasData: true}, 0)
-	if tr.TotalBytes() != 0 {
-		t.Error("local delivery must not count interconnect bytes")
-	}
-}
 
 func TestMissesClassification(t *testing.T) {
 	m := Misses{Issued: 1000, ReissuedOnce: 30, ReissuedMore: 5, Persistent: 2}
@@ -55,38 +25,25 @@ func TestMissesFracEmpty(t *testing.T) {
 	}
 }
 
-func TestRunMetrics(t *testing.T) {
-	r := Run{Transactions: 50, Elapsed: 100 * sim.Microsecond}
-	r.Misses.Issued = 200
-	r.Traffic.Record(&msg.Message{Cat: msg.CatData, HasData: true}, 200)
-	if got := r.CyclesPerTransaction(); got != 2000 {
-		t.Errorf("CyclesPerTransaction = %v, want 2000", got)
-	}
-	if got := r.BytesPerMiss(); got != 72 {
-		t.Errorf("BytesPerMiss = %v, want 72", got)
-	}
-	if got := r.CategoryBytesPerMiss(msg.CatData); got != 72 {
-		t.Errorf("CategoryBytesPerMiss = %v, want 72", got)
-	}
-}
-
-func TestRunZeroGuards(t *testing.T) {
-	var r Run
-	if !math.IsInf(r.CyclesPerTransaction(), 1) {
-		t.Error("zero transactions should yield +Inf cycles/txn")
-	}
-	if r.BytesPerMiss() != 0 {
-		t.Error("zero misses should yield 0 bytes/miss")
-	}
-	if r.AvgMissLatency() != 0 {
-		t.Error("zero misses should yield 0 latency")
-	}
-}
-
 func TestAvgMissLatency(t *testing.T) {
-	r := Run{MissLatencySum: 300 * sim.Nanosecond, MissLatencyCount: 3}
-	if got := r.AvgMissLatency(); got != 100*sim.Nanosecond {
-		t.Errorf("AvgMissLatency = %v, want 100ns", got)
+	// The machine's avg_miss_ns is a histogram metric: its value is the
+	// sum of every shard's latencies over their total count.
+	ms := NewMetricSet()
+	d := Desc{Name: "avg_miss_ns", Unit: "ns", Fmt: "%.1f"}
+	a, b := ms.Histogram(d), ms.Histogram(d)
+	a.Observe(50 * sim.Nanosecond)
+	a.Observe(100 * sim.Nanosecond)
+	b.Observe(150 * sim.Nanosecond)
+	if v, _ := ms.Value("avg_miss_ns"); v != 100 {
+		t.Errorf("avg_miss_ns = %v, want 100", v)
+	}
+	if v, _ := NewMetricSet().Value("avg_miss_ns"); v != 0 {
+		t.Errorf("unregistered avg_miss_ns = %v, want 0", v)
+	}
+	empty := NewMetricSet()
+	empty.Histogram(d)
+	if v, _ := empty.Value("avg_miss_ns"); v != 0 {
+		t.Errorf("avg_miss_ns with no samples = %v, want 0", v)
 	}
 }
 
@@ -161,26 +118,5 @@ func TestSampleString(t *testing.T) {
 	s.Add(4)
 	if got := s.String(); got != "3.0 ± 1.4 (n=2)" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-// Property: traffic totals equal the sum of category bytes.
-func TestPropertyTrafficTotal(t *testing.T) {
-	f := func(counts [4]uint8) bool {
-		var tr Traffic
-		cats := []msg.Category{msg.CatRequest, msg.CatReissue, msg.CatControl, msg.CatData}
-		for i, c := range cats {
-			for j := 0; j < int(counts[i]); j++ {
-				tr.Record(&msg.Message{Cat: c}, 1)
-			}
-		}
-		var sum uint64
-		for _, c := range cats {
-			sum += tr.Bytes(c)
-		}
-		return sum == tr.TotalBytes()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

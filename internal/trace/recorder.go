@@ -44,9 +44,6 @@ type RecorderConfig struct {
 	// outnumber protocol events ~100:1 and would evict the transaction
 	// history a dump exists to show.
 	Hops bool
-	// MaxDumps bounds how many times the recorder dumps (0 = 1). One
-	// failing run then produces one dump, not one per starved miss.
-	MaxDumps int
 }
 
 // FlightRecorder keeps the last Size protocol events in a fixed ring so
@@ -68,7 +65,9 @@ type FlightRecorder struct {
 	out      io.Writer
 	label    string
 	hops     bool
-	dumps    int
+	// dumped marks the one dump a recorder makes: a failing run produces
+	// one dump, not one per starved miss.
+	dumped bool
 }
 
 // NewFlightRecorder builds a recorder; see RecorderConfig for defaults.
@@ -87,17 +86,12 @@ func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
 	if deadline < 0 {
 		deadline = 0 // no deadline
 	}
-	dumps := cfg.MaxDumps
-	if dumps == 0 {
-		dumps = 1
-	}
 	return &FlightRecorder{
 		ring:     make([]stats.Event, size),
 		deadline: deadline,
 		out:      cfg.Out,
 		label:    cfg.Label,
 		hops:     cfg.Hops,
-		dumps:    dumps,
 	}
 }
 
@@ -170,17 +164,17 @@ func (r *FlightRecorder) at(i int) *stats.Event {
 	return &r.ring[(start+uint64(i))%uint64(len(r.ring))]
 }
 
-// Trip dumps the ring to the configured output if the recorder still has
-// dump budget. The machine trips it on deadlock and on safety-oracle
+// Trip dumps the ring to the configured output unless the recorder has
+// dumped already. The machine trips it on deadlock and on safety-oracle
 // failure; the recorder trips itself on a starvation-deadline overrun.
 // The whole dump is issued as one Write so concurrent runs sharing an
 // output (through NewSyncWriter) interleave dumps, never lines. Safe on
 // a nil receiver.
 func (r *FlightRecorder) Trip(reason string) {
-	if r == nil || r.dumps <= 0 {
+	if r == nil || r.dumped {
 		return
 	}
-	r.dumps--
+	r.dumped = true
 	var buf bytes.Buffer
 	r.WriteTo(&buf, reason)
 	out := r.out

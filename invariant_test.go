@@ -170,7 +170,7 @@ func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warm
 		t.Fatalf("unknown protocol %q", proto)
 	}
 
-	if _, err := sys.ExecuteWarm(ctrls, gen, warmup, ops); err != nil {
+	if err := sys.ExecuteWarm(ctrls, gen, warmup, ops); err != nil {
 		t.Fatalf("%s/%s: %v", proto, topoName, err)
 	}
 	if audit != nil {

@@ -15,7 +15,7 @@
 //
 // Simulate one point (see ExampleSimulate for the compiled version):
 //
-//	run, err := tokencoherence.Simulate(tokencoherence.Point{
+//	snap, err := tokencoherence.Simulate(tokencoherence.Point{
 //	    Protocol: tokencoherence.ProtoTokenB,
 //	    Topo:     tokencoherence.TopoTorus,
 //	    Workload: "oltp",
@@ -23,7 +23,8 @@
 //	    Warmup:   8000,
 //	    Seed:     1,
 //	})
-//	fmt.Println(run.CyclesPerTransaction(), run.BytesPerMiss())
+//	cpt, _ := snap.Value("cycles_per_txn")
+//	bpm, _ := snap.Value("bytes_per_miss")
 //
 // or reproduce a whole table/figure:
 //
@@ -116,22 +117,20 @@ type Point = engine.Point
 // and the workload the parameter sweeps run.
 type Options = harness.Options
 
-// Run holds one simulation's statistics.
-type Run = stats.Run
-
-// Simulate executes one simulation point; Token Coherence runs are
-// audited for token conservation and every run is checked by the
-// coherence oracle.
-func Simulate(pt Point) (*Run, error) {
-	run, _, err := engine.RunPoint(pt, nil)
-	return run, err
+// Simulate executes one simulation point and returns its metric
+// snapshot: every named metric the machine, interconnect, protocol, and
+// registered probes published, readable by name (see MetricSchema for
+// discovery). Token Coherence runs are audited for token conservation
+// and every run is checked by the coherence oracle.
+func Simulate(pt Point) (*MetricSnapshot, error) {
+	_, snap, err := engine.RunPoint(pt, nil)
+	return snap, err
 }
 
-// SimulateMetrics executes one simulation point and additionally returns
-// its metric snapshot: every named metric the machine, interconnect,
-// protocol, and registered probes published, readable by name (see
-// MetricSchema for discovery).
-func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return engine.RunPoint(pt, nil) }
+// SimulateMetrics is Simulate that also returns the simulated machine,
+// for callers that inspect it after the run (its caches, its oracle,
+// its live MetricSet).
+func SimulateMetrics(pt Point) (*System, *MetricSnapshot, error) { return engine.RunPoint(pt, nil) }
 
 // MetricSchema reports the named metrics the point's simulation will
 // expose — without running it. The schema is deterministic for a fixed

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimulateSmoke(t *testing.T) {
-	run, err := Simulate(Point{
+	snap, err := Simulate(Point{
 		Protocol: ProtoTokenB,
 		Topo:     TopoTorus,
 		Workload: "specjbb",
@@ -19,11 +19,13 @@ func TestSimulateSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Transactions == 0 || run.Misses.Issued == 0 {
-		t.Errorf("implausible run: %d transactions, %d misses", run.Transactions, run.Misses.Issued)
+	txns, _ := snap.Value("transactions")
+	misses, _ := snap.Value("misses")
+	if txns == 0 || misses == 0 {
+		t.Errorf("implausible run: %v transactions, %v misses", txns, misses)
 	}
-	if run.CyclesPerTransaction() <= 0 {
-		t.Errorf("CyclesPerTransaction = %v", run.CyclesPerTransaction())
+	if cpt, _ := snap.Value("cycles_per_txn"); cpt <= 0 {
+		t.Errorf("cycles_per_txn = %v", cpt)
 	}
 }
 
@@ -128,15 +130,15 @@ func TestWorkloadRegistryResolution(t *testing.T) {
 	}
 
 	// The registered name is runnable end to end by name.
-	run, err := Simulate(Point{
+	sys, _, err := SimulateMetrics(Point{
 		Protocol: ProtoTokenB, Workload: "stride-test",
 		Procs: 4, Ops: 200, Warmup: 100, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Accesses == 0 || run.Transactions == 0 {
-		t.Errorf("implausible custom-workload run: %d accesses, %d transactions", run.Accesses, run.Transactions)
+	if accesses, txns := sys.Metrics.Count("accesses"), sys.Metrics.Count("transactions"); accesses == 0 || txns == 0 {
+		t.Errorf("implausible custom-workload run: %d accesses, %d transactions", accesses, txns)
 	}
 
 	// A registration that does carry parameters is inspectable.
