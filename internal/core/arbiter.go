@@ -43,8 +43,8 @@ type Arbiter struct {
 
 	// Activations counts served persistent requests (for tests/stats).
 	Activations uint64
-	// activations is the same count as a named metric, shared by every
-	// arbiter of the run.
+	// activations is this arbiter's shard of the same count as a named
+	// metric.
 	activations *stats.Counter
 }
 
@@ -100,10 +100,9 @@ func (a *Arbiter) Handle(m *msg.Message) {
 // broadcastTargets returns every port that tracks persistent requests:
 // all cache controllers of the root scope plus this home's memory
 // controller. Persistent requests are the machine-wide mechanism, so
-// the set always spans the root scope's members (block-invariant for
-// the built-in scopes), never a cluster.
+// the set always spans the root scope's members, never a cluster.
 func (a *Arbiter) broadcastTargets() []msg.Port {
-	members := a.sys.Scope.Members(0)
+	members := a.sys.Scope.Members
 	ports := make([]msg.Port, 0, len(members)+1)
 	for _, n := range members {
 		ports = append(ports, msg.Port{Node: n, Unit: msg.UnitCache})

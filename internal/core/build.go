@@ -58,14 +58,14 @@ func build(sys *machine.System, policy func() Policy, hints bool) *TokenSystem {
 	// byNode is resolved lazily: only scoped policies need cluster
 	// metadata, and engine validation rejects scoped protocols on
 	// topologies without it before construction starts.
-	var byNode []machine.Scope
+	var byNode []*machine.Scope
 	for i := 0; i < n; i++ {
 		id := msg.NodeID(i)
 		p := policy()
 		if sp, ok := p.(ScopedPolicy); ok {
 			if byNode == nil {
 				var err error
-				_, byNode, err = sys.ScopesFor()
+				byNode, err = sys.ScopesFor()
 				if err != nil {
 					panic(err)
 				}

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"math/bits"
-
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 )
-
-// trailingZeros64 is a tiny alias keeping the redirect loop readable.
-func trailingZeros64(v uint64) int { return bits.TrailingZeros64(v) }
 
 // memLine is the home memory's token state for one block. The paper
 // stores it in ECC bits (valid bit, owner bit, token count: 2+log2(T)
@@ -47,7 +42,7 @@ type Memory struct {
 type hintLine struct {
 	owner    msg.NodeID
 	hasOwner bool
-	sharers  uint64
+	sharers  msg.NodeSet
 }
 
 // NewMemory builds the home memory controller for node id and registers
@@ -165,7 +160,7 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 		targets = append(targets, msg.Port{Node: n, Unit: msg.UnitCache})
 	}
 	if mm.Cat == msg.CatReissue {
-		for _, n := range m.sys.Scope.Members(b) {
+		for _, n := range m.sys.Scope.Members {
 			addTarget(n)
 		}
 	} else {
@@ -180,9 +175,7 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 			if h.hasOwner {
 				addTarget(h.owner)
 			}
-			for set := h.sharers; set != 0; {
-				n := msg.NodeID(trailingZeros64(set))
-				set &^= 1 << uint(n)
+			for n := h.sharers.Next(0); n >= 0; n = h.sharers.Next(n + 1) {
 				addTarget(n)
 			}
 		}
@@ -196,11 +189,11 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 	// Update soft state from the request stream.
 	switch mm.Kind {
 	case msg.KindGetS:
-		h.sharers |= 1 << uint(reqNode)
+		h.sharers.Add(reqNode)
 	case msg.KindGetM:
 		h.owner = reqNode
 		h.hasOwner = true
-		h.sharers = 0
+		h.sharers = msg.NodeSet{}
 	}
 }
 

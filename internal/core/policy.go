@@ -31,7 +31,7 @@ type Policy interface {
 // re-deriving it per request.
 type ScopedPolicy interface {
 	Policy
-	BindScope(machine.Scope)
+	BindScope(*machine.Scope)
 }
 
 // NewBroadcastPolicy returns TokenB's policy: broadcast every transient
@@ -57,7 +57,7 @@ func (broadcastPolicy) Name() string { return "tokenb" }
 func (broadcastPolicy) Observe(*TokenB, *msg.Message) {}
 
 func (broadcastPolicy) Destinations(c *TokenB, m *machine.MSHR, _ bool, buf []msg.Port) []msg.Port {
-	for _, n := range c.Scope.Members(m.Block) {
+	for _, n := range c.Scope.Members {
 		if n != c.ID {
 			buf = append(buf, msg.Port{Node: n, Unit: msg.UnitCache})
 		}

@@ -32,9 +32,7 @@ type regionFilter struct {
 	// scope is the issuing node's cluster realm, bound by the builder;
 	// nil (unbound, e.g. direct substrate construction outside the
 	// engine) degrades to plain broadcast.
-	scope machine.Scope
-	// inCluster caches the bound scope's membership.
-	inCluster map[msg.NodeID]bool
+	scope *machine.Scope
 }
 
 func newRegionFilter() *regionFilter {
@@ -44,13 +42,7 @@ func newRegionFilter() *regionFilter {
 func (p *regionFilter) Name() string { return "regionfilter" }
 
 // BindScope implements ScopedPolicy.
-func (p *regionFilter) BindScope(s machine.Scope) {
-	p.scope = s
-	p.inCluster = make(map[msg.NodeID]bool)
-	for _, n := range s.Members(0) {
-		p.inCluster[n] = true
-	}
-}
+func (p *regionFilter) BindScope(s *machine.Scope) { p.scope = s }
 
 func (p *regionFilter) region(b msg.Block) msg.Block { return b >> p.regionShift }
 
@@ -61,7 +53,7 @@ func (p *regionFilter) Observe(c *TokenB, mm *msg.Message) {
 	if mm.Src.Unit != msg.UnitCache {
 		return
 	}
-	if p.scope == nil || p.inCluster[mm.Src.Node] {
+	if p.scope == nil || p.scope.Set.Has(mm.Src.Node) {
 		return
 	}
 	p.external[p.region(msg.BlockOf(mm.Addr))] = true
@@ -71,7 +63,7 @@ func (p *regionFilter) Destinations(c *TokenB, m *machine.MSHR, reissue bool, bu
 	if reissue || p.scope == nil || p.external[p.region(m.Block)] {
 		return broadcastPolicy{}.Destinations(c, m, reissue, buf)
 	}
-	for _, n := range p.scope.Members(m.Block) {
+	for _, n := range p.scope.Members {
 		if n != c.ID {
 			buf = append(buf, msg.Port{Node: n, Unit: msg.UnitCache})
 		}

@@ -22,9 +22,8 @@ type TokenB struct {
 	ledger *Ledger
 	policy Policy
 
-	// reissues and tokenMsgs are the substrate's named metrics, shared
-	// by every controller of the run (the MetricSet deduplicates the
-	// per-node registrations).
+	// reissues and tokenMsgs are this controller's shards of the
+	// substrate's named metrics; the MetricSet sums every shard.
 	reissues  *stats.Counter
 	tokenMsgs *stats.Counter
 

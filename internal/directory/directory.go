@@ -4,7 +4,10 @@
 // per block, forwards them to the owner, issues invalidations, and
 // queues (never nacks) requests that hit a busy block. The directory
 // state lives in DRAM (Config.DirLatency = MemLatency) or in a perfect
-// directory cache (DirLatency = 0).
+// directory cache (DirLatency = 0). Full-map means every home keeps its
+// sharers as a msg.NodeSet indexed by node ID, so it tracks every node
+// of any machine up to msg.MaxNodes; the two-level protocol (dir2)
+// reuses the same home state machine per cluster.
 //
 // The price of the design is the paper's central observation: every
 // cache-to-cache miss crosses the interconnect three times (requester ->
@@ -13,7 +16,6 @@ package directory
 
 import (
 	"fmt"
-	"math/bits"
 
 	"tokencoherence/internal/cache"
 	"tokencoherence/internal/machine"
@@ -409,8 +411,7 @@ func (c *Cache) dropLine(b msg.Block) {
 
 // Memory is the flat home directory controller for one node's slice of
 // the machine-wide address space: the homeCore state machine (see
-// home.go) over the root coherence realm, with the historical identity
-// sharer-bitset layout.
+// home.go) over the root coherence realm.
 type Memory struct {
 	homeCore
 	id msg.NodeID
@@ -419,7 +420,7 @@ type Memory struct {
 // NewMemory builds and registers node id's directory controller.
 func NewMemory(sys *machine.System, id msg.NodeID) *Memory {
 	m := &Memory{
-		homeCore: newHomeCore(sys, msg.Port{Node: id, Unit: msg.UnitMem}, nil),
+		homeCore: newHomeCore(sys, msg.Port{Node: id, Unit: msg.UnitMem}),
 		id:       id,
 	}
 	sys.Net.Register(m.Port(), m)
@@ -432,7 +433,7 @@ func (m *Memory) Port() msg.Port { return m.port }
 // State reports the directory state for tests.
 func (m *Memory) State(b msg.Block) (state uint8, owner msg.NodeID, sharers int) {
 	l := m.line(b)
-	return uint8(l.state), l.owner, bits.OnesCount64(l.sharers)
+	return uint8(l.state), l.owner, l.sharers.Len()
 }
 
 // Handle implements interconnect.Handler.

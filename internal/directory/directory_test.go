@@ -274,3 +274,29 @@ func (g *uniformGen) Next(proc int, rng *sim.Source) machine.Op {
 		Think: g.think,
 	}
 }
+
+// TestSharerAbove64Invalidated: the full-map directory tracks sharers by
+// node ID across the whole machine, so on 128 processors a sharer
+// numbered above 64 is recorded, invalidated by another node's write
+// like any other, and re-reads the new version.
+func TestSharerAbove64Invalidated(t *testing.T) {
+	sys, s := newDirSystem(t, 9, func(c *machine.Config) {
+		c.Procs = 128
+		c.TokensPerBlock = 2 * c.Procs
+	})
+	const addr = msg.Addr(0x900)
+	b := msg.BlockOf(addr)
+	finish(t, sys, access(sys, s.Caches[100], addr, false))
+	state, _, sharers := s.Mems[msg.HomeOf(b, 128)].State(b)
+	if dirState(state) != dirS || sharers != 1 {
+		t.Errorf("after node 100's read, dir = (%d, sharers=%d), want (dirS, 1)", state, sharers)
+	}
+	finish(t, sys, access(sys, s.Caches[3], addr, true))
+	if l := s.Caches[100].L2.Lookup(b); l != nil && l.Valid {
+		t.Errorf("node 100 kept a valid copy after node 3's write: %+v", l)
+	}
+	finish(t, sys, access(sys, s.Caches[100], addr, false))
+	if l, v := s.Caches[100].L2.Lookup(b), sys.Oracle.Latest(b); l == nil || l.Data != v {
+		t.Errorf("node 100 re-read line = %+v, want data v%d", l, v)
+	}
+}

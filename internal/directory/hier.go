@@ -6,7 +6,7 @@ package directory
 //
 // Every node runs a ClusterHome for its cluster's slice of the address
 // space (homes block-interleaved across the cluster's members, see
-// machine.NewClusterScope), so a miss that stays cluster-private is
+// machine.Scope.Home), so a miss that stays cluster-private is
 // serialized one or two hops away instead of crossing the machine. A
 // cluster home may only serve a block while it holds that block's
 // authority, granted by the GlobalAuth tier at the block's machine-wide
@@ -18,17 +18,12 @@ package directory
 // the grant arrived.
 
 import (
-	"fmt"
-	"math/bits"
 	"slices"
 
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/stats"
 )
-
-// MaxClusterNodes is the sharer-bitset capacity of one cluster tier.
-const MaxClusterNodes = 64
 
 // authLine is a cluster home's authority state for one block.
 type authLine struct {
@@ -55,7 +50,7 @@ type authLine struct {
 type ClusterHome struct {
 	homeCore
 	id    msg.NodeID
-	scope machine.Scope
+	scope *machine.Scope
 	auths map[msg.Block]*authLine
 	// acquires counts authority acquisitions (cluster-level misses that
 	// escalated to the global tier).
@@ -64,9 +59,9 @@ type ClusterHome struct {
 
 // NewClusterHome builds and registers node id's cluster directory tier
 // over scope (the cluster containing id).
-func NewClusterHome(sys *machine.System, id msg.NodeID, scope machine.Scope) *ClusterHome {
+func NewClusterHome(sys *machine.System, id msg.NodeID, scope *machine.Scope) *ClusterHome {
 	h := &ClusterHome{
-		homeCore: newHomeCore(sys, msg.Port{Node: id, Unit: msg.UnitMem}, scope.Members(0)),
+		homeCore: newHomeCore(sys, msg.Port{Node: id, Unit: msg.UnitMem}),
 		id:       id,
 		scope:    scope,
 		auths:    make(map[msg.Block]*authLine),
@@ -110,6 +105,9 @@ func (h *ClusterHome) Handle(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM, msg.KindPutM:
+		if !h.scope.Set.Has(mm.Src.Node) {
+			panic("directory: request from a node outside the home's realm")
+		}
 		l := h.line(b)
 		a := h.auth(b)
 		if !a.have || a.acquiring || a.recalling || a.pendingRecall || l.busy {
@@ -153,7 +151,7 @@ func (h *ClusterHome) onGrant(b msg.Block, mm *msg.Message) {
 		panic("directory: stray authority grant")
 	}
 	l := h.line(b)
-	if l.state != dirI || l.sharers != 0 || l.busy {
+	if l.state != dirI || l.sharers.Len() != 0 || l.busy {
 		panic("directory: authority granted over live cluster state")
 	}
 	a.acquiring = false
@@ -205,15 +203,14 @@ func (h *ClusterHome) startRecall(b msg.Block, l *dirLine, a *authLine) {
 	switch l.state {
 	case dirI, dirS:
 		// The cluster home's copy is current; drop any read-only sharers.
-		set := l.sharers
 		a.needData = false
-		a.recallAcks = bits.OnesCount64(set)
-		h.sendInvals(set, b.Base(), h.port, seq)
+		a.recallAcks = l.sharers.Len()
+		h.sendInvals(l.sharers, b.Base(), h.port, seq)
 	case dirM, dirO:
 		// Pull the data from the cluster owner and drop the rest.
-		others := l.sharers &^ (1 << h.idx(l.owner))
+		others := l.sharers.Without(l.owner)
 		a.needData = true
-		a.recallAcks = bits.OnesCount64(others)
+		a.recallAcks = others.Len()
 		h.send(msg.Message{
 			Kind: msg.KindFwdGetM, Cat: msg.CatRequest,
 			Src: h.port, Dst: msg.Port{Node: l.owner, Unit: msg.UnitCache},
@@ -255,7 +252,7 @@ func (h *ClusterHome) maybeFinishRecall(b msg.Block, l *dirLine, a *authLine) {
 	// against the next tenure's.
 	l.state = dirI
 	l.owner = 0
-	l.sharers = 0
+	l.sharers = msg.NodeSet{}
 	h.send(msg.Message{
 		Kind: msg.KindRecallAck, Cat: msg.CatData,
 		Src: h.port, Dst: h.globalPort(b), Addr: b.Base(),
@@ -383,17 +380,11 @@ type System2 struct {
 }
 
 // Build2 constructs the two-level directory protocol on sys. The
-// topology must expose cluster metadata (topology.Clustered), and no
-// cluster may exceed the sharer bitset's 64-node capacity.
+// topology must expose cluster metadata (topology.Clustered).
 func Build2(sys *machine.System) (*System2, error) {
-	scopes, byNode, err := sys.ScopesFor()
+	byNode, err := sys.ScopesFor()
 	if err != nil {
 		return nil, err
-	}
-	for _, sc := range scopes {
-		if n := len(sc.Members(0)); n > MaxClusterNodes {
-			return nil, fmt.Errorf("directory: cluster of %d nodes exceeds the two-level directory's %d-node sharer-bitset capacity", n, MaxClusterNodes)
-		}
 	}
 	s := &System2{}
 	for i := 0; i < sys.Cfg.Procs; i++ {

@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"math/bits"
 	"slices"
 
 	"tokencoherence/internal/machine"
@@ -21,7 +20,7 @@ const (
 )
 
 // dirLine is one block's home state. Its fields are ordered to pack
-// into 80 bytes.
+// into 104 bytes.
 type dirLine struct {
 	state dirState
 	busy  bool
@@ -29,7 +28,7 @@ type dirLine struct {
 	txnKind msg.Kind
 	owner   msg.NodeID
 	txnReq  msg.Port
-	sharers uint64 // bitset over sharer indices (see homeCore.idx)
+	sharers msg.NodeSet // nodes known to hold a read-only copy
 	data    uint64
 	// seq numbers this block's home transactions; every outgoing data,
 	// grant, forward and invalidation is stamped with it so caches can
@@ -47,10 +46,11 @@ type dirLine struct {
 // homeCore is the per-block MOSI home directory state machine, reusable
 // across coherence realms: the flat machine-wide home (Memory) embeds it
 // over all nodes, and the two-level protocol's per-cluster tier
-// (ClusterHome) embeds it over one cluster's members. The embedding
-// wrapper owns message reception, queueing policy, and network
-// registration; the core owns the line state, request processing, and
-// the unblock path.
+// (ClusterHome) embeds it over one cluster's members. Either way a
+// line's sharers are node IDs, so the core needs no notion of its
+// realm. The embedding wrapper owns message reception, queueing policy,
+// and network registration; the core owns the line state, request
+// processing, and the unblock path.
 type homeCore struct {
 	sys  *machine.System
 	isle *machine.Isle
@@ -58,17 +58,9 @@ type homeCore struct {
 	// stamped with it as Src.
 	port  msg.Port
 	lines map[msg.Block]*dirLine
-	// homeReqs is the protocol's named metric: transactions serialized
-	// at home directories (shared by every home of the run).
+	// homeReqs is this home's shard of the protocol's named metric
+	// dir_home_requests: transactions serialized at home directories.
 	homeReqs *stats.Counter
-
-	// members maps sharer-bitset indices to node IDs when the home
-	// serves a cluster realm. Nil selects the machine-wide identity
-	// mapping (bit i == node i), the flat directory's historical layout.
-	members []msg.NodeID
-	// mindex inverts members (node -> bitset index, -1 for non-members);
-	// nil together with members.
-	mindex []int
 
 	// onIdle, when non-nil, runs in the unblock path after a transaction
 	// completes (the line just went idle) and before the queue drains.
@@ -78,10 +70,8 @@ type homeCore struct {
 	onIdle func(l *dirLine, b msg.Block) bool
 }
 
-// newHomeCore builds a home state machine sending from port. members
-// selects the sharer-bitset index space: nil for the machine-wide
-// identity mapping, or a cluster's node list (at most 64 nodes).
-func newHomeCore(sys *machine.System, port msg.Port, members []msg.NodeID) homeCore {
+// newHomeCore builds a home state machine sending from port.
+func newHomeCore(sys *machine.System, port msg.Port) homeCore {
 	hc := homeCore{
 		sys:   sys,
 		isle:  sys.IsleFor(int(port.Node)),
@@ -92,37 +82,7 @@ func newHomeCore(sys *machine.System, port msg.Port, members []msg.NodeID) homeC
 		Name: "dir_home_requests", Unit: "count", Fmt: "%.0f",
 		Help: "requests serialized at home directories",
 	})
-	if members != nil {
-		hc.members = members
-		hc.mindex = make([]int, sys.Cfg.Procs)
-		for i := range hc.mindex {
-			hc.mindex[i] = -1
-		}
-		for i, n := range members {
-			hc.mindex[n] = i
-		}
-	}
 	return hc
-}
-
-// idx maps a node to its sharer-bitset index.
-func (m *homeCore) idx(n msg.NodeID) uint {
-	if m.mindex == nil {
-		return uint(n)
-	}
-	i := m.mindex[n]
-	if i < 0 {
-		panic("directory: request from a node outside the home's realm")
-	}
-	return uint(i)
-}
-
-// nodeAt maps a sharer-bitset index back to its node.
-func (m *homeCore) nodeAt(i int) msg.NodeID {
-	if m.members == nil {
-		return msg.NodeID(i)
-	}
-	return m.members[i]
 }
 
 func (m *homeCore) line(b msg.Block) *dirLine {
@@ -153,7 +113,7 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 		switch l.state {
 		case dirI, dirS:
 			l.state = dirS
-			l.sharers |= 1 << m.idx(req.Node)
+			l.sharers.Add(req.Node)
 			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
@@ -176,19 +136,19 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 			l.state = dirM
 			l.owner = req.Node
 			l.ownerSeq = seq
-			l.sharers = 0
+			l.sharers = msg.NodeSet{}
 			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
 				HasData: true, Data: l.data, Owner: true, Seq: seq,
 			}, m.dataLat())
 		case dirS:
-			others := l.sharers &^ (1 << m.idx(req.Node))
-			n := bits.OnesCount64(others)
+			others := l.sharers.Without(req.Node)
+			n := others.Len()
 			l.state = dirM
 			l.owner = req.Node
 			l.ownerSeq = seq
-			l.sharers = 0
+			l.sharers = msg.NodeSet{}
 			m.send(msg.Message{
 				Kind: msg.KindData, Cat: msg.CatData,
 				Src: m.port, Dst: req, Addr: mm.Addr,
@@ -199,11 +159,11 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 			if l.owner == req.Node {
 				// Upgrade by the current owner: dataless grant plus
 				// invalidations; the directory moves to M immediately.
-				others := l.sharers &^ (1 << m.idx(req.Node))
-				n := bits.OnesCount64(others)
+				others := l.sharers.Without(req.Node)
+				n := others.Len()
 				l.state = dirM
 				l.ownerSeq = seq
-				l.sharers = 0
+				l.sharers = msg.NodeSet{}
 				m.send(msg.Message{
 					Kind: msg.KindAck, Cat: msg.CatControl,
 					Src: m.port, Dst: req, Addr: mm.Addr, Acks: n, Seq: seq,
@@ -211,8 +171,8 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 				m.sendInvals(others, mm.Addr, req, seq)
 				return
 			}
-			others := l.sharers &^ ((1 << m.idx(req.Node)) | (1 << m.idx(l.owner)))
-			n := bits.OnesCount64(others)
+			others := l.sharers.Without(req.Node).Without(l.owner)
+			n := others.Len()
 			l.busy = true
 			l.txnKind = msg.KindGetM
 			l.txnReq = req
@@ -246,13 +206,12 @@ func (m *homeCore) process(l *dirLine, mm *msg.Message) {
 	}
 }
 
-func (m *homeCore) sendInvals(set uint64, addr msg.Addr, req msg.Port, seq uint64) {
-	for set != 0 {
-		i := bits.TrailingZeros64(set)
-		set &^= 1 << uint(i)
+// sendInvals invalidates every node of set, in ascending node order.
+func (m *homeCore) sendInvals(set msg.NodeSet, addr msg.Addr, req msg.Port, seq uint64) {
+	for n := set.Next(0); n >= 0; n = set.Next(n + 1) {
 		m.send(msg.Message{
 			Kind: msg.KindInv, Cat: msg.CatRequest,
-			Src: m.port, Dst: msg.Port{Node: m.nodeAt(i), Unit: msg.UnitCache},
+			Src: m.port, Dst: msg.Port{Node: n, Unit: msg.UnitCache},
 			Addr: addr, Requester: req, Seq: seq,
 		}, m.dirLat())
 	}
@@ -270,20 +229,20 @@ func (m *homeCore) unblock(l *dirLine, mm *msg.Message) {
 			l.state = dirM
 			l.owner = req.Node
 			l.ownerSeq = l.txnSeq
-			l.sharers = 0
+			l.sharers = msg.NodeSet{}
 		} else {
 			if l.state == dirM {
-				l.sharers = 0
+				l.sharers = msg.NodeSet{}
 			}
 			l.state = dirO
-			l.sharers |= 1 << m.idx(req.Node)
+			l.sharers.Add(req.Node)
 			// owner unchanged
 		}
 	case msg.KindGetM:
 		l.state = dirM
 		l.owner = req.Node
 		l.ownerSeq = l.txnSeq
-		l.sharers = 0
+		l.sharers = msg.NodeSet{}
 	}
 	l.busy = false
 	if m.onIdle != nil && m.onIdle(l, msg.BlockOf(mm.Addr)) {

@@ -20,7 +20,7 @@ import (
 // require a bump. The engine's determinism suite is what makes this
 // contract testable: a given (point, CodeVersion) pair names exactly one
 // result.
-const CodeVersion = "tokencoherence-sim-v8"
+const CodeVersion = "tokencoherence-sim-v9"
 
 // ErrUncacheable marks a point with no stable content identity: it
 // carries a NewGen closure and no GenID naming what that generator

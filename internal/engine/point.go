@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"tokencoherence/internal/machine"
+	"tokencoherence/internal/msg"
 	"tokencoherence/internal/registry"
 	"tokencoherence/internal/stats"
 	"tokencoherence/internal/topology"
@@ -122,9 +123,9 @@ type components struct {
 }
 
 // resolve looks the point's named components up in the registry,
-// applying the topology default and enforcing the protocol's
-// interconnect-ordering capability. All name errors report the
-// registered alternatives.
+// applying the topology default and enforcing the machine-size limit
+// and the protocol's interconnect-ordering capability. All name errors
+// report the registered alternatives.
 func (pt Point) resolve() (components, error) {
 	var c components
 	proto, ok := registry.LookupProtocol(pt.Protocol)
@@ -153,6 +154,9 @@ func (pt Point) resolve() (components, error) {
 		if err := c.topo.Check(pt.Procs); err != nil {
 			return c, fmt.Errorf("engine: topology %q cannot carry %d processors: %w", c.topo.Name, pt.Procs, err)
 		}
+	}
+	if pt.Procs > msg.MaxNodes {
+		return c, fmt.Errorf("engine: %d processors exceed the %d-node machine limit (msg.MaxNodes)", pt.Procs, msg.MaxNodes)
 	}
 	if pt.Islands > 1 {
 		if pt.Islands > pt.Procs {

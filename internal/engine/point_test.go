@@ -160,6 +160,21 @@ func TestValidateTopologySizeCheck(t *testing.T) {
 	}
 }
 
+// TestValidateMachineLimit: a topology that could carry any size (the
+// torus takes every composite count) still stops at the simulator's
+// machine limit, and the error names it.
+func TestValidateMachineLimit(t *testing.T) {
+	err := Point{Protocol: ProtoTokenB, Topo: TopoTorus, Workload: "oltp", Procs: 512}.Validate()
+	if err == nil {
+		t.Fatal("Validate accepted 512 processors")
+	}
+	for _, want := range []string{"512 processors", "256-node machine limit"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
 func TestPlanProcsValidatedEarly(t *testing.T) {
 	// The plan-level Procs override participates in expansion-time
 	// validation: a size the topology cannot carry fails at Jobs().

@@ -120,7 +120,7 @@ type CacheBase struct {
 	// InitBase wires the system's root scope (the flat machine-wide
 	// realm); hierarchical protocols re-point it at the node's cluster
 	// scope, rerouting HomePort at the per-cluster tier.
-	Scope Scope
+	Scope *Scope
 
 	L1          *cache.Cache
 	L2          *cache.Cache

@@ -3,6 +3,11 @@
 // MSHR-based cache-controller base that all four protocols build on, the
 // write-version safety oracle, and system wiring.
 //
+// Coherence realms are concrete Scope values: the System's root scope
+// spans all nodes (at most msg.MaxNodes, checked by Config.Validate),
+// and ScopesFor builds one scope per topology cluster for hierarchical
+// protocols.
+//
 // A System counts into its MetricSet only: each island registers its
 // own shards of the machine counters (transactions, accesses, hits,
 // misses by Table 2 class, the miss-latency histogram), and the
@@ -13,6 +18,7 @@ import (
 	"io"
 
 	"tokencoherence/internal/interconnect"
+	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
 )
 
@@ -127,6 +133,8 @@ func (c Config) Validate() {
 	switch {
 	case c.Procs <= 0:
 		panic("machine: Procs must be positive")
+	case c.Procs > msg.MaxNodes:
+		panic("machine: Procs must not exceed msg.MaxNodes")
 	case c.TokensPerBlock < c.Procs:
 		panic("machine: TokensPerBlock must be at least Procs (paper invariant)")
 	case c.MSHRs <= 0:

@@ -48,6 +48,7 @@ func TestConfigValidatePanics(t *testing.T) {
 		func(c *Config) { c.TokensPerBlock = c.Procs - 1 },
 		func(c *Config) { c.MSHRs = 0 },
 		func(c *Config) { c.MaxReissues = -1 },
+		func(c *Config) { c.Procs, c.TokensPerBlock = msg.MaxNodes+1, 2*(msg.MaxNodes+1) },
 	}
 	for i, mutate := range cases {
 		func() {

@@ -7,95 +7,55 @@ import (
 	"tokencoherence/internal/topology"
 )
 
-// Scope is a coherence realm: the set of nodes a protocol transaction
-// for a block is resolved among, and the home node that serializes it.
-// The root scope spans the whole machine (today's flat protocols); a
-// hierarchical protocol additionally works in cluster scopes whose
-// Parent chain escalates toward the root.
-//
-// Members may return an internally cached slice; callers must not
-// mutate or retain it across calls.
-type Scope interface {
-	// Home returns the node serializing transactions for the block
-	// within this scope.
-	Home(b msg.Block) msg.NodeID
-	// Members returns the scope's nodes for the block, in ascending
-	// order. For the built-in scopes the set is block-independent.
-	Members(b msg.Block) []msg.NodeID
-	// Parent returns the enclosing scope, or nil for the root.
-	Parent() Scope
+// Scope is a coherence realm: the nodes a protocol transaction for a
+// block is resolved among, and the home that serializes it. The system's
+// root scope spans the whole machine (the flat protocols' realm);
+// hierarchical protocols also work in one scope per topology cluster
+// (see ScopesFor).
+type Scope struct {
+	// Members lists the realm's nodes in ascending order. Callers must
+	// not mutate it.
+	Members []msg.NodeID
+	// Set holds the same nodes, for membership tests.
+	Set msg.NodeSet
 }
 
-// flatScope is the root realm: all n nodes, with the historical
-// block-interleaved home mapping (msg.HomeOf). It reproduces the flat
-// protocols' destination sets byte-identically.
-type flatScope struct {
-	n       int
-	members []msg.NodeID
-}
-
-// NewFlatScope returns the machine-wide root scope over n nodes.
-func NewFlatScope(n int) Scope {
-	s := &flatScope{n: n, members: make([]msg.NodeID, n)}
-	for i := range s.members {
-		s.members[i] = msg.NodeID(i)
+// NewScope returns the realm over members (ascending). It panics on an
+// empty member set.
+func NewScope(members []msg.NodeID) *Scope {
+	if len(members) == 0 {
+		panic("machine: scope needs at least one member")
+	}
+	s := &Scope{Members: members}
+	for _, n := range members {
+		s.Set.Add(n)
 	}
 	return s
 }
 
-func (s *flatScope) Home(b msg.Block) msg.NodeID    { return msg.HomeOf(b, s.n) }
-func (s *flatScope) Members(msg.Block) []msg.NodeID { return s.members }
-func (s *flatScope) Parent() Scope                  { return nil }
-
-// clusterScope is one cluster's realm: a fixed member set with homes
-// block-interleaved across the members, escalating to parent.
-type clusterScope struct {
-	members []msg.NodeID
-	parent  Scope
+// Home returns the node serializing transactions for the block within
+// the realm: homes are block-interleaved across the members, so the root
+// scope's home is msg.HomeOf.
+func (s *Scope) Home(b msg.Block) msg.NodeID {
+	return s.Members[uint64(b)%uint64(len(s.Members))]
 }
 
-// NewClusterScope returns a scope over the given members (ascending)
-// escalating to parent. It panics on an empty member set.
-func NewClusterScope(members []msg.NodeID, parent Scope) Scope {
-	if len(members) == 0 {
-		panic("machine: cluster scope needs at least one member")
-	}
-	return &clusterScope{members: members, parent: parent}
-}
-
-func (s *clusterScope) Home(b msg.Block) msg.NodeID {
-	return s.members[uint64(b)%uint64(len(s.members))]
-}
-func (s *clusterScope) Members(msg.Block) []msg.NodeID { return s.members }
-func (s *clusterScope) Parent() Scope                  { return s.parent }
-
-// ClusterScopes derives one scope per cluster of a Clustered topology,
-// each escalating to parent (normally the system's root scope), plus a
-// per-node index: byNode[n] is the scope of the cluster containing node
-// n. Hierarchical protocols call this at build time.
-func ClusterScopes(ct topology.Clustered, parent Scope) (scopes []Scope, byNode []Scope) {
-	clusters := topology.Clusters(ct)
-	scopes = make([]Scope, len(clusters))
-	byNode = make([]Scope, ct.Nodes())
-	for c, members := range clusters {
-		scopes[c] = NewClusterScope(members, parent)
-		for _, n := range members {
-			byNode[n] = scopes[c]
-		}
-	}
-	return scopes, byNode
-}
-
-// ScopesFor resolves the system's cluster scopes, or an error naming the
-// topology when it exposes no cluster metadata. Protocol build functions
-// use it so a scope-requiring protocol on a flat topology fails with a
-// diagnosable message even when constructed outside the engine's
-// validation path.
-func (s *System) ScopesFor() (scopes []Scope, byNode []Scope, err error) {
+// ScopesFor returns each node's cluster realm (byNode[n] is the scope of
+// the cluster containing node n), or an error naming the topology when
+// it exposes no cluster metadata. Protocol build functions use it so a
+// scope-requiring protocol on a flat topology fails with a diagnosable
+// message even when constructed outside the engine's validation path.
+func (s *System) ScopesFor() (byNode []*Scope, err error) {
 	ct, ok := s.Topo.(topology.Clustered)
 	if !ok {
-		return nil, nil, fmt.Errorf("machine: topology %q exposes no cluster metadata (topology.Clustered) required by scoped protocols", s.Topo.Name())
+		return nil, fmt.Errorf("machine: topology %q exposes no cluster metadata (topology.Clustered) required by scoped protocols", s.Topo.Name())
 	}
-	scopes, byNode = ClusterScopes(ct, s.Scope)
-	return scopes, byNode, nil
+	byNode = make([]*Scope, ct.Nodes())
+	for _, members := range topology.Clusters(ct) {
+		sc := NewScope(members)
+		for _, n := range members {
+			byNode[n] = sc
+		}
+	}
+	return byNode, nil
 }

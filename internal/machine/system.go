@@ -36,9 +36,9 @@ type System struct {
 
 	// Scope is the machine-wide root coherence realm: all nodes, homes
 	// block-interleaved (msg.HomeOf). Flat protocols resolve every
-	// transaction in it; hierarchical protocols derive cluster scopes
-	// whose Parent chain ends here (see ScopesFor).
-	Scope Scope
+	// transaction in it; hierarchical protocols also work in cluster
+	// scopes (see ScopesFor).
+	Scope *Scope
 
 	// Cluster coordinates the island kernels; Isles holds the per-island
 	// wiring. IsleFor maps a node to its island.
@@ -144,13 +144,17 @@ func NewSystem(cfg Config, topo topology.Topology, seed uint64) *System {
 		assign = make([]int32, topo.Nodes())
 	}
 	cluster := sim.NewCluster(islands, assign, cfg.Net.LinkLatency)
+	root := make([]msg.NodeID, cfg.Procs)
+	for i := range root {
+		root[i] = msg.NodeID(i)
+	}
 	s := &System{
 		K:        cluster.Kernel(0),
 		Cfg:      cfg,
 		Topo:     topo,
 		Oracle:   NewOracle(),
 		Rng:      sim.NewSource(seed ^ 0x5bf0_3635_dcf5_9e11),
-		Scope:    NewFlatScope(cfg.Procs),
+		Scope:    NewScope(root),
 		Cluster:  cluster,
 		Metrics:  stats.NewMetricSet(),
 		CutLinks: cut,

@@ -88,9 +88,8 @@ func init() {
 		},
 	})
 	RegisterPolicy(TokenPolicy{
-		Name:   "regionfilter",
-		Scoped: true,
-		New:    func() core.Policy { return core.NewRegionFilterPolicy() },
+		Name: "regionfilter",
+		New:  func() core.Policy { return core.NewRegionFilterPolicy() },
 	})
 
 	// Workloads: the paper's three commercial mixes in paper order, then

@@ -159,12 +159,6 @@ type TokenPolicy struct {
 	// (used by TokenD and TokenM).
 	Hints bool
 
-	// Scoped marks a scope-aware policy (one implementing
-	// core.ScopedPolicy): the builder binds each cache's cluster realm
-	// at construction, so the induced protocol requires a topology with
-	// cluster metadata.
-	Scoped bool
-
 	// New builds one fresh policy instance; every cache controller gets
 	// its own, so stateful predictors need no locking.
 	New func() core.Policy
@@ -188,10 +182,14 @@ func RegisterPolicy(p TokenPolicy) {
 	if _, dup := protocols.lookup(p.Name); dup {
 		panic(fmt.Sprintf("registry: duplicate protocol %q", p.Name))
 	}
+	// A scope-aware policy (core.ScopedPolicy) gets each cache's cluster
+	// realm bound at construction, so its protocol requires a topology
+	// with cluster metadata.
+	_, scoped := p.New().(core.ScopedPolicy)
 	policies.register(p.Name, p)
 	RegisterProtocol(Protocol{
 		Name:             p.Name,
-		RequiresClusters: p.Scoped,
+		RequiresClusters: scoped,
 		Build: func(sys *machine.System) ([]machine.Controller, func() error) {
 			ts := core.WithPolicy(p.New, p.Hints)(sys)
 			return ts.Controllers(), ts.Audit

@@ -2,13 +2,16 @@ package tokencoherence
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
+	"tokencoherence/internal/cache"
 	"tokencoherence/internal/core"
 	"tokencoherence/internal/directory"
 	"tokencoherence/internal/hammer"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
+	"tokencoherence/internal/sim"
 	"tokencoherence/internal/snooping"
 	"tokencoherence/internal/topology"
 	"tokencoherence/internal/workload"
@@ -115,7 +118,11 @@ func TestCrossProtocolDifferentialInvariant64(t *testing.T) {
 
 // runDifferentialPoint builds and runs one protocol/topology system
 // directly (rather than through engine.RunPoint) so the test can read the
-// oracle's final memory image.
+// oracle's final memory image. After the run it drains every message
+// still in flight and checks coherence at quiescence: each L2 line the
+// protocol deems readable must hold the block's latest committed
+// version. The oracle alone cannot see a copy a lost invalidation left
+// behind, because its staleness window forgives recent versions.
 func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warmup int, seed uint64, wl string, islands int) map[msg.Block]uint64 {
 	t.Helper()
 	cfg := machine.DefaultConfig()
@@ -181,6 +188,35 @@ func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warm
 	if err := sys.Oracle.Err(); err != nil {
 		t.Fatalf("%s/%s oracle: %v", proto, topoName, err)
 	}
+	sys.Cluster.Run(func(sim.Time) bool { return false })
+	stale := 0
+	for _, c := range ctrls {
+		var base *machine.CacheBase
+		switch c := c.(type) {
+		case *core.TokenB:
+			base = &c.CacheBase
+		case *directory.Cache:
+			base = &c.CacheBase
+		case *hammer.Cache:
+			base = &c.CacheBase
+		case *snooping.Cache:
+			base = &c.CacheBase
+		default:
+			t.Fatalf("%s: unexpected controller type %T", proto, c)
+		}
+		base.L2.ForEach(func(l *cache.Line) {
+			if base.Hooks.HasPermission(l, false) && l.Data != sys.Oracle.Latest(l.Block) {
+				if stale == 0 {
+					t.Errorf("%s/%s/i%d: node %d holds a readable copy of block %d at v%d after v%d committed",
+						proto, topoName, islands, base.ID, l.Block, l.Data, sys.Oracle.Latest(l.Block))
+				}
+				stale++
+			}
+		})
+	}
+	if stale > 0 {
+		t.Fatalf("%s/%s/i%d: %d stale readable copies at quiescence", proto, topoName, islands, stale)
+	}
 	return sys.Oracle.Image()
 }
 
@@ -212,12 +248,17 @@ func TestCrossProtocolDifferentialInvariant256(t *testing.T) {
 			topo = "tree"
 		}
 		name := fmt.Sprintf("%s/%s/i4", proto, topo)
+		// Release the previous point's heap first: at this scale a point
+		// needs up to about 0.7 GB, and carrying one into the next
+		// nearly doubles the test's peak.
+		debug.FreeOSMemory()
 		image := runDifferentialPoint(t, proto, topo, procs, ops, warmup, seed, wl, 4)
 		results = append(results, result{name, image})
 	}
 	// One serial reference pins the island runs to the single-kernel
 	// universe: identical streams must commit identical write histories
 	// whether or not the kernel is parallel.
+	debug.FreeOSMemory()
 	results = append(results, result{"tokenb/torus/i1",
 		runDifferentialPoint(t, "tokenb", "torus", procs, ops, warmup, seed, wl, 1)})
 	ref := results[0]
