@@ -178,3 +178,53 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 		})
 	}
 }
+
+// setupPoints are the machines TestBenchmarkRegressionSetup builds, keyed
+// by their BENCH.json "setup" point names: the 256-processor torus of
+// the scaling study under TokenB, Directory and dir2, and the paper's
+// 16-processor variants (Snooping on the ordered tree).
+var setupPoints = map[string]engine.Point{
+	"scale256_tokenb":    {Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Procs: 256},
+	"scale256_directory": {Protocol: engine.ProtoDirectory, Topo: engine.TopoTorus, Procs: 256},
+	"scale256_dir2":      {Protocol: engine.ProtoDir2, Topo: engine.TopoTorus, Procs: 256},
+
+	"paper16_tokenb":       {Protocol: engine.ProtoTokenB, Topo: engine.TopoTorus, Procs: 16},
+	"paper16_snooping":     {Protocol: engine.ProtoSnooping, Topo: engine.TopoTree, Procs: 16},
+	"paper16_directory":    {Protocol: engine.ProtoDirectory, Topo: engine.TopoTorus, Procs: 16},
+	"paper16_hammer":       {Protocol: engine.ProtoHammer, Topo: engine.TopoTorus, Procs: 16},
+	"paper16_regionfilter": {Protocol: engine.ProtoRegionFilter, Topo: engine.TopoTorus, Procs: 16},
+}
+
+// TestBenchmarkRegressionSetup gates machine set-up against BENCH.json's
+// "setup" entry: building each machine without simulating it (what
+// MetricSchema does, and what a sweep pays once per point) must stay
+// under the recorded allocation and heap-byte ceilings. Set-up work per
+// node is what grows with the machine, so a component that allocates
+// per-block storage eagerly fails here at 256 processors.
+func TestBenchmarkRegressionSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark regression in -short mode")
+	}
+	base := loadBaseline(t, "setup")
+	if len(base.Points) != len(setupPoints) {
+		t.Errorf("BENCH.json setup records %d points, the test builds %d", len(base.Points), len(setupPoints))
+	}
+	for name, limits := range base.Points {
+		name, limits := name, limits
+		t.Run(name, func(t *testing.T) {
+			pt, ok := setupPoints[name]
+			if !ok {
+				t.Fatalf("baseline names unknown set-up point %q", name)
+			}
+			if limits.MaxBytesPerOp <= 0 {
+				t.Fatalf("BENCH.json setup %s records no max_bytes_per_op", name)
+			}
+			allocs, bytes := memPerRun(func() {
+				if _, err := engine.MetricSchema(pt); err != nil {
+					t.Fatal(err)
+				}
+			})
+			checkLimits(t, "setup", name, limits, allocs, bytes)
+		})
+	}
+}

@@ -116,7 +116,7 @@ func (ts *TokenSystem) Audit() error {
 	}
 	// Gather memory-held tokens.
 	for _, m := range ts.Mems {
-		for b, l := range m.lines {
+		for b, l := range m.lines.All() {
 			h := sums[b]
 			h.tokens += l.tokens
 			if l.owner {

@@ -22,10 +22,18 @@ type Ledger struct {
 	// depend on island interleaving.
 	mu sync.Mutex
 
-	inflight      map[msg.Block]int
-	inflightOwner map[msg.Block]int
-	initialized   map[msg.Block]bool
-	errs          []error
+	lines msg.Table[ledgerLine]
+	errs  []error
+}
+
+// ledgerLine is one block's audit state. A block can have tokens in
+// flight before it is initialized (a send before InitBlock is itself a
+// violation), so init is kept apart from having an entry.
+type ledgerLine struct {
+	init bool
+	// inflight counts tokens in transit, owners the owner tokens among
+	// them.
+	inflight, owners int
 }
 
 // NewLedger builds a ledger for T tokens per block.
@@ -33,12 +41,7 @@ func NewLedger(t int) *Ledger {
 	if t <= 0 {
 		panic("core: token count must be positive")
 	}
-	return &Ledger{
-		T:             t,
-		inflight:      make(map[msg.Block]int),
-		inflightOwner: make(map[msg.Block]int),
-		initialized:   make(map[msg.Block]bool),
-	}
+	return &Ledger{T: t}
 }
 
 func (l *Ledger) fail(format string, args ...any) {
@@ -52,18 +55,19 @@ func (l *Ledger) fail(format string, args ...any) {
 func (l *Ledger) InitBlock(b msg.Block) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.initialized[b] {
+	ll := l.lines.At(b)
+	if ll.init {
 		l.fail("block %d initialized twice", b)
 		return
 	}
-	l.initialized[b] = true
+	ll.init = true
 }
 
 // Initialized reports whether the block's tokens exist yet.
 func (l *Ledger) Initialized(b msg.Block) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.initialized[b]
+	return l.lines.Get(b).init
 }
 
 // Sent records tokens leaving a component in a message. It checks
@@ -71,21 +75,23 @@ func (l *Ledger) Initialized(b msg.Block) bool {
 func (l *Ledger) Sent(b msg.Block, tokens int, owner, hasData bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch {
-	case tokens <= 0:
+	if tokens <= 0 {
 		l.fail("block %d: sent message with %d tokens", b, tokens)
 		return
+	}
+	ll := l.lines.At(b)
+	switch {
 	case owner && !hasData:
 		l.fail("block %d: owner token sent without data (invariant #4')", b)
-	case !l.initialized[b]:
+	case !ll.init:
 		l.fail("block %d: tokens sent before initialization", b)
 	case tokens > l.T:
 		l.fail("block %d: sent %d tokens, more than T=%d", b, tokens, l.T)
 	}
-	l.inflight[b] += tokens
+	ll.inflight += tokens
 	if owner {
-		l.inflightOwner[b]++
-		if l.inflightOwner[b] > 1 {
+		ll.owners++
+		if ll.owners > 1 {
 			l.fail("block %d: two owner tokens in flight", b)
 		}
 	}
@@ -99,13 +105,14 @@ func (l *Ledger) Received(b msg.Block, tokens int, owner bool) {
 		l.fail("block %d: received message with %d tokens", b, tokens)
 		return
 	}
-	l.inflight[b] -= tokens
-	if l.inflight[b] < 0 {
-		l.fail("block %d: more tokens received than sent (in-flight %d)", b, l.inflight[b])
+	ll := l.lines.At(b)
+	ll.inflight -= tokens
+	if ll.inflight < 0 {
+		l.fail("block %d: more tokens received than sent (in-flight %d)", b, ll.inflight)
 	}
 	if owner {
-		l.inflightOwner[b]--
-		if l.inflightOwner[b] < 0 {
+		ll.owners--
+		if ll.owners < 0 {
 			l.fail("block %d: owner token received but not in flight", b)
 		}
 	}
@@ -115,14 +122,16 @@ func (l *Ledger) Received(b msg.Block, tokens int, owner bool) {
 func (l *Ledger) InFlight(b msg.Block) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.inflight[b]
+	return l.lines.Get(b).inflight
 }
 
-// Blocks returns every initialized block (order unspecified).
+// Blocks returns every initialized block in ascending order.
 func (l *Ledger) Blocks() []msg.Block {
-	out := make([]msg.Block, 0, len(l.initialized))
-	for b := range l.initialized {
-		out = append(out, b)
+	var out []msg.Block
+	for b, ll := range l.lines.All() {
+		if ll.init {
+			out = append(out, b)
+		}
 	}
 	return out
 }
@@ -130,17 +139,18 @@ func (l *Ledger) Blocks() []msg.Block {
 // CheckConservation verifies invariant #1' for block b given the total
 // tokens and owner count held by all components.
 func (l *Ledger) CheckConservation(b msg.Block, held, owners int) {
-	if !l.initialized[b] {
-		if held != 0 || l.inflight[b] != 0 {
+	ll := l.lines.Get(b)
+	if !ll.init {
+		if held != 0 || ll.inflight != 0 {
 			l.fail("block %d: tokens exist without initialization", b)
 		}
 		return
 	}
-	if total := held + l.inflight[b]; total != l.T {
+	if total := held + ll.inflight; total != l.T {
 		l.fail("block %d: %d tokens held + %d in flight = %d, want T=%d",
-			b, held, l.inflight[b], total, l.T)
+			b, held, ll.inflight, total, l.T)
 	}
-	if total := owners + l.inflightOwner[b]; total != 1 {
+	if total := owners + ll.owners; total != 1 {
 		l.fail("block %d: %d owner tokens (held+flight), want exactly 1", b, total)
 	}
 }

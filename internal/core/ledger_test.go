@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
+
+	"tokencoherence/internal/msg"
 )
 
 func TestLedgerCleanFlow(t *testing.T) {
@@ -133,4 +136,40 @@ func TestNewLedgerPanicsOnNonPositiveT(t *testing.T) {
 		}
 	}()
 	NewLedger(0)
+}
+
+// TestAuditErrorDeterministic audits a ledger whose blocks all fail
+// conservation (initialized, then every token lost) and requires the
+// same error text every time, naming the lowest block first.
+func TestAuditErrorDeterministic(t *testing.T) {
+	blocks := []msg.Block{907, 12, 4096, 3, 77, 1 << 40, 250, 64}
+	var first string
+	for i := 0; i < 50; i++ {
+		ts := &TokenSystem{Ledger: NewLedger(4)}
+		for _, b := range blocks {
+			ts.Ledger.InitBlock(b)
+		}
+		err := ts.Audit()
+		if err == nil {
+			t.Fatal("audit of a ledger whose tokens all vanished passed")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, "first: block 3:") {
+				t.Fatalf("audit error %q does not name the lowest block (3) first", first)
+			}
+			continue
+		}
+		if err.Error() != first {
+			t.Fatalf("audit %d reported %q, audit 0 reported %q", i, err, first)
+		}
+	}
+}
+
+// TestMemLineSize holds the home memory's per-block token record to 32
+// bytes: the persistent-request pledge lives in the same record.
+func TestMemLineSize(t *testing.T) {
+	if size := unsafe.Sizeof(memLine{}); size > 32 {
+		t.Errorf("memLine is %d bytes, want at most 32", size)
+	}
 }

@@ -8,13 +8,21 @@ import (
 
 // memLine is the home memory's token state for one block. The paper
 // stores it in ECC bits (valid bit, owner bit, token count: 2+log2(T)
-// bits per block); we model the state, not the encoding.
+// bits per block); we model the state, not the encoding. Its fields are
+// ordered to pack into 32 bytes.
 type memLine struct {
 	tokens int
-	owner  bool
-	valid  bool
 	data   uint64
-	dirty  bool
+	// starver is the persistent requester the tokens are pledged to
+	// while pledged is set.
+	starver msg.Port
+	owner   bool
+	valid   bool
+	dirty   bool
+	pledged bool
+	// init marks that the block's T tokens were created here; until
+	// then the line holds nothing (see line).
+	init bool
 }
 
 // Memory is the Token Coherence home memory controller for one node's
@@ -29,13 +37,12 @@ type Memory struct {
 	isle   *machine.Isle
 	id     msg.NodeID
 	ledger *Ledger
-	lines  map[msg.Block]*memLine
-	// persist tracks active persistent requests (block -> starver).
-	persist map[msg.Block]msg.Port
-	// hints, when enabled (TokenD/TokenM), holds soft-state directory
+	lines  msg.Table[memLine]
+	// hints, when hinted (TokenD/TokenM), holds soft-state directory
 	// hints: a probable owner and probable sharers per block. Hints may
 	// be stale; a bad redirect only delays a transient request.
-	hints map[msg.Block]*hintLine
+	hints  msg.Table[hintLine]
+	hinted bool
 }
 
 // hintLine is the soft-state directory entry for one block.
@@ -48,14 +55,7 @@ type hintLine struct {
 // NewMemory builds the home memory controller for node id and registers
 // it on the network.
 func NewMemory(sys *machine.System, id msg.NodeID, ledger *Ledger) *Memory {
-	m := &Memory{
-		sys:     sys,
-		isle:    sys.IsleFor(int(id)),
-		id:      id,
-		ledger:  ledger,
-		lines:   make(map[msg.Block]*memLine),
-		persist: make(map[msg.Block]msg.Port),
-	}
+	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id, ledger: ledger}
 	sys.Net.Register(m.Port(), m)
 	return m
 }
@@ -67,25 +67,22 @@ func (m *Memory) Port() msg.Port { return msg.Port{Node: m.id, Unit: msg.UnitMem
 // (system initialization: "the block's home memory module holds all
 // tokens").
 func (m *Memory) line(b msg.Block) *memLine {
-	if l, ok := m.lines[b]; ok {
-		return l
+	l := m.lines.At(b)
+	if !l.init {
+		if m.sys.Scope.Home(b) != m.id {
+			panic("core: memory accessed for block with a different home")
+		}
+		m.ledger.InitBlock(b)
+		l.tokens, l.owner, l.valid, l.init = m.ledger.T, true, true, true
 	}
-	if m.sys.Scope.Home(b) != m.id {
-		panic("core: memory accessed for block with a different home")
-	}
-	m.ledger.InitBlock(b)
-	l := &memLine{tokens: m.ledger.T, owner: true, valid: true}
-	m.lines[b] = l
 	return l
 }
 
 // Tokens reports the tokens currently held for b (0 if untouched by this
 // home). Used by the conservation audit and tests.
 func (m *Memory) Tokens(b msg.Block) (tokens int, owner bool) {
-	if l, ok := m.lines[b]; ok {
-		return l.tokens, l.owner
-	}
-	return 0, false
+	l := m.lines.Get(b)
+	return l.tokens, l.owner
 }
 
 // Handle implements interconnect.Handler.
@@ -125,18 +122,7 @@ func (m *Memory) respond(to msg.Port, b msg.Block, tokens int, owner bool, data 
 
 // EnableHints turns on the soft-state redirect directory (TokenD and
 // TokenM memories).
-func (m *Memory) EnableHints() {
-	m.hints = make(map[msg.Block]*hintLine)
-}
-
-func (m *Memory) hint(b msg.Block) *hintLine {
-	h, ok := m.hints[b]
-	if !ok {
-		h = &hintLine{}
-		m.hints[b] = h
-	}
-	return h
-}
+func (m *Memory) EnableHints() { m.hinted = true }
 
 // redirect forwards a transient request towards probable token holders
 // and updates the soft state. Hints can go stale (a migratory GetS moves
@@ -145,7 +131,7 @@ func (m *Memory) hint(b msg.Block) *hintLine {
 // holders, keeping escalation to persistent requests rare.
 func (m *Memory) redirect(mm *msg.Message, served bool) {
 	b := msg.BlockOf(mm.Addr)
-	h := m.hint(b)
+	h := m.hints.At(b)
 	reqNode := mm.Requester.Node
 	var targets []msg.Port
 	addTarget := func(n msg.NodeID) {
@@ -199,11 +185,11 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 
 func (m *Memory) handleTransient(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	if _, active := m.persist[b]; active {
+	l := m.line(b)
+	if l.pledged {
 		return // tokens are pledged to the persistent requester
 	}
-	l := m.line(b)
-	if m.hints != nil {
+	if m.hinted {
 		served := l.owner && l.tokens > 0
 		defer m.redirect(mm, served)
 	}
@@ -245,13 +231,14 @@ func (m *Memory) handleTransient(mm *msg.Message) {
 func (m *Memory) receiveTokens(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
 	m.ledger.Received(b, mm.Tokens, mm.Owner)
-	if starver, active := m.persist[b]; active {
+	l := m.line(b)
+	if l.pledged {
 		// Forward everything to the starving processor, per the
 		// persistent-request rules.
 		m.ledger.Sent(b, mm.Tokens, mm.Owner, mm.HasData)
 		fwd := *mm
 		fwd.Src = m.Port()
-		fwd.Dst = starver
+		fwd.Dst = l.starver
 		fwd.Cat = msg.CatControl
 		if fwd.HasData {
 			fwd.Cat = msg.CatData
@@ -259,12 +246,11 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 		m.isle.Net.SendAfter(fwd, m.sys.Cfg.CtrlLatency)
 		return
 	}
-	l := m.line(b)
 	l.tokens += mm.Tokens
 	if mm.Owner {
 		l.owner = true
-		if m.hints != nil {
-			m.hint(b).hasOwner = false // the memory owns again
+		if m.hinted {
+			m.hints.At(b).hasOwner = false // the memory owns again
 		}
 	}
 	if mm.HasData {
@@ -279,12 +265,13 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 
 func (m *Memory) handleActivate(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	m.persist[b] = mm.Requester
 	// Flush current tokens to the starver. The line is created lazily
 	// here too: a persistent request may be the block's first-ever
 	// coherence activity (e.g., under a performance protocol that sends
 	// no transient requests at all).
-	if l := m.line(b); l.tokens > 0 {
+	l := m.line(b)
+	l.pledged, l.starver = true, mm.Requester
+	if l.tokens > 0 {
 		m.respond(mm.Requester, b, l.tokens, l.owner, l.data, l.dirty, m.sys.Cfg.CtrlLatency+m.sys.Cfg.MemLatency)
 		l.tokens, l.owner, l.valid, l.dirty = 0, false, false, false
 	}
@@ -292,7 +279,8 @@ func (m *Memory) handleActivate(mm *msg.Message) {
 }
 
 func (m *Memory) handleDeactivate(mm *msg.Message) {
-	delete(m.persist, msg.BlockOf(mm.Addr))
+	l := m.lines.At(msg.BlockOf(mm.Addr))
+	l.pledged, l.starver = false, msg.Port{}
 	m.ack(mm, msg.KindPersistentDeactivateAck)
 }
 

@@ -90,7 +90,7 @@ type predictPolicy struct {
 	// (paper-style spatial predictors use 1KB regions: 4 blocks).
 	regionShift uint
 	// holders remembers the recent token suppliers per region.
-	holders map[msg.Block]*holderSet
+	holders msg.Table[holderSet]
 }
 
 // holderSet is a tiny LRU of predicted destination nodes.
@@ -115,7 +115,7 @@ func (h *holderSet) add(n msg.NodeID) {
 }
 
 func newPredictPolicy() *predictPolicy {
-	return &predictPolicy{regionShift: 2, holders: make(map[msg.Block]*holderSet)}
+	return &predictPolicy{regionShift: 2}
 }
 
 func (p *predictPolicy) Name() string { return "tokenm" }
@@ -126,13 +126,7 @@ func (p *predictPolicy) Observe(c *TokenB, mm *msg.Message) {
 	if mm.Src.Unit != msg.UnitCache {
 		return
 	}
-	r := p.region(msg.BlockOf(mm.Addr))
-	hs, ok := p.holders[r]
-	if !ok {
-		hs = &holderSet{}
-		p.holders[r] = hs
-	}
-	hs.add(mm.Src.Node)
+	p.holders.At(p.region(msg.BlockOf(mm.Addr))).add(mm.Src.Node)
 }
 
 func (p *predictPolicy) Destinations(c *TokenB, m *machine.MSHR, reissue bool, buf []msg.Port) []msg.Port {
@@ -141,11 +135,10 @@ func (p *predictPolicy) Destinations(c *TokenB, m *machine.MSHR, reissue bool, b
 		return broadcastPolicy{}.Destinations(c, m, true, buf)
 	}
 	buf = append(buf, c.HomePort(m.Block))
-	if hs, ok := p.holders[p.region(m.Block)]; ok {
-		for i := 0; i < hs.n; i++ {
-			if hs.nodes[i] != c.ID {
-				buf = append(buf, msg.Port{Node: hs.nodes[i], Unit: msg.UnitCache})
-			}
+	hs := p.holders.Get(p.region(m.Block))
+	for i := 0; i < hs.n; i++ {
+		if hs.nodes[i] != c.ID {
+			buf = append(buf, msg.Port{Node: hs.nodes[i], Unit: msg.UnitCache})
 		}
 	}
 	return buf

@@ -28,7 +28,7 @@ type regionFilter struct {
 	regionShift uint
 	// external marks regions that supplied tokens from outside the
 	// cluster.
-	external map[msg.Block]bool
+	external msg.Table[bool]
 	// scope is the issuing node's cluster realm, bound by the builder;
 	// nil (unbound, e.g. direct substrate construction outside the
 	// engine) degrades to plain broadcast.
@@ -36,7 +36,7 @@ type regionFilter struct {
 }
 
 func newRegionFilter() *regionFilter {
-	return &regionFilter{regionShift: 4, external: make(map[msg.Block]bool)}
+	return &regionFilter{regionShift: 4}
 }
 
 func (p *regionFilter) Name() string { return "regionfilter" }
@@ -56,11 +56,11 @@ func (p *regionFilter) Observe(c *TokenB, mm *msg.Message) {
 	if p.scope == nil || p.scope.Set.Has(mm.Src.Node) {
 		return
 	}
-	p.external[p.region(msg.BlockOf(mm.Addr))] = true
+	*p.external.At(p.region(msg.BlockOf(mm.Addr))) = true
 }
 
 func (p *regionFilter) Destinations(c *TokenB, m *machine.MSHR, reissue bool, buf []msg.Port) []msg.Port {
-	if reissue || p.scope == nil || p.external[p.region(m.Block)] {
+	if reissue || p.scope == nil || p.external.Get(p.region(m.Block)) {
 		return broadcastPolicy{}.Destinations(c, m, reissue, buf)
 	}
 	for _, n := range p.scope.Members {

@@ -27,35 +27,36 @@ type TokenB struct {
 	reissues  *stats.Counter
 	tokenMsgs *stats.Counter
 
-	// persist maps blocks with an active persistent request to the
-	// starving processor's port (the node's hardware table).
-	persist map[msg.Block]msg.Port
-	// mineActive records, per block, the epoch of our own active
-	// persistent request (0 = none). Epochs disambiguate a fresh request
-	// from the tail of an earlier request's deactivation cycle.
-	mineActive map[msg.Block]uint64
-	// starving maps blocks to the MSHR that invoked a persistent request
-	// (and its epoch) so satisfaction can be matched to deactivation.
-	starving    map[msg.Block]*machine.MSHR
-	starvingSeq map[msg.Block]uint64
-	persistSeq  uint64
+	// persist is the node's persistent-request table.
+	persist    msg.Table[persistLine]
+	persistSeq uint64
 
 	// dsts is the transient-request destination scratch buffer, reused
 	// across broadcasts (Multicast copies what it keeps).
 	dsts []msg.Port
 }
 
+// persistLine is one block's entry in a node's persistent-request
+// table. The zero value means no persistent request is known.
+type persistLine struct {
+	// active marks an active persistent request for the block, made by
+	// the starving processor at port starver.
+	active  bool
+	starver msg.Port
+	// mine is the epoch of our own active persistent request (0 = none).
+	// Epochs disambiguate a fresh request from the tail of an earlier
+	// request's deactivation cycle.
+	mine uint64
+	// starving is the MSHR that invoked our persistent request and seq
+	// its epoch, so satisfaction can be matched to deactivation.
+	starving *machine.MSHR
+	seq      uint64
+}
+
 // NewTokenController builds a Token Coherence cache controller with an
 // arbitrary transient-request policy (TokenB, TokenD, TokenM, ...).
 func NewTokenController(sys *machine.System, id msg.NodeID, ledger *Ledger, policy Policy) *TokenB {
-	c := &TokenB{
-		ledger:      ledger,
-		policy:      policy,
-		persist:     make(map[msg.Block]msg.Port),
-		mineActive:  make(map[msg.Block]uint64),
-		starving:    make(map[msg.Block]*machine.MSHR),
-		starvingSeq: make(map[msg.Block]uint64),
-	}
+	c := &TokenB{ledger: ledger, policy: policy}
 	c.InitBase(sys, id, c)
 	c.reissues = sys.Metrics.Counter(stats.Desc{
 		Name: "reissues", Unit: "count", Fmt: "%.0f",
@@ -147,8 +148,8 @@ func (c *TokenB) onTimeout(m *machine.MSHR) {
 func (c *TokenB) goPersistent(m *machine.MSHR) {
 	m.Persistent = true
 	c.persistSeq++
-	c.starving[m.Block] = m
-	c.starvingSeq[m.Block] = c.persistSeq
+	p := c.persist.At(m.Block)
+	p.starving, p.seq = m, c.persistSeq
 	c.Net.Send(msg.Message{
 		Kind: msg.KindPersistentReq, Cat: msg.CatReissue,
 		Src:  c.CachePort(),
@@ -166,8 +167,8 @@ func (c *TokenB) EvictL2(v cache.Line) {
 		return // tag-only line (miss in progress); nothing to write back
 	}
 	dst := c.HomePort(v.Block)
-	if starver, active := c.persist[v.Block]; active && starver != c.CachePort() {
-		dst = starver
+	if p := c.persist.Get(v.Block); p.active && p.starver != c.CachePort() {
+		dst = p.starver
 	}
 	c.sendTokens(dst, v.Block, v.Tokens, v.Owner, v.Owner, v.Data, v.Dirty, 0)
 }
@@ -217,7 +218,7 @@ func (c *TokenB) Handle(m *msg.Message) {
 // requests cannot double-send tokens.
 func (c *TokenB) handleTransient(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	if _, active := c.persist[b]; active {
+	if c.persist.Get(b).active {
 		return // active persistent request overrides the policy
 	}
 	l := c.L2.Lookup(b)
@@ -234,7 +235,7 @@ func (c *TokenB) handleTransient(m *msg.Message) {
 			// Migratory-sharing optimization: a modified block moves
 			// wholesale, granting read/write permission.
 			c.sendTokens(m.Requester, b, l.Tokens, true, true, l.Data, l.Dirty, lat)
-			c.dropLine(b)
+			c.DropLine(b)
 			return
 		}
 		if l.Tokens > 1 {
@@ -245,7 +246,7 @@ func (c *TokenB) handleTransient(m *msg.Message) {
 		}
 		// Only the owner token remains; it moves (with data).
 		c.sendTokens(m.Requester, b, 1, true, true, l.Data, l.Dirty, lat)
-		c.dropLine(b)
+		c.DropLine(b)
 	case msg.KindGetM:
 		if l.Owner {
 			c.sendTokens(m.Requester, b, l.Tokens, true, true, l.Data, l.Dirty, lat)
@@ -254,14 +255,8 @@ func (c *TokenB) handleTransient(m *msg.Message) {
 			// invalidation acknowledgment).
 			c.sendTokens(m.Requester, b, l.Tokens, false, false, 0, false, lat)
 		}
-		c.dropLine(b)
+		c.DropLine(b)
 	}
-}
-
-// dropLine removes a block from both cache levels (tokens gone).
-func (c *TokenB) dropLine(b msg.Block) {
-	c.L2.Remove(b)
-	c.DropL1(b)
 }
 
 func (c *TokenB) receiveTokens(m *msg.Message) {
@@ -272,10 +267,10 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 		o.On(stats.Event{Kind: stats.TokensTransferred, At: c.K.Now(), Node: int32(c.ID), Block: b, N: int32(m.Tokens)})
 	}
 	c.policy.Observe(c, m)
-	if starver, active := c.persist[b]; active && starver != c.CachePort() {
+	if p := c.persist.Get(b); p.active && p.starver != c.CachePort() {
 		// Tokens arriving while another node's persistent request is
 		// active are forwarded to the starver, present and future alike.
-		c.forwardTokens(starver, m)
+		c.forwardTokens(p.starver, m)
 		return
 	}
 	mshr := c.Outstanding[b]
@@ -339,10 +334,12 @@ func (c *TokenB) completeTokenMiss(m *machine.MSHR) {
 	// Deactivate only when OUR epoch is the one currently active; if the
 	// activation has not arrived yet (or an older epoch is still
 	// draining), the deactivation is sent when the activation shows up.
-	if m.Persistent && c.starving[b] == m && c.mineActive[b] == c.starvingSeq[b] && c.mineActive[b] != 0 {
+	if !m.Persistent {
+		return
+	}
+	if p := c.persist.At(b); p.starving == m && p.mine == p.seq && p.mine != 0 {
 		c.sendDeactivate(b)
-		delete(c.starving, b)
-		delete(c.starvingSeq, b)
+		p.starving, p.seq = nil, 0
 	}
 }
 
@@ -357,21 +354,21 @@ func (c *TokenB) sendDeactivate(b msg.Block) {
 
 func (c *TokenB) handleActivate(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	c.persist[b] = m.Requester
+	p := c.persist.At(b)
+	p.active, p.starver = true, m.Requester
 	if m.Requester == c.CachePort() {
 		epoch := uint64(m.Acks)
-		c.mineActive[b] = epoch
-		sm := c.starving[b]
+		p.mine = epoch
+		sm := p.starving
 		switch {
-		case sm != nil && c.starvingSeq[b] == epoch && c.Outstanding[b] == sm:
+		case sm != nil && p.seq == epoch && c.Outstanding[b] == sm:
 			// Our starving miss is still outstanding; tokens will flow
 			// and completion will deactivate.
-		case sm != nil && c.starvingSeq[b] == epoch:
+		case sm != nil && p.seq == epoch:
 			// The starving miss was satisfied by a late transient
 			// response before activation; deactivate immediately.
 			c.sendDeactivate(b)
-			delete(c.starving, b)
-			delete(c.starvingSeq, b)
+			p.starving, p.seq = nil, 0
 		default:
 			// Activation of an older epoch whose miss resolved (and whose
 			// bookkeeping was superseded by a newer request): release it.
@@ -381,16 +378,20 @@ func (c *TokenB) handleActivate(m *msg.Message) {
 		// Flush all tokens (and data with the owner token) to the
 		// starving processor.
 		c.sendTokens(m.Requester, b, l.Tokens, l.Owner, l.Owner, l.Data, l.Dirty, c.Cfg.L2Latency)
-		c.dropLine(b)
+		c.DropLine(b)
 	}
 	c.ackArbiter(m, msg.KindPersistentActivateAck)
 }
 
 func (c *TokenB) handleDeactivate(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	delete(c.persist, b)
-	if m.Requester == c.CachePort() && c.mineActive[b] == uint64(m.Acks) {
-		delete(c.mineActive, b)
+	p := c.persist.At(b)
+	p.active, p.starver = false, msg.Port{}
+	if m.Requester == c.CachePort() && p.mine == uint64(m.Acks) {
+		p.mine = 0
+	}
+	if *p == (persistLine{}) {
+		c.persist.Delete(b)
 	}
 	c.ackArbiter(m, msg.KindPersistentDeactivateAck)
 }

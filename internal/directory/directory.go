@@ -30,42 +30,35 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until the home acknowledges the
-// writeback (WBAck) or declares it stale (WBStale). A block can have
-// several pending entries when ownership is lost and re-acquired while
-// writebacks are in flight; they resolve in FIFO order.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool
-	written bool
-	// epoch is the home transaction that made this node owner of the
-	// evicted copy; the home accepts the writeback only if it matches.
-	epoch uint64
-}
-
 // Cache is the directory protocol's cache controller.
 type Cache struct {
 	machine.CacheBase
-	wb       map[msg.Block][]*wbEntry
-	deferred map[msg.Block][]msg.Message
-	// invAfterFill records, per block being filled, the newest home
-	// transaction number of an invalidation that overtook the fill; the
-	// fill is consumed once and then invalidated if it is older.
-	invAfterFill map[msg.Block]uint64
+	// wb holds evicted owner lines until the home acknowledges the
+	// writeback (WBAck) or declares it stale (WBStale); the home accepts
+	// one only if its epoch is the transaction that made this node owner.
+	wb machine.Writebacks
+	// races holds, per block being filled, what raced with the fill; the
+	// entry is deleted when the fill completes.
+	races msg.Table[fillRace]
+}
+
+// fillRace is what raced with one block's in-flight fill.
+type fillRace struct {
+	// deferred holds forwards ordered after this node's own transaction,
+	// served once it completes (ownership chaining).
+	deferred []msg.Message
+	// invSeq is the newest home transaction number of an invalidation
+	// that overtook the fill (0 = none); the fill is consumed once and
+	// then invalidated if it is older.
+	invSeq uint64
 	// pendingAcks buffers invalidation acks that arrive before the data
 	// response reveals the transaction they belong to.
-	pendingAcks map[msg.Block][]uint64
+	pendingAcks []uint64
 }
 
 // NewCache builds node id's directory cache controller.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{
-		wb:           make(map[msg.Block][]*wbEntry),
-		deferred:     make(map[msg.Block][]msg.Message),
-		invAfterFill: make(map[msg.Block]uint64),
-		pendingAcks:  make(map[msg.Block][]uint64),
-	}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	sys.Net.Register(c.CachePort(), c)
 	return c
@@ -102,14 +95,7 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return // shared lines evict silently; the directory list stays a superset
 	}
-	for _, e := range c.wb[v.Block] {
-		if e.owner {
-			panic("directory: evicting while an older writeback still owns the block")
-		}
-	}
-	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
-		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written, epoch: v.Epoch,
-	})
+	c.wb.Push(v)
 	c.Net.Send(msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatData,
 		Src: c.CachePort(), Dst: c.HomePort(v.Block),
@@ -132,10 +118,9 @@ func (c *Cache) Handle(m *msg.Message) {
 		c.onInv(m)
 	case msg.KindFwdGetS, msg.KindFwdGetM:
 		c.onFwd(m)
-	case msg.KindWBAck:
-		c.onWBAck(m)
-	case msg.KindWBStale:
-		c.onWBStale(m)
+	case msg.KindWBAck, msg.KindWBStale:
+		// Acks arrive in PutM order: retire the oldest writeback.
+		c.wb.Pop(msg.BlockOf(m.Addr))
 	default:
 		panic("directory: cache received unexpected " + m.Kind.String())
 	}
@@ -158,12 +143,16 @@ func (c *Cache) onData(m *msg.Message) {
 // transaction and discards the rest (aborted transactions).
 func (c *Cache) absorbPendingAcks(mshr *machine.MSHR) {
 	b := mshr.Block
-	for _, seq := range c.pendingAcks[b] {
+	acks := c.races.Get(b).pendingAcks
+	if len(acks) == 0 {
+		return
+	}
+	for _, seq := range acks {
 		if seq == mshr.Fill.Seq {
 			mshr.AcksGot++
 		}
 	}
-	delete(c.pendingAcks, b)
+	c.races.At(b).pendingAcks = nil
 }
 
 func (c *Cache) onInvAck(m *msg.Message) {
@@ -175,7 +164,8 @@ func (c *Cache) onInvAck(m *msg.Message) {
 		return
 	}
 	if !mshr.GotData {
-		c.pendingAcks[b] = append(c.pendingAcks[b], m.Seq)
+		r := c.races.At(b)
+		r.pendingAcks = append(r.pendingAcks, m.Seq)
 		return
 	}
 	if m.Seq == mshr.Fill.Seq {
@@ -198,17 +188,17 @@ func (c *Cache) onGrant(m *msg.Message) {
 		// to the writeback buffer, whose data is still the current copy
 		// (the grant proves no other transaction intervened). Refill from
 		// it; the in-flight PutM will be declared stale by its epoch.
-		e := c.ownerWB(b)
+		e := c.wb.Owner(b)
 		if e == nil {
 			panic("directory: grant with neither line nor owned writeback")
 		}
 		l = c.EnsureL2(b)
 		l.Valid = true
-		l.Data = e.data
-		l.Dirty = e.dirty
-		l.Written = e.written
+		l.Data = e.Data
+		l.Dirty = e.Dirty
+		l.Written = e.Written
 		l.State = stateO
-		e.owner = false
+		e.Owner = false
 	}
 	mshr.GotData = true
 	mshr.Grant = true
@@ -251,19 +241,18 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 		fromCache = fill.Src.Unit == msg.UnitCache
 	}
 	c.CompleteMiss(m)
+	r := c.races.Get(b)
+	c.races.Delete(b)
 	// Drain requests the directory forwarded to us while we were filling.
-	defs := c.deferred[b]
-	delete(c.deferred, b)
-	for i := range defs {
-		c.serveFwd(&defs[i], b)
+	for i := range r.deferred {
+		c.serveFwd(&r.deferred[i], b)
 	}
 	// An invalidation from a home transaction newer than this fill
 	// overtook the data; the fill satisfied the waiting accesses once
 	// and dies here.
-	if invSeq, pending := c.invAfterFill[b]; pending {
-		delete(c.invAfterFill, b)
-		if l := c.L2.Lookup(b); l != nil && invSeq > l.Epoch {
-			c.dropLine(b)
+	if r.invSeq != 0 {
+		if l := c.L2.Lookup(b); l != nil && r.invSeq > l.Epoch {
+			c.DropLine(b)
 		}
 	}
 	// Forward-served transactions unblock the home (it is busy waiting).
@@ -283,13 +272,13 @@ func (c *Cache) onInv(m *msg.Message) {
 		// transaction newer than the fill that produced this line; a
 		// stale invalidation (reordered behind a later fill) is ignored.
 		if m.Seq > l.Epoch {
-			c.dropLine(b)
+			c.DropLine(b)
 		}
 	} else if _, outstanding := c.Outstanding[b]; outstanding {
 		// Fill in flight: remember the invalidation; the fill may satisfy
 		// the waiting accesses once if it is newer, then die.
-		if m.Seq > c.invAfterFill[b] {
-			c.invAfterFill[b] = m.Seq
+		if m.Seq > c.races.Get(b).invSeq {
+			c.races.At(b).invSeq = m.Seq
 		}
 	}
 	// Always acknowledge, directly to the requesting writer, echoing the
@@ -304,7 +293,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
 	// A writeback buffer entry answers first: its data is authoritative
 	// and deferring here would deadlock the home behind our queued PutM.
-	if c.ownerWB(b) != nil {
+	if c.wb.Owner(b) != nil {
 		c.serveFwd(m, b)
 		return
 	}
@@ -314,7 +303,8 @@ func (c *Cache) onFwd(m *msg.Message) {
 				// Our own transaction is ordered before this forward at
 				// the home; we are the owner-to-be, so serve it after
 				// completion (ownership chaining).
-				c.deferred[b] = append(c.deferred[b], *m)
+				r := c.races.At(b)
+				r.deferred = append(r.deferred, *m)
 				return
 			}
 			c.serveFwd(m, b)
@@ -328,34 +318,23 @@ func (c *Cache) onFwd(m *msg.Message) {
 			return
 		}
 		// Our fill is still in flight; chain the forward to completion.
-		c.deferred[b] = append(c.deferred[b], *m)
+		r := c.races.At(b)
+		r.deferred = append(r.deferred, *m)
 		return
 	}
 	c.serveFwd(m, b)
 }
 
-// ownerWB returns the writeback entry that still owns b, if any (at
-// most one entry can be the owner, and it is always the newest).
-func (c *Cache) ownerWB(b msg.Block) *wbEntry {
-	entries := c.wb[b]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].owner {
-			return entries[i]
-		}
-	}
-	return nil
-}
-
 // serveFwd answers a forwarded request from stable state or the
 // writeback buffer.
 func (c *Cache) serveFwd(m *msg.Message, b msg.Block) {
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		switch m.Kind {
 		case msg.KindFwdGetS:
-			c.respondData(m.Requester, b, e.data, false, false, 0, m.Seq)
+			c.respondData(m.Requester, b, e.Data, false, false, 0, m.Seq)
 		case msg.KindFwdGetM:
-			c.respondData(m.Requester, b, e.data, true, e.dirty, m.Acks, m.Seq)
-			e.owner = false
+			c.respondData(m.Requester, b, e.Data, true, e.Dirty, m.Acks, m.Seq)
+			e.Owner = false
 		}
 		return
 	}
@@ -368,14 +347,14 @@ func (c *Cache) serveFwd(m *msg.Message, b msg.Block) {
 		if c.Cfg.Migratory && l.State == stateM && l.Written {
 			// Migratory-sharing optimization: exclusive handover.
 			c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0, m.Seq)
-			c.dropLine(b)
+			c.DropLine(b)
 			return
 		}
 		c.respondData(m.Requester, b, l.Data, false, false, 0, m.Seq)
 		l.State = stateO
 	case msg.KindFwdGetM:
 		c.respondData(m.Requester, b, l.Data, true, l.Dirty, m.Acks, m.Seq)
-		c.dropLine(b)
+		c.DropLine(b)
 	}
 }
 
@@ -385,28 +364,6 @@ func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, d
 		Src: c.CachePort(), Dst: to, Addr: b.Base(),
 		HasData: true, Data: data, Owner: grantOwner, Dirty: dirty, Acks: acks, Seq: seq,
 	}, c.Cfg.L2Latency)
-}
-
-func (c *Cache) onWBAck(m *msg.Message) { c.popWB(msg.BlockOf(m.Addr)) }
-
-func (c *Cache) onWBStale(m *msg.Message) { c.popWB(msg.BlockOf(m.Addr)) }
-
-// popWB retires the oldest pending writeback (acks arrive in PutM order).
-func (c *Cache) popWB(b msg.Block) {
-	entries := c.wb[b]
-	if len(entries) == 0 {
-		panic("directory: writeback ack with no pending writeback")
-	}
-	if len(entries) == 1 {
-		delete(c.wb, b)
-	} else {
-		c.wb[b] = entries[1:]
-	}
-}
-
-func (c *Cache) dropLine(b msg.Block) {
-	c.L2.Remove(b)
-	c.DropL1(b)
 }
 
 // Memory is the flat home directory controller for one node's slice of
@@ -432,14 +389,14 @@ func (m *Memory) Port() msg.Port { return m.port }
 
 // State reports the directory state for tests.
 func (m *Memory) State(b msg.Block) (state uint8, owner msg.NodeID, sharers int) {
-	l := m.line(b)
+	l := m.lines.Get(b)
 	return uint8(l.state), l.owner, l.sharers.Len()
 }
 
 // Handle implements interconnect.Handler.
 func (m *Memory) Handle(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	l := m.line(b)
+	l := m.lines.At(b)
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM, msg.KindPutM:
 		if l.busy {

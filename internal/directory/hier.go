@@ -51,7 +51,7 @@ type ClusterHome struct {
 	homeCore
 	id    msg.NodeID
 	scope *machine.Scope
-	auths map[msg.Block]*authLine
+	auths msg.Table[authLine]
 	// acquires counts authority acquisitions (cluster-level misses that
 	// escalated to the global tier).
 	acquires *stats.Counter
@@ -64,7 +64,6 @@ func NewClusterHome(sys *machine.System, id msg.NodeID, scope *machine.Scope) *C
 		homeCore: newHomeCore(sys, msg.Port{Node: id, Unit: msg.UnitMem}),
 		id:       id,
 		scope:    scope,
-		auths:    make(map[msg.Block]*authLine),
 	}
 	h.onIdle = h.idleHook
 	h.acquires = sys.Metrics.Counter(stats.Desc{
@@ -78,18 +77,9 @@ func NewClusterHome(sys *machine.System, id msg.NodeID, scope *machine.Scope) *C
 // Port returns the cluster home's network port.
 func (h *ClusterHome) Port() msg.Port { return h.port }
 
-func (h *ClusterHome) auth(b msg.Block) *authLine {
-	a, ok := h.auths[b]
-	if !ok {
-		a = &authLine{}
-		h.auths[b] = a
-	}
-	return a
-}
-
 // Authority reports the block's authority state for tests.
 func (h *ClusterHome) Authority(b msg.Block) (have, acquiring, recalling bool) {
-	a := h.auth(b)
+	a := h.auths.Get(b)
 	return a.have, a.acquiring, a.recalling || a.pendingRecall
 }
 
@@ -108,8 +98,8 @@ func (h *ClusterHome) Handle(mm *msg.Message) {
 		if !h.scope.Set.Has(mm.Src.Node) {
 			panic("directory: request from a node outside the home's realm")
 		}
-		l := h.line(b)
-		a := h.auth(b)
+		l := h.lines.At(b)
+		a := h.auths.At(b)
 		if !a.have || a.acquiring || a.recalling || a.pendingRecall || l.busy {
 			l.queue = append(l.queue, *mm)
 			h.ensureAuthority(b, a)
@@ -117,7 +107,7 @@ func (h *ClusterHome) Handle(mm *msg.Message) {
 		}
 		h.process(l, mm)
 	case msg.KindUnblock:
-		h.unblock(h.line(b), mm)
+		h.unblock(h.lines.At(b), mm)
 	case msg.KindAuthGrant:
 		h.onGrant(b, mm)
 	case msg.KindRecall:
@@ -146,11 +136,11 @@ func (h *ClusterHome) ensureAuthority(b msg.Block, a *authLine) {
 }
 
 func (h *ClusterHome) onGrant(b msg.Block, mm *msg.Message) {
-	a := h.auth(b)
+	a := h.auths.At(b)
 	if !a.acquiring || a.have {
 		panic("directory: stray authority grant")
 	}
-	l := h.line(b)
+	l := h.lines.At(b)
 	if l.state != dirI || l.sharers.Len() != 0 || l.busy {
 		panic("directory: authority granted over live cluster state")
 	}
@@ -165,14 +155,14 @@ func (h *ClusterHome) onGrant(b msg.Block, mm *msg.Message) {
 }
 
 func (h *ClusterHome) onRecall(b msg.Block) {
-	a := h.auth(b)
+	a := h.auths.At(b)
 	// Grants and recalls share the global->cluster-home path with equal
 	// latency, so FIFO delivery guarantees a recall always finds the
 	// authority held, never still in flight.
 	if !a.have || a.acquiring || a.recalling || a.pendingRecall {
 		panic("directory: recall without held authority")
 	}
-	l := h.line(b)
+	l := h.lines.At(b)
 	if l.busy {
 		a.pendingRecall = true // the unblock path starts the recall
 		return
@@ -184,7 +174,7 @@ func (h *ClusterHome) onRecall(b msg.Block) {
 // just-completed transaction runs before any queued requests, taking
 // queue ownership (the queue drains after the authority is re-acquired).
 func (h *ClusterHome) idleHook(l *dirLine, b msg.Block) bool {
-	a := h.auth(b)
+	a := h.auths.At(b)
 	if !a.pendingRecall {
 		return false
 	}
@@ -222,23 +212,23 @@ func (h *ClusterHome) startRecall(b msg.Block, l *dirLine, a *authLine) {
 }
 
 func (h *ClusterHome) onRecallData(b msg.Block, mm *msg.Message) {
-	a := h.auth(b)
+	a := h.auths.At(b)
 	if !a.recalling || !a.needData {
 		panic("directory: cluster home received data outside a recall")
 	}
-	l := h.line(b)
+	l := h.lines.At(b)
 	l.data = mm.Data
 	a.needData = false
 	h.maybeFinishRecall(b, l, a)
 }
 
 func (h *ClusterHome) onRecallAck(b msg.Block) {
-	a := h.auth(b)
+	a := h.auths.At(b)
 	if !a.recalling || a.recallAcks <= 0 {
 		panic("directory: cluster home received a stray invalidation ack")
 	}
 	a.recallAcks--
-	h.maybeFinishRecall(b, h.line(b), a)
+	h.maybeFinishRecall(b, h.lines.At(b), a)
 }
 
 func (h *ClusterHome) maybeFinishRecall(b msg.Block, l *dirLine, a *authLine) {
@@ -281,19 +271,14 @@ type GlobalAuth struct {
 	sys   *machine.System
 	isle  *machine.Isle
 	id    msg.NodeID
-	lines map[msg.Block]*authEntry
+	lines msg.Table[authEntry]
 	// recalls counts authority recalls (cross-cluster conflicts).
 	recalls *stats.Counter
 }
 
 // NewGlobalAuth builds and registers node id's global authority tier.
 func NewGlobalAuth(sys *machine.System, id msg.NodeID) *GlobalAuth {
-	g := &GlobalAuth{
-		sys:   sys,
-		isle:  sys.IsleFor(int(id)),
-		id:    id,
-		lines: make(map[msg.Block]*authEntry),
-	}
+	g := &GlobalAuth{sys: sys, isle: sys.IsleFor(int(id)), id: id}
 	g.recalls = sys.Metrics.Counter(stats.Desc{
 		Name: "dir2_authority_recalls", Unit: "count", Fmt: "%.0f",
 		Help: "block authorities recalled from cluster homes on cross-cluster conflicts",
@@ -305,25 +290,16 @@ func NewGlobalAuth(sys *machine.System, id msg.NodeID) *GlobalAuth {
 // Port returns the global authority's network port.
 func (g *GlobalAuth) Port() msg.Port { return msg.Port{Node: g.id, Unit: msg.UnitArbiter} }
 
-func (g *GlobalAuth) line(b msg.Block) *authEntry {
-	e, ok := g.lines[b]
-	if !ok {
-		e = &authEntry{}
-		g.lines[b] = e
-	}
-	return e
-}
-
 // Holder reports the block's authority holder for tests.
 func (g *GlobalAuth) Holder(b msg.Block) (held bool, holder msg.NodeID) {
-	e := g.line(b)
+	e := g.lines.Get(b)
 	return e.held, e.holder
 }
 
 // Handle implements interconnect.Handler.
 func (g *GlobalAuth) Handle(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	e := g.line(b)
+	e := g.lines.At(b)
 	switch mm.Kind {
 	case msg.KindAuthReq:
 		req := mm.Src.Node

@@ -37,7 +37,7 @@ func auditDir2(t *testing.T, s *System2) {
 	t.Helper()
 	holders := make(map[msg.Block]msg.NodeID)
 	for _, g := range s.Global {
-		for b, e := range g.lines {
+		for b, e := range g.lines.All() {
 			if e.busy {
 				t.Errorf("block %d: authority recall still in flight at quiescence", b)
 			}
@@ -48,7 +48,7 @@ func auditDir2(t *testing.T, s *System2) {
 	}
 	claims := make(map[msg.Block][]msg.NodeID)
 	for _, h := range s.Homes {
-		for b, a := range h.auths {
+		for b, a := range h.auths.All() {
 			if a.acquiring || a.recalling || a.pendingRecall {
 				t.Errorf("block %d: cluster home %d still mid-transition at quiescence", b, h.id)
 			}

@@ -57,7 +57,7 @@ type homeCore struct {
 	// port is the home's own network port; every outgoing message is
 	// stamped with it as Src.
 	port  msg.Port
-	lines map[msg.Block]*dirLine
+	lines msg.Table[dirLine]
 	// homeReqs is this home's shard of the protocol's named metric
 	// dir_home_requests: transactions serialized at home directories.
 	homeReqs *stats.Counter
@@ -72,26 +72,12 @@ type homeCore struct {
 
 // newHomeCore builds a home state machine sending from port.
 func newHomeCore(sys *machine.System, port msg.Port) homeCore {
-	hc := homeCore{
-		sys:   sys,
-		isle:  sys.IsleFor(int(port.Node)),
-		port:  port,
-		lines: make(map[msg.Block]*dirLine),
-	}
+	hc := homeCore{sys: sys, isle: sys.IsleFor(int(port.Node)), port: port}
 	hc.homeReqs = sys.Metrics.Counter(stats.Desc{
 		Name: "dir_home_requests", Unit: "count", Fmt: "%.0f",
 		Help: "requests serialized at home directories",
 	})
 	return hc
-}
-
-func (m *homeCore) line(b msg.Block) *dirLine {
-	if l, ok := m.lines[b]; ok {
-		return l
-	}
-	l := &dirLine{state: dirI}
-	m.lines[b] = l
-	return l
 }
 
 // latencies: actions that read memory data pay controller + DRAM; pure

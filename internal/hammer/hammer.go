@@ -42,24 +42,17 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until the home grants the
-// writeback slot.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool
-	written bool
-}
-
 // Cache is the Hammer cache controller.
 type Cache struct {
 	machine.CacheBase
-	wb map[msg.Block][]*wbEntry
+	// wb holds evicted owner lines until the home grants the writeback
+	// slot.
+	wb machine.Writebacks
 }
 
 // NewCache builds node id's Hammer controller.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{wb: make(map[msg.Block][]*wbEntry)}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	sys.Net.Register(c.CachePort(), c)
 	return c
@@ -95,29 +88,11 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return
 	}
-	for _, e := range c.wb[v.Block] {
-		if e.owner {
-			panic("hammer: evicting while an older writeback still owns the block")
-		}
-	}
-	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
-		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written,
-	})
+	c.wb.Push(v)
 	c.Net.Send(msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatControl,
 		Src: c.CachePort(), Dst: c.HomePort(v.Block), Addr: v.Block.Base(),
 	})
-}
-
-// ownerWB returns the writeback entry that still owns b, if any.
-func (c *Cache) ownerWB(b msg.Block) *wbEntry {
-	entries := c.wb[b]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].owner {
-			return entries[i]
-		}
-	}
-	return nil
 }
 
 // Handle implements interconnect.Handler.
@@ -139,12 +114,12 @@ func (c *Cache) Handle(m *msg.Message) {
 func (c *Cache) onProbe(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
 	exclusive := m.Owner // probe for a GetM
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		if exclusive {
-			c.respond(m.Requester, b, msg.KindProbeData, e.data, true, e.dirty)
-			e.owner = false
+			c.respond(m.Requester, b, msg.KindProbeData, e.Data, true, e.Dirty)
+			e.Owner = false
 		} else {
-			c.respond(m.Requester, b, msg.KindProbeData, e.data, false, false)
+			c.respond(m.Requester, b, msg.KindProbeData, e.Data, false, false)
 		}
 		return
 	}
@@ -156,14 +131,14 @@ func (c *Cache) onProbe(m *msg.Message) {
 	switch {
 	case exclusive && l.State >= stateO:
 		c.respond(m.Requester, b, msg.KindProbeData, l.Data, true, l.Dirty)
-		c.dropLine(b)
+		c.DropLine(b)
 	case exclusive: // shared copy: invalidate and ack
-		c.dropLine(b)
+		c.DropLine(b)
 		c.respond(m.Requester, b, msg.KindProbeAck, 0, false, false)
 	case c.Cfg.Migratory && l.State == stateM && l.Written:
 		// Migratory-sharing optimization.
 		c.respond(m.Requester, b, msg.KindProbeData, l.Data, true, l.Dirty)
-		c.dropLine(b)
+		c.DropLine(b)
 	case l.State == stateM:
 		c.respond(m.Requester, b, msg.KindProbeData, l.Data, false, false)
 		l.State = stateO
@@ -212,10 +187,10 @@ func (c *Cache) onResponse(m *msg.Message) {
 	}
 	data, dirty, owner := fill.Data, fill.Dirty, fill.Owner
 	written := false
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		// Our own evicted copy is the real owner copy (self-race).
-		data, dirty, owner, written = e.data, e.dirty, true, e.written
-		e.owner = false
+		data, dirty, owner, written = e.Data, e.Dirty, true, e.Written
+		e.Owner = false
 	}
 	l := c.EnsureL2(b)
 	l.Valid = true
@@ -237,22 +212,13 @@ func (c *Cache) onResponse(m *msg.Message) {
 // onWBProceed supplies the writeback data (or cancels a stale one).
 func (c *Cache) onWBProceed(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	entries := c.wb[b]
-	if len(entries) == 0 {
-		panic("hammer: writeback grant with no pending writeback")
-	}
-	e := entries[0]
-	if len(entries) == 1 {
-		delete(c.wb, b)
-	} else {
-		c.wb[b] = entries[1:]
-	}
+	e := c.wb.Pop(b)
 	var out msg.Message
-	if e.owner {
+	if e.Owner {
 		out = msg.Message{
 			Kind: msg.KindPutM, Cat: msg.CatData,
 			Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
-			HasData: true, Data: e.data, Dirty: e.dirty,
+			HasData: true, Data: e.Data, Dirty: e.Dirty,
 		}
 	} else {
 		out = msg.Message{
@@ -261,11 +227,6 @@ func (c *Cache) onWBProceed(m *msg.Message) {
 		}
 	}
 	c.Net.Send(out)
-}
-
-func (c *Cache) dropLine(b msg.Block) {
-	c.L2.Remove(b)
-	c.DropL1(b)
 }
 
 // homeLine is the per-block serialization state at the home.
@@ -283,7 +244,7 @@ type Memory struct {
 	// through its network view.
 	isle  *machine.Isle
 	id    msg.NodeID
-	lines map[msg.Block]*homeLine
+	lines msg.Table[homeLine]
 	// probeDsts caches, per requesting node, the static probe broadcast
 	// set (every cache but the requester's).
 	probeDsts [][]msg.Port
@@ -294,7 +255,7 @@ type Memory struct {
 
 // NewMemory builds and registers node id's home controller.
 func NewMemory(sys *machine.System, id msg.NodeID) *Memory {
-	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id, lines: make(map[msg.Block]*homeLine)}
+	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id}
 	m.homeReqs = sys.Metrics.Counter(stats.Desc{
 		Name: "hammer_home_requests", Unit: "count", Fmt: "%.0f",
 		Help: "transactions serialized at home controllers",
@@ -306,19 +267,10 @@ func NewMemory(sys *machine.System, id msg.NodeID) *Memory {
 // Port returns the home controller's network port.
 func (m *Memory) Port() msg.Port { return msg.Port{Node: m.id, Unit: msg.UnitMem} }
 
-func (m *Memory) line(b msg.Block) *homeLine {
-	if l, ok := m.lines[b]; ok {
-		return l
-	}
-	l := &homeLine{}
-	m.lines[b] = l
-	return l
-}
-
 // Handle implements interconnect.Handler.
 func (m *Memory) Handle(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	l := m.line(b)
+	l := m.lines.At(b)
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM:
 		if l.busy {

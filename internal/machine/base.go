@@ -261,8 +261,12 @@ func (b *CacheBase) fillL1(blk msg.Block) {
 	}
 }
 
-// DropL1 removes a block's L1 tag (called on invalidation/downgrade).
-func (b *CacheBase) DropL1(blk msg.Block) { b.L1.Remove(blk) }
+// DropLine removes a block from both cache levels (an invalidation, or
+// the copy left with a response).
+func (b *CacheBase) DropLine(blk msg.Block) {
+	b.L2.Remove(blk)
+	b.L1.Remove(blk)
+}
 
 // EnsureL2 returns the L2 line for blk, allocating (and evicting a
 // victim through the protocol hook) when absent. Victim selection avoids
@@ -276,7 +280,7 @@ func (b *CacheBase) EnsureL2(blk msg.Block) *cache.Line {
 		return busy
 	})
 	if evicted {
-		b.DropL1(victim.Block)
+		b.L1.Remove(victim.Block)
 		b.Isle.counts[writebacks].Inc()
 		b.Hooks.EvictL2(victim)
 	}

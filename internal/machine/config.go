@@ -1,7 +1,14 @@
 // Package machine provides the protocol-independent pieces of the target
 // system: the Table 1 configuration, the timing processor model, the
 // MSHR-based cache-controller base that all four protocols build on, the
-// write-version safety oracle, and system wiring.
+// writeback buffer of the MOSI baselines, the write-version safety
+// oracle, and system wiring.
+//
+// Per-block state lives in msg.Table records (the oracle's write history
+// and the writeback buffer here, home and persistent-request state in
+// the protocol packages). The MSHR file, CacheBase.Outstanding, stays a
+// map: it holds at most Config.MSHRs entries and deletes each on
+// completion.
 //
 // Coherence realms are concrete Scope values: the System's root scope
 // spans all nodes (at most msg.MaxNodes, checked by Config.Validate),

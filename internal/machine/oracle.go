@@ -36,15 +36,12 @@ type Oracle struct {
 	// holder released it, so racing CommitWrite calls for one block are
 	// impossible, and the StaleLimit slack (1 ms) dwarfs the lookahead
 	// window (~15 ns) within which reads may reorder against writes.
-	mu     sync.Mutex
-	latest map[msg.Block]uint64
-	// commitTime[b][i] is when version (first[b] + i + 1) committed.
-	commitTime map[msg.Block][]sim.Time
-	first      map[msg.Block]uint64
-	seen       map[procBlock]uint64
-	reads      uint64
-	writes     uint64
-	errs       []error
+	mu       sync.Mutex
+	versions msg.Table[versions]
+	seen     map[procBlock]uint64
+	reads    uint64
+	writes   uint64
+	errs     []error
 
 	// StaleLimit bounds rule 4 (default 1 ms).
 	StaleLimit sim.Time
@@ -57,12 +54,19 @@ type procBlock struct {
 	block msg.Block
 }
 
+// versions is one block's write history: its latest committed version
+// and the commit times of the versions still inside the pruning window.
+type versions struct {
+	latest uint64
+	// first is the newest pruned version: commits[i] is when version
+	// first+i+1 committed.
+	first   uint64
+	commits []sim.Time
+}
+
 // NewOracle returns an empty oracle; all blocks start at version 0.
 func NewOracle() *Oracle {
 	return &Oracle{
-		latest:     make(map[msg.Block]uint64),
-		commitTime: make(map[msg.Block][]sim.Time),
-		first:      make(map[msg.Block]uint64),
 		seen:       make(map[procBlock]uint64),
 		StaleLimit: sim.Millisecond,
 	}
@@ -84,43 +88,40 @@ func (o *Oracle) CommitWrite(proc int, b msg.Block, now sim.Time) uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.writes++
-	v := o.latest[b] + 1
-	o.latest[b] = v
-	o.commitTime[b] = append(o.commitTime[b], now)
-	o.prune(b, now)
-	o.seen[procBlock{proc, b}] = v
-	return v
+	h := o.versions.At(b)
+	h.latest++
+	h.commits = append(h.commits, now)
+	h.prune(now, o.StaleLimit)
+	o.seen[procBlock{proc, b}] = h.latest
+	return h.latest
 }
 
 // prune drops commit-time history far older than the staleness window.
-func (o *Oracle) prune(b msg.Block, now sim.Time) {
-	times := o.commitTime[b]
-	if len(times) < 4096 {
+func (h *versions) prune(now, staleLimit sim.Time) {
+	if len(h.commits) < 4096 {
 		return
 	}
-	horizon := now - 4*o.StaleLimit
+	horizon := now - 4*staleLimit
 	drop := 0
-	for drop < len(times)-1 && times[drop] < horizon {
+	for drop < len(h.commits)-1 && h.commits[drop] < horizon {
 		drop++
 	}
 	if drop > 0 {
-		o.commitTime[b] = append([]sim.Time(nil), times[drop:]...)
-		o.first[b] += uint64(drop)
+		h.commits = append([]sim.Time(nil), h.commits[drop:]...)
+		h.first += uint64(drop)
 	}
 }
 
-// versionCommit returns when version v of b committed (ok=false when the
-// history was pruned or v is 0/unknown).
-func (o *Oracle) versionCommit(b msg.Block, v uint64) (sim.Time, bool) {
+// versionCommit returns when version v committed (ok=false when the history
+// was pruned or v is 0/unknown).
+func (h *versions) versionCommit(v uint64) (sim.Time, bool) {
 	if v == 0 {
 		return 0, true
 	}
-	first := o.first[b]
-	times := o.commitTime[b]
-	if v <= first || v > first+uint64(len(times)) {
+	if v <= h.first || v > h.first+uint64(len(h.commits)) {
 		return 0, false
 	}
-	return times[v-first-1], true
+	return h.commits[v-h.first-1], true
 }
 
 // CheckRead verifies that proc's completed load of b observed version v
@@ -129,7 +130,8 @@ func (o *Oracle) CheckRead(proc int, b msg.Block, v uint64, now sim.Time) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.reads++
-	latest := o.latest[b]
+	h := o.versions.Get(b)
+	latest := h.latest
 	if v > latest {
 		o.fail("phantom read of block %d: got v%d, latest committed is v%d", b, v, latest)
 		return
@@ -143,7 +145,7 @@ func (o *Oracle) CheckRead(proc int, b msg.Block, v uint64, now sim.Time) {
 	if v < latest {
 		// The value was overwritten; allow it only within the staleness
 		// window (split-transaction completion skew).
-		next, ok := o.versionCommit(b, v+1)
+		next, ok := h.versionCommit(v + 1)
 		if !ok {
 			o.fail("proc %d read block %d version v%d so old its history was pruned", proc, b, v)
 			return
@@ -155,7 +157,7 @@ func (o *Oracle) CheckRead(proc int, b msg.Block, v uint64, now sim.Time) {
 }
 
 // Latest reports the current committed version of b.
-func (o *Oracle) Latest(b msg.Block) uint64 { return o.latest[b] }
+func (o *Oracle) Latest(b msg.Block) uint64 { return o.versions.Get(b).latest }
 
 // Image returns a copy of the final memory image: the last committed
 // version of every block ever written. Two runs that executed the same
@@ -163,9 +165,9 @@ func (o *Oracle) Latest(b msg.Block) uint64 { return o.latest[b] }
 // produce identical images; the cross-protocol differential test relies
 // on this.
 func (o *Oracle) Image() map[msg.Block]uint64 {
-	img := make(map[msg.Block]uint64, len(o.latest))
-	for b, v := range o.latest {
-		img[b] = v
+	img := make(map[msg.Block]uint64)
+	for b, h := range o.versions.All() {
+		img[b] = h.latest
 	}
 	return img
 }

@@ -1,6 +1,9 @@
 // Package msg defines the coherence-message vocabulary shared by every
 // protocol in the simulator: node/unit addressing, block naming, message
-// kinds, wire sizes, and traffic categories.
+// kinds, wire sizes, and traffic categories. It also holds the two
+// containers protocols index by these names: NodeSet, a set of node IDs,
+// and Table, the block-keyed store every component keeps its per-block
+// state in.
 //
 // The paper's protocols exchange 8-byte control messages and 72-byte data
 // messages (8-byte header + 64-byte cache block). Every protocol package

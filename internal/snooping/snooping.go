@@ -43,23 +43,15 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until its PutM broadcast is
-// ordered.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool // cleared if a foreign GetM is ordered first
-	written bool
-}
-
 // Cache is the snooping cache controller for one node.
 type Cache struct {
 	machine.CacheBase
-	// wb maps blocks awaiting writeback ordering.
-	wb map[msg.Block]*wbEntry
+	// wb holds evicted owner lines until their PutM broadcast is
+	// ordered; a foreign GetM ordered first takes the ownership away.
+	wb machine.Writebacks
 	// deferred holds foreign requests ordered between this node's own
 	// ordered request and its data arrival.
-	deferred map[msg.Block][]msg.Message
+	deferred msg.Table[[]msg.Message]
 	// dsts is the broadcast destination scratch buffer, reused across
 	// broadcasts (Multicast copies what it keeps).
 	dsts []msg.Port
@@ -70,10 +62,7 @@ type Cache struct {
 
 // NewCache builds node id's snooping controller and registers it.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{
-		wb:       make(map[msg.Block]*wbEntry),
-		deferred: make(map[msg.Block][]msg.Message),
-	}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	c.broadcasts = sys.Metrics.Counter(stats.Desc{
 		Name: "snoop_broadcasts", Unit: "count", Fmt: "%.0f",
@@ -126,10 +115,10 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return
 	}
-	if _, dup := c.wb[v.Block]; dup {
+	if c.wb.Pending(v.Block) > 0 {
 		panic("snooping: evicted block already in writeback buffer")
 	}
-	c.wb[v.Block] = &wbEntry{data: v.Data, dirty: v.Dirty, owner: true, written: v.Written}
+	c.wb.Push(v)
 	c.broadcast(msg.KindPutM, v.Block)
 }
 
@@ -156,7 +145,8 @@ func (c *Cache) ordered(m *msg.Message) {
 		// This node's own ordered request precedes m; it may end up the
 		// owner (GetM, or a migratory GetS grant), so m's disposition is
 		// decided when the data arrives.
-		c.deferred[b] = append(c.deferred[b], *m)
+		defs := c.deferred.At(b)
+		*defs = append(*defs, *m)
 		return
 	}
 	c.foreign(m, b)
@@ -166,18 +156,14 @@ func (c *Cache) ordered(m *msg.Message) {
 // the total order.
 func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 	if m.Kind == msg.KindPutM {
-		e := c.wb[b]
-		if e == nil {
-			panic("snooping: own PutM ordered with no writeback entry")
-		}
-		delete(c.wb, b)
+		e := c.wb.Pop(b)
 		home := c.HomePort(b)
 		var out msg.Message
-		if e.owner {
+		if e.Owner {
 			out = msg.Message{
 				Kind: msg.KindPutM, Cat: msg.CatData,
 				Src: c.CachePort(), Dst: home, Addr: b.Base(),
-				HasData: true, Data: e.data, Dirty: e.dirty,
+				HasData: true, Data: e.Data, Dirty: e.Dirty,
 			}
 		} else {
 			out = msg.Message{
@@ -192,21 +178,21 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 	if mshr == nil {
 		panic("snooping: own request ordered with no MSHR")
 	}
-	if e, ok := c.wb[b]; ok && e.owner {
+	if e := c.wb.Owner(b); e != nil {
 		// This node evicted the block after issuing the request and is
 		// still its owner (the PutM is ordered later): nobody else will
 		// respond, so self-serve from the writeback buffer. The eventual
 		// PutM order point then reports a stale writeback.
 		l := c.EnsureL2(b)
 		l.Valid = true
-		l.Data = e.data
-		l.Dirty = e.dirty
+		l.Data = e.Data
+		l.Dirty = e.Dirty
 		if m.Kind == msg.KindGetM {
 			l.State = stateM
 		} else {
 			l.State = stateO
 		}
-		e.owner = false
+		e.Owner = false
 		c.CompleteMiss(mshr)
 		return
 	}
@@ -228,14 +214,14 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 // foreign applies the stable-state MOSI response policy; it is also used
 // to drain deferred requests once ownership is established.
 func (c *Cache) foreign(m *msg.Message, b msg.Block) {
-	if e, ok := c.wb[b]; ok && e.owner {
+	if e := c.wb.Owner(b); e != nil {
 		switch m.Kind {
 		case msg.KindGetS:
 			// Respond from the writeback buffer and remain responsible.
-			c.respondData(m.Requester, b, e.data, false, false, 0)
+			c.respondData(m.Requester, b, e.Data, false, false, 0)
 		case msg.KindGetM:
-			c.respondData(m.Requester, b, e.data, true, e.dirty, 0)
-			e.owner = false // the writeback is now stale
+			c.respondData(m.Requester, b, e.Data, true, e.Dirty, 0)
+			e.Owner = false // the writeback is now stale
 		}
 		return
 	}
@@ -250,7 +236,7 @@ func (c *Cache) foreign(m *msg.Message, b msg.Block) {
 			if c.Cfg.Migratory && l.Written {
 				// Migratory-sharing optimization: hand over exclusively.
 				c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0)
-				c.dropLine(b)
+				c.DropLine(b)
 				return
 			}
 			c.respondData(m.Requester, b, l.Data, false, false, 0)
@@ -262,7 +248,7 @@ func (c *Cache) foreign(m *msg.Message, b msg.Block) {
 		if l.State == stateM || l.State == stateO {
 			c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0)
 		}
-		c.dropLine(b)
+		c.DropLine(b)
 	}
 }
 
@@ -284,11 +270,6 @@ func (c *Cache) send(m msg.Message, lat sim.Time) {
 	c.Net.SendAfter(m, lat)
 }
 
-func (c *Cache) dropLine(b msg.Block) {
-	c.L2.Remove(b)
-	c.DropL1(b)
-}
-
 // onData completes an ordered miss and drains any requests that were
 // deferred behind it.
 func (c *Cache) onData(m *msg.Message) {
@@ -307,16 +288,17 @@ func (c *Cache) onData(m *msg.Message) {
 		l.State = stateS
 	}
 	c.CompleteMiss(mshr)
-	defs := c.deferred[b]
-	delete(c.deferred, b)
+	defs := c.deferred.Get(b)
+	c.deferred.Delete(b)
 	for i := range defs {
 		c.foreign(&defs[i], b)
 	}
 }
 
-// memLine is the home memory's view of one block.
+// memLine is the home memory's view of one block. A block starts out
+// owned by memory, the zero value.
 type memLine struct {
-	ownerBit  bool // memory is the block's owner
+	cacheOwns bool // a cache, not memory, is the block's owner
 	data      uint64
 	wbPending int
 	deferred  []msg.Message
@@ -331,12 +313,12 @@ type Memory struct {
 	// through its network view.
 	isle  *machine.Isle
 	id    msg.NodeID
-	lines map[msg.Block]*memLine
+	lines msg.Table[memLine]
 }
 
 // NewMemory builds and registers node id's memory controller.
 func NewMemory(sys *machine.System, id msg.NodeID) *Memory {
-	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id, lines: make(map[msg.Block]*memLine)}
+	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id}
 	sys.Net.Register(m.Port(), m)
 	return m
 }
@@ -344,22 +326,13 @@ func NewMemory(sys *machine.System, id msg.NodeID) *Memory {
 // Port returns the memory controller's network port.
 func (m *Memory) Port() msg.Port { return msg.Port{Node: m.id, Unit: msg.UnitMem} }
 
-func (m *Memory) line(b msg.Block) *memLine {
-	if l, ok := m.lines[b]; ok {
-		return l
-	}
-	l := &memLine{ownerBit: true}
-	m.lines[b] = l
-	return l
-}
-
 // OwnerBit reports the owner bit for tests.
-func (m *Memory) OwnerBit(b msg.Block) bool { return m.line(b).ownerBit }
+func (m *Memory) OwnerBit(b msg.Block) bool { return !m.lines.Get(b).cacheOwns }
 
 // Handle implements interconnect.Handler.
 func (m *Memory) Handle(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	l := m.line(b)
+	l := m.lines.At(b)
 	switch mm.Kind {
 	case msg.KindGetS, msg.KindGetM:
 		if l.wbPending > 0 {
@@ -376,7 +349,7 @@ func (m *Memory) Handle(mm *msg.Message) {
 		}
 		// The writeback data itself.
 		l.data = mm.Data
-		l.ownerBit = true
+		l.cacheOwns = false
 		m.resolveWB(l)
 	case msg.KindWBStale:
 		m.resolveWB(l)
@@ -408,7 +381,7 @@ func (m *Memory) resolveWB(l *memLine) {
 
 // serve answers one ordered request when the memory owns the block.
 func (m *Memory) serve(l *memLine, mm *msg.Message) {
-	if !l.ownerBit {
+	if l.cacheOwns {
 		return // a cache owner will respond
 	}
 	cfg := m.sys.Cfg
@@ -419,7 +392,7 @@ func (m *Memory) serve(l *memLine, mm *msg.Message) {
 	}
 	if mm.Kind == msg.KindGetM {
 		out.Owner = true
-		l.ownerBit = false
+		l.cacheOwns = true
 	}
 	m.isle.Net.SendAfter(out, cfg.CtrlLatency+cfg.MemLatency)
 }
