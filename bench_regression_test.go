@@ -50,6 +50,7 @@ func memPerRun(f func()) (allocs, bytes float64) {
 // ceilings; entry names the BENCH.json entry to regenerate.
 func checkLimits(t *testing.T, entry, name string, limits benchLimits, allocs, bytes float64) {
 	t.Helper()
+	t.Logf("%s %s: %.0f allocs, %.0f bytes", entry, name, allocs, bytes)
 	if allocs > limits.MaxAllocsPerOp {
 		t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
 			"if intentional, regenerate BENCH.json's %s entry in this PR",

@@ -337,7 +337,10 @@ type cacheOp struct {
 // reference with the same random operation sequences over several
 // geometries (one set, sub-page, whole pages, and set counts that leave
 // a partial last page) and requires identical hits, victims (every
-// field), Len and ForEach order after every step.
+// field), Len and ForEach order after every step. A tag store runs the
+// same sequence beside them against a reference of its own, which sees
+// its inserts and removals but no touches or avoid filters (Tags has
+// neither), and must match it in residency, victims and Len.
 func TestPagedMatchesReference(t *testing.T) {
 	geometries := []struct{ sets, assoc int }{
 		{1, 4},
@@ -355,9 +358,14 @@ func TestPagedMatchesReference(t *testing.T) {
 			span := 3 * g.sets * g.assoc // blocks in play: enough to force evictions
 			f := func(ops []cacheOp) bool {
 				c, ref := New(size, g.assoc), newRef(size, g.assoc)
+				tags, tref := NewTags(size, g.assoc), newRef(size, g.assoc)
 				for step, op := range ops {
 					if err := applyBoth(c, ref, op, span); err != nil {
 						t.Logf("step %d %+v: %v", step, op, err)
+						return false
+					}
+					if err := applyTags(tags, tref, op, span); err != nil {
+						t.Logf("step %d %+v (tags): %v", step, op, err)
 						return false
 					}
 				}
@@ -425,6 +433,40 @@ func applyBoth(c *Cache, ref *refCache, op cacheOp, span int) error {
 	return nil
 }
 
+// applyTags applies op to a tag store and its reference and reports the
+// first divergence. Touches are skipped and allocations avoid nothing.
+func applyTags(tags *Tags, ref *refCache, op cacheOp, span int) error {
+	b := msg.Block(int(op.Block) % span)
+	has := ref.Lookup(b) != nil
+	if tags.Has(b) != has {
+		return fmt.Errorf("Has(%d) = %v, reference %v", b, !has, has)
+	}
+	switch op.Kind % 5 {
+	case 0, 1:
+		if has {
+			break
+		}
+		victim, evicted := tags.Insert(b)
+		_, rvictim, revicted := ref.AllocateAvoiding(b, nil)
+		if victim != rvictim.Block || evicted != revicted {
+			return fmt.Errorf("Insert(%d): victim %d (%v), reference %d (%v)", b, victim, evicted, rvictim.Block, revicted)
+		}
+	case 3:
+		tags.Remove(b)
+		ref.Remove(b)
+	}
+	if tags.Len() != ref.entries {
+		return fmt.Errorf("Len() = %d, reference %d", tags.Len(), ref.entries)
+	}
+	var err error
+	ref.ForEach(func(l *refLine) {
+		if err == nil && !tags.Has(l.Block) {
+			err = fmt.Errorf("reference block %d is not resident", l.Block)
+		}
+	})
+	return err
+}
+
 // setFields writes v into every protocol-owned field of l.
 func setFields(l *Line, v uint16) {
 	l.State = int(v % 5)
@@ -438,8 +480,9 @@ func setFields(l *Line, v uint16) {
 }
 
 // TestLazyPages checks that storage follows the sets a run touches:
-// probes and removals on untouched pages allocate none, and each
-// allocation materializes exactly the page of its set.
+// probes and removals before the first allocation allocate not even the
+// page index, and each allocation materializes exactly the page of its
+// set.
 func TestLazyPages(t *testing.T) {
 	c := New(4<<20, 4) // the paper's L2: 16384 sets
 	far := msg.Block(c.Sets() - 1)
@@ -447,31 +490,76 @@ func TestLazyPages(t *testing.T) {
 		t.Fatal("Lookup on an empty cache returned a line")
 	}
 	c.Remove(far)
-	if n := livePages(c); n != 0 {
-		t.Fatalf("probes materialized %d pages, want 0", n)
+	if c.tags.index != nil || len(c.tags.pages) != 0 {
+		t.Fatalf("probes of an empty cache allocated an index of %d pages and %d pages", len(c.tags.index), len(c.tags.pages))
 	}
 	c.Allocate(0)
 	c.Allocate(1) // same page
 	c.Allocate(far)
-	if n := livePages(c); n != 2 {
+	if n := livePages(&c.tags); n != 2 {
 		t.Errorf("3 allocations in 2 pages materialized %d pages", n)
+	}
+	if n := len(c.chunks); n != 1 {
+		t.Errorf("3 resident lines hold %d record chunks, want 1", n)
 	}
 }
 
-func livePages(c *Cache) int {
-	n := 0
-	for _, p := range c.pages {
-		if p != nil {
-			n++
+// livePages counts the pages the index marks touched, checking that each
+// names a distinct page of pages.
+func livePages(t *Tags) int {
+	seen := map[int32]bool{}
+	for _, ix := range t.index {
+		if ix != 0 {
+			if seen[ix] || int(ix) > len(t.pages) {
+				panic(fmt.Sprintf("index entry %d is repeated or out of range", ix))
+			}
+			seen[ix] = true
 		}
 	}
-	return n
+	return len(seen)
+}
+
+// TestLineArena checks the line records of the paper's L2: a held *Line
+// is stable while its block stays resident, removed records are reused
+// before the arena grows, and the arena holds records for resident
+// blocks only, in whole chunks.
+func TestLineArena(t *testing.T) {
+	c := New(4<<20, 4)
+	held, _, _ := c.Allocate(0)
+	setFields(held, 77)
+	want := *held
+	for b := msg.Block(1); b <= 10000; b++ { // every block in a set of its own
+		c.Allocate(b)
+	}
+	if c.Lookup(0) != held || *held != want {
+		t.Fatalf("held line moved or changed across 10,000 allocations: %+v, want %+v", *held, want)
+	}
+
+	chunks := len(c.chunks)
+	r := c.Lookup(5000)
+	c.Remove(5000)
+	other := msg.Block(c.Sets() - 1) // another set and page
+	if l, _, _ := c.Allocate(other); l != r || len(c.chunks) != chunks {
+		t.Errorf("Allocate after Remove: record reused %v, chunks %d -> %d", l == r, chunks, len(c.chunks))
+	}
+
+	c = New(4<<20, 4)
+	for i := 0; i < 1000; i++ {
+		c.Allocate(msg.Block(i * pageSets)) // one block in each of 1,000 pages
+	}
+	if n, want := len(c.chunks), (1000+chunkLines-1)/chunkLines; n != want {
+		t.Errorf("1,000 resident lines hold %d chunks, want %d", n, want)
+	}
+	if n := livePages(&c.tags); n != 1000 {
+		t.Errorf("1,000 pages touched, index marks %d", n)
+	}
 }
 
 // TestCacheProbeZeroAllocs gates the per-access path: Lookup on an
 // untouched page, and Lookup, Touch, Remove and Allocate into a free
-// way of a touched page, allocate nothing. It also holds Line to 48
-// bytes, the size with the tag and LRU stamp kept out of it.
+// way of a touched page, allocate nothing, nor do a tag store's Has,
+// Insert into a free way and Remove. It also holds Line to 48 bytes,
+// the size with the tag and LRU stamp kept out of it.
 func TestCacheProbeZeroAllocs(t *testing.T) {
 	if size := unsafe.Sizeof(Line{}); size > 48 {
 		t.Errorf("unsafe.Sizeof(Line{}) = %d, want <= 48", size)
@@ -491,5 +579,19 @@ func TestCacheProbeZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cache probes allocated %.1f objects per run, want 0", allocs)
+	}
+
+	tags := NewTags(128<<10, 4) // the paper's L1
+	tags.Insert(7)
+	allocs = testing.AllocsPerRun(1000, func() {
+		if tags.Has(untouched) || !tags.Has(7) {
+			t.Fatal("tag store residency is wrong")
+		}
+		tags.Remove(untouched)
+		tags.Remove(7)
+		tags.Insert(7)
+	})
+	if allocs != 0 {
+		t.Errorf("tag probes allocated %.1f objects per run, want 0", allocs)
 	}
 }

@@ -122,7 +122,7 @@ type CacheBase struct {
 	// scope, rerouting HomePort at the per-cluster tier.
 	Scope *Scope
 
-	L1          *cache.Cache
+	L1          *cache.Tags
 	L2          *cache.Cache
 	Outstanding map[msg.Block]*MSHR
 
@@ -181,7 +181,7 @@ func (b *CacheBase) InitBase(sys *System, id msg.NodeID, hooks CacheHooks) {
 	b.Oracle = sys.Oracle
 	b.Rng = sys.Rng.Split()
 	b.Hooks = hooks
-	b.L1 = cache.New(sys.Cfg.L1Size, sys.Cfg.L1Assoc)
+	b.L1 = cache.NewTags(sys.Cfg.L1Size, sys.Cfg.L1Assoc)
 	b.L2 = cache.New(sys.Cfg.L2Size, sys.Cfg.L2Assoc)
 	b.Outstanding = make(map[msg.Block]*MSHR)
 	b.AvgMiss = 150 * sim.Nanosecond
@@ -205,18 +205,21 @@ func (b *CacheBase) ArbiterPort(blk msg.Block) msg.Port {
 	return msg.Port{Node: b.Sys.Scope.Home(blk), Unit: msg.UnitArbiter}
 }
 
-// Access implements Controller.
+// Access implements Controller. An access the L2 can serve costs the
+// L1 latency when the L1 holds the block and adds the L2 latency (and
+// fills the L1) when it does not. An L1 hit leaves the L1 untouched, so
+// the L1 replaces blocks in the order they were filled, not LRU.
 func (b *CacheBase) Access(op Op, done func()) {
 	blk := msg.BlockOf(op.Addr)
 	if l2 := b.L2.Lookup(blk); l2 != nil && b.Hooks.HasPermission(l2, op.Write) {
 		b.L2.Touch(l2)
 		lat := b.Cfg.L1Latency
-		if b.L1.Lookup(blk) != nil {
+		if b.L1.Has(blk) {
 			b.Isle.counts[l1Hits].Inc()
 		} else {
 			lat += b.Cfg.L2Latency
 			b.Isle.counts[l2Hits].Inc()
-			b.fillL1(blk)
+			b.L1.Insert(blk) // L1 victims drop silently (latency filter)
 		}
 		b.commit(op, l2)
 		b.Isle.counts[accesses].Inc()
@@ -252,12 +255,6 @@ func (b *CacheBase) commit(op Op, l *cache.Line) {
 		l.Written = true
 	} else {
 		b.Oracle.CheckRead(int(b.ID), l.Block, l.Data, b.K.Now())
-	}
-}
-
-func (b *CacheBase) fillL1(blk msg.Block) {
-	if b.L1.Lookup(blk) == nil {
-		b.L1.Allocate(blk) // L1 victims drop silently (latency filter)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // for it; a transaction that takes ownership away clears Owner, and the
 // writeback is then stale.
 type Writeback struct {
-	Data, Epoch           uint64
+	Data                  uint64
 	Dirty, Written, Owner bool
 }
 
@@ -30,7 +30,7 @@ func (w *Writebacks) Push(l cache.Line) {
 		panic("machine: evicting while an older writeback still owns the block")
 	}
 	q := w.t.At(l.Block)
-	*q = append(*q, Writeback{Data: l.Data, Epoch: l.Epoch, Dirty: l.Dirty, Written: l.Written, Owner: true})
+	*q = append(*q, Writeback{Data: l.Data, Dirty: l.Dirty, Written: l.Written, Owner: true})
 }
 
 // Owner returns the entry that still owns b, or nil. The pointer is

@@ -9,15 +9,15 @@ import (
 func TestWritebacksPopFIFO(t *testing.T) {
 	var w Writebacks
 	for v := uint64(1); v <= 3; v++ {
-		w.Push(cache.Line{Block: 4, Data: v, Epoch: 10 * v})
+		w.Push(cache.Line{Block: 4, Data: v})
 		w.Owner(4).Owner = false // ownership taken away: the next eviction may push
 	}
 	if n := w.Pending(4); n != 3 {
 		t.Fatalf("Pending = %d, want 3", n)
 	}
 	for v := uint64(1); v <= 3; v++ {
-		if e := w.Pop(4); e.Data != v || e.Epoch != 10*v {
-			t.Fatalf("Pop %d returned data v%d epoch %d, want v%d epoch %d", v, e.Data, e.Epoch, v, 10*v)
+		if e := w.Pop(4); e.Data != v {
+			t.Fatalf("Pop %d returned data v%d, want v%d", v, e.Data, v)
 		}
 	}
 	if n := w.Pending(4); n != 0 {
