@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 )
@@ -98,36 +100,32 @@ func (ts *TokenSystem) Controllers() []machine.Controller {
 // with the per-message checks, a nil result means the substrate's safety
 // invariants held for the whole run.
 func (ts *TokenSystem) Audit() error {
-	type held struct {
-		tokens int
-		owners int
-	}
-	sums := make(map[msg.Block]held)
-	// Gather cache-held tokens.
-	for _, c := range ts.Caches {
-		c.ForEachLine(func(b msg.Block, tokens int, owner bool) {
-			h := sums[b]
-			h.tokens += tokens
-			if owner {
-				h.owners++
-			}
-			sums[b] = h
-		})
-	}
-	// Gather memory-held tokens.
-	for _, m := range ts.Mems {
-		for b, l := range m.lines.All() {
-			h := sums[b]
-			h.tokens += l.tokens
-			if l.owner {
-				h.owners++
-			}
-			sums[b] = h
+	// One sum per initialized block, in the ledger's ascending order, so
+	// the first violation names the lowest failing block. Tokens of a
+	// block the ledger never initialized have no sum: the ledger reported
+	// their send already.
+	blocks := ts.Ledger.Blocks()
+	sums := make([]struct{ tokens, owners int }, len(blocks))
+	add := func(b msg.Block, tokens int, owner bool) {
+		i, ok := slices.BinarySearch(blocks, b)
+		if !ok {
+			return
+		}
+		sums[i].tokens += tokens
+		if owner {
+			sums[i].owners++
 		}
 	}
-	for _, b := range ts.Ledger.Blocks() {
-		h := sums[b]
-		ts.Ledger.CheckConservation(b, h.tokens, h.owners)
+	for _, c := range ts.Caches {
+		c.ForEachLine(add)
+	}
+	for _, m := range ts.Mems {
+		for b, l := range m.lines.Unordered() {
+			add(b, l.tokens, l.owner)
+		}
+	}
+	for i, b := range blocks {
+		ts.Ledger.CheckConservation(b, sums[i].tokens, sums[i].owners)
 	}
 	return ts.Ledger.Err()
 }

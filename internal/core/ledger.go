@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tokencoherence/internal/msg"
@@ -127,12 +128,13 @@ func (l *Ledger) InFlight(b msg.Block) int {
 
 // Blocks returns every initialized block in ascending order.
 func (l *Ledger) Blocks() []msg.Block {
-	var out []msg.Block
-	for b, ll := range l.lines.All() {
+	out := make([]msg.Block, 0, l.lines.Len())
+	for b, ll := range l.lines.Unordered() {
 		if ll.init {
 			out = append(out, b)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

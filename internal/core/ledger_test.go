@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -121,11 +122,13 @@ func TestLedgerInFlightAccounting(t *testing.T) {
 
 func TestLedgerBlocks(t *testing.T) {
 	l := NewLedger(4)
-	l.InitBlock(1)
-	l.InitBlock(5)
+	for _, b := range []msg.Block{907, 5, 1 << 40, 1, 64} {
+		l.InitBlock(b)
+	}
+	l.Received(33, 1, false) // an entry, but never initialized
 	got := l.Blocks()
-	if len(got) != 2 {
-		t.Fatalf("Blocks() = %v, want 2 entries", got)
+	if want := []msg.Block{1, 5, 64, 907, 1 << 40}; !slices.Equal(got, want) {
+		t.Fatalf("Blocks() = %v, want the initialized blocks in order %v", got, want)
 	}
 }
 

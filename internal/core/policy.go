@@ -15,6 +15,8 @@ type Policy interface {
 	// Destinations appends the ports a transient request is sent to onto
 	// buf and returns the result. The caller owns buf and reuses it per
 	// request, so implementations must not retain the returned slice.
+	// m is the miss's recycled record: a policy that must recognise the
+	// miss later keeps m.Serial, not m.
 	Destinations(c *TokenB, m *machine.MSHR, reissue bool, buf []msg.Port) []msg.Port
 	// Observe trains the policy on an incoming token-carrying message.
 	// mm is valid only during the call; a policy that keeps it keeps a

@@ -47,9 +47,10 @@ type persistLine struct {
 	// Epochs disambiguate a fresh request from the tail of an earlier
 	// request's deactivation cycle.
 	mine uint64
-	// starving is the MSHR that invoked our persistent request and seq
-	// its epoch, so satisfaction can be matched to deactivation.
-	starving *machine.MSHR
+	// starving is the Serial of the miss that invoked our persistent
+	// request (0 = none) and seq its epoch, so satisfaction can be
+	// matched to deactivation.
+	starving uint64
 	seq      uint64
 }
 
@@ -118,14 +119,17 @@ func (c *TokenB) armTimer(m *machine.MSHR) {
 	if timeout > maxReissueTimeout {
 		timeout = maxReissueTimeout
 	}
-	m.Timer = c.K.After(timeout, func() {
-		m.Timer = nil
-		c.onTimeout(m)
-	})
+	if m.OnTimer == nil {
+		m.OnTimer = func() {
+			m.Timer = nil
+			c.onTimeout(m)
+		}
+	}
+	m.Timer = c.K.After(timeout, m.OnTimer)
 }
 
 func (c *TokenB) onTimeout(m *machine.MSHR) {
-	if c.Outstanding[m.Block] != m {
+	if c.Outstanding(m.Block) != m {
 		return // resolved in the same tick; timer raced with completion
 	}
 	if m.Reissues >= c.Cfg.MaxReissues {
@@ -149,7 +153,7 @@ func (c *TokenB) goPersistent(m *machine.MSHR) {
 	m.Persistent = true
 	c.persistSeq++
 	p := c.persist.At(m.Block)
-	p.starving, p.seq = m, c.persistSeq
+	p.starving, p.seq = m.Serial, c.persistSeq
 	c.Net.Send(msg.Message{
 		Kind: msg.KindPersistentReq, Cat: msg.CatReissue,
 		Src:  c.CachePort(),
@@ -273,7 +277,7 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 		c.forwardTokens(p.starver, m)
 		return
 	}
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	var l *cache.Line
 	if mshr != nil {
 		l = c.EnsureL2(b)
@@ -329,17 +333,17 @@ func (c *TokenB) satisfied(m *machine.MSHR, l *cache.Line) bool {
 }
 
 func (c *TokenB) completeTokenMiss(m *machine.MSHR) {
-	b := m.Block
-	c.CompleteMiss(m)
+	b, serial, persistent := m.Block, m.Serial, m.Persistent
+	c.CompleteMiss(m) // m is free now: a replayed access may reuse it
 	// Deactivate only when OUR epoch is the one currently active; if the
 	// activation has not arrived yet (or an older epoch is still
 	// draining), the deactivation is sent when the activation shows up.
-	if !m.Persistent {
+	if !persistent {
 		return
 	}
-	if p := c.persist.At(b); p.starving == m && p.mine == p.seq && p.mine != 0 {
+	if p := c.persist.At(b); p.starving == serial && p.mine == p.seq && p.mine != 0 {
 		c.sendDeactivate(b)
-		p.starving, p.seq = nil, 0
+		p.starving, p.seq = 0, 0
 	}
 }
 
@@ -359,16 +363,16 @@ func (c *TokenB) handleActivate(m *msg.Message) {
 	if m.Requester == c.CachePort() {
 		epoch := uint64(m.Acks)
 		p.mine = epoch
-		sm := p.starving
+		sm, live := p.starving, c.Outstanding(b)
 		switch {
-		case sm != nil && p.seq == epoch && c.Outstanding[b] == sm:
+		case sm != 0 && p.seq == epoch && live != nil && live.Serial == sm:
 			// Our starving miss is still outstanding; tokens will flow
 			// and completion will deactivate.
-		case sm != nil && p.seq == epoch:
+		case sm != 0 && p.seq == epoch:
 			// The starving miss was satisfied by a late transient
 			// response before activation; deactivate immediately.
 			c.sendDeactivate(b)
-			p.starving, p.seq = nil, 0
+			p.starving, p.seq = 0, 0
 		default:
 			// Activation of an older epoch whose miss resolved (and whose
 			// bookkeeping was superseded by a newer request): release it.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tokencoherence/internal/interconnect"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
@@ -274,6 +275,70 @@ func TestPersistentRequestEscalation(t *testing.T) {
 	}
 	if got := sys.Oracle.Latest(msg.BlockOf(addr)); got != 8 {
 		t.Errorf("final version = %d, want 8 (all writes committed)", got)
+	}
+}
+
+// TestLateActivationAfterRecordReuse: a persistent miss is satisfied by
+// a late transient response before the arbiter activates it, and a new
+// miss to the same block reuses the retired MSHR record. When the old
+// epoch's activation finally arrives, the node must deactivate at once:
+// the recycled record carries a different miss, so matching by record
+// would mistake it for the starving one and hold the arbiter forever.
+func TestLateActivationAfterRecordReuse(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Procs, cfg.TokensPerBlock = 4, 4
+	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 1)
+	ledger := NewLedger(cfg.TokensPerBlock)
+	c := NewTokenController(sys, 0, ledger, NewBroadcastPolicy())
+	var deactivations int
+	stub := interconnect.HandlerFunc(func(m *msg.Message) {
+		if m.Kind == msg.KindPersistentDeactivate {
+			deactivations++
+		}
+	})
+	for n := 0; n < cfg.Procs; n++ {
+		for _, u := range []msg.Unit{msg.UnitCache, msg.UnitMem, msg.UnitArbiter} {
+			if p := (msg.Port{Node: msg.NodeID(n), Unit: u}); p != c.CachePort() {
+				sys.Net.Register(p, stub)
+			}
+		}
+	}
+
+	const b = msg.Block(12)
+	c.Access(machine.Op{Addr: b.Base()}, func() {})
+	old := c.Outstanding(b)
+	oldSerial := old.Serial
+	c.goPersistent(old) // the reissue timer ran out: epoch 1
+
+	ledger.InitBlock(b)
+	ledger.Sent(b, 1, false, true)
+	c.Handle(&msg.Message{
+		Kind: msg.KindData, Cat: msg.CatData,
+		Src: msg.Port{Node: 1, Unit: msg.UnitMem}, Dst: c.CachePort(), Addr: b.Base(),
+		Tokens: 1, HasData: true,
+	})
+	if c.Outstanding(b) != nil {
+		t.Fatal("the transient response did not satisfy the persistent read miss")
+	}
+
+	c.Access(machine.Op{Addr: b.Base(), Write: true}, func() {})
+	cur := c.Outstanding(b)
+	if cur != old || cur.Serial == oldSerial {
+		t.Fatalf("upgrade miss got record %p serial %d; want the retired record %p with a serial other than %d",
+			cur, cur.Serial, old, oldSerial)
+	}
+
+	c.Handle(&msg.Message{
+		Kind: msg.KindPersistentActivate, Cat: msg.CatReissue,
+		Src: c.ArbiterPort(b), Dst: c.CachePort(), Addr: b.Base(),
+		Requester: c.CachePort(), Acks: 1,
+	})
+	if p := c.persist.Get(b); p.starving != 0 || p.seq != 0 {
+		t.Errorf("persistent table still names epoch %d of miss %d", p.seq, p.starving)
+	}
+	sys.K.Run()
+	if deactivations != 1 {
+		t.Errorf("late activation of epoch 1 sent %d deactivations, want 1", deactivations)
 	}
 }
 

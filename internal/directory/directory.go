@@ -128,7 +128,7 @@ func (c *Cache) Handle(m *msg.Message) {
 
 func (c *Cache) onData(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil {
 		panic(fmt.Sprintf("directory: node %d data for block %d with no MSHR", c.ID, b))
 	}
@@ -157,7 +157,7 @@ func (c *Cache) absorbPendingAcks(mshr *machine.MSHR) {
 
 func (c *Cache) onInvAck(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil {
 		// An ack from an aborted (grant/writeback-race) transaction; the
 		// retried request counted only acks matching its own fill.
@@ -178,7 +178,7 @@ func (c *Cache) onInvAck(m *msg.Message) {
 // node as the block's owner, so only invalidation acks are needed.
 func (c *Cache) onGrant(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil {
 		panic(fmt.Sprintf("directory: node %d stray grant for block %d", c.ID, b))
 	}
@@ -274,7 +274,7 @@ func (c *Cache) onInv(m *msg.Message) {
 		if m.Seq > l.Epoch {
 			c.DropLine(b)
 		}
-	} else if _, outstanding := c.Outstanding[b]; outstanding {
+	} else if c.Outstanding(b) != nil {
 		// Fill in flight: remember the invalidation; the fill may satisfy
 		// the waiting accesses once if it is newer, then die.
 		if m.Seq > c.races.Get(b).invSeq {
@@ -297,7 +297,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 		c.serveFwd(m, b)
 		return
 	}
-	if mshr, outstanding := c.Outstanding[b]; outstanding {
+	if mshr := c.Outstanding(b); mshr != nil {
 		if mshr.GotData {
 			if m.Seq > mshr.Fill.Seq {
 				// Our own transaction is ordered before this forward at

@@ -250,3 +250,41 @@ func TestPlanExpansionValidatesEarly(t *testing.T) {
 		t.Errorf("snooping/torus plan: %v", err)
 	}
 }
+
+// TestPaperPointMSHRRecords: a controller's MSHR file recycles records,
+// so over a paper16 point (the 16-processor grid of Figures 4 and 5
+// plus regionfilter, each commercial workload) no controller makes more
+// records than Config.MSHRs, the most misses its processor can have
+// outstanding, however many misses it serves.
+func TestPaperPointMSHRRecords(t *testing.T) {
+	variants := [][2]string{
+		{ProtoTokenB, TopoTorus}, {ProtoSnooping, TopoTree}, {ProtoDirectory, TopoTorus},
+		{ProtoHammer, TopoTorus}, {ProtoRegionFilter, TopoTorus},
+	}
+	for _, wl := range []string{"apache", "oltp", "specjbb"} {
+		for _, v := range variants {
+			pt := Point{Protocol: v[0], Topo: v[1], Workload: wl, Procs: 16, Ops: 400, Warmup: 1200, Seed: 1}.withDefaults()
+			comps, err := pt.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, ctrls, _, err := buildMachine(pt, comps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.ExecuteWarm(ctrls, comps.wl.New(pt.Procs), pt.Warmup, pt.Ops); err != nil {
+				t.Fatal(err)
+			}
+			records, most := 0, 0
+			for i, c := range ctrls {
+				n := c.(interface{ MSHRRecords() int }).MSHRRecords()
+				if n > sys.Cfg.MSHRs {
+					t.Errorf("%s/%s node %d made %d MSHR records, more than Config.MSHRs = %d", v[0], wl, i, n, sys.Cfg.MSHRs)
+				}
+				records, most = records+n, max(most, n)
+			}
+			t.Logf("%s/%s: %d MSHR records (at most %d per node) for %d measured misses",
+				v[0], wl, records, most, sys.Metrics.Count("misses"))
+		}
+	}
+}

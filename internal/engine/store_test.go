@@ -312,7 +312,9 @@ func TestStoreReplayByteIdentity(t *testing.T) {
 // TestStoreResumeAfterCancel models a killed sweep: the first execution
 // is cancelled mid-plan (completed points already archived), the second
 // resumes against the same store and must emit byte-identical output to
-// a never-interrupted run, recomputing only what is missing.
+// a never-interrupted run, recomputing only what is missing. The cancel
+// happens on the single worker, as the second point starts, so no later
+// point can be in flight when it lands.
 func TestStoreResumeAfterCancel(t *testing.T) {
 	plan := storePlan()
 	golden, goldenJSON, _ := runWithSinks(t, Engine{Workers: 1}, plan)
@@ -326,10 +328,11 @@ func TestStoreResumeAfterCancel(t *testing.T) {
 		Workers: 1,
 		Store:   st,
 		Reuse:   true,
-		Progress: func(p Progress) {
-			if p.Done == 2 {
-				cancel() // die mid-plan with two points archived
+		Attach: func(job Job) func(*machine.System) {
+			if job.Index == 1 {
+				cancel() // die mid-plan; this point still runs and is archived
 			}
+			return nil
 		},
 	}
 	var devnull bytes.Buffer

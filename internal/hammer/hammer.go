@@ -165,7 +165,7 @@ func (c *Cache) respond(to msg.Port, b msg.Block, kind msg.Kind, data uint64, gr
 // onResponse collects probe responses and the memory response.
 func (c *Cache) onResponse(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil {
 		panic(fmt.Sprintf("hammer: node %d stray %v for block %d", c.ID, m.Kind, b))
 	}

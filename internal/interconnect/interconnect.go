@@ -86,12 +86,13 @@ type HandlerFunc func(m *msg.Message)
 func (f HandlerFunc) Handle(m *msg.Message) { f(m) }
 
 // shared is the fabric state common to every island view of one
-// network: the handler table, the route rows, plus the per-link
-// transmission state. The link arrays are written without locks, which
-// is safe because each link is touched only by the island owning its
-// tail actor (links are reserved by the event executing at their tail).
+// network: the handler table (indexed by handlerIndex), the route rows,
+// plus the per-link transmission state. The link arrays are written
+// without locks, which is safe because each link is touched only by the
+// island owning its tail actor (links are reserved by the event
+// executing at their tail).
 type shared struct {
-	handlers map[msg.Port]Handler
+	handlers []Handler
 	nextFree []sim.Time
 	routes   []atomic.Pointer[route] // per source, built on first use
 	linkTail []int32                 // actor transmitting on each link
@@ -153,7 +154,7 @@ func New(k *sim.Kernel, topo topology.Topology, cfg Config) *Network {
 	}
 	nl := topo.NumLinks()
 	sh := &shared{
-		handlers: make(map[msg.Port]Handler),
+		handlers: make([]Handler, topo.Nodes()*msg.NumUnits),
 		nextFree: make([]sim.Time, nl),
 		routes:   make([]atomic.Pointer[route], topo.Nodes()),
 		linkTail: make([]int32, nl),
@@ -265,10 +266,21 @@ func (n *Network) Register(p msg.Port, h Handler) {
 	if h == nil {
 		panic("interconnect: Register with nil handler")
 	}
-	if _, dup := n.sh.handlers[p]; dup {
+	i, ok := n.handlerIndex(p)
+	if !ok {
+		panic(fmt.Sprintf("interconnect: port %v is outside the %d-node fabric", p, n.topo.Nodes()))
+	}
+	if n.sh.handlers[i] != nil {
 		panic(fmt.Sprintf("interconnect: port %v registered twice", p))
 	}
-	n.sh.handlers[p] = h
+	n.sh.handlers[i] = h
+}
+
+// handlerIndex returns p's slot in the handler table, reporting whether
+// the fabric has one.
+func (n *Network) handlerIndex(p msg.Port) (int, bool) {
+	i := int(p.Node)*msg.NumUnits + int(p.Unit)
+	return i, p.Node >= 0 && p.Unit < msg.NumUnits && i < len(n.sh.handlers)
 }
 
 // serialization returns the time the message occupies one link.
@@ -404,8 +416,11 @@ func (op *netOp) run() {
 // deliver schedules the handler for op's message at time at. The message
 // executes as (and on the island of) the destination node's actor.
 func (n *Network) deliver(op *netOp, at sim.Time) {
-	h, ok := n.sh.handlers[op.m.Dst]
-	if !ok {
+	var h Handler
+	if i, ok := n.handlerIndex(op.m.Dst); ok {
+		h = n.sh.handlers[i]
+	}
+	if h == nil {
 		panic(fmt.Sprintf("interconnect: no handler for %v (message %s)", op.m.Dst, op.m.String()))
 	}
 	dst := int32(op.m.Dst.Node)

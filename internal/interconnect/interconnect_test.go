@@ -298,6 +298,25 @@ func TestDoubleRegisterPanics(t *testing.T) {
 	n.Register(msg.Port{Node: 0, Unit: msg.UnitCache}, c)
 }
 
+// TestRegisterOutsideFabricPanics: the handler table has a slot for
+// every unit of every node of the topology and nothing else.
+func TestRegisterOutsideFabricPanics(t *testing.T) {
+	k, n, _ := newTorusNet(t, DefaultConfig())
+	c := &collector{k: k}
+	nodes := msg.NodeID(n.Topology().Nodes())
+	n.Register(msg.Port{Node: nodes - 1, Unit: msg.NumUnits - 1}, c)
+	for _, p := range []msg.Port{{Node: nodes, Unit: msg.UnitCache}, {Node: -1, Unit: msg.UnitCache}, {Node: 0, Unit: msg.NumUnits}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register(%v) on a %d-node fabric did not panic", p, nodes)
+				}
+			}()
+			n.Register(p, c)
+		}()
+	}
+}
+
 // TestUnicastLatencyHelper pins the uncontended latency formula on
 // measured delivery times: LocalLatency on the same node, otherwise one
 // LinkLatency per hop plus one serialization.

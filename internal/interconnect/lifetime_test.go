@@ -18,6 +18,31 @@ import (
 // value or channel element of type *msg.Message (*Message inside
 // package msg). Receivers that keep a message keep a copy of the value.
 func TestNoMessagePointersKept(t *testing.T) {
+	walkModule(t, func(path string, f *ast.File) []keptSite {
+		return keptPointers(f, "msg", "Message")
+	}, "of type *msg.Message outlives Handle; keep a msg.Message value")
+}
+
+// TestNoMSHRPointersKept enforces the lifetime of MSHR records: a
+// controller's MSHR file recycles a record when its miss retires, so a
+// *machine.MSHR names a miss only until CompleteMiss. Outside package
+// machine, which owns the file, no struct field, slice or array element,
+// map value or channel element may hold one; code that must recognise a
+// miss later keeps its Serial.
+func TestNoMSHRPointersKept(t *testing.T) {
+	own := filepath.Join("..", "..", "internal", "machine")
+	walkModule(t, func(path string, f *ast.File) []keptSite {
+		if filepath.Dir(path) == own {
+			return nil
+		}
+		return keptPointers(f, "machine", "MSHR")
+	}, "of type *machine.MSHR outlives its miss; keep the miss's Serial")
+}
+
+// walkModule parses every non-test Go file of the module and fails the
+// test on each site check returns, with the message why.
+func walkModule(t *testing.T, check func(path string, f *ast.File) []keptSite, why string) {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	files := 0
@@ -39,8 +64,8 @@ func TestNoMessagePointersKept(t *testing.T) {
 			return err
 		}
 		files++
-		for _, site := range keptMessagePointers(f) {
-			t.Errorf("%s: %s of type *msg.Message outlives Handle; keep a msg.Message value", fset.Position(site.pos), site.what)
+		for _, site := range check(path, f) {
+			t.Errorf("%s: %s %s", fset.Position(site.pos), site.what, why)
 		}
 		return nil
 	})
@@ -53,9 +78,10 @@ func TestNoMessagePointersKept(t *testing.T) {
 }
 
 // TestKeptMessagePointersChecker checks that the lifetime checker flags
-// every storage form it is meant to, and nothing else.
+// every storage form it is meant to, and nothing else, for both types it
+// guards.
 func TestKeptMessagePointersChecker(t *testing.T) {
-	src := `package p
+	const src = `package p
 import "tokencoherence/internal/msg"
 type a struct{ m *msg.Message }
 type b struct{ ms []*msg.Message }
@@ -67,20 +93,32 @@ type ok struct {
 	m  msg.Message
 	ms []msg.Message
 	h  func(*msg.Message)
+	o  *other.Message
+	p  *msg.Port
 }
 func g(m *msg.Message) *msg.Message { return m }
 `
-	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
+	want := []string{"struct field", "slice element", "array element", "map value", "channel element", "slice element"}
+	for _, c := range []struct{ pkg, typ string }{{"msg", "Message"}, {"machine", "MSHR"}} {
+		f, err := parser.ParseFile(token.NewFileSet(), "p.go", strings.NewReplacer("msg.", c.pkg+".", "Message", c.typ).Replace(src), parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range keptPointers(f, c.pkg, c.typ) {
+			got = append(got, s.what)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s.%s: flagged %q, want %q", c.pkg, c.typ, got, want)
+		}
+	}
+	// Inside the type's own package the bare name is the type.
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", "package machine\ntype file struct{ recs []*MSHR }\n", parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, s := range keptMessagePointers(f) {
-		got = append(got, s.what)
-	}
-	want := []string{"struct field", "slice element", "array element", "map value", "channel element", "slice element"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("flagged %q, want %q", got, want)
+	if got := keptPointers(f, "machine", "MSHR"); len(got) != 1 || got[0].what != "slice element" {
+		t.Errorf("package machine: flagged %v, want one slice element", got)
 	}
 }
 
@@ -89,10 +127,10 @@ type keptSite struct {
 	what string
 }
 
-// keptMessagePointers returns the places in f that can store a
-// *msg.Message beyond the call that received it.
-func keptMessagePointers(f *ast.File) []keptSite {
-	inMsg := f.Name.Name == "msg"
+// keptPointers returns the places in f that can store a *pkg.typ (a
+// *typ inside package pkg) beyond the call that received it.
+func keptPointers(f *ast.File, pkg, typ string) []keptSite {
+	inPkg := f.Name.Name == pkg
 	isPtr := func(e ast.Expr) bool {
 		star, ok := e.(*ast.StarExpr)
 		if !ok {
@@ -100,10 +138,10 @@ func keptMessagePointers(f *ast.File) []keptSite {
 		}
 		switch x := star.X.(type) {
 		case *ast.SelectorExpr:
-			pkg, ok := x.X.(*ast.Ident)
-			return ok && pkg.Name == "msg" && x.Sel.Name == "Message"
+			p, ok := x.X.(*ast.Ident)
+			return ok && p.Name == pkg && x.Sel.Name == typ
 		case *ast.Ident:
-			return inMsg && x.Name == "Message"
+			return inPkg && x.Name == typ
 		}
 		return false
 	}

@@ -34,54 +34,6 @@ type Controller interface {
 	Access(op Op, done func())
 }
 
-// MSHR tracks one outstanding coherence miss.
-type MSHR struct {
-	Block  msg.Block
-	Issued sim.Time
-	// Waiters re-execute their access when the miss resolves.
-	Waiters []func()
-
-	// Reissues counts transient-request reissues (Token Coherence).
-	Reissues int
-	// Timer is the pending reissue/starvation timer, if any.
-	Timer *sim.Event
-
-	// Generic transaction scratch space used by the directory and hammer
-	// protocols.
-	AcksNeeded int
-	AcksGot    int
-	// Fill holds the data response until the transaction can commit
-	// (e.g., while invalidation acknowledgments are still outstanding).
-	Fill Fill
-
-	Write bool
-	// Persistent marks escalation to a persistent request.
-	Persistent bool
-	// Ordered marks that the request has reached its serialization point
-	// (its place in the snooping total order, or acceptance at the
-	// directory/home).
-	Ordered bool
-	GotData bool
-	// Grant marks a dataless exclusivity grant (the requester upgrades
-	// its own resident copy instead of filling from Fill).
-	Grant bool
-}
-
-// Fill is what an MSHR keeps of a data response: the fields the
-// directory and hammer protocols commit from.
-type Fill struct {
-	Data, Seq    uint64
-	Src          msg.Port
-	Owner, Dirty bool
-	// Valid marks that a response has been recorded.
-	Valid bool
-}
-
-// FillOf returns the fill that response m carries.
-func FillOf(m *msg.Message) Fill {
-	return Fill{Data: m.Data, Seq: m.Seq, Src: m.Src, Owner: m.Owner, Dirty: m.Dirty, Valid: true}
-}
-
 // CacheHooks is what a protocol supplies to specialize CacheBase.
 type CacheHooks interface {
 	// HasPermission reports whether the resident L2 line grants the
@@ -122,52 +74,32 @@ type CacheBase struct {
 	// scope, rerouting HomePort at the per-cluster tier.
 	Scope *Scope
 
-	L1          *cache.Tags
-	L2          *cache.Cache
-	Outstanding map[msg.Block]*MSHR
+	L1 *cache.Tags
+	L2 *cache.Cache
 
 	// AvgMiss is an exponentially weighted moving average of recent miss
 	// latencies, used by Token Coherence's adaptive reissue timeout.
 	AvgMiss sim.Time
 
+	mshrs       mshrFile
 	freeWaiters *waiter
 }
 
-// waiter is a pooled re-execution record for an access waiting on an
-// in-flight miss. Its fire closure is bound once when the record is
-// first allocated, so queueing waiters on the hot path allocates
-// nothing in steady state.
+// waiter is a pooled record of an access merged into an in-flight miss,
+// queued on the MSHR through next and recycled through the same link,
+// so queueing waiters on the hot path allocates nothing in steady state.
 type waiter struct {
-	b    *CacheBase
 	op   Op
 	done func()
-	fire func()
 	next *waiter
 }
 
-// run recycles the record before re-executing so the re-executed access
-// can reuse it for its own waiter.
-func (w *waiter) run() {
-	b, op, done := w.b, w.op, w.done
-	w.done = nil
-	w.next = b.freeWaiters
-	b.freeWaiters = w
-	b.Access(op, done)
-}
+// Outstanding returns blk's outstanding miss, or nil.
+func (b *CacheBase) Outstanding(blk msg.Block) *MSHR { return b.mshrs.find(blk) }
 
-// waiterFor returns a bound callback that re-executes Access(op, done).
-func (b *CacheBase) waiterFor(op Op, done func()) func() {
-	w := b.freeWaiters
-	if w == nil {
-		w = &waiter{b: b}
-		w.fire = w.run
-	} else {
-		b.freeWaiters = w.next
-	}
-	w.op = op
-	w.done = done
-	return w.fire
-}
+// MSHRRecords reports how many MSHR records the controller has made: the
+// most misses it has had outstanding at once.
+func (b *CacheBase) MSHRRecords() int { return len(b.mshrs.recs) }
 
 // InitBase wires the shared state; protocol constructors call it.
 func (b *CacheBase) InitBase(sys *System, id msg.NodeID, hooks CacheHooks) {
@@ -183,7 +115,6 @@ func (b *CacheBase) InitBase(sys *System, id msg.NodeID, hooks CacheHooks) {
 	b.Hooks = hooks
 	b.L1 = cache.NewTags(sys.Cfg.L1Size, sys.Cfg.L1Assoc)
 	b.L2 = cache.New(sys.Cfg.L2Size, sys.Cfg.L2Assoc)
-	b.Outstanding = make(map[msg.Block]*MSHR)
 	b.AvgMiss = 150 * sim.Nanosecond
 }
 
@@ -230,13 +161,22 @@ func (b *CacheBase) Access(op Op, done func()) {
 	// exists; the waiter re-executes the access after it resolves (and
 	// issues a fresh upgrade miss if the resolved permission is too
 	// weak).
-	if m, ok := b.Outstanding[blk]; ok {
-		m.Waiters = append(m.Waiters, b.waiterFor(op, done))
+	w := b.freeWaiters
+	if w == nil {
+		w = new(waiter)
+	} else {
+		b.freeWaiters = w.next
+	}
+	w.op, w.done = op, done
+	if m := b.mshrs.find(blk); m != nil {
+		w.next = m.waiters
+		m.waiters = w
 		return
 	}
-	m := &MSHR{Block: blk, Write: op.Write, Issued: b.K.Now()}
-	m.Waiters = append(m.Waiters, b.waiterFor(op, done))
-	b.Outstanding[blk] = m
+	w.next = nil
+	m := b.mshrs.take()
+	m.Block, m.Write, m.Issued = blk, op.Write, b.K.Now()
+	m.waiters = w
 	b.Isle.counts[misses].Inc()
 	if o := &b.Isle.Obs; o.Kinds.Has(stats.MissIssued) {
 		o.On(stats.Event{Kind: stats.MissIssued, At: m.Issued, Node: int32(b.ID), Block: blk, Flag: op.Write})
@@ -273,8 +213,7 @@ func (b *CacheBase) EnsureL2(blk msg.Block) *cache.Line {
 		return l
 	}
 	l, victim, evicted := b.L2.AllocateAvoiding(blk, func(other msg.Block) bool {
-		_, busy := b.Outstanding[other]
-		return busy
+		return b.mshrs.find(other) != nil
 	})
 	if evicted {
 		b.L1.Remove(victim.Block)
@@ -286,11 +225,12 @@ func (b *CacheBase) EnsureL2(blk msg.Block) *cache.Line {
 
 // CompleteMiss retires an MSHR: cancels its timer, records latency,
 // classifies the miss for Table 2, and replays the waiting accesses.
+// The record is free once the replay starts, and a replayed access that
+// misses may reuse it, so callers read what they need of m beforehand.
 func (b *CacheBase) CompleteMiss(m *MSHR) {
-	if b.Outstanding[m.Block] != m {
+	if !b.mshrs.retire(m) {
 		panic("machine: CompleteMiss for unknown MSHR")
 	}
-	delete(b.Outstanding, m.Block)
 	if m.Timer != nil {
 		b.K.Cancel(m.Timer)
 		m.Timer = nil
@@ -310,9 +250,19 @@ func (b *CacheBase) CompleteMiss(m *MSHR) {
 		o.On(stats.Event{Kind: stats.MissCompleted, At: b.K.Now(), Node: int32(b.ID), Block: m.Block,
 			N: int32(m.Reissues), Aux: lat, Flag: m.Persistent})
 	}
-	waiters := m.Waiters
-	m.Waiters = nil
-	for _, w := range waiters {
-		w()
+	var oldest *waiter
+	for w := m.waiters; w != nil; {
+		next := w.next
+		w.next, oldest = oldest, w
+		w = next
+	}
+	m.waiters = nil
+	for w := oldest; w != nil; {
+		next, op, done := w.next, w.op, w.done
+		w.done = nil
+		w.next = b.freeWaiters
+		b.freeWaiters = w
+		b.Access(op, done)
+		w = next
 	}
 }

@@ -6,9 +6,12 @@
 //
 // Per-block state lives in msg.Table records (the oracle's write history
 // and the writeback buffer here, home and persistent-request state in
-// the protocol packages). The MSHR file, CacheBase.Outstanding, stays a
-// map: it holds at most Config.MSHRs entries and deletes each on
-// completion.
+// the protocol packages). Outstanding misses do not: each controller
+// keeps an MSHR file of at most Config.MSHRs live records, made on its
+// first misses and recycled as misses retire, and CacheBase.Outstanding
+// scans the live ones. A *MSHR therefore names its miss only until
+// CompleteMiss; code that must recognise a miss after that keeps its
+// Serial (TokenB's persistent-request table does).
 //
 // Coherence realms are concrete Scope values: the System's root scope
 // spans all nodes (at most msg.MaxNodes, checked by Config.Validate),

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -346,24 +347,67 @@ func TestCacheBaseHitPath(t *testing.T) {
 
 func TestCacheBaseMissMergesWaiters(t *testing.T) {
 	k, b, h := newTestBase(t)
-	var done1, done2 bool
+	var order []int
 	blk := msg.Block(9)
-	b.Access(Op{Addr: blk.Base()}, func() { done1 = true })
-	b.Access(Op{Addr: blk.Base()}, func() { done2 = true })
+	for i := 0; i < 3; i++ {
+		b.Access(Op{Addr: blk.Base()}, func() { order = append(order, i) })
+	}
 	if len(h.misses) != 1 {
 		t.Fatalf("issued %d misses for same block, want 1 (merged)", len(h.misses))
 	}
 	if n := b.Sys.Metrics.Count("misses"); n != 1 {
 		t.Errorf("misses = %d, want 1", n)
 	}
-	// Resolve the miss: grant read permission and complete.
+	// Resolve the miss: grant read permission and complete. With the
+	// block in the L1 too, every replayed access takes the same latency,
+	// so completion order is replay order.
 	l := b.EnsureL2(blk)
 	l.State = 1
 	l.Valid = true
+	b.L1.Insert(blk)
 	b.CompleteMiss(h.misses[0])
 	k.Run()
-	if !done1 || !done2 {
-		t.Errorf("waiters not replayed: %v %v", done1, done2)
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Errorf("waiters completed in order %v, want issue order [0 1 2]", order)
+	}
+}
+
+// TestMSHRRecordsRecycled: a controller makes no MSHR record before its
+// first miss and one per miss it has outstanding at once; a retired
+// record carries the next miss, with a fresh serial and the timer
+// callback a protocol bound to it.
+func TestMSHRRecordsRecycled(t *testing.T) {
+	_, b, _ := newTestBase(t)
+	if n := b.MSHRRecords(); n != 0 {
+		t.Fatalf("a new controller holds %d MSHR records, want 0", n)
+	}
+	resolve := func(blk msg.Block) {
+		l := b.EnsureL2(blk)
+		l.State, l.Valid = 1, true
+		b.CompleteMiss(b.Outstanding(blk))
+		if b.Outstanding(blk) != nil {
+			t.Fatalf("block %d still outstanding after CompleteMiss", blk)
+		}
+	}
+	b.Access(Op{Addr: msg.Block(3).Base()}, func() {})
+	first := b.Outstanding(3)
+	fire := func() {}
+	first.OnTimer = fire
+	resolve(3)
+	b.Access(Op{Addr: msg.Block(4).Base()}, func() {})
+	b.Access(Op{Addr: msg.Block(5).Base()}, func() {})
+	m4, m5 := b.Outstanding(4), b.Outstanding(5)
+	if m4 != first || m4.Serial != 2 || m4.OnTimer == nil || m4.Persistent {
+		t.Errorf("second miss: record %p serial %d, want the retired record %p, serial 2, its timer callback kept",
+			m4, m4.Serial, first)
+	}
+	if m5 == first || m5.Serial != 3 {
+		t.Errorf("concurrent third miss: record %p serial %d, want a new record with serial 3", m5, m5.Serial)
+	}
+	resolve(4)
+	resolve(5)
+	if n := b.MSHRRecords(); n != 2 {
+		t.Errorf("at most two misses outstanding made %d records, want 2", n)
 	}
 }
 

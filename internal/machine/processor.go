@@ -24,7 +24,8 @@ type Processor struct {
 	completed    int
 	outstanding  int
 	loads        int
-	held         *Op
+	held         Op // the next operation, when holding
+	holding      bool
 	stalled      bool
 	issuePending bool
 	done         bool
@@ -104,19 +105,18 @@ func (p *Processor) issueNext() {
 		return
 	}
 	var op Op
-	if p.held != nil {
-		op = *p.held
+	if p.holding {
+		op = p.held
 	} else {
 		op = p.gen.Next(p.id, p.rng)
 	}
 	if p.outstanding >= p.cfg.MSHRs || (!op.Write && p.loads >= p.cfg.MaxLoads) {
 		// Hold the operation until an outstanding one (or load) retires.
-		held := op
-		p.held = &held
+		p.held, p.holding = op, true
 		p.stalled = true
 		return
 	}
-	p.held = nil
+	p.holding = false
 	p.issued++
 	p.outstanding++
 	if !op.Write {

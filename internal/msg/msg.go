@@ -31,6 +31,9 @@ const (
 	// UnitProc is the processor-side port, used only for completion
 	// notifications in tests.
 	UnitProc
+
+	// NumUnits is the number of controller units a node has.
+	NumUnits = iota
 )
 
 func (u Unit) String() string {

@@ -43,6 +43,21 @@ func (t *Table[T]) At(b Block) *T {
 // Delete removes b's record; a later At starts again from the zero T.
 func (t *Table[T]) Delete(b Block) { delete(t.m, b) }
 
+// Len returns the number of records.
+func (t *Table[T]) Len() int { return len(t.m) }
+
+// Unordered visits every record in no set order. It sorts nothing, so it
+// suits folds whose result does not depend on the order.
+func (t *Table[T]) Unordered() iter.Seq2[Block, *T] {
+	return func(yield func(Block, *T) bool) {
+		for b, p := range t.m {
+			if !yield(b, p) {
+				return
+			}
+		}
+	}
+}
+
 // All visits every record in ascending block order. It sorts on every
 // call, so it is for cold paths: audits, final images and tests.
 func (t *Table[T]) All() iter.Seq2[Block, *T] {

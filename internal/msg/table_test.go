@@ -88,11 +88,46 @@ func TestTableAllAscending(t *testing.T) {
 	}
 }
 
+// TestTableUnordered: Unordered visits every record once, paired with
+// its own block, and stops when the loop does; Len counts the records.
+func TestTableUnordered(t *testing.T) {
+	var tab Table[tableRec]
+	want := []Block{0, 1, 1 << 40, 1 << 63}
+	for i, b := range want {
+		tab.At(b).n = i
+	}
+	tab.At(7)
+	tab.Delete(7)
+	if n := tab.Len(); n != len(want) {
+		t.Fatalf("Len = %d, want %d", n, len(want))
+	}
+	var got []Block
+	for b, r := range tab.Unordered() {
+		if want[r.n] != b {
+			t.Fatalf("Unordered pairs block %d with the record of block %d", b, want[r.n])
+		}
+		got = append(got, b)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Unordered visits %v, want each of %v once", got, want)
+	}
+	for range tab.Unordered() {
+		break // the runtime panics if Unordered yields again
+	}
+}
+
 func TestTableZeroValueUsable(t *testing.T) {
 	var tab Table[tableRec]
 	tab.Delete(1)
 	for range tab.All() {
 		t.Fatal("a zero table visits a record")
+	}
+	for range tab.Unordered() {
+		t.Fatal("a zero table visits a record")
+	}
+	if n := tab.Len(); n != 0 {
+		t.Fatalf("a zero table has Len %d", n)
 	}
 	tab.At(1).seen = true
 	if !tab.Get(1).seen {

@@ -141,7 +141,7 @@ func (c *Cache) ordered(m *msg.Message) {
 		c.ownOrdered(m, b)
 		return
 	}
-	if mshr, ok := c.Outstanding[b]; ok && mshr.Ordered {
+	if mshr := c.Outstanding(b); mshr != nil && mshr.Ordered {
 		// This node's own ordered request precedes m; it may end up the
 		// owner (GetM, or a migratory GetS grant), so m's disposition is
 		// decided when the data arrives.
@@ -174,7 +174,7 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 		c.send(out, c.Cfg.L2Latency)
 		return
 	}
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil {
 		panic("snooping: own request ordered with no MSHR")
 	}
@@ -274,7 +274,7 @@ func (c *Cache) send(m msg.Message, lat sim.Time) {
 // deferred behind it.
 func (c *Cache) onData(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	mshr := c.Outstanding[b]
+	mshr := c.Outstanding(b)
 	if mshr == nil || !mshr.Ordered {
 		panic(fmt.Sprintf("snooping: node %d got unexpected data for block %d", c.ID, b))
 	}

@@ -271,7 +271,8 @@ func BlockOf(a Addr) Block { return msg.BlockOf(a) }
 type Message = msg.Message
 
 // MSHR is an outstanding miss's state (the block being requested and the
-// progress of its token collection).
+// progress of its token collection). The record is recycled when the
+// miss completes; code that must recognise the miss later keeps Serial.
 type MSHR = machine.MSHR
 
 // TokenController is the Token Coherence cache controller a Policy
