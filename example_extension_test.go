@@ -66,8 +66,6 @@ type lastSupplierPolicy struct {
 	last map[tokencoherence.Block]tokencoherence.NodeID
 }
 
-func (p *lastSupplierPolicy) Name() string { return "tokenlast" }
-
 func (p *lastSupplierPolicy) Observe(c *tokencoherence.TokenController, m *tokencoherence.Message) {
 	if m.Src.Unit == tokencoherence.UnitCache {
 		p.last[tokencoherence.BlockOf(m.Addr)] = m.Src.Node

@@ -85,15 +85,6 @@ func build(sys *machine.System, policy func() Policy, hints bool) *TokenSystem {
 	return ts
 }
 
-// Controllers adapts the cache controllers for machine.System.Execute.
-func (ts *TokenSystem) Controllers() []machine.Controller {
-	out := make([]machine.Controller, len(ts.Caches))
-	for i, c := range ts.Caches {
-		out[i] = c
-	}
-	return out
-}
-
 // Audit verifies global token conservation (invariant #1') for every
 // block the system touched: tokens held in caches and memories plus
 // tokens in flight must equal T, with exactly one owner token. Combined

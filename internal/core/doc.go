@@ -20,6 +20,15 @@
 // in-flight counts, or owner tokens travelling without data are detected
 // immediately, and an end-of-run audit checks global conservation.
 //
+// A cache (TokenB) and a home memory (Memory) are both token holders,
+// and they share one holder: the ledger, the island's network view and
+// the port through which every token leaves, whether sent, forwarded to
+// a persistent requester or acknowledged to an arbiter. Both answer a
+// transient request by the same rule (answer): a GetS takes one plain
+// token and the data from the owner, or the owner token when it is the
+// last one; a GetM takes every token. Only the cache adds the
+// migratory-sharing hand-over, and only the latencies differ.
+//
 // Starvation freedom comes from persistent requests: a processor that
 // has reissued its transient request MaxReissues times invokes a
 // persistent request at the block's home arbiter. The arbiter activates

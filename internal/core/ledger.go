@@ -64,13 +64,6 @@ func (l *Ledger) InitBlock(b msg.Block) {
 	ll.init = true
 }
 
-// Initialized reports whether the block's tokens exist yet.
-func (l *Ledger) Initialized(b msg.Block) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lines.Get(b).init
-}
-
 // Sent records tokens leaving a component in a message. It checks
 // invariant #4' (owner token implies data).
 func (l *Ledger) Sent(b msg.Block, tokens int, owner, hasData bool) {

@@ -8,8 +8,9 @@ import (
 
 // memLine is the home memory's token state for one block. The paper
 // stores it in ECC bits (valid bit, owner bit, token count: 2+log2(T)
-// bits per block); we model the state, not the encoding. Its fields are
-// ordered to pack into 32 bytes.
+// bits per block); we model the state, not the encoding. No valid bit is
+// kept: the memory sends data only with the owner token, which always
+// arrives with the data. Its fields are ordered to pack into 32 bytes.
 type memLine struct {
 	tokens int
 	data   uint64
@@ -17,8 +18,6 @@ type memLine struct {
 	// while pledged is set.
 	starver msg.Port
 	owner   bool
-	valid   bool
-	dirty   bool
 	pledged bool
 	// init marks that the block's T tokens were created here; until
 	// then the line holds nothing (see line).
@@ -27,17 +26,16 @@ type memLine struct {
 
 // Memory is the Token Coherence home memory controller for one node's
 // slice of the address space. It participates in the substrate exactly
-// like a cache: it holds tokens, responds to transient requests by
-// policy, forwards tokens for active persistent requests, and accepts
-// writebacks and redirected tokens unconditionally.
+// like a cache, through the same holder: it holds tokens, answers
+// transient requests by the same rule, forwards tokens for active
+// persistent requests, and accepts writebacks and redirected tokens
+// unconditionally. Its copy is never dirty: data that comes home is the
+// memory's.
 type Memory struct {
-	sys *machine.System
-	// isle is the controller's island context; event-time sends go
-	// through its network view.
-	isle   *machine.Isle
-	id     msg.NodeID
-	ledger *Ledger
-	lines  msg.Table[memLine]
+	holder
+	sys   *machine.System
+	id    msg.NodeID
+	lines msg.Table[memLine]
 	// hints, when hinted (TokenD/TokenM), holds soft-state directory
 	// hints: a probable owner and probable sharers per block. Hints may
 	// be stale; a bad redirect only delays a transient request.
@@ -55,7 +53,8 @@ type hintLine struct {
 // NewMemory builds the home memory controller for node id and registers
 // it on the network.
 func NewMemory(sys *machine.System, id msg.NodeID, ledger *Ledger) *Memory {
-	m := &Memory{sys: sys, isle: sys.IsleFor(int(id)), id: id, ledger: ledger}
+	m := &Memory{sys: sys, id: id}
+	m.holder = holder{ledger: ledger, net: sys.IsleFor(int(id)).Net, port: m.Port()}
 	sys.Net.Register(m.Port(), m)
 	return m
 }
@@ -73,7 +72,7 @@ func (m *Memory) line(b msg.Block) *memLine {
 			panic("core: memory accessed for block with a different home")
 		}
 		m.ledger.InitBlock(b)
-		l.tokens, l.owner, l.valid, l.init = m.ledger.T, true, true, true
+		l.tokens, l.owner, l.init = m.ledger.T, true, true
 	}
 	return l
 }
@@ -101,23 +100,16 @@ func (m *Memory) Handle(mm *msg.Message) {
 	}
 }
 
-// respond builds and sends a token-carrying response after the memory
-// access latency. State is mutated immediately (the tokens are committed
-// to the message) so a racing request cannot double-send them.
-func (m *Memory) respond(to msg.Port, b msg.Block, tokens int, owner bool, data uint64, dirty bool, lat sim.Time) {
-	kind := msg.KindTokens
-	cat := msg.CatControl
-	hasData := owner // memory sends data exactly when the owner token moves
-	if hasData {
-		kind = msg.KindData
-		cat = msg.CatData
+// give sends r's tokens from line l to to after lat. State is mutated
+// immediately (the tokens are committed to the message) so a racing
+// request cannot double-send them.
+func (m *Memory) give(b msg.Block, l *memLine, r reply, to msg.Port, lat sim.Time) {
+	if r.tokens == 0 {
+		return
 	}
-	m.ledger.Sent(b, tokens, owner, hasData)
-	m.isle.Net.SendAfter(msg.Message{
-		Kind: kind, Cat: cat,
-		Src: m.Port(), Dst: to, Addr: b.Base(),
-		Tokens: tokens, Owner: owner, HasData: hasData, Data: data, Dirty: dirty,
-	}, lat)
+	m.send(to, b, r, l.data, false, lat)
+	l.tokens -= r.tokens
+	l.owner = l.owner && !r.owner
 }
 
 // EnableHints turns on the soft-state redirect directory (TokenD and
@@ -170,7 +162,7 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 		fwd := *mm
 		fwd.Src = m.Port()
 		fwd.Cat = msg.CatRequest
-		m.isle.Net.MulticastAfter(fwd, targets, m.sys.Cfg.CtrlLatency)
+		m.net.MulticastAfter(fwd, targets, m.sys.Cfg.CtrlLatency)
 	}
 	// Update soft state from the request stream.
 	switch mm.Kind {
@@ -190,42 +182,14 @@ func (m *Memory) handleTransient(mm *msg.Message) {
 		return // tokens are pledged to the persistent requester
 	}
 	if m.hinted {
-		served := l.owner && l.tokens > 0
-		defer m.redirect(mm, served)
+		defer m.redirect(mm, l.owner && l.tokens > 0)
 	}
-	if l.tokens == 0 {
-		return
+	r := answer(mm.Kind, l.tokens, l.owner, false)
+	lat := m.sys.Cfg.CtrlLatency
+	if r.data {
+		lat += m.sys.Cfg.MemLatency // data read
 	}
-	cfg := m.sys.Cfg
-	switch mm.Kind {
-	case msg.KindGetS:
-		if !l.owner {
-			return // non-owner holders ignore shared requests
-		}
-		if l.tokens == 1 {
-			// Only the owner token remains: it must move (with data).
-			m.respond(mm.Requester, b, 1, true, l.data, l.dirty, cfg.CtrlLatency+cfg.MemLatency)
-			l.tokens, l.owner, l.valid, l.dirty = 0, false, false, false
-			return
-		}
-		// Keep the owner token, hand out one plain token with data.
-		m.ledger.Sent(b, 1, false, true)
-		out := msg.Message{
-			Kind: msg.KindData, Cat: msg.CatData,
-			Src: m.Port(), Dst: mm.Requester, Addr: mm.Addr,
-			Tokens: 1, HasData: true, Data: l.data, Dirty: l.dirty,
-		}
-		l.tokens--
-		m.isle.Net.SendAfter(out, cfg.CtrlLatency+cfg.MemLatency)
-	case msg.KindGetM:
-		tokens, owner := l.tokens, l.owner
-		lat := cfg.CtrlLatency
-		if owner {
-			lat += cfg.MemLatency // data read
-		}
-		m.respond(mm.Requester, b, tokens, owner, l.data, l.dirty, lat)
-		l.tokens, l.owner, l.valid, l.dirty = 0, false, false, false
-	}
+	m.give(b, l, r, mm.Requester, lat)
 }
 
 func (m *Memory) receiveTokens(mm *msg.Message) {
@@ -235,15 +199,7 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 	if l.pledged {
 		// Forward everything to the starving processor, per the
 		// persistent-request rules.
-		m.ledger.Sent(b, mm.Tokens, mm.Owner, mm.HasData)
-		fwd := *mm
-		fwd.Src = m.Port()
-		fwd.Dst = l.starver
-		fwd.Cat = msg.CatControl
-		if fwd.HasData {
-			fwd.Cat = msg.CatData
-		}
-		m.isle.Net.SendAfter(fwd, m.sys.Cfg.CtrlLatency)
+		m.forward(l.starver, mm, m.sys.Cfg.CtrlLatency)
 		return
 	}
 	l.tokens += mm.Tokens
@@ -254,12 +210,7 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 		}
 	}
 	if mm.HasData {
-		l.valid = true
 		l.data = mm.Data
-		l.dirty = false // data is now home; the memory copy is clean
-	}
-	if l.tokens == 0 {
-		l.valid = false
 	}
 }
 
@@ -271,22 +222,12 @@ func (m *Memory) handleActivate(mm *msg.Message) {
 	// no transient requests at all).
 	l := m.line(b)
 	l.pledged, l.starver = true, mm.Requester
-	if l.tokens > 0 {
-		m.respond(mm.Requester, b, l.tokens, l.owner, l.data, l.dirty, m.sys.Cfg.CtrlLatency+m.sys.Cfg.MemLatency)
-		l.tokens, l.owner, l.valid, l.dirty = 0, false, false, false
-	}
-	m.ack(mm, msg.KindPersistentActivateAck)
+	m.give(b, l, answer(msg.KindGetM, l.tokens, l.owner, false), mm.Requester, m.sys.Cfg.CtrlLatency+m.sys.Cfg.MemLatency)
+	m.ack(mm, msg.KindPersistentActivateAck, m.sys.Cfg.CtrlLatency)
 }
 
 func (m *Memory) handleDeactivate(mm *msg.Message) {
 	l := m.lines.At(msg.BlockOf(mm.Addr))
 	l.pledged, l.starver = false, msg.Port{}
-	m.ack(mm, msg.KindPersistentDeactivateAck)
-}
-
-func (m *Memory) ack(mm *msg.Message, kind msg.Kind) {
-	m.isle.Net.SendAfter(msg.Message{
-		Kind: kind, Cat: msg.CatReissue,
-		Src: m.Port(), Dst: mm.Src, Addr: mm.Addr, Seq: mm.Seq,
-	}, m.sys.Cfg.CtrlLatency)
+	m.ack(mm, msg.KindPersistentDeactivateAck, m.sys.Cfg.CtrlLatency)
 }

@@ -15,7 +15,6 @@ import (
 // perform poorly but not incorrectly."
 type nullPolicy struct{}
 
-func (nullPolicy) Name() string                  { return "null" }
 func (nullPolicy) Observe(*TokenB, *msg.Message) {}
 func (nullPolicy) Destinations(_ *TokenB, _ *machine.MSHR, _ bool, buf []msg.Port) []msg.Port {
 	return buf
@@ -27,7 +26,6 @@ type randomPolicy struct {
 	rng *sim.Source
 }
 
-func (*randomPolicy) Name() string                  { return "random" }
 func (*randomPolicy) Observe(*TokenB, *msg.Message) {}
 
 func (p *randomPolicy) Destinations(c *TokenB, m *machine.MSHR, _ bool, buf []msg.Port) []msg.Port {
@@ -71,7 +69,7 @@ func TestNullPerformanceProtocolIsCorrect(t *testing.T) {
 	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 11)
 	ts := buildWithPolicy(sys, func() Policy { return nullPolicy{} })
 	gen := &uniformGen{blocks: 8, pWrite: 0.5, think: 5 * sim.Nanosecond}
-	err := sys.Execute(ts.Controllers(), gen, 40)
+	err := sys.Execute(machine.Controllers(ts.Caches), gen, 40)
 	if err != nil {
 		t.Fatalf("null policy broke correctness: %v", err)
 	}
@@ -99,23 +97,12 @@ func TestRandomPerformanceProtocolIsCorrect(t *testing.T) {
 			rng := sim.NewSource(seed * 977)
 			ts := buildWithPolicy(sys, func() Policy { return &randomPolicy{rng: rng.Split()} })
 			gen := &uniformGen{blocks: 12, pWrite: 0.4, think: 4 * sim.Nanosecond}
-			if err := sys.Execute(ts.Controllers(), gen, 60); err != nil {
+			if err := sys.Execute(machine.Controllers(ts.Caches), gen, 60); err != nil {
 				t.Fatalf("random policy broke correctness: %v", err)
 			}
 			if err := ts.Audit(); err != nil {
 				t.Fatalf("audit: %v", err)
 			}
 		})
-	}
-}
-
-// TestPolicyNamesAreDistinct keeps the registry honest.
-func TestPolicyNamesAreDistinct(t *testing.T) {
-	names := map[string]bool{}
-	for _, p := range []Policy{broadcastPolicy{}, homePolicy{}, newPredictPolicy(), nullPolicy{}, &randomPolicy{}} {
-		if names[p.Name()] {
-			t.Errorf("duplicate policy name %q", p.Name())
-		}
-		names[p.Name()] = true
 	}
 }

@@ -22,8 +22,6 @@ type Policy interface {
 	// mm is valid only during the call; a policy that keeps it keeps a
 	// copy of the value.
 	Observe(c *TokenB, mm *msg.Message)
-	// Name identifies the resulting protocol.
-	Name() string
 }
 
 // ScopedPolicy is a Policy that additionally wants the issuing node's
@@ -54,8 +52,6 @@ func NewPredictPolicy() Policy { return newPredictPolicy() }
 // caches plus the home memory.
 type broadcastPolicy struct{}
 
-func (broadcastPolicy) Name() string { return "tokenb" }
-
 func (broadcastPolicy) Observe(*TokenB, *msg.Message) {}
 
 func (broadcastPolicy) Destinations(c *TokenB, m *machine.MSHR, _ bool, buf []msg.Port) []msg.Port {
@@ -72,8 +68,6 @@ func (broadcastPolicy) Destinations(c *TokenB, m *machine.MSHR, _ bool, buf []ms
 // probable holders using soft-state hints. Bandwidth approaches a
 // directory protocol's; stale hints cost only reissues.
 type homePolicy struct{}
-
-func (homePolicy) Name() string { return "tokend" }
 
 func (homePolicy) Observe(*TokenB, *msg.Message) {}
 
@@ -119,8 +113,6 @@ func (h *holderSet) add(n msg.NodeID) {
 func newPredictPolicy() *predictPolicy {
 	return &predictPolicy{regionShift: 2}
 }
-
-func (p *predictPolicy) Name() string { return "tokenm" }
 
 func (p *predictPolicy) region(b msg.Block) msg.Block { return b >> p.regionShift }
 

@@ -24,7 +24,7 @@ func runPolicyStress(t *testing.T, buildFn func(*machine.System) *TokenSystem, s
 	t.Helper()
 	sys, ts := newPolicySystem(t, buildFn, 16, seed)
 	gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-	if err := sys.Execute(ts.Controllers(), gen, 300); err != nil {
+	if err := sys.Execute(machine.Controllers(ts.Caches), gen, 300); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	if err := ts.Audit(); err != nil {
@@ -60,7 +60,7 @@ func TestTokenDUsesLessRequestTrafficThanTokenB(t *testing.T) {
 	trafficOf := func(buildFn func(*machine.System) *TokenSystem) uint64 {
 		sys, ts := newPolicySystem(t, buildFn, 16, 104)
 		gen := &uniformGen{blocks: 512, pWrite: 0.3, think: 5 * sim.Nanosecond}
-		if err := sys.Execute(ts.Controllers(), gen, 200); err != nil {
+		if err := sys.Execute(machine.Controllers(ts.Caches), gen, 200); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		return sys.Metrics.Count("bytes_request")
@@ -76,7 +76,7 @@ func TestTokenMTrafficBetweenTokenDAndTokenB(t *testing.T) {
 	trafficOf := func(buildFn func(*machine.System) *TokenSystem) uint64 {
 		sys, ts := newPolicySystem(t, buildFn, 16, 105)
 		gen := &uniformGen{blocks: 64, pWrite: 0.3, think: 5 * sim.Nanosecond}
-		if err := sys.Execute(ts.Controllers(), gen, 200); err != nil {
+		if err := sys.Execute(machine.Controllers(ts.Caches), gen, 200); err != nil {
 			t.Fatalf("execute: %v", err)
 		}
 		return sys.Metrics.Count("bytes_request")

@@ -39,8 +39,6 @@ func newRegionFilter() *regionFilter {
 	return &regionFilter{regionShift: 4}
 }
 
-func (p *regionFilter) Name() string { return "regionfilter" }
-
 // BindScope implements ScopedPolicy.
 func (p *regionFilter) BindScope(s *machine.Scope) { p.scope = s }
 

@@ -75,7 +75,7 @@ func TestRegionFilterDestinationSets(t *testing.T) {
 func TestRegionFilterStressIsCorrect(t *testing.T) {
 	sys, ts := newRegionFilterSystem(t, 107)
 	gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-	if err := sys.Execute(ts.Controllers(), gen, 300); err != nil {
+	if err := sys.Execute(machine.Controllers(ts.Caches), gen, 300); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	if err := ts.Audit(); err != nil {

@@ -19,7 +19,7 @@ import (
 // Config.MaxReissues reissues.
 type TokenB struct {
 	machine.CacheBase
-	ledger *Ledger
+	holder
 	policy Policy
 
 	// reissues and tokenMsgs are this controller's shards of the
@@ -57,8 +57,9 @@ type persistLine struct {
 // NewTokenController builds a Token Coherence cache controller with an
 // arbitrary transient-request policy (TokenB, TokenD, TokenM, ...).
 func NewTokenController(sys *machine.System, id msg.NodeID, ledger *Ledger, policy Policy) *TokenB {
-	c := &TokenB{ledger: ledger, policy: policy}
+	c := &TokenB{policy: policy}
 	c.InitBase(sys, id, c)
+	c.holder = holder{ledger: ledger, net: c.Net, port: c.CachePort()}
 	c.reissues = sys.Metrics.Counter(stats.Desc{
 		Name: "reissues", Unit: "count", Fmt: "%.0f",
 		Help: "transient-request reissue broadcasts (Token Coherence)",
@@ -91,12 +92,8 @@ func (c *TokenB) StartMiss(m *machine.MSHR) {
 // performance policy chooses (all nodes for TokenB, the home for TokenD,
 // a predicted set for TokenM).
 func (c *TokenB) broadcastTransient(m *machine.MSHR, cat msg.Category) {
-	kind := msg.KindGetS
-	if m.Write {
-		kind = msg.KindGetM
-	}
 	req := msg.Message{
-		Kind: kind, Cat: cat,
+		Kind: m.Request(), Cat: cat,
 		Src: c.CachePort(), Addr: m.Block.Base(), Requester: c.CachePort(),
 	}
 	c.dsts = c.policy.Destinations(c, m, cat == msg.CatReissue, c.dsts[:0])
@@ -174,31 +171,7 @@ func (c *TokenB) EvictL2(v cache.Line) {
 	if p := c.persist.Get(v.Block); p.active && p.starver != c.CachePort() {
 		dst = p.starver
 	}
-	c.sendTokens(dst, v.Block, v.Tokens, v.Owner, v.Owner, v.Data, v.Dirty, 0)
-}
-
-// sendTokens emits a token-carrying message, keeping the ledger and
-// invariant #4' (owner implies data) honest. State must already be
-// deducted by the caller.
-func (c *TokenB) sendTokens(to msg.Port, b msg.Block, tokens int, owner, hasData bool, data uint64, dirty bool, lat sim.Time) {
-	if owner && !hasData {
-		panic("core: owner token without data")
-	}
-	kind, cat := msg.KindTokens, msg.CatControl
-	if hasData {
-		kind, cat = msg.KindData, msg.CatData
-	}
-	c.ledger.Sent(b, tokens, owner, hasData)
-	out := msg.Message{
-		Kind: kind, Cat: cat,
-		Src: c.CachePort(), Dst: to, Addr: b.Base(),
-		Tokens: tokens, Owner: owner, HasData: hasData, Data: data, Dirty: dirty,
-	}
-	if lat == 0 {
-		c.Net.Send(out)
-		return
-	}
-	c.Net.SendAfter(out, lat)
+	c.send(dst, v.Block, reply{v.Tokens, v.Owner, v.Owner}, v.Data, v.Dirty, 0)
 }
 
 // Handle implements interconnect.Handler.
@@ -217,8 +190,9 @@ func (c *TokenB) Handle(m *msg.Message) {
 	}
 }
 
-// handleTransient applies the paper's MOSI response policy. Responses
-// pay the L2 access latency; state is committed immediately so racing
+// handleTransient answers a transient request by the holders' shared
+// rule (answer), with the migratory-sharing optimization. Responses pay
+// the L2 access latency; state is committed immediately so racing
 // requests cannot double-send tokens.
 func (c *TokenB) handleTransient(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
@@ -226,40 +200,22 @@ func (c *TokenB) handleTransient(m *msg.Message) {
 		return // active persistent request overrides the policy
 	}
 	l := c.L2.Lookup(b)
-	if l == nil || l.Tokens == 0 {
-		return // state I: ignore
+	if l == nil {
+		return
 	}
-	lat := c.Cfg.L2Latency
-	switch m.Kind {
-	case msg.KindGetS:
-		if !l.Owner {
-			return // state S ignores shared requests
-		}
-		if c.Cfg.Migratory && l.Tokens == c.ledger.T && l.Written {
-			// Migratory-sharing optimization: a modified block moves
-			// wholesale, granting read/write permission.
-			c.sendTokens(m.Requester, b, l.Tokens, true, true, l.Data, l.Dirty, lat)
-			c.DropLine(b)
-			return
-		}
-		if l.Tokens > 1 {
-			// Keep the owner token; send data and one plain token.
-			c.sendTokens(m.Requester, b, 1, false, true, l.Data, l.Dirty, lat)
-			l.Tokens--
-			return
-		}
-		// Only the owner token remains; it moves (with data).
-		c.sendTokens(m.Requester, b, 1, true, true, l.Data, l.Dirty, lat)
-		c.DropLine(b)
-	case msg.KindGetM:
-		if l.Owner {
-			c.sendTokens(m.Requester, b, l.Tokens, true, true, l.Data, l.Dirty, lat)
-		} else {
-			// State S: all tokens leave in a dataless message (like an
-			// invalidation acknowledgment).
-			c.sendTokens(m.Requester, b, l.Tokens, false, false, 0, false, lat)
-		}
-		c.DropLine(b)
+	migrate := c.Cfg.Migratory && l.Tokens == c.ledger.T && l.Written
+	c.give(l, answer(m.Kind, l.Tokens, l.Owner, migrate), m.Requester, c.Cfg.L2Latency)
+}
+
+// give sends r's tokens from line l to to after lat; a line left without
+// tokens is dropped.
+func (c *TokenB) give(l *cache.Line, r reply, to msg.Port, lat sim.Time) {
+	if r.tokens == 0 {
+		return
+	}
+	c.send(to, l.Block, r, l.Data, l.Dirty, lat)
+	if l.Tokens -= r.tokens; l.Tokens == 0 {
+		c.DropLine(l.Block)
 	}
 }
 
@@ -274,7 +230,7 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 	if p := c.persist.Get(b); p.active && p.starver != c.CachePort() {
 		// Tokens arriving while another node's persistent request is
 		// active are forwarded to the starver, present and future alike.
-		c.forwardTokens(p.starver, m)
+		c.forward(p.starver, m, c.Cfg.CtrlLatency)
 		return
 	}
 	mshr := c.Outstanding(b)
@@ -287,25 +243,13 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 	if l == nil {
 		// Unsolicited tokens with no resident line: redirect to the home
 		// memory rather than pollute the cache.
-		c.forwardTokens(c.HomePort(b), m)
+		c.forward(c.HomePort(b), m, c.Cfg.CtrlLatency)
 		return
 	}
 	c.merge(l, m)
 	if mshr != nil && c.satisfied(mshr, l) {
 		c.completeTokenMiss(mshr)
 	}
-}
-
-func (c *TokenB) forwardTokens(to msg.Port, m *msg.Message) {
-	c.ledger.Sent(msg.BlockOf(m.Addr), m.Tokens, m.Owner, m.HasData)
-	fwd := *m
-	fwd.Src = c.CachePort()
-	fwd.Dst = to
-	fwd.Cat = msg.CatControl
-	if fwd.HasData {
-		fwd.Cat = msg.CatData
-	}
-	c.Net.SendAfter(fwd, c.Cfg.CtrlLatency)
 }
 
 // merge folds an arriving token message into a resident line.
@@ -378,13 +322,12 @@ func (c *TokenB) handleActivate(m *msg.Message) {
 			// bookkeeping was superseded by a newer request): release it.
 			c.sendDeactivate(b)
 		}
-	} else if l := c.L2.Lookup(b); l != nil && l.Tokens > 0 {
+	} else if l := c.L2.Lookup(b); l != nil {
 		// Flush all tokens (and data with the owner token) to the
-		// starving processor.
-		c.sendTokens(m.Requester, b, l.Tokens, l.Owner, l.Owner, l.Data, l.Dirty, c.Cfg.L2Latency)
-		c.DropLine(b)
+		// starving processor, as a GetM would take them.
+		c.give(l, answer(msg.KindGetM, l.Tokens, l.Owner, false), m.Requester, c.Cfg.L2Latency)
 	}
-	c.ackArbiter(m, msg.KindPersistentActivateAck)
+	c.ack(m, msg.KindPersistentActivateAck, 0)
 }
 
 func (c *TokenB) handleDeactivate(m *msg.Message) {
@@ -397,18 +340,11 @@ func (c *TokenB) handleDeactivate(m *msg.Message) {
 	if *p == (persistLine{}) {
 		c.persist.Delete(b)
 	}
-	c.ackArbiter(m, msg.KindPersistentDeactivateAck)
+	c.ack(m, msg.KindPersistentDeactivateAck, 0)
 }
 
 // ForEachLine visits every resident L2 line's token state, for the
 // conservation audit.
 func (c *TokenB) ForEachLine(f func(b msg.Block, tokens int, owner bool)) {
 	c.L2.ForEach(func(l *cache.Line) { f(l.Block, l.Tokens, l.Owner) })
-}
-
-func (c *TokenB) ackArbiter(m *msg.Message, kind msg.Kind) {
-	c.Net.Send(msg.Message{
-		Kind: kind, Cat: msg.CatReissue,
-		Src: c.CachePort(), Dst: m.Src, Addr: m.Addr, Seq: m.Seq,
-	})
 }

@@ -365,7 +365,7 @@ func TestConcurrentMixedStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, ts := newTokenSystem(t, 16, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			err := sys.Execute(ts.Controllers(), gen, 400)
+			err := sys.Execute(machine.Controllers(ts.Caches), gen, 400)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -382,7 +382,7 @@ func TestConcurrentMixedStress(t *testing.T) {
 func TestHighContentionSingleBlock(t *testing.T) {
 	sys, ts := newTokenSystem(t, 16, 33, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	err := sys.Execute(ts.Controllers(), gen, 150)
+	err := sys.Execute(machine.Controllers(ts.Caches), gen, 150)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -399,7 +399,7 @@ func TestDeterministicReplay(t *testing.T) {
 	runOnce := func() (elapsed, bytes float64) {
 		sys, ts := newTokenSystem(t, 16, 99, nil)
 		gen := &uniformGen{blocks: 16, pWrite: 0.3, think: 4 * sim.Nanosecond}
-		err := sys.Execute(ts.Controllers(), gen, 200)
+		err := sys.Execute(machine.Controllers(ts.Caches), gen, 200)
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}

@@ -22,16 +22,9 @@ import (
 	"tokencoherence/internal/msg"
 )
 
-// MOSI stable states in cache.Line.State.
-const (
-	stateI = iota
-	stateS
-	stateO
-	stateM
-)
-
 // Cache is the directory protocol's cache controller.
 type Cache struct {
+	machine.MOSI
 	machine.CacheBase
 	// wb holds evicted owner lines until the home acknowledges the
 	// writeback (WBAck) or declares it stale (WBStale); the home accepts
@@ -64,27 +57,11 @@ func NewCache(sys *machine.System, id msg.NodeID) *Cache {
 	return c
 }
 
-// HasPermission implements machine.CacheHooks.
-func (c *Cache) HasPermission(l *cache.Line, write bool) bool {
-	if write {
-		return l.State == stateM && l.Valid
-	}
-	return l.State >= stateS && l.Valid
-}
-
 // StartMiss implements machine.CacheHooks: a unicast request to the
 // block's home directory.
 func (c *Cache) StartMiss(m *machine.MSHR) {
-	c.sendRequest(m)
-}
-
-func (c *Cache) sendRequest(m *machine.MSHR) {
-	kind := msg.KindGetS
-	if m.Write {
-		kind = msg.KindGetM
-	}
 	c.Net.Send(msg.Message{
-		Kind: kind, Cat: msg.CatRequest,
+		Kind: m.Request(), Cat: msg.CatRequest,
 		Src: c.CachePort(), Dst: c.HomePort(m.Block),
 		Addr: m.Block.Base(), Requester: c.CachePort(),
 	})
@@ -92,7 +69,7 @@ func (c *Cache) sendRequest(m *machine.MSHR) {
 
 // EvictL2 implements machine.CacheHooks.
 func (c *Cache) EvictL2(v cache.Line) {
-	if v.State != stateM && v.State != stateO {
+	if v.State < machine.StateO {
 		return // shared lines evict silently; the directory list stays a superset
 	}
 	c.wb.Push(v)
@@ -197,7 +174,7 @@ func (c *Cache) onGrant(m *msg.Message) {
 		l.Data = e.Data
 		l.Dirty = e.Dirty
 		l.Written = e.Written
-		l.State = stateO
+		l.State = machine.StateO
 		e.Owner = false
 	}
 	mshr.GotData = true
@@ -222,7 +199,7 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 		if l == nil {
 			panic("directory: granted line vanished")
 		}
-		l.State = stateM
+		l.State = machine.StateM
 		l.Epoch = m.Fill.Seq
 		becameM = true
 	} else {
@@ -233,10 +210,10 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 		l.Dirty = fill.Dirty
 		l.Epoch = fill.Seq
 		if m.Write || fill.Owner {
-			l.State = stateM
+			l.State = machine.StateM
 			becameM = true
 		} else {
-			l.State = stateS
+			l.State = machine.StateS
 		}
 		fromCache = fill.Src.Unit == msg.UnitCache
 	}
@@ -310,7 +287,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 			c.serveFwd(m, b)
 			return
 		}
-		if l := c.L2.Lookup(b); l != nil && l.State >= stateO && l.Valid {
+		if l := c.L2.Lookup(b); l != nil && l.State >= machine.StateO && l.Valid {
 			// The forward's transaction is ordered before our queued
 			// upgrade; answer from the stable owner line (deferring would
 			// deadlock behind our own queued GetM).
@@ -326,43 +303,17 @@ func (c *Cache) onFwd(m *msg.Message) {
 }
 
 // serveFwd answers a forwarded request from stable state or the
-// writeback buffer.
+// writeback buffer. The home forwards only to the owner, so the answer
+// always carries data; a FwdGetM passes on the invalidation-ack count.
 func (c *Cache) serveFwd(m *msg.Message, b msg.Block) {
-	if e := c.wb.Owner(b); e != nil {
-		switch m.Kind {
-		case msg.KindFwdGetS:
-			c.respondData(m.Requester, b, e.Data, false, false, 0, m.Seq)
-		case msg.KindFwdGetM:
-			c.respondData(m.Requester, b, e.Data, true, e.Dirty, m.Acks, m.Seq)
-			e.Owner = false
-		}
-		return
-	}
-	l := c.L2.Lookup(b)
-	if l == nil || l.State < stateO {
+	a := c.AnswerMOSI(&c.wb, b, m.Kind == msg.KindFwdGetM)
+	if !a.HasData {
 		panic(fmt.Sprintf("directory: node %d forwarded %v for block %d but is not owner", c.ID, m.Kind, b))
 	}
-	switch m.Kind {
-	case msg.KindFwdGetS:
-		if c.Cfg.Migratory && l.State == stateM && l.Written {
-			// Migratory-sharing optimization: exclusive handover.
-			c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0, m.Seq)
-			c.DropLine(b)
-			return
-		}
-		c.respondData(m.Requester, b, l.Data, false, false, 0, m.Seq)
-		l.State = stateO
-	case msg.KindFwdGetM:
-		c.respondData(m.Requester, b, l.Data, true, l.Dirty, m.Acks, m.Seq)
-		c.DropLine(b)
-	}
-}
-
-func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, dirty bool, acks int, seq uint64) {
 	c.Net.SendAfter(msg.Message{
 		Kind: msg.KindData, Cat: msg.CatData,
-		Src: c.CachePort(), Dst: to, Addr: b.Base(),
-		HasData: true, Data: data, Owner: grantOwner, Dirty: dirty, Acks: acks, Seq: seq,
+		Src: c.CachePort(), Dst: m.Requester, Addr: b.Base(),
+		HasData: true, Data: a.Data, Owner: a.Owner, Dirty: a.Dirty, Acks: m.Acks, Seq: m.Seq,
 	}, c.Cfg.L2Latency)
 }
 
@@ -425,13 +376,4 @@ func Build(sys *machine.System) *System {
 		s.Mems = append(s.Mems, NewMemory(sys, msg.NodeID(i)))
 	}
 	return s
-}
-
-// Controllers adapts the caches for machine.System.Execute.
-func (s *System) Controllers() []machine.Controller {
-	out := make([]machine.Controller, len(s.Caches))
-	for i, c := range s.Caches {
-		out[i] = c
-	}
-	return out
 }

@@ -45,7 +45,7 @@ func TestColdReadFromMemory(t *testing.T) {
 	r := access(sys, s.Caches[2], addr, false)
 	finish(t, sys, r)
 	l := s.Caches[2].L2.Lookup(b)
-	if l == nil || l.State != stateS {
+	if l == nil || l.State != machine.StateS {
 		t.Fatalf("reader line = %+v, want S", l)
 	}
 	state, _, sharers := s.Mems[msg.HomeOf(b, 16)].State(b)
@@ -61,7 +61,7 @@ func TestColdWriteGetsExclusive(t *testing.T) {
 	w := access(sys, s.Caches[0], addr, true)
 	finish(t, sys, w)
 	l := s.Caches[0].L2.Lookup(b)
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("writer line = %+v, want M", l)
 	}
 	state, owner, _ := s.Mems[msg.HomeOf(b, 16)].State(b)
@@ -80,7 +80,7 @@ func TestCacheToCacheForwarding(t *testing.T) {
 	r := access(sys, s.Caches[4], addr, false)
 	finish(t, sys, r)
 	l := s.Caches[4].L2.Lookup(b)
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("reader line = %+v, want M (migratory)", l)
 	}
 	state, owner, _ := s.Mems[msg.HomeOf(b, 16)].State(b)
@@ -101,10 +101,10 @@ func TestNonMigratoryGetSCreatesOwnerAndSharer(t *testing.T) {
 	finish(t, sys, r2)
 	l2 := s.Caches[2].L2.Lookup(b)
 	l3 := s.Caches[3].L2.Lookup(b)
-	if l2 == nil || l2.State != stateO {
+	if l2 == nil || l2.State != machine.StateO {
 		t.Fatalf("cache 2 line = %+v, want O", l2)
 	}
-	if l3 == nil || l3.State != stateS {
+	if l3 == nil || l3.State != machine.StateS {
 		t.Fatalf("cache 3 line = %+v, want S", l3)
 	}
 	state, owner, sharers := s.Mems[msg.HomeOf(b, 16)].State(b)
@@ -125,7 +125,7 @@ func TestWriteInvalidatesSharersWithAcks(t *testing.T) {
 	w := access(sys, s.Caches[0], addr, true)
 	finish(t, sys, w)
 	for i := 1; i < 6; i++ {
-		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != stateI {
+		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != machine.StateI {
 			t.Errorf("cache %d = %+v after invalidation", i, l)
 		}
 	}
@@ -149,10 +149,10 @@ func TestUpgradeFromOwnerUsesGrant(t *testing.T) {
 	w2 := access(sys, s.Caches[2], addr, true)
 	finish(t, sys, w2)
 	l := s.Caches[2].L2.Lookup(b)
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("upgraded line = %+v, want M", l)
 	}
-	if l3 := s.Caches[3].L2.Lookup(b); l3 != nil && l3.State != stateI {
+	if l3 := s.Caches[3].L2.Lookup(b); l3 != nil && l3.State != machine.StateI {
 		t.Errorf("sharer not invalidated: %+v", l3)
 	}
 }
@@ -209,11 +209,11 @@ func TestPerfectDirectoryCacheLatency(t *testing.T) {
 	slow, sSlow := newDirSystem(t, 10, nil)
 	fast, sFast := newDirSystem(t, 10, func(c *machine.Config) { c.DirLatency = 0 })
 	gen := &uniformGen{blocks: 8, pWrite: 0.5, think: 4 * sim.Nanosecond}
-	if err := slow.Execute(sSlow.Controllers(), gen, 200); err != nil {
+	if err := slow.Execute(machine.Controllers(sSlow.Caches), gen, 200); err != nil {
 		t.Fatalf("slow: %v", err)
 	}
 	genF := &uniformGen{blocks: 8, pWrite: 0.5, think: 4 * sim.Nanosecond}
-	if err := fast.Execute(sFast.Controllers(), genF, 200); err != nil {
+	if err := fast.Execute(machine.Controllers(sFast.Caches), genF, 200); err != nil {
 		t.Fatalf("fast: %v", err)
 	}
 	slowNs, _ := slow.Metrics.Value("elapsed_ns")
@@ -229,7 +229,7 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newDirSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(machine.Controllers(s.Caches), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -243,7 +243,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newDirSystem(t, 60, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -256,7 +256,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

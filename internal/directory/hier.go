@@ -375,12 +375,3 @@ func Build2(sys *machine.System) (*System2, error) {
 	}
 	return s, nil
 }
-
-// Controllers adapts the caches for machine.System.Execute.
-func (s *System2) Controllers() []machine.Controller {
-	out := make([]machine.Controller, len(s.Caches))
-	for i, c := range s.Caches {
-		out[i] = c
-	}
-	return out
-}

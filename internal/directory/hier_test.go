@@ -37,7 +37,7 @@ func auditDir2(t *testing.T, s *System2) {
 	t.Helper()
 	holders := make(map[msg.Block]msg.NodeID)
 	for _, g := range s.Global {
-		for b, e := range g.lines.All() {
+		for b, e := range g.lines.Unordered() {
 			if e.busy {
 				t.Errorf("block %d: authority recall still in flight at quiescence", b)
 			}
@@ -48,7 +48,7 @@ func auditDir2(t *testing.T, s *System2) {
 	}
 	claims := make(map[msg.Block][]msg.NodeID)
 	for _, h := range s.Homes {
-		for b, a := range h.auths.All() {
+		for b, a := range h.auths.Unordered() {
 			if a.acquiring || a.recalling || a.pendingRecall {
 				t.Errorf("block %d: cluster home %d still mid-transition at quiescence", b, h.id)
 			}
@@ -83,7 +83,7 @@ func TestDir2ClusterPrivateRead(t *testing.T) {
 	if err := sys.Oracle.Err(); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	if l := s.Caches[2].L2.Lookup(b); l == nil || l.State != stateS {
+	if l := s.Caches[2].L2.Lookup(b); l == nil || l.State != machine.StateS {
 		t.Fatalf("reader line = %+v, want S", l)
 	}
 	home := clusterHomeOf(s, 2, b)
@@ -139,7 +139,7 @@ func TestDir2Stress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newDir2System(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(machine.Controllers(s.Caches), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -154,7 +154,7 @@ func TestDir2Stress(t *testing.T) {
 func TestDir2StressHighContention(t *testing.T) {
 	sys, s := newDir2System(t, 80, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	auditDir2(t, s)
@@ -168,7 +168,7 @@ func TestDir2StressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	auditDir2(t, s)
@@ -191,7 +191,7 @@ func TestDir2LargeClusters(t *testing.T) {
 		t.Fatalf("node 200's cluster has %d members, want 128", n)
 	}
 	gen := &uniformGen{blocks: 16, pWrite: 0.4, think: 5 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 20); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 20); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	sys.Cluster.Run(func(sim.Time) bool { return false })

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tokencoherence/internal/machine"
+	"tokencoherence/internal/stats"
 )
 
 // testPlan is a small but non-trivial grid: two protocols, two
@@ -296,5 +297,22 @@ func TestEngineAttach(t *testing.T) {
 	}
 	if len(attached) != len(results) {
 		t.Errorf("attach hook ran for %d of %d jobs", len(attached), len(results))
+	}
+}
+
+// TestAggregateMean: a cell's mean sums its seeds' values and divides
+// once, and an empty cell reads 0.
+func TestAggregateMean(t *testing.T) {
+	var a Aggregate
+	if got := a.Mean("x"); got != 0 {
+		t.Errorf("empty cell mean = %v, want 0", got)
+	}
+	for _, v := range []uint64{2, 4, 4, 4, 5, 5, 7, 9} {
+		ms := stats.NewMetricSet()
+		ms.Counter(stats.Desc{Name: "x"}).Add(v)
+		a.Snapshots = append(a.Snapshots, ms.Snapshot())
+	}
+	if got := a.Mean("x"); got != 5 {
+		t.Errorf("mean = %v, want 5", got)
 	}
 }

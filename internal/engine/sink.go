@@ -315,14 +315,17 @@ type Aggregate struct {
 	Snapshots []*stats.Snapshot
 }
 
-// Mean averages the named metric over the cell's seeds.
+// Mean averages the named metric over the cell's seeds (0 for none).
 func (a *Aggregate) Mean(metric string) float64 {
-	var s stats.Sample
+	if len(a.Snapshots) == 0 {
+		return 0
+	}
+	var sum float64
 	for _, snap := range a.Snapshots {
 		v, _ := snap.Value(metric)
-		s.Add(v)
+		sum += v
 	}
-	return s.Mean()
+	return sum / float64(len(a.Snapshots))
 }
 
 // SumMisses sums the miss classification over the cell's seeds.

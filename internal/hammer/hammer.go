@@ -34,16 +34,9 @@ import (
 	"tokencoherence/internal/stats"
 )
 
-// MOSI stable states in cache.Line.State.
-const (
-	stateI = iota
-	stateS
-	stateO
-	stateM
-)
-
 // Cache is the Hammer cache controller.
 type Cache struct {
+	machine.MOSI
 	machine.CacheBase
 	// wb holds evicted owner lines until the home grants the writeback
 	// slot.
@@ -58,24 +51,12 @@ func NewCache(sys *machine.System, id msg.NodeID) *Cache {
 	return c
 }
 
-// HasPermission implements machine.CacheHooks.
-func (c *Cache) HasPermission(l *cache.Line, write bool) bool {
-	if write {
-		return l.State == stateM && l.Valid
-	}
-	return l.State >= stateS && l.Valid
-}
-
 // StartMiss implements machine.CacheHooks.
 func (c *Cache) StartMiss(m *machine.MSHR) {
 	// Expect one response from every other node plus the memory.
 	m.AcksNeeded = c.Cfg.Procs
-	kind := msg.KindGetS
-	if m.Write {
-		kind = msg.KindGetM
-	}
 	c.Net.Send(msg.Message{
-		Kind: kind, Cat: msg.CatRequest,
+		Kind: m.Request(), Cat: msg.CatRequest,
 		Src: c.CachePort(), Dst: c.HomePort(m.Block),
 		Addr: m.Block.Base(), Requester: c.CachePort(),
 	})
@@ -85,7 +66,7 @@ func (c *Cache) StartMiss(m *machine.MSHR) {
 // to the home and park the line in the writeback buffer until the home
 // grants the slot.
 func (c *Cache) EvictL2(v cache.Line) {
-	if v.State != stateM && v.State != stateO {
+	if v.State < machine.StateO {
 		return
 	}
 	c.wb.Push(v)
@@ -109,56 +90,21 @@ func (c *Cache) Handle(m *msg.Message) {
 	}
 }
 
-// onProbe answers a home broadcast. Probes are totally serialized by the
-// home, so they always find stable state (or the writeback buffer).
+// onProbe answers a home broadcast (m.Owner marks a probe for a GetM):
+// the owner with data, every other node with an ack. Probes are totally
+// serialized by the home, so they always find stable state (or the
+// writeback buffer).
 func (c *Cache) onProbe(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	exclusive := m.Owner // probe for a GetM
-	if e := c.wb.Owner(b); e != nil {
-		if exclusive {
-			c.respond(m.Requester, b, msg.KindProbeData, e.Data, true, e.Dirty)
-			e.Owner = false
-		} else {
-			c.respond(m.Requester, b, msg.KindProbeData, e.Data, false, false)
-		}
-		return
-	}
-	l := c.L2.Lookup(b)
-	if l == nil || l.State == stateI {
-		c.respond(m.Requester, b, msg.KindProbeAck, 0, false, false)
-		return
-	}
-	switch {
-	case exclusive && l.State >= stateO:
-		c.respond(m.Requester, b, msg.KindProbeData, l.Data, true, l.Dirty)
-		c.DropLine(b)
-	case exclusive: // shared copy: invalidate and ack
-		c.DropLine(b)
-		c.respond(m.Requester, b, msg.KindProbeAck, 0, false, false)
-	case c.Cfg.Migratory && l.State == stateM && l.Written:
-		// Migratory-sharing optimization.
-		c.respond(m.Requester, b, msg.KindProbeData, l.Data, true, l.Dirty)
-		c.DropLine(b)
-	case l.State == stateM:
-		c.respond(m.Requester, b, msg.KindProbeData, l.Data, false, false)
-		l.State = stateO
-	case l.State == stateO:
-		c.respond(m.Requester, b, msg.KindProbeData, l.Data, false, false)
-	default: // S on a GetS probe
-		c.respond(m.Requester, b, msg.KindProbeAck, 0, false, false)
-	}
-}
-
-func (c *Cache) respond(to msg.Port, b msg.Block, kind msg.Kind, data uint64, grantOwner, dirty bool) {
-	cat := msg.CatControl
-	hasData := kind == msg.KindProbeData
-	if hasData {
-		cat = msg.CatData
+	a := c.AnswerMOSI(&c.wb, b, m.Owner)
+	kind, cat := msg.KindProbeAck, msg.CatControl
+	if a.HasData {
+		kind, cat = msg.KindProbeData, msg.CatData
 	}
 	c.Net.SendAfter(msg.Message{
 		Kind: kind, Cat: cat,
-		Src: c.CachePort(), Dst: to, Addr: b.Base(),
-		HasData: hasData, Data: data, Owner: grantOwner, Dirty: dirty,
+		Src: c.CachePort(), Dst: m.Requester, Addr: b.Base(),
+		HasData: a.HasData, Data: a.Data, Owner: a.Owner, Dirty: a.Dirty,
 	}, c.Cfg.L2Latency)
 }
 
@@ -198,9 +144,9 @@ func (c *Cache) onResponse(m *msg.Message) {
 	l.Dirty = dirty
 	l.Written = written
 	if mshr.Write || owner {
-		l.State = stateM
+		l.State = machine.StateM
 	} else {
-		l.State = stateS
+		l.State = machine.StateS
 	}
 	c.CompleteMiss(mshr)
 	c.Net.Send(msg.Message{
@@ -377,13 +323,4 @@ func Build(sys *machine.System) *System {
 		s.Mems = append(s.Mems, NewMemory(sys, msg.NodeID(i)))
 	}
 	return s
-}
-
-// Controllers adapts the caches for machine.System.Execute.
-func (s *System) Controllers() []machine.Controller {
-	out := make([]machine.Controller, len(s.Caches))
-	for i, c := range s.Caches {
-		out[i] = c
-	}
-	return out
 }

@@ -44,7 +44,7 @@ func TestColdReadUsesMemoryData(t *testing.T) {
 	r := access(sys, s.Caches[2], addr, false)
 	finish(t, sys, r)
 	l := s.Caches[2].L2.Lookup(msg.BlockOf(addr))
-	if l == nil || l.State != stateS {
+	if l == nil || l.State != machine.StateS {
 		t.Fatalf("reader line = %+v, want S", l)
 	}
 }
@@ -75,7 +75,7 @@ func TestOwnerDataBeatsStaleMemory(t *testing.T) {
 	if l == nil || l.Data != 1 {
 		t.Fatalf("reader got %+v, want owner's version 1", l)
 	}
-	if l.State != stateM {
+	if l.State != machine.StateM {
 		t.Errorf("written block should migrate exclusively, got state %d", l.State)
 	}
 }
@@ -92,10 +92,10 @@ func TestNonMigratorySharing(t *testing.T) {
 	finish(t, sys, r2)
 	l1 := s.Caches[1].L2.Lookup(b)
 	l2 := s.Caches[2].L2.Lookup(b)
-	if l1 == nil || l1.State != stateO {
+	if l1 == nil || l1.State != machine.StateO {
 		t.Fatalf("cache 1 = %+v, want O", l1)
 	}
-	if l2 == nil || l2.State != stateS {
+	if l2 == nil || l2.State != machine.StateS {
 		t.Fatalf("cache 2 = %+v, want S", l2)
 	}
 }
@@ -112,7 +112,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	w := access(sys, s.Caches[0], addr, true)
 	finish(t, sys, w)
 	for i := 1; i < 6; i++ {
-		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != stateI {
+		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != machine.StateI {
 			t.Errorf("cache %d = %+v after exclusive probe", i, l)
 		}
 	}
@@ -161,7 +161,7 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newHammerSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(machine.Controllers(s.Caches), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -175,7 +175,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newHammerSystem(t, 80, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

@@ -4,6 +4,15 @@
 // writeback buffer of the MOSI baselines, the write-version safety
 // oracle, and system wiring.
 //
+// The MOSI baselines (snooping, directory, hammer) share their stable
+// states (StateI, StateS, StateO, StateM in cache.Line.State), the
+// permission rule (embed MOSI) and the response rule:
+// CacheBase.AnswerMOSI decides how a cache answers another node's
+// request, from an owning writeback entry or the line, and updates
+// both. The protocols keep only the message kind, the latency and their
+// own fields (the directory's ack count and sequence number, Hammer's
+// probe ack).
+//
 // Per-block state lives in msg.Table records (the oracle's write history
 // and the writeback buffer here, home and persistent-request state in
 // the protocol packages). Outstanding misses do not: each controller

@@ -50,6 +50,15 @@ type MSHR struct {
 	Grant bool
 }
 
+// Request returns the request kind that resolves the miss: GetM for a
+// store, GetS for a load.
+func (m *MSHR) Request() msg.Kind {
+	if m.Write {
+		return msg.KindGetM
+	}
+	return msg.KindGetS
+}
+
 // Fill is what an MSHR keeps of a data response: the fields the
 // directory and hammer protocols commit from.
 type Fill struct {

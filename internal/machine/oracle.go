@@ -45,9 +45,10 @@ type Oracle struct {
 
 	// StaleLimit bounds rule 4 (default 1 ms).
 	StaleLimit sim.Time
-	// MaxErrors bounds recorded violations (default 16).
-	MaxErrors int
 }
+
+// maxViolations bounds the violations an oracle records.
+const maxViolations = 16
 
 type procBlock struct {
 	proc  int
@@ -73,11 +74,7 @@ func NewOracle() *Oracle {
 }
 
 func (o *Oracle) fail(format string, args ...any) {
-	max := o.MaxErrors
-	if max == 0 {
-		max = 16
-	}
-	if len(o.errs) < max {
+	if len(o.errs) < maxViolations {
 		o.errs = append(o.errs, fmt.Errorf(format, args...))
 	}
 }
@@ -166,7 +163,7 @@ func (o *Oracle) Latest(b msg.Block) uint64 { return o.versions.Get(b).latest }
 // on this.
 func (o *Oracle) Image() map[msg.Block]uint64 {
 	img := make(map[msg.Block]uint64)
-	for b, h := range o.versions.All() {
+	for b, h := range o.versions.Unordered() {
 		img[b] = h.latest
 	}
 	return img

@@ -101,17 +101,15 @@ const (
 	KindGetM // request write permission
 
 	// Responses and token carriers.
-	KindData       // data (+ tokens for Token Coherence)
-	KindDataShared // data granting read-only (directory/hammer/snooping)
-	KindTokens     // dataless token transfer (Token Coherence)
-	KindAck        // invalidation acknowledgment / probe ack
-	KindInv        // invalidation (directory)
-	KindFwdGetS    // forwarded GetS (directory)
-	KindFwdGetM    // forwarded GetM (directory)
+	KindData    // data (+ tokens for Token Coherence)
+	KindTokens  // dataless token transfer (Token Coherence)
+	KindAck     // invalidation acknowledgment / probe ack
+	KindInv     // invalidation (directory)
+	KindFwdGetS // forwarded GetS (directory)
+	KindFwdGetM // forwarded GetM (directory)
 
 	// Writebacks.
 	KindPutM      // writeback of owned/modified data
-	KindPutS      // clean eviction notice (directory variants; unused by some)
 	KindWBAck     // writeback acknowledgment
 	KindWBStale   // writeback arrived stale; drop without writing
 	KindUnblock   // transaction-complete notification to home
@@ -142,8 +140,6 @@ func (k Kind) String() string {
 		return "GetM"
 	case KindData:
 		return "Data"
-	case KindDataShared:
-		return "DataShared"
 	case KindTokens:
 		return "Tokens"
 	case KindAck:
@@ -156,8 +152,6 @@ func (k Kind) String() string {
 		return "FwdGetM"
 	case KindPutM:
 		return "PutM"
-	case KindPutS:
-		return "PutS"
 	case KindWBAck:
 		return "WBAck"
 	case KindWBStale:

@@ -85,8 +85,8 @@ func TestMessageBytes(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{
-		KindGetS, KindGetM, KindData, KindDataShared, KindTokens, KindAck,
-		KindInv, KindFwdGetS, KindFwdGetM, KindPutM, KindPutS, KindWBAck,
+		KindGetS, KindGetM, KindData, KindTokens, KindAck,
+		KindInv, KindFwdGetS, KindFwdGetM, KindPutM, KindWBAck,
 		KindWBStale, KindUnblock, KindMemData, KindProbe, KindProbeAck,
 		KindProbeData, KindPersistentReq, KindPersistentActivate,
 		KindPersistentActivateAck, KindPersistentDeactivate,

@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"iter"
-	"maps"
-	"slices"
-)
+import "iter"
 
 // Table is a block-keyed store of per-block records: the one container
 // every protocol component keeps its per-block state in. The zero value
@@ -52,18 +48,6 @@ func (t *Table[T]) Unordered() iter.Seq2[Block, *T] {
 	return func(yield func(Block, *T) bool) {
 		for b, p := range t.m {
 			if !yield(b, p) {
-				return
-			}
-		}
-	}
-}
-
-// All visits every record in ascending block order. It sorts on every
-// call, so it is for cold paths: audits, final images and tests.
-func (t *Table[T]) All() iter.Seq2[Block, *T] {
-	return func(yield func(Block, *T) bool) {
-		for _, b := range slices.Sorted(maps.Keys(t.m)) {
-			if !yield(b, t.m[b]) {
 				return
 			}
 		}

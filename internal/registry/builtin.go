@@ -44,19 +44,19 @@ func init() {
 		Name:            "snooping",
 		RequiresOrdered: true,
 		Build: func(sys *machine.System) ([]machine.Controller, func() error) {
-			return snooping.Build(sys).Controllers(), nil
+			return machine.Controllers(snooping.Build(sys).Caches), nil
 		},
 	})
 	RegisterProtocol(Protocol{
 		Name: "directory",
 		Build: func(sys *machine.System) ([]machine.Controller, func() error) {
-			return directory.Build(sys).Controllers(), nil
+			return machine.Controllers(directory.Build(sys).Caches), nil
 		},
 	})
 	RegisterProtocol(Protocol{
 		Name: "hammer",
 		Build: func(sys *machine.System) ([]machine.Controller, func() error) {
-			return hammer.Build(sys).Controllers(), nil
+			return machine.Controllers(hammer.Build(sys).Caches), nil
 		},
 	})
 	RegisterPolicy(TokenPolicy{
@@ -84,7 +84,7 @@ func init() {
 				// construction; reaching this is a wiring error.
 				panic(err)
 			}
-			return s.Controllers(), nil
+			return machine.Controllers(s.Caches), nil
 		},
 	})
 	RegisterPolicy(TokenPolicy{

@@ -192,7 +192,7 @@ func RegisterPolicy(p TokenPolicy) {
 		RequiresClusters: scoped,
 		Build: func(sys *machine.System) ([]machine.Controller, func() error) {
 			ts := core.WithPolicy(p.New, p.Hints)(sys)
-			return ts.Controllers(), ts.Audit
+			return machine.Controllers(ts.Caches), ts.Audit
 		},
 	})
 }

@@ -35,16 +35,9 @@ import (
 	"tokencoherence/internal/stats"
 )
 
-// MOSI stable states stored in cache.Line.State.
-const (
-	stateI = iota
-	stateS
-	stateO
-	stateM
-)
-
 // Cache is the snooping cache controller for one node.
 type Cache struct {
+	machine.MOSI
 	machine.CacheBase
 	// wb holds evicted owner lines until their PutM broadcast is
 	// ordered; a foreign GetM ordered first takes the ownership away.
@@ -72,23 +65,11 @@ func NewCache(sys *machine.System, id msg.NodeID) *Cache {
 	return c
 }
 
-// HasPermission implements machine.CacheHooks.
-func (c *Cache) HasPermission(l *cache.Line, write bool) bool {
-	if write {
-		return l.State == stateM && l.Valid
-	}
-	return l.State >= stateS && l.Valid
-}
-
 // StartMiss implements machine.CacheHooks: broadcast the request on the
 // ordered fabric. No timers are needed; the total order guarantees
 // service.
 func (c *Cache) StartMiss(m *machine.MSHR) {
-	kind := msg.KindGetS
-	if m.Write {
-		kind = msg.KindGetM
-	}
-	c.broadcast(kind, m.Block)
+	c.broadcast(m.Request(), m.Block)
 }
 
 // broadcast sends an address transaction to every cache (including this
@@ -112,7 +93,7 @@ func (c *Cache) broadcast(kind msg.Kind, b msg.Block) {
 // EvictL2 implements machine.CacheHooks: owner lines enter the writeback
 // buffer and broadcast a PutM; shared lines are dropped silently.
 func (c *Cache) EvictL2(v cache.Line) {
-	if v.State != stateM && v.State != stateO {
+	if v.State < machine.StateO {
 		return
 	}
 	if c.wb.Pending(v.Block) > 0 {
@@ -188,22 +169,22 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 		l.Data = e.Data
 		l.Dirty = e.Dirty
 		if m.Kind == msg.KindGetM {
-			l.State = stateM
+			l.State = machine.StateM
 		} else {
-			l.State = stateO
+			l.State = machine.StateO
 		}
 		e.Owner = false
 		c.CompleteMiss(mshr)
 		return
 	}
 	if m.Kind == msg.KindGetM {
-		if l := c.L2.Lookup(b); l != nil && l.State == stateO && l.Valid {
+		if l := c.L2.Lookup(b); l != nil && l.State == machine.StateO && l.Valid {
 			// Upgrade from O: this node is the block's owner at its own
 			// order point, so no component will send data — exclusivity
 			// is established right here, and every sharer invalidates on
 			// seeing this GetM. (An S-state upgrader still receives data
 			// from the owner or memory, which cannot tell it has a copy.)
-			l.State = stateM
+			l.State = machine.StateM
 			c.CompleteMiss(mshr)
 			return
 		}
@@ -211,55 +192,20 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 	mshr.Ordered = true // data will come from the owner
 }
 
-// foreign applies the stable-state MOSI response policy; it is also used
-// to drain deferred requests once ownership is established.
+// foreign applies the stable-state MOSI response policy to another
+// node's ordered request; it also drains deferred requests once
+// ownership is established. Another node's PutM needs no answer.
 func (c *Cache) foreign(m *msg.Message, b msg.Block) {
-	if e := c.wb.Owner(b); e != nil {
-		switch m.Kind {
-		case msg.KindGetS:
-			// Respond from the writeback buffer and remain responsible.
-			c.respondData(m.Requester, b, e.Data, false, false, 0)
-		case msg.KindGetM:
-			c.respondData(m.Requester, b, e.Data, true, e.Dirty, 0)
-			e.Owner = false // the writeback is now stale
-		}
+	if m.Kind == msg.KindPutM {
 		return
 	}
-	l := c.L2.Lookup(b)
-	if l == nil || l.State == stateI {
-		return
+	if a := c.AnswerMOSI(&c.wb, b, m.Kind == msg.KindGetM); a.HasData {
+		c.send(msg.Message{
+			Kind: msg.KindData, Cat: msg.CatData,
+			Src: c.CachePort(), Dst: m.Requester, Addr: b.Base(),
+			HasData: true, Data: a.Data, Owner: a.Owner, Dirty: a.Dirty,
+		}, c.Cfg.L2Latency)
 	}
-	switch m.Kind {
-	case msg.KindGetS:
-		switch l.State {
-		case stateM:
-			if c.Cfg.Migratory && l.Written {
-				// Migratory-sharing optimization: hand over exclusively.
-				c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0)
-				c.DropLine(b)
-				return
-			}
-			c.respondData(m.Requester, b, l.Data, false, false, 0)
-			l.State = stateO
-		case stateO:
-			c.respondData(m.Requester, b, l.Data, false, false, 0)
-		}
-	case msg.KindGetM:
-		if l.State == stateM || l.State == stateO {
-			c.respondData(m.Requester, b, l.Data, true, l.Dirty, 0)
-		}
-		c.DropLine(b)
-	}
-}
-
-// respondData sends a data response. grantOwner marks transfers of
-// ownership (GetM responses and migratory GetS grants).
-func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, dirty bool, extra sim.Time) {
-	c.send(msg.Message{
-		Kind: msg.KindData, Cat: msg.CatData,
-		Src: c.CachePort(), Dst: to, Addr: b.Base(),
-		HasData: true, Data: data, Owner: grantOwner, Dirty: dirty,
-	}, c.Cfg.L2Latency+extra)
 }
 
 func (c *Cache) send(m msg.Message, lat sim.Time) {
@@ -283,9 +229,9 @@ func (c *Cache) onData(m *msg.Message) {
 	l.Data = m.Data
 	l.Dirty = m.Dirty
 	if mshr.Write || m.Owner {
-		l.State = stateM
+		l.State = machine.StateM
 	} else {
-		l.State = stateS
+		l.State = machine.StateS
 	}
 	c.CompleteMiss(mshr)
 	defs := c.deferred.Get(b)
@@ -416,13 +362,4 @@ func Build(sys *machine.System) *System {
 		s.Mems = append(s.Mems, NewMemory(sys, msg.NodeID(i)))
 	}
 	return s
-}
-
-// Controllers adapts the caches for machine.System.Execute.
-func (s *System) Controllers() []machine.Controller {
-	out := make([]machine.Controller, len(s.Caches))
-	for i, c := range s.Caches {
-		out[i] = c
-	}
-	return out
 }

@@ -55,7 +55,7 @@ func TestColdWriteGetsMFromMemory(t *testing.T) {
 	w := access(sys, s.Caches[0], addr, true)
 	finish(t, sys, w)
 	l := s.Caches[0].L2.Lookup(msg.BlockOf(addr))
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("writer line = %+v, want M", l)
 	}
 	// Memory gave up ownership.
@@ -75,10 +75,10 @@ func TestReadAfterRemoteWriteTransfersCacheToCache(t *testing.T) {
 	finish(t, sys, r)
 	// Migratory optimization: the written block moves exclusively.
 	l := s.Caches[7].L2.Lookup(b)
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("reader line = %+v, want M (migratory grant)", l)
 	}
-	if lw := s.Caches[3].L2.Lookup(b); lw != nil && lw.State != stateI {
+	if lw := s.Caches[3].L2.Lookup(b); lw != nil && lw.State != machine.StateI {
 		t.Errorf("old writer line = %+v, want gone/I", lw)
 	}
 }
@@ -97,10 +97,10 @@ func TestNonMigratoryGetSGoesToO(t *testing.T) {
 	finish(t, sys, r2)
 	l1 := s.Caches[1].L2.Lookup(b)
 	l2 := s.Caches[2].L2.Lookup(b)
-	if l1 == nil || l1.State != stateO {
+	if l1 == nil || l1.State != machine.StateO {
 		t.Fatalf("cache 1 line = %+v, want O", l1)
 	}
-	if l2 == nil || l2.State != stateS {
+	if l2 == nil || l2.State != machine.StateS {
 		t.Fatalf("cache 2 line = %+v, want S", l2)
 	}
 }
@@ -114,7 +114,7 @@ func TestUpgradeCompletesAtOrderPoint(t *testing.T) {
 	w := access(sys, s.Caches[1], addr, true)
 	finish(t, sys, w)
 	l := s.Caches[1].L2.Lookup(b)
-	if l == nil || l.State != stateM {
+	if l == nil || l.State != machine.StateM {
 		t.Fatalf("upgraded line = %+v, want M", l)
 	}
 	if sys.Metrics.Count("misses") != 2 {
@@ -134,7 +134,7 @@ func TestGetMInvalidatesSharers(t *testing.T) {
 	w := access(sys, s.Caches[0], addr, true)
 	finish(t, sys, w)
 	for i := 1; i < 6; i++ {
-		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != stateI {
+		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != machine.StateI {
 			t.Errorf("cache %d line = %+v after remote GetM, want invalid", i, l)
 		}
 	}
@@ -177,7 +177,7 @@ func TestRacingWritesSameBlock(t *testing.T) {
 	// Exactly one M owner at the end.
 	owners := 0
 	for _, c := range s.Caches {
-		if l := c.L2.Lookup(msg.BlockOf(addr)); l != nil && l.State == stateM {
+		if l := c.L2.Lookup(msg.BlockOf(addr)); l != nil && l.State == machine.StateM {
 			owners++
 		}
 	}
@@ -203,7 +203,7 @@ func TestStress(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			sys, s := newSnoopSystem(t, seed, nil)
 			gen := &uniformGen{blocks: 24, pWrite: 0.4, think: 5 * sim.Nanosecond}
-			err := sys.Execute(s.Controllers(), gen, 300)
+			err := sys.Execute(machine.Controllers(s.Caches), gen, 300)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
@@ -221,7 +221,7 @@ func TestStress(t *testing.T) {
 func TestStressHighContention(t *testing.T) {
 	sys, s := newSnoopSystem(t, 40, nil)
 	gen := &uniformGen{blocks: 2, pWrite: 0.6, think: 1 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 150); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 150); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }
@@ -234,7 +234,7 @@ func TestStressTinyCachesWritebackRaces(t *testing.T) {
 		c.L1Assoc = 1
 	})
 	gen := &uniformGen{blocks: 12, pWrite: 0.5, think: 2 * sim.Nanosecond}
-	if err := sys.Execute(s.Controllers(), gen, 250); err != nil {
+	if err := sys.Execute(machine.Controllers(s.Caches), gen, 250); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 }

@@ -11,12 +11,6 @@
 // sums.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
 // Misses classifies coherence misses as the paper's Table 2 does.
 type Misses struct {
 	// Issued counts coherence misses (first-issue transient or protocol
@@ -42,59 +36,4 @@ func (m *Misses) Frac(n uint64) float64 {
 		return 0
 	}
 	return 100 * float64(n) / float64(m.Issued)
-}
-
-// Sample summarizes repeated runs of one configuration with different
-// seeds (the paper simulates each design point multiple times and shows
-// one standard deviation).
-type Sample struct {
-	Values []float64
-}
-
-// Add appends an observation.
-func (s *Sample) Add(v float64) { s.Values = append(s.Values, v) }
-
-// Mean reports the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// StdDev reports the sample standard deviation (n-1 denominator).
-func (s *Sample) StdDev() float64 {
-	n := len(s.Values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.Values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Median reports the sample median.
-func (s *Sample) Median() float64 {
-	n := len(s.Values)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.Values...)
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-func (s *Sample) String() string {
-	return fmt.Sprintf("%.1f ± %.1f (n=%d)", s.Mean(), s.StdDev(), len(s.Values))
 }

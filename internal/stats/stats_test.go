@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"tokencoherence/internal/sim"
@@ -44,79 +42,5 @@ func TestAvgMissLatency(t *testing.T) {
 	empty.Histogram(d)
 	if v, _ := empty.Value("avg_miss_ns"); v != 0 {
 		t.Errorf("avg_miss_ns with no samples = %v, want 0", v)
-	}
-}
-
-func TestSampleStats(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Mean(); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	want := math.Sqrt(32.0 / 7.0)
-	if got := s.StdDev(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", got, want)
-	}
-	if got := s.Median(); got != 4.5 {
-		t.Errorf("Median = %v, want 4.5", got)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Median() != 0 {
-		t.Error("empty sample should report zeros")
-	}
-}
-
-func TestSampleMedianOdd(t *testing.T) {
-	s := Sample{Values: []float64{9, 1, 5}}
-	if got := s.Median(); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
-	}
-}
-
-func TestSampleMedianEven(t *testing.T) {
-	// Even n: the median averages the two central order statistics, and
-	// Median must not disturb the sample's own ordering.
-	s := Sample{Values: []float64{9, 1, 5, 3}}
-	if got := s.Median(); got != 4 {
-		t.Errorf("Median = %v, want 4", got)
-	}
-	if !reflect.DeepEqual(s.Values, []float64{9, 1, 5, 3}) {
-		t.Errorf("Median mutated Values: %v", s.Values)
-	}
-	two := Sample{Values: []float64{10, 20}}
-	if got := two.Median(); got != 15 {
-		t.Errorf("Median of two = %v, want 15", got)
-	}
-}
-
-func TestSampleSingleValueStdDev(t *testing.T) {
-	// n=1 has no dispersion estimate; the n-1 denominator must not
-	// divide by zero.
-	s := Sample{Values: []float64{42}}
-	if got := s.StdDev(); got != 0 {
-		t.Errorf("StdDev of single value = %v, want 0", got)
-	}
-	if got := s.Mean(); got != 42 {
-		t.Errorf("Mean = %v, want 42", got)
-	}
-	if got := s.Median(); got != 42 {
-		t.Errorf("Median = %v, want 42", got)
-	}
-}
-
-func TestSampleString(t *testing.T) {
-	var s Sample
-	if got := s.String(); got != "0.0 ± 0.0 (n=0)" {
-		t.Errorf("empty String = %q", got)
-	}
-	s.Add(2)
-	s.Add(4)
-	if got := s.String(); got != "3.0 ± 1.4 (n=2)" {
-		t.Errorf("String = %q", got)
 	}
 }

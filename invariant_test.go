@@ -151,28 +151,28 @@ func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warm
 	switch proto {
 	case "tokenb":
 		ts := core.BuildTokenB(sys)
-		ctrls, audit = ts.Controllers(), ts.Audit
+		ctrls, audit = machine.Controllers(ts.Caches), ts.Audit
 	case "tokend":
 		ts := core.BuildTokenD(sys)
-		ctrls, audit = ts.Controllers(), ts.Audit
+		ctrls, audit = machine.Controllers(ts.Caches), ts.Audit
 	case "tokenm":
 		ts := core.BuildTokenM(sys)
-		ctrls, audit = ts.Controllers(), ts.Audit
+		ctrls, audit = machine.Controllers(ts.Caches), ts.Audit
 	case "snooping":
-		ctrls = snooping.Build(sys).Controllers()
+		ctrls = machine.Controllers(snooping.Build(sys).Caches)
 	case "directory":
-		ctrls = directory.Build(sys).Controllers()
+		ctrls = machine.Controllers(directory.Build(sys).Caches)
 	case "hammer":
-		ctrls = hammer.Build(sys).Controllers()
+		ctrls = machine.Controllers(hammer.Build(sys).Caches)
 	case "dir2":
 		s2, err := directory.Build2(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctrls = s2.Controllers()
+		ctrls = machine.Controllers(s2.Caches)
 	case "regionfilter":
 		ts := core.WithPolicy(core.NewRegionFilterPolicy, false)(sys)
-		ctrls, audit = ts.Controllers(), ts.Audit
+		ctrls, audit = machine.Controllers(ts.Caches), ts.Audit
 	default:
 		t.Fatalf("unknown protocol %q", proto)
 	}
