@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"tokencoherence"
@@ -121,17 +122,9 @@ func Example_extension() {
 		return
 	}
 
-	has := func(names []string, want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
-		}
-		return false
-	}
-	c := tokencoherence.Components()
-	fmt.Println("policy registered as protocol:", has(c.Protocols, "tokenlast") && has(c.Policies, "tokenlast"))
-	fmt.Println("ring registered:", has(c.Topologies, "ring"))
+	var c tokencoherence.ComponentSet = tokencoherence.Components()
+	fmt.Println("policy registered as protocol:", slices.Contains(c.Protocols, "tokenlast") && slices.Contains(c.Policies, "tokenlast"))
+	fmt.Println("ring registered:", slices.Contains(c.Topologies, "ring"))
 	txns, _ := snap.Value("transactions")
 	misses, _ := snap.Value("misses")
 	fmt.Println("tokens conserved over a real run:", txns > 0 && misses > 0)
@@ -184,15 +177,7 @@ func Example_probe() {
 
 	// The probe appears in the component listing and its metrics in the
 	// schema of every protocol.
-	has := func(names []string, want string) bool {
-		for _, n := range names {
-			if n == want {
-				return true
-			}
-		}
-		return false
-	}
-	fmt.Println("probe registered:", has(tokencoherence.Components().Probes, "tail-latency"))
+	fmt.Println("probe registered:", slices.Contains(tokencoherence.Components().Probes, "tail-latency"))
 	descs, err := tokencoherence.MetricSchema(tokencoherence.Point{Protocol: tokencoherence.ProtoTokenB})
 	if err != nil {
 		fmt.Println("schema:", err)
@@ -202,7 +187,7 @@ func Example_probe() {
 	for i, d := range descs {
 		schema[i] = d.Name
 	}
-	fmt.Println("probe metrics in schema:", has(schema, "tail_misses") && has(schema, "probe_miss_latency"))
+	fmt.Println("probe metrics in schema:", slices.Contains(schema, "tail_misses") && slices.Contains(schema, "probe_miss_latency"))
 
 	// Select the derived metric into CSV output by name, next to the
 	// built-in columns, over a two-seed plan.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 )
 
@@ -55,6 +56,16 @@ func TestLedgerDetectsTwoOwnersInFlight(t *testing.T) {
 	l.Sent(1, 1, true, true)
 	if l.Err() == nil {
 		t.Error("duplicate owner token not detected")
+	}
+}
+
+func TestLedgerDetectsOwnerReceivedNotInFlight(t *testing.T) {
+	l := NewLedger(4)
+	l.InitBlock(1)
+	l.Sent(1, 2, false, true)
+	l.Received(1, 2, true)
+	if err := l.Err(); err == nil || !strings.Contains(err.Error(), "owner token received but not in flight") {
+		t.Errorf("owner token received without one in flight not detected: %v", err)
 	}
 }
 
@@ -166,6 +177,28 @@ func TestAuditErrorDeterministic(t *testing.T) {
 		if err.Error() != first {
 			t.Fatalf("audit %d reported %q, audit 0 reported %q", i, err, first)
 		}
+	}
+}
+
+// TestAuditReportsTokensOfUninitializedBlock: a cache holds a token of
+// a block the ledger never initialized. The audit keeps no sum for it
+// and still fails, on the violation the ledger recorded at the send.
+func TestAuditReportsTokensOfUninitializedBlock(t *testing.T) {
+	_, ts := newTokenSystem(t, 4, 1, nil)
+	c := ts.Caches[0]
+	const b = msg.Block(5)
+	c.Access(machine.Op{Addr: b.Base()}, func() {})
+	ts.Ledger.Sent(b, 1, false, true)
+	c.Handle(&msg.Message{
+		Kind: msg.KindData, Cat: msg.CatData,
+		Src: c.HomePort(b), Dst: c.CachePort(), Addr: b.Base(),
+		Tokens: 1, HasData: true,
+	})
+	if l := c.L2.Lookup(b); l == nil || l.Tokens != 1 {
+		t.Fatalf("line = %+v, want the one token", l)
+	}
+	if err := ts.Audit(); err == nil || !strings.Contains(err.Error(), "tokens sent before initialization") {
+		t.Errorf("audit = %v, want the uninitialized send reported", err)
 	}
 }
 

@@ -127,7 +127,7 @@ func (c *TokenB) armTimer(m *machine.MSHR) {
 
 func (c *TokenB) onTimeout(m *machine.MSHR) {
 	if c.Outstanding(m.Block) != m {
-		return // resolved in the same tick; timer raced with completion
+		panic("core: reissue timer fired for a retired miss (CompleteMiss cancels it)")
 	}
 	if m.Reissues >= c.Cfg.MaxReissues {
 		c.goPersistent(m)
@@ -165,7 +165,7 @@ func (c *TokenB) goPersistent(m *machine.MSHR) {
 // persistent request redirects them to the starving processor.
 func (c *TokenB) EvictL2(v cache.Line) {
 	if v.Tokens == 0 {
-		return // tag-only line (miss in progress); nothing to write back
+		panic("core: evicted a line without tokens (a resident line holds at least one)")
 	}
 	dst := c.HomePort(v.Block)
 	if p := c.persist.Get(v.Block); p.active && p.starver != c.CachePort() {

@@ -278,6 +278,110 @@ func TestPersistentRequestEscalation(t *testing.T) {
 	}
 }
 
+// newStubbedController builds node 0's TokenB controller on a 4-node
+// torus where every other port is a stub passing what it receives to
+// deliver, so a test drives the controller's side of a schedule message
+// by message.
+func newStubbedController(mutate func(*machine.Config), deliver func(*msg.Message)) (*machine.System, *TokenB, *Ledger) {
+	cfg := machine.DefaultConfig()
+	cfg.Procs, cfg.TokensPerBlock = 4, 4
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 1)
+	ledger := NewLedger(cfg.TokensPerBlock)
+	c := NewTokenController(sys, 0, ledger, NewBroadcastPolicy())
+	for n := 0; n < cfg.Procs; n++ {
+		for _, u := range []msg.Unit{msg.UnitCache, msg.UnitMem, msg.UnitArbiter} {
+			if p := (msg.Port{Node: msg.NodeID(n), Unit: u}); p != c.CachePort() {
+				sys.Net.Register(p, interconnect.HandlerFunc(deliver))
+			}
+		}
+	}
+	return sys, c, ledger
+}
+
+// fill hands c all T tokens of b, with the owner token and data, as a
+// home's answer to c's outstanding miss.
+func fill(c *TokenB, ledger *Ledger, b msg.Block) {
+	ledger.InitBlock(b)
+	ledger.Sent(b, ledger.T, true, true)
+	c.Handle(&msg.Message{
+		Kind: msg.KindData, Cat: msg.CatData,
+		Src: c.HomePort(b), Dst: c.CachePort(), Addr: b.Base(),
+		Tokens: ledger.T, Owner: true, HasData: true,
+	})
+}
+
+// TestEvictionDuringPersistentRequestGoesToStarver: a cache holding
+// every token of a block evicts it while another node's persistent
+// request for the block is active. The tokens, with the owner token and
+// the written data, must go to the starver rather than home, and the
+// ledger must balance. An activation flushes a resident line itself, so
+// no live schedule leaves a cache holding tokens under another node's
+// persistent request; the test sets the table entry directly.
+func TestEvictionDuringPersistentRequestGoesToStarver(t *testing.T) {
+	var got []msg.Message
+	sys, c, ledger := newStubbedController(func(cfg *machine.Config) {
+		cfg.L2Size, cfg.L2Assoc = 2*msg.BlockSize, 1 // two sets
+		cfg.L1Size, cfg.L1Assoc = msg.BlockSize, 1
+	}, func(m *msg.Message) {
+		if m.Kind == msg.KindData || m.Kind == msg.KindTokens {
+			got = append(got, *m)
+		}
+	})
+	const a, b = msg.Block(0), msg.Block(2) // both map to set 0
+	starver := msg.Port{Node: 2, Unit: msg.UnitCache}
+
+	c.Access(machine.Op{Addr: a.Base(), Write: true}, func() {})
+	fill(c, ledger, a)
+	l := c.L2.Lookup(a)
+	if l == nil || l.Tokens != ledger.T || l.Data != 1 {
+		t.Fatalf("writer line = %+v, want all %d tokens holding version 1", l, ledger.T)
+	}
+	*c.persist.At(a) = persistLine{active: true, starver: starver}
+
+	c.Access(machine.Op{Addr: b.Base(), Write: true}, func() {})
+	fill(c, ledger, b) // the fill evicts a
+	sys.K.Run()
+
+	if c.L2.Lookup(a) != nil {
+		t.Fatal("block a is still resident; the test lost its eviction")
+	}
+	if len(got) != 1 {
+		t.Fatalf("eviction sent %d token messages %+v, want 1", len(got), got)
+	}
+	if m := got[0]; m.Dst != starver || msg.BlockOf(m.Addr) != a || m.Tokens != ledger.T ||
+		!m.Owner || !m.HasData || m.Data != 1 || !m.Dirty {
+		t.Errorf("evicted tokens = %+v, want all %d of block %d with the owner token and dirty v1 at the starver %v (home %v)",
+			m, ledger.T, a, starver, c.HomePort(a))
+	}
+	ledger.Received(a, got[0].Tokens, got[0].Owner)
+	ledger.CheckConservation(a, ledger.T, 1) // all at the starver
+	ledger.CheckConservation(b, ledger.T, 1) // all at c
+	if err := ledger.Err(); err != nil {
+		t.Errorf("ledger: %v", err)
+	}
+}
+
+// TestReissueBackoffShiftCapped arms the reissue timer of a miss that
+// has reissued 50 times: the exponential backoff stops doubling at 2^6
+// times BackoffBase (uncapped, BackoffBase<<50 overflows), so the timer
+// fires within that bound.
+func TestReissueBackoffShiftCapped(t *testing.T) {
+	sys, c, _ := newStubbedController(func(cfg *machine.Config) { cfg.MaxReissues = 64 }, func(*msg.Message) {})
+	const b = msg.Block(12)
+	c.Access(machine.Op{Addr: b.Base()}, func() {})
+	m := c.Outstanding(b)
+	sys.K.Cancel(m.Timer)
+	m.Reissues = 50
+	c.armTimer(m)
+	sys.K.RunUntil(sim.Time(c.Cfg.BackoffFactor)*c.AvgMiss + c.Cfg.BackoffBase<<6)
+	if m.Reissues == 50 {
+		t.Error("the reissue timer did not fire within the capped backoff")
+	}
+}
+
 // TestLateActivationAfterRecordReuse: a persistent miss is satisfied by
 // a late transient response before the arbiter activates it, and a new
 // miss to the same block reuses the retired MSHR record. When the old
@@ -285,24 +389,12 @@ func TestPersistentRequestEscalation(t *testing.T) {
 // the recycled record carries a different miss, so matching by record
 // would mistake it for the starving one and hold the arbiter forever.
 func TestLateActivationAfterRecordReuse(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	cfg.Procs, cfg.TokensPerBlock = 4, 4
-	sys := machine.NewSystem(cfg, topology.NewTorusFor(4), 1)
-	ledger := NewLedger(cfg.TokensPerBlock)
-	c := NewTokenController(sys, 0, ledger, NewBroadcastPolicy())
 	var deactivations int
-	stub := interconnect.HandlerFunc(func(m *msg.Message) {
+	sys, c, ledger := newStubbedController(nil, func(m *msg.Message) {
 		if m.Kind == msg.KindPersistentDeactivate {
 			deactivations++
 		}
 	})
-	for n := 0; n < cfg.Procs; n++ {
-		for _, u := range []msg.Unit{msg.UnitCache, msg.UnitMem, msg.UnitArbiter} {
-			if p := (msg.Port{Node: msg.NodeID(n), Unit: u}); p != c.CachePort() {
-				sys.Net.Register(p, stub)
-			}
-		}
-	}
 
 	const b = msg.Block(12)
 	c.Access(machine.Op{Addr: b.Base()}, func() {})

@@ -134,11 +134,10 @@ func (c *Cache) absorbPendingAcks(mshr *machine.MSHR) {
 
 func (c *Cache) onInvAck(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
+	// A miss retires only after every ack of its transaction arrived.
 	mshr := c.Outstanding(b)
 	if mshr == nil {
-		// An ack from an aborted (grant/writeback-race) transaction; the
-		// retried request counted only acks matching its own fill.
-		return
+		panic(fmt.Sprintf("directory: node %d invalidation ack for block %d with no outstanding miss", c.ID, b))
 	}
 	if !mshr.GotData {
 		r := c.races.At(b)
@@ -275,26 +274,21 @@ func (c *Cache) onFwd(m *msg.Message) {
 		return
 	}
 	if mshr := c.Outstanding(b); mshr != nil {
-		if mshr.GotData {
-			if m.Seq > mshr.Fill.Seq {
-				// Our own transaction is ordered before this forward at
-				// the home; we are the owner-to-be, so serve it after
-				// completion (ownership chaining).
-				r := c.races.At(b)
-				r.deferred = append(r.deferred, *m)
-				return
-			}
-			c.serveFwd(m, b)
-			return
+		// A forward ordered before our transaction kept the home busy
+		// until we served it, so it cannot arrive after our fill.
+		if mshr.GotData && m.Seq <= mshr.Fill.Seq {
+			panic(fmt.Sprintf("directory: node %d forward for block %d arrived after the fill of a later transaction", c.ID, b))
 		}
-		if l := c.L2.Lookup(b); l != nil && l.State >= machine.StateO && l.Valid {
+		if l := c.L2.Lookup(b); !mshr.GotData && l != nil && l.State >= machine.StateO && l.Valid {
 			// The forward's transaction is ordered before our queued
 			// upgrade; answer from the stable owner line (deferring would
 			// deadlock behind our own queued GetM).
 			c.serveFwd(m, b)
 			return
 		}
-		// Our fill is still in flight; chain the forward to completion.
+		// Our own transaction is ordered before this forward at the home
+		// (we are the owner-to-be), or our fill is still in flight: serve
+		// it after completion (ownership chaining).
 		r := c.races.At(b)
 		r.deferred = append(r.deferred, *m)
 		return

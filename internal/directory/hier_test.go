@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"strings"
 	"testing"
 
 	"tokencoherence/internal/machine"
@@ -196,4 +197,22 @@ func TestDir2LargeClusters(t *testing.T) {
 	}
 	sys.Cluster.Run(func(sim.Time) bool { return false })
 	auditDir2(t, s)
+}
+
+// flatTopo hides every method of its fabric but topology.Topology's, so
+// it exposes no cluster metadata.
+type flatTopo struct{ topology.Topology }
+
+// TestBuild2RejectsFlatTopology builds the two-level directory directly
+// (the engine rejects the pair before building) on a fabric without
+// cluster metadata: Build2 must return an error naming the fabric.
+func TestBuild2RejectsFlatTopology(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Procs = 4
+	sys := machine.NewSystem(cfg, flatTopo{topology.NewTorusFor(4)}, 1)
+	s, err := Build2(sys)
+	if s != nil || err == nil || !strings.Contains(err.Error(), `topology "torus"`) ||
+		!strings.Contains(err.Error(), "topology.Clustered") {
+		t.Fatalf("Build2 on a flat fabric = %v, %v; want an error naming the torus and topology.Clustered", s, err)
+	}
 }

@@ -203,6 +203,19 @@ func TestProcessorIssuesAllOps(t *testing.T) {
 	}
 }
 
+// TestProcessorZeroLimitIssuesNothing starts a processor with no
+// operations to issue: its first issue tick must issue none.
+func TestProcessorZeroLimitIssuesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	ctrl := &fakeCtrl{k: k, delay: sim.Nanosecond}
+	p := NewProcessor(k, 0, fixedGen{}, ctrl, DefaultConfig(), sim.NewSource(1), nil, 0, nil)
+	p.Start()
+	k.Run()
+	if ctrl.seen != 0 || p.Issued() != 0 {
+		t.Errorf("a zero-limit processor issued %d operations (controller saw %d)", p.Issued(), ctrl.seen)
+	}
+}
+
 // slowCtrl never completes, to test MSHR stalling.
 type slowCtrl struct{ seen int }
 
@@ -279,6 +292,46 @@ func TestSystemExecuteDetectsDeadlock(t *testing.T) {
 	err := sys.Execute(ctrls, fixedGen{think: sim.Nanosecond}, 10)
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("deadlock not reported: %v", err)
+	}
+}
+
+// staleCtrl commits every store to the oracle but answers every load
+// with the block's initial version, so any load after a store of the
+// same block reads stale data.
+type staleCtrl struct {
+	sys *System
+	id  int
+}
+
+func (c *staleCtrl) Access(op Op, done func()) {
+	b, now := msg.BlockOf(op.Addr), c.sys.K.Now()
+	if op.Write {
+		c.sys.Oracle.CommitWrite(c.id, b, now)
+	} else {
+		c.sys.Oracle.CheckRead(c.id, b, 0, now)
+	}
+	c.sys.K.After(5*sim.Nanosecond, done)
+}
+
+// TestSystemExecuteReportsOracleFailure runs controllers that read stale
+// data mid-run: the run itself completes, so ExecuteWarm must return the
+// oracle's error, and the flight recorder must dump naming the oracle.
+func TestSystemExecuteReportsOracleFailure(t *testing.T) {
+	var dump strings.Builder
+	cfg := DefaultConfig()
+	cfg.Procs = 4
+	cfg.DebugLog = &dump
+	sys := NewSystem(cfg, topology.NewTorusFor(4), 1)
+	ctrls := make([]Controller, 4)
+	for i := range ctrls {
+		ctrls[i] = &staleCtrl{sys: sys, id: i}
+	}
+	err := sys.ExecuteWarm(ctrls, fixedGen{think: sim.Nanosecond}, 10, 20)
+	if err == nil || sys.Oracle.Err() == nil || err.Error() != sys.Oracle.Err().Error() {
+		t.Fatalf("ExecuteWarm returned %v, want the oracle's error %v", err, sys.Oracle.Err())
+	}
+	if !strings.Contains(dump.String(), "flight recorder: safety oracle failed: "+err.Error()) {
+		t.Errorf("flight-recorder dump does not name the oracle failure:\n%s", dump.String())
 	}
 }
 

@@ -109,12 +109,9 @@ func (h *versions) prune(now, staleLimit sim.Time) {
 	}
 }
 
-// versionCommit returns when version v committed (ok=false when the history
-// was pruned or v is 0/unknown).
+// versionCommit returns when version v >= 1 committed (ok=false when
+// the history was pruned or v is unknown).
 func (h *versions) versionCommit(v uint64) (sim.Time, bool) {
-	if v == 0 {
-		return 0, true
-	}
 	if v <= h.first || v > h.first+uint64(len(h.commits)) {
 		return 0, false
 	}

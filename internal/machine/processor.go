@@ -92,9 +92,13 @@ func (p *Processor) Issued() int { return p.issued }
 // Completed reports operations completed so far.
 func (p *Processor) Completed() int { return p.completed }
 
+// scheduleIssue arms the next issue. At most one is ever pending: Start
+// arms the first, an issue arms the next only after its own fired, and
+// a completion arms one only for a stalled processor, whose last issue
+// fired and armed none.
 func (p *Processor) scheduleIssue(d sim.Time) {
 	if p.issuePending {
-		return
+		panic("machine: processor issue armed while one is pending")
 	}
 	p.issuePending = true
 	p.k.After(d, p.issueFire)

@@ -67,17 +67,11 @@ func NewCluster(islands int, actorIsland []int32, lookahead Time) *Cluster {
 	return c
 }
 
-// Islands reports the number of islands.
-func (c *Cluster) Islands() int { return len(c.kernels) }
-
 // Kernel returns island i's kernel.
 func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
 
 // IslandOf reports which island owns actor a.
 func (c *Cluster) IslandOf(a int) int32 { return c.actorIsland[a] }
-
-// Now reports the end time of the last completed window.
-func (c *Cluster) Now() Time { return c.now }
 
 // push queues a cross-island event. Called only from island src's
 // goroutine while a window runs; drained at the next barrier.

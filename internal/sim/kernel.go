@@ -22,9 +22,6 @@ type Event struct {
 	next   *Event // wheel-slot chain / free-list link
 }
 
-// At reports the time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
-
 // Cancelled reports whether the event has been cancelled or already fired.
 func (e *Event) Cancelled() bool { return e.action == nil }
 

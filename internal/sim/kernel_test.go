@@ -137,6 +137,25 @@ func TestCancelDuringRun(t *testing.T) {
 	}
 }
 
+// TestNextTimeSkipsCancelledHead peeks a bucket, cancels the event at
+// its head and peeks again: the cancelled event is dropped, and the next
+// live one is reported.
+func TestNextTimeSkipsCancelledHead(t *testing.T) {
+	k := NewKernel()
+	head := k.Schedule(10, func() {})
+	k.Schedule(20, func() {})
+	if at, ok := k.NextTime(); !ok || at != 10 {
+		t.Fatalf("NextTime() = %v, %v, want 10, true", at, ok)
+	}
+	k.Cancel(head)
+	if at, ok := k.NextTime(); !ok || at != 20 {
+		t.Fatalf("NextTime() after cancelling the head = %v, %v, want 20, true", at, ok)
+	}
+	if k.Pending() != 1 {
+		t.Errorf("Pending() = %d, want 1", k.Pending())
+	}
+}
+
 func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	k := NewKernel()
 	var fired []Time

@@ -75,11 +75,9 @@ func (s *Source) Geometric(mean float64) int {
 	}
 	// For U uniform in [0,1), 1 + floor(log(1-U) / log(1-p)) is
 	// geometric with P(n=k) = p(1-p)^(k-1), exactly the distribution
-	// the rejection loop sampled.
+	// the rejection loop sampled. Both logs are non-positive, the second
+	// non-zero for any mean below 2^53, so n >= 1.
 	n := 1 + int(math.Log(1-s.Float64())/math.Log(1-1/mean))
-	if n < 1 {
-		n = 1
-	}
 	if tail := int(mean * 16); n > tail {
 		n = tail
 	}

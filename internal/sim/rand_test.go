@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,21 @@ func TestGeometricDistribution(t *testing.T) {
 		if got < mean*0.98 || got > mean*1.02 {
 			t.Errorf("Geometric(%v) sample mean = %v, want within 2%%", mean, got)
 		}
+	}
+}
+
+// TestGeometricTailClamp takes a draw whose inverse-CDF value lies
+// beyond 16x the mean (seed 3747935's first one, found by search) and
+// requires Geometric to return the cap itself.
+func TestGeometricTailClamp(t *testing.T) {
+	const mean = 1000
+	s := NewSource(3747935)
+	peek := *s
+	if raw := 1 + int(math.Log(1-peek.Float64())/math.Log(1-1.0/mean)); raw <= 16*mean {
+		t.Fatalf("unclamped draw %d is within the cap %d; the test lost its purpose", raw, 16*mean)
+	}
+	if got := s.Geometric(mean); got != 16*mean {
+		t.Errorf("Geometric(%d) = %d, want the cap %d", mean, got, 16*mean)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"tokencoherence/internal/cache"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
-	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
 )
 
@@ -152,7 +151,7 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 				Src: c.CachePort(), Dst: home, Addr: b.Base(),
 			}
 		}
-		c.send(out, c.Cfg.L2Latency)
+		c.Net.SendAfter(out, c.Cfg.L2Latency)
 		return
 	}
 	mshr := c.Outstanding(b)
@@ -200,20 +199,12 @@ func (c *Cache) foreign(m *msg.Message, b msg.Block) {
 		return
 	}
 	if a := c.AnswerMOSI(&c.wb, b, m.Kind == msg.KindGetM); a.HasData {
-		c.send(msg.Message{
+		c.Net.SendAfter(msg.Message{
 			Kind: msg.KindData, Cat: msg.CatData,
 			Src: c.CachePort(), Dst: m.Requester, Addr: b.Base(),
 			HasData: true, Data: a.Data, Owner: a.Owner, Dirty: a.Dirty,
 		}, c.Cfg.L2Latency)
 	}
-}
-
-func (c *Cache) send(m msg.Message, lat sim.Time) {
-	if lat == 0 {
-		c.Net.Send(m)
-		return
-	}
-	c.Net.SendAfter(m, lat)
 }
 
 // onData completes an ordered miss and drains any requests that were
@@ -312,15 +303,11 @@ func (m *Memory) resolveWB(l *memLine) {
 	if l.wbPending > 0 {
 		return
 	}
+	// Serving a request leaves wbPending alone, so every deferred request
+	// is served now.
 	defs := l.deferred
 	l.deferred = nil
 	for i := range defs {
-		if l.wbPending > 0 {
-			// A drained request cannot re-raise wbPending, but keep the
-			// guard for safety: re-defer the remainder.
-			l.deferred = append(l.deferred, defs[i:]...)
-			return
-		}
 		m.serve(l, &defs[i])
 	}
 }

@@ -3,6 +3,7 @@ package snooping
 import (
 	"testing"
 
+	"tokencoherence/internal/interconnect"
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/sim"
@@ -137,6 +138,73 @@ func TestGetMInvalidatesSharers(t *testing.T) {
 		if l := s.Caches[i].L2.Lookup(b); l != nil && l.State != machine.StateI {
 			t.Errorf("cache %d line = %+v after remote GetM, want invalid", i, l)
 		}
+	}
+}
+
+// TestOwnGetSServedFromOwningWriteback orders a node's own GetS while
+// its writeback buffer still owns the block, its PutM to be ordered
+// later. No other component answers (memory knows a cache owns the
+// block), so the node fills from the entry in O, and the entry loses
+// ownership to the line.
+func TestOwnGetSServedFromOwningWriteback(t *testing.T) {
+	sys, s := newSnoopSystem(t, 5, func(c *machine.Config) { c.Procs = 4 })
+	c := s.Caches[0]
+	const addr = msg.Addr(0x900)
+	b := msg.BlockOf(addr)
+	w := access(sys, c, addr, true)
+	finish(t, sys, w)
+	// Park the written line in the writeback buffer, as an eviction
+	// does, with the PutM not yet ordered.
+	l := *c.L2.Lookup(b)
+	c.DropLine(b)
+	c.wb.Push(l)
+	r := access(sys, c, addr, false)
+	finish(t, sys, r)
+	got := c.L2.Lookup(b)
+	if got == nil || got.State != machine.StateO || !got.Valid || got.Data != l.Data || !got.Dirty {
+		t.Fatalf("reader line = %+v, want O holding the writeback's dirty v%d", got, l.Data)
+	}
+	if c.wb.Owner(b) != nil || c.wb.Pending(b) != 1 {
+		t.Errorf("writeback buffer owner %v, %d pending; want a stale entry awaiting its PutM", c.wb.Owner(b), c.wb.Pending(b))
+	}
+}
+
+// TestMemoryWaitsForEveryPendingWriteback orders two PutMs of one block
+// ahead of a GetS: cache 1's, stale since cache 2's GetM took the block
+// from its writeback buffer, and cache 2's own. The memory answers the
+// GetS only once both writebacks resolve, with cache 2's data.
+func TestMemoryWaitsForEveryPendingWriteback(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Procs = 4
+	sys := machine.NewSystem(cfg, topology.NewTree(4), 1)
+	home := NewMemory(sys, 0)
+	var got []msg.Message
+	for n := 0; n < 4; n++ {
+		sys.Net.Register(msg.Port{Node: msg.NodeID(n), Unit: msg.UnitCache},
+			interconnect.HandlerFunc(func(m *msg.Message) { got = append(got, *m) }))
+	}
+	const b = msg.Block(4) // homed at node 0
+	deliver := func(kind msg.Kind, from msg.NodeID, data bool) {
+		src := msg.Port{Node: from, Unit: msg.UnitCache}
+		home.Handle(&msg.Message{Kind: kind, Src: src, Dst: home.Port(), Addr: b.Base(),
+			Requester: src, HasData: data, Data: 7})
+		sys.K.Run()
+	}
+	deliver(msg.KindGetM, 1, false)
+	deliver(msg.KindGetM, 2, false)
+	deliver(msg.KindPutM, 1, false)
+	deliver(msg.KindPutM, 2, false)
+	deliver(msg.KindGetS, 3, false)
+	if len(got) != 1 || got[0].Dst.Node != 1 || !got[0].Owner {
+		t.Fatalf("memory sent %+v, want only cache 1's owner data", got)
+	}
+	deliver(msg.KindWBStale, 1, false)
+	if len(got) != 1 {
+		t.Fatalf("memory answered with a writeback still pending: %+v", got[1:])
+	}
+	deliver(msg.KindPutM, 2, true)
+	if len(got) != 2 || got[1].Dst.Node != 3 || got[1].Data != 7 || got[1].Owner {
+		t.Fatalf("memory sent %+v after the last writeback, want cache 2's data to cache 3", got[1:])
 	}
 }
 

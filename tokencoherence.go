@@ -45,8 +45,6 @@
 //   - RegisterTopology publishes an interconnect fabric (an
 //     implementation of Topology).
 //   - RegisterWorkload publishes a memory-reference generator.
-//   - RegisterProtocol publishes a from-scratch protocol for users who
-//     build their own controllers.
 //   - RegisterProbe publishes a measurement probe that subscribes to
 //     simulation events and derives new named metrics, selectable in
 //     CSV output via MetricColumn (see MetricSchema for discovery).
@@ -69,7 +67,6 @@ import (
 	"tokencoherence/internal/machine"
 	"tokencoherence/internal/msg"
 	"tokencoherence/internal/registry"
-	"tokencoherence/internal/resultstore"
 	"tokencoherence/internal/sim"
 	"tokencoherence/internal/stats"
 	"tokencoherence/internal/topology"
@@ -169,8 +166,7 @@ type Job = engine.Job
 
 // Result is one executed plan job. Its Metrics snapshot is the job's
 // only result record: sinks read every value from it by name (see
-// MetricSchema), whether the job simulated or was recalled from a
-// Store.
+// MetricSchema).
 type Result = engine.Result
 
 // Sink consumes a plan's results in deterministic order.
@@ -186,18 +182,12 @@ type (
 // Column describes one CSVSink column.
 type Column = engine.Column
 
-// TagColumn reads a mutation tag as its own CSV column.
-func TagColumn(name string) Column { return engine.TagColumn(name) }
-
 // MetricColumn selects any published metric by name as a CSV column,
 // rendered with the metric's declared format.
 func MetricColumn(name string) Column { return engine.MetricColumn(name) }
 
-// ColumnByName resolves a column name: point-identity columns first,
-// then metrics, then mutation tags.
-func ColumnByName(name string) Column { return engine.ColumnByName(name) }
-
-// ColumnsByName resolves a list of column names (see ColumnByName).
+// ColumnsByName resolves a list of column names: each is a
+// point-identity column first, then a metric, then a mutation tag.
 func ColumnsByName(names []string) []Column { return engine.ColumnsByName(names) }
 
 // DefaultColumns are CSVSink's standard point-identity and metric
@@ -236,24 +226,19 @@ func Workload(name string) (WorkloadParams, error) {
 // --- Extension API -------------------------------------------------------
 //
 // The aliases below expose exactly the internal types an extension
-// needs, so custom policies, topologies, workloads, and protocols are
+// needs, so custom policies, topologies, workloads and probes are
 // written against this package alone.
 
 // NodeID identifies one processor node.
 type NodeID = msg.NodeID
 
-// Unit addresses a controller within a node (cache, memory, arbiter).
-type Unit = msg.Unit
-
-// Unit values a policy's destination sets use.
-const (
-	UnitCache = msg.UnitCache
-	UnitMem   = msg.UnitMem
-)
-
 // Port addresses one controller on the interconnect: a (node, unit)
 // pair.
 type Port = msg.Port
+
+// UnitCache is the Port.Unit of a cache controller, the unit a policy's
+// destination sets name.
+const UnitCache = msg.UnitCache
 
 // Addr is a byte address; Block a cache-block number.
 type (
@@ -311,7 +296,6 @@ const (
 	Picosecond  = sim.Picosecond
 	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
 )
 
 // Category classifies interconnect messages for traffic accounting.
@@ -329,8 +313,8 @@ const (
 // Register implementations with RegisterWorkload.
 type Generator = machine.Generator
 
-// System is the simulated machine under construction, passed to a
-// ProtocolSpec's Build.
+// System is one simulated machine: Engine.Attach hands it to a job
+// before the run, and SimulateMetrics returns it after.
 type System = machine.System
 
 // Controller is the processor-facing side of a coherence controller.
@@ -340,11 +324,6 @@ type Controller = machine.Controller
 // home memories keep soft-state hints, and a factory producing one fresh
 // Policy per cache controller.
 type PolicySpec = registry.TokenPolicy
-
-// ProtocolSpec registers a from-scratch protocol: a name, the
-// interconnect-ordering capability it requires, and a Build function
-// constructing its controllers (plus an optional end-of-run audit).
-type ProtocolSpec = registry.Protocol
 
 // TopologySpec registers an interconnect fabric: a name, whether it
 // delivers broadcasts in a total order, and a factory building it for a
@@ -369,14 +348,6 @@ type MetricSet = stats.MetricSet
 // MetricSnapshot is an immutable capture of a run's metrics, readable by
 // name (Result.Metrics carries one per executed plan job).
 type MetricSnapshot = stats.Snapshot
-
-// CounterMetric is a monotonically increasing event count registered in
-// a MetricSet.
-type CounterMetric = stats.Counter
-
-// LatencyHistogram is a power-of-two-bucketed latency histogram;
-// MetricSet.Histogram registers one whose snapshot value is its mean.
-type LatencyHistogram = stats.Histogram
 
 // Event is one simulation event, passed by value: a miss issued or
 // completed, a transient-request reissue, a persistent request's
@@ -453,45 +424,6 @@ const (
 // goroutine).
 type Progress = engine.Progress
 
-// --- Result store (sweep-as-a-service) -----------------------------------
-
-// Store is the engine's content-addressed result archive interface:
-// set Engine.Store (and Engine.Reuse for resume semantics) to archive
-// every computed point under its PointKey and recall archived points
-// instead of re-simulating them, with byte-identical sink output. An
-// implementation archives one MetricSnapshot per key: Put receives the
-// computed point's snapshot, and Get must return a snapshot equal in
-// every name, schema entry and value (bit for bit, Inf included), since
-// sinks render a recalled result from it alone. MetricSnapshot's JSON
-// encoding is exact and may serve as the stored form.
-type Store = engine.Store
-
-// ResultStore is the durable file-backed Store: one JSON file per
-// result, written atomically, safe for concurrent engines and
-// cooperating processes sharing the directory (the sweep command's
-// -store/-resume/-shard flags build on it).
-type ResultStore = resultstore.Store
-
-// OpenResultStore creates (if needed) and opens the result store rooted
-// at dir.
-func OpenResultStore(dir string) (*ResultStore, error) { return resultstore.Open(dir) }
-
-// PointKey returns a Point's content hash — a hex SHA-256 over its
-// fully-resolved simulation inputs salted with CodeVersion — which is
-// its address in a Store. Points carrying an opaque NewGen return
-// ErrUncacheable unless Point.GenID names the generator's content.
-func PointKey(pt Point) (string, error) { return engine.PointKey(pt) }
-
-// CodeVersion is the simulator-behavior salt mixed into every PointKey;
-// it changes whenever simulation results can change, invalidating older
-// archives.
-const CodeVersion = engine.CodeVersion
-
-// ErrUncacheable marks a Point with no stable content identity (an
-// anonymous generator closure); the engine simulates such points
-// normally but never archives them.
-var ErrUncacheable = engine.ErrUncacheable
-
 // ProbeSpec registers a measurement probe: a name plus a New function
 // called once per simulation with the run's MetricSet, returning the
 // observer the probe wants attached (or nil for derived-only probes).
@@ -512,11 +444,6 @@ func RegisterProbe(spec ProbeSpec) { registry.RegisterProbe(spec) }
 // with spec.New's policies steering transient requests. It panics on a
 // duplicate or empty name.
 func RegisterPolicy(spec PolicySpec) { registry.RegisterPolicy(spec) }
-
-// RegisterProtocol publishes a protocol built from scratch. Most
-// extensions want RegisterPolicy instead, which inherits the substrate's
-// correctness guarantees. It panics on a duplicate or empty name.
-func RegisterProtocol(spec ProtocolSpec) { registry.RegisterProtocol(spec) }
 
 // RegisterTopology publishes an interconnect fabric under spec.Name;
 // spec.Ordered must match the built fabric's Ordered() (the engine

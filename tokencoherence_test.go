@@ -142,9 +142,14 @@ func TestWorkloadRegistryResolution(t *testing.T) {
 	}
 
 	// A registration that does carry parameters is inspectable.
-	params, err := Workload("oltp")
-	if err != nil || params.Name != "oltp" {
-		t.Errorf("Workload(oltp) = %+v, %v", params, err)
+	params := WorkloadParams{Name: "stride-params", PrivateBlocks: 1 << 10, OpsPerTxn: 16}
+	RegisterWorkload(WorkloadSpec{
+		Name:   "stride-params",
+		New:    func(procs int) Generator { return newFixedStrideGen(procs) },
+		Params: &params,
+	})
+	if got, err := Workload("stride-params"); err != nil || got != params {
+		t.Errorf("Workload(stride-params) = %+v, %v; want %+v", got, err, params)
 	}
 }
 
@@ -168,8 +173,9 @@ func TestAllProtocolConstantsDistinct(t *testing.T) {
 }
 
 // TestTracingFacade drives the tracing surface entirely through this
-// package: a tracer attached via Engine.Attach, a flight recorder with
-// a forced starvation trip, and fan-out to several facade Observers.
+// package: a tracer and a standalone flight recorder attached via
+// Engine.Attach, the built-in recorder with a forced starvation trip,
+// and fan-out to several facade Observers.
 func TestTracingFacade(t *testing.T) {
 	var dumps bytes.Buffer
 	plan := Plan{
@@ -186,13 +192,17 @@ func TestTracingFacade(t *testing.T) {
 		Procs:  4,
 	}
 	var tracer *Tracer
+	var recorder *FlightRecorder
+	var standalone bytes.Buffer
 	var progressDone, started int
 	boundary := Observer{Kinds: MaskOf(MeasurementStarted), On: func(Event) { started++ }}
 	eng := Engine{
 		Attach: func(job Job) func(*System) {
 			tracer = NewTracer(TracerConfig{})
+			recorder = NewFlightRecorder(RecorderConfig{Deadline: Picosecond, Out: &standalone})
 			return func(sys *System) {
 				sys.Observe(tracer.Observer())
+				sys.Observe(recorder.Observer())
 				sys.Observe(boundary)
 				sys.Observe(boundary)
 			}
@@ -227,8 +237,8 @@ func TestTracingFacade(t *testing.T) {
 	if started != 2 {
 		t.Errorf("MeasurementStarted reached %d of 2 observers", started)
 	}
-	if NewFlightRecorder(RecorderConfig{}).Observer().Kinds == 0 {
-		t.Error("facade recorder subscribes to nothing")
+	if !strings.Contains(standalone.String(), "flight recorder") || recorder.Len() == 0 {
+		t.Error("the standalone recorder attached through Engine.Attach did not trip")
 	}
 	if DefaultRecorderSize <= 0 || DefaultStarvationDeadline <= 0 {
 		t.Error("implausible recorder defaults")
